@@ -25,9 +25,14 @@ test:
 	$(GO) test ./...
 
 # The race job exercises the parallel peeling engine (internal/par,
-# the sharded core scans, and the striped stream counters).
+# the sharded core scans, and the striped stream counters), then the
+# root-package smokes CI runs: worker-count determinism plus the
+# cross-runtime trace identity (the sharded scan at workers=3), and
+# the out-of-core file scans and spilling MapReduce.
 race:
 	$(GO) test -race ./internal/...
+	$(GO) test -race -run 'TestParallel|TestTraceIdentity' .
+	$(GO) test -race -run 'TestOutOfCore' .
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .

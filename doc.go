@@ -74,6 +74,18 @@
 // results. WithWorkers(n) sets the worker count (default:
 // runtime.GOMAXPROCS(0)); the densest CLI exposes it as -workers.
 //
+// BackendStream, BackendStreamSketched and BackendMapReduce run one
+// pass policy over different degree oracles. Each pass measures the
+// degrees of the live set, drops the nodes at or below the threshold
+// (Algorithm 2: the ε/(1+ε) quota of them; Algorithm 3: one side), and
+// keeps the densest snapshot. The streaming oracle is one sharded scan
+// of the edge stream into per-shard counter lanes (a stream that cannot
+// shard is scanned as one shard); the MapReduce oracle is one degree
+// job plus the filter jobs that delete the removed nodes' edges. Their
+// sets and traces therefore agree, and each trace is BackendPeel's seen
+// from the start of every pass. BackendPeel keeps degrees current by
+// decrements instead of measuring them, so it runs its own loops.
+//
 // # Memory layout and the peel hot path
 //
 // One peeling pass is, by the paper's design, a linear scan — so the

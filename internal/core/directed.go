@@ -144,10 +144,18 @@ func DirectedSweep(g *graph.Directed, delta, eps float64) (*SweepResult, error) 
 // sweep itself iterates c values in order (the best-result tie-break
 // depends on it).
 func DirectedSweepOpts(g *graph.Directed, delta, eps float64, o Opts) (*SweepResult, error) {
+	return Sweep(g.NumNodes(), delta, func(c float64) (*DirectedResult, error) {
+		return DirectedOpts(g, c, eps, o)
+	})
+}
+
+// Sweep is the powers-of-δ sweep over n nodes for any Algorithm 3
+// runtime: run is called for c = δ^j covering [1/n, n] in increasing
+// order, and the first densest result is kept.
+func Sweep(n int, delta float64, run func(c float64) (*DirectedResult, error)) (*SweepResult, error) {
 	if delta <= 1 || math.IsNaN(delta) || math.IsInf(delta, 0) {
 		return nil, fmt.Errorf("core: delta must be > 1, got %v", delta)
 	}
-	n := g.NumNodes()
 	if n == 0 {
 		return nil, graph.ErrEmptyGraph
 	}
@@ -155,7 +163,7 @@ func DirectedSweepOpts(g *graph.Directed, delta, eps float64, o Opts) (*SweepRes
 	sweep := &SweepResult{}
 	for j := -maxJ; j <= maxJ; j++ {
 		c := math.Pow(delta, float64(j))
-		r, err := DirectedOpts(g, c, eps, o)
+		r, err := run(c)
 		if err != nil {
 			return nil, fmt.Errorf("core: sweep at c=%v: %w", c, err)
 		}

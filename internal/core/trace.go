@@ -8,8 +8,11 @@
 //     known side ratio c, plus the powers-of-δ sweep over c.
 //
 // All algorithms are implemented over O(n) node state (alive flags plus
-// degree counters) so the streaming implementations in internal/stream can
-// share their per-pass logic and be tested for exact agreement.
+// degree counters). The runtimes that learn degrees by re-reading the
+// edges — internal/stream and internal/mapreduce — share their per-pass
+// logic through ScanPeel and ScanPeelDirected and supply only a degree
+// oracle; the in-memory engines keep degrees current by decrements and
+// run their own loops. Tests assert exact agreement between them.
 package core
 
 // PassStat records the state of the remaining graph after one pass of a

@@ -75,9 +75,9 @@ type ckptManifest struct {
 	BestDensity float64 `json:"bestDensity"`
 	// RemovedAt is the undirected drivers' removal schedule (0 = still
 	// alive); RemovedAtS/T the directed driver's per-side schedules.
-	RemovedAt  []int `json:"removedAt,omitempty"`
-	RemovedAtS []int `json:"removedAtS,omitempty"`
-	RemovedAtT []int `json:"removedAtT,omitempty"`
+	RemovedAt  []int32 `json:"removedAt,omitempty"`
+	RemovedAtS []int32 `json:"removedAtS,omitempty"`
+	RemovedAtT []int32 `json:"removedAtT,omitempty"`
 	// Rounds / DirectedRounds carry the per-round trace accumulated up
 	// to the checkpoint, so a resumed run reports the full series.
 	Rounds         []RoundStat         `json:"rounds,omitempty"`

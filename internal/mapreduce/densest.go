@@ -2,12 +2,10 @@ package mapreduce
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"densestream/internal/core"
 	"densestream/internal/graph"
-	"densestream/internal/stream"
 )
 
 // RoundStat records one pass of the MapReduce peeling driver: the state
@@ -87,11 +85,9 @@ func edgeDataset(e *Engine, g *graph.Undirected) (*Dataset[int32, int32], error)
 // Undirected runs Algorithm 1 as a sequence of MapReduce rounds, exactly
 // following §5.2: per pass, one degree job, then two marker-join filter
 // jobs that delete the below-threshold nodes and their incident edges.
-// The driver itself keeps only O(n) state (the alive set), playing the
-// role of the cluster coordinator.
-//
-// The result is identical to stream.Undirected with an exact counter
-// (and therefore to core.Undirected); tests assert exact agreement.
+// The driver itself keeps only O(n) state (the live set), playing the
+// role of the cluster coordinator. The result matches core.Undirected
+// and stream.Undirected exactly.
 func Undirected(g *graph.Undirected, eps float64, cfg Config) (*MRResult, error) {
 	return UndirectedOpts(g, eps, cfg, core.Opts{})
 }
@@ -102,160 +98,194 @@ func Undirected(g *graph.Undirected, eps float64, cfg Config) (*MRResult, error)
 // onto PassStat). o.Workers is ignored — cluster parallelism comes from
 // cfg.
 func UndirectedOpts(g *graph.Undirected, eps float64, cfg Config, o core.Opts) (*MRResult, error) {
-	if eps < 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
-		return nil, fmt.Errorf("mapreduce: epsilon must be a finite value >= 0, got %v", eps)
-	}
+	return peelUndirected(g, "undirected", core.ScanSpec{Eps: eps, Rule: core.CutRule}, cfg, o)
+}
+
+// AtLeastK runs Algorithm 2 (densest subgraph with at least k nodes) as
+// MapReduce rounds: one degree job per pass, then the driver selects the
+// ⌊ε/(1+ε)·|S|⌋ lowest-degree below-threshold nodes and removes them
+// with the two marker-join filter jobs. Results match core.AtLeastK
+// exactly.
+func AtLeastK(g *graph.Undirected, k int, eps float64, cfg Config) (*MRResult, error) {
+	return AtLeastKOpts(g, k, eps, cfg, core.Opts{})
+}
+
+// AtLeastKOpts is AtLeastK with an execution configuration; see
+// UndirectedOpts for the cancellation semantics.
+func AtLeastKOpts(g *graph.Undirected, k int, eps float64, cfg Config, o core.Opts) (*MRResult, error) {
+	return peelUndirected(g, "atleastk", core.ScanSpec{Eps: eps, Rule: core.QuotaRule, K: k}, cfg, o)
+}
+
+// peelUndirected drives an undirected objective through the core
+// scan-peel policy over the MapReduce oracle; kind names the job in
+// checkpoint manifests.
+func peelUndirected(g *graph.Undirected, kind string, spec core.ScanSpec, cfg Config, o core.Opts) (*MRResult, error) {
 	e, err := NewEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := o.Begin(); err != nil {
-		return nil, err
-	}
-	n := g.NumNodes()
-	if n == 0 {
-		return nil, graph.ErrEmptyGraph
-	}
 	if g.Weighted() {
-		return nil, fmt.Errorf("mapreduce: Undirected needs an unweighted graph")
+		return nil, fmt.Errorf("mapreduce: %s needs an unweighted graph", kind)
 	}
 	defer e.Cleanup()
-
-	alive := make([]bool, n)
-	removedAt := make([]int, n)
-	nodes := n
-	bestPass := 0
-	bestDensity := -1.0
-	var rounds []RoundStat
-	pass := 0
-	prev := core.PassStat{Nodes: n, Edges: g.NumEdges(), Density: g.Density()}
-
-	ck := newCheckpointer(e, "undirected", n, g.NumEdges(), eps, 0, 0)
-	var edges *Dataset[int32, int32]
-	if man, restored, err := ck.resume(); err != nil {
+	n := g.NumNodes()
+	spec.Nodes = n
+	spec.Initial = core.PassStat{Nodes: n, Edges: g.NumEdges(), Density: g.Density()}
+	m := &peelOracle{
+		e:      e,
+		ck:     newCheckpointer(e, kind, n, g.NumEdges(), spec.Eps, 0, spec.K),
+		n:      n,
+		upload: func() (*Dataset[int32, int32], error) { return edgeDataset(e, g) },
+	}
+	r, err := core.ScanPeel(spec, m, o)
+	if err != nil {
 		return nil, err
-	} else if man != nil {
-		if len(man.RemovedAt) != n {
-			return nil, fmt.Errorf("mapreduce: checkpoint removal schedule has %d nodes, want %d", len(man.RemovedAt), n)
-		}
-		edges = restored
-		copy(removedAt, man.RemovedAt)
-		nodes = 0
-		for u := range alive {
-			alive[u] = removedAt[u] == 0
-			if alive[u] {
-				nodes++
-			}
-		}
-		bestPass, bestDensity = man.BestPass, man.BestDensity
-		rounds = append(rounds, man.Rounds...)
-		pass = man.Round
-		if len(rounds) > 0 {
-			prev = rounds[len(rounds)-1].AsPassStat()
-		}
-	} else {
-		for u := range alive {
-			alive[u] = true
-		}
-		if edges, err = edgeDataset(e, g); err != nil {
-			return nil, err
-		}
 	}
-
-	threshold := 2 * (1 + eps)
-	for nodes > 0 {
-		if err := o.Checkpoint(prev); err != nil {
-			return nil, &core.PartialError{Passes: pass, Trace: roundTrace(rounds), Err: err}
-		}
-		pass++
-		rd := e.StartRound()
-
-		// Job 1: degrees of the surviving subgraph.
-		degs, _, err := degreeJob(rd, edges, true, false)
-		if err != nil {
-			return nil, fmt.Errorf("mapreduce: pass %d degree job: %w", pass, err)
-		}
-
-		numEdges := int64(edges.Len())
-		rho := float64(numEdges) / float64(nodes)
-		if rho > bestDensity {
-			bestDensity = rho
-			bestPass = pass
-		}
-		cut := threshold * rho
-
-		// Decide removals: nodes with degree <= cut. Isolated alive nodes
-		// have no degree record and count as degree 0.
-		deg := make(map[int32]int32, degs.Len())
-		if err := degs.Each(func(u, d int32) { deg[u] = d }); err != nil {
-			return nil, fmt.Errorf("mapreduce: pass %d degrees: %w", pass, err)
-		}
-		degs.Discard()
-		var markers []Pair[int32, int32]
-		removed := 0
-		for u := 0; u < n; u++ {
-			if alive[u] && float64(deg[int32(u)]) <= cut {
-				markers = append(markers, Pair[int32, int32]{Key: int32(u), Value: mark})
-				alive[u] = false
-				removedAt[u] = pass
-				removed++
-			}
-		}
-		if removed == 0 {
-			return nil, fmt.Errorf("mapreduce: pass %d removed no nodes (ρ=%v)", pass, rho)
-		}
-
-		// Jobs 2+3: drop edges incident on marked nodes, pivoting on the
-		// first and then the second endpoint. Replaced datasets discard
-		// their spill files immediately, keeping disk usage at the live
-		// working set.
-		half, _, err := filterJob(rd, edges, markers, false, true)
-		if err != nil {
-			return nil, fmt.Errorf("mapreduce: pass %d filter 1: %w", pass, err)
-		}
-		edges.Discard()
-		edges, _, err = filterJob(rd, half, markers, false, false)
-		if err != nil {
-			return nil, fmt.Errorf("mapreduce: pass %d filter 2: %w", pass, err)
-		}
-		half.Discard()
-
-		st := rd.Stats()
-		rounds = append(rounds, RoundStat{
-			Pass: pass, Nodes: nodes, Edges: numEdges, Density: rho,
-			Removed: removed, Wall: rd.Wall(),
-			Shuffle: st.ShuffleRecords, ShuffleBytes: st.ShuffleBytes,
-			PerMachine: st.PerMachine,
-		})
-		prev = rounds[len(rounds)-1].AsPassStat()
-		nodes -= removed
-
-		if err := ck.write(pass, edges, func(m *ckptManifest) {
-			m.BestPass, m.BestDensity = bestPass, bestDensity
-			m.RemovedAt = removedAt
-			m.Rounds = rounds
-		}); err != nil {
-			return nil, err
-		}
-		if err := e.simulateCrash(pass); err != nil {
-			return nil, err
-		}
-	}
-	ck.clear()
-
-	var set []int32
-	for u, p := range removedAt {
-		if p == 0 || p >= bestPass {
-			set = append(set, int32(u))
-		}
-	}
+	m.ck.clear()
 	fs := e.FaultStats()
-	return &MRResult{Set: set, Density: bestDensity, Passes: pass, Rounds: rounds, SpilledBytes: e.SpilledBytes(), StragglerReruns: fs.MapTaskReruns, Faults: fs}, nil
+	return &MRResult{Set: r.Set, Density: r.Density, Passes: r.Passes, Rounds: m.rounds, SpilledBytes: e.SpilledBytes(), StragglerReruns: fs.MapTaskReruns, Faults: fs}, nil
 }
 
-// StreamEquivalent re-runs the same algorithm through the streaming
-// peeler; exported for tests and the experiment harness to cross-check
-// MR results.
-func StreamEquivalent(g *graph.Undirected, eps float64) (*core.Result, error) {
-	return stream.Undirected(stream.FromUndirected(g), eps, stream.NewExactCounter(g.NumNodes()))
+// peelOracle is the MapReduce degree oracle of the core scan-peel
+// policy (§5.2). The live edge set stays on the cluster as a Dataset,
+// always exactly E(S) (or E(S,T), kept source-keyed). Measure runs one
+// degree job into a dense degree slice reused across rounds; Commit
+// runs the marker-join filter jobs that delete the removed nodes'
+// edges, records the round's cluster stats, writes the checkpoint, and
+// plays the failure plan's crash.
+type peelOracle struct {
+	e        *Engine
+	ck       *checkpointer
+	n        int
+	directed bool
+	upload   func() (*Dataset[int32, int32], error)
+
+	edges *Dataset[int32, int32]
+	deg   []int32
+	rd    *Round
+	side  byte
+
+	rounds  []RoundStat         // undirected runs
+	drounds []DirectedRoundStat // directed runs
+}
+
+// Start implements core.ScanOracle: it resumes from the committed
+// checkpoint when there is one and uploads the edge set otherwise.
+func (m *peelOracle) Start() (*core.ScanSnapshot, error) {
+	m.deg = make([]int32, m.n)
+	man, restored, err := m.ck.resume()
+	if err != nil {
+		return nil, err
+	}
+	if man == nil {
+		m.edges, err = m.upload()
+		return nil, err
+	}
+	m.edges, m.rounds, m.drounds = restored, man.Rounds, man.DirectedRounds
+	snap := &core.ScanSnapshot{Pass: man.Round, BestPass: man.BestPass, BestDensity: man.BestDensity}
+	if m.directed {
+		snap.RemovedAt, snap.RemovedAtT = man.RemovedAtS, man.RemovedAtT
+		snap.DirectedTrace = directedRoundTrace(man.DirectedRounds)
+	} else {
+		snap.RemovedAt, snap.Trace = man.RemovedAt, roundTrace(man.Rounds)
+	}
+	return snap, nil
+}
+
+// Measure implements core.ScanOracle: one degree job over the resident
+// edges, keyed on both endpoints (undirected) or on the peeled side —
+// out-degrees for S, in-degrees for T by keying each edge on its
+// destination in the map phase instead of re-orienting the dataset.
+// Nodes with no degree record are isolated and read as degree 0.
+func (m *peelOracle) Measure(pass int, _, _ []bool, side byte) (int64, float64, error) {
+	m.rd, m.side = m.e.StartRound(), side
+	degs, _, err := degreeJob(m.rd, m.edges, side == 0, side == 'T')
+	if err != nil {
+		return 0, 0, fmt.Errorf("mapreduce: pass %d degree job: %w", pass, err)
+	}
+	clear(m.deg)
+	if err := degs.Each(func(u, d int32) { m.deg[u] = d }); err != nil {
+		return 0, 0, fmt.Errorf("mapreduce: pass %d degrees: %w", pass, err)
+	}
+	degs.Discard()
+	edges := int64(m.edges.Len())
+	return edges, float64(edges), nil
+}
+
+// Degree implements core.ScanOracle.
+func (m *peelOracle) Degree(u int32) float64 { return float64(m.deg[u]) }
+
+// Commit implements core.ScanOracle.
+func (m *peelOracle) Commit(snap *core.ScanSnapshot) error {
+	pass, removedAt := snap.Pass, snap.RemovedAt
+	if m.side == 'T' {
+		removedAt = snap.RemovedAtT
+	}
+	var markers []Pair[int32, int32]
+	for u, p := range removedAt {
+		if int(p) == pass {
+			markers = append(markers, Pair[int32, int32]{Key: int32(u), Value: mark})
+		}
+	}
+	if err := m.filter(pass, markers); err != nil {
+		return err
+	}
+	st := m.rd.Stats()
+	if m.directed {
+		t := snap.DirectedTrace[len(snap.DirectedTrace)-1]
+		m.drounds = append(m.drounds, DirectedRoundStat{
+			Pass: pass, SizeS: t.SizeS, SizeT: t.SizeT, Edges: t.Edges, Density: t.Density,
+			Removed: t.RemovedS + t.RemovedT, PeeledSide: t.PeeledSide, Wall: m.rd.Wall(),
+			Shuffle: st.ShuffleRecords, ShuffleBytes: st.ShuffleBytes, PerMachine: st.PerMachine,
+		})
+	} else {
+		t := snap.Trace[len(snap.Trace)-1]
+		m.rounds = append(m.rounds, RoundStat{
+			Pass: pass, Nodes: t.Nodes, Edges: t.Edges, Density: t.Density,
+			Removed: t.Removed, Wall: m.rd.Wall(),
+			Shuffle: st.ShuffleRecords, ShuffleBytes: st.ShuffleBytes, PerMachine: st.PerMachine,
+		})
+	}
+	if err := m.ck.write(pass, m.edges, func(man *ckptManifest) {
+		man.BestPass, man.BestDensity = snap.BestPass, snap.BestDensity
+		if m.directed {
+			man.RemovedAtS, man.RemovedAtT, man.DirectedRounds = snap.RemovedAt, snap.RemovedAtT, m.drounds
+		} else {
+			man.RemovedAt, man.Rounds = snap.RemovedAt, m.rounds
+		}
+	}); err != nil {
+		return err
+	}
+	return m.e.simulateCrash(pass)
+}
+
+// filter drops the marked nodes' edges from the resident dataset.
+// Undirected edges are pivoted on their first and then their second
+// endpoint. A directed pass needs one join: peeling T, the map phase
+// pivots each edge on its destination and the reducer pivots survivors
+// back, so the dataset keeps its source-keyed orientation. Replaced
+// datasets discard their spill files immediately, keeping disk usage
+// at the live working set.
+func (m *peelOracle) filter(pass int, markers []Pair[int32, int32]) error {
+	if m.directed {
+		flip := m.side == 'T'
+		next, _, err := filterJob(m.rd, m.edges, markers, flip, flip)
+		if err != nil {
+			return fmt.Errorf("mapreduce: directed pass %d filter: %w", pass, err)
+		}
+		m.edges.Discard()
+		m.edges = next
+		return nil
+	}
+	half, _, err := filterJob(m.rd, m.edges, markers, false, true)
+	if err != nil {
+		return fmt.Errorf("mapreduce: pass %d filter 1: %w", pass, err)
+	}
+	m.edges.Discard()
+	m.edges, _, err = filterJob(m.rd, half, markers, false, false)
+	if err != nil {
+		return fmt.Errorf("mapreduce: pass %d filter 2: %w", pass, err)
+	}
+	half.Discard()
+	return nil
 }

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"densestream/internal/core"
 	"densestream/internal/gen"
 	"densestream/internal/graph"
+	"densestream/internal/stream"
 )
 
 func TestRunWordCount(t *testing.T) {
@@ -185,8 +187,9 @@ func equalSets(a, b []int32) bool {
 	return true
 }
 
-// The MR driver must agree exactly with the streaming peeler (and hence
-// the in-memory reference).
+// The MR driver must agree exactly with the streaming scan (and hence
+// the in-memory reference): same set, density and passes, and its
+// rounds projected onto PassStat are the stream's trace.
 func TestMRUndirectedMatchesStreaming(t *testing.T) {
 	f := func(seed int64) bool {
 		g, err := gen.Gnm(50, 180, seed)
@@ -194,7 +197,7 @@ func TestMRUndirectedMatchesStreaming(t *testing.T) {
 			return false
 		}
 		for _, eps := range []float64{0, 1} {
-			ref, err := StreamEquivalent(g, eps)
+			ref, err := stream.Undirected(stream.FromUndirected(g), eps, core.Opts{Workers: 1})
 			if err != nil {
 				return false
 			}
@@ -205,7 +208,7 @@ func TestMRUndirectedMatchesStreaming(t *testing.T) {
 			if math.Abs(ref.Density-mr.Density) > 1e-9 || ref.Passes != mr.Passes {
 				return false
 			}
-			if !equalSets(ref.Set, mr.Set) {
+			if !equalSets(ref.Set, mr.Set) || !reflect.DeepEqual(ref.Trace, roundTrace(mr.Rounds)) {
 				return false
 			}
 		}

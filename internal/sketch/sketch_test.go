@@ -113,29 +113,6 @@ func TestUpdateInverseProperty(t *testing.T) {
 	}
 }
 
-func TestDegreeCounterImplementsStreamInterface(t *testing.T) {
-	var _ stream.DegreeCounter = (*DegreeCounter)(nil)
-	dc, err := NewDegreeCounter(5, 128, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dc.Add(3)
-	dc.Add(3)
-	if dc.Estimate(3) != 2 {
-		t.Fatalf("estimate = %d", dc.Estimate(3))
-	}
-	dc.Reset()
-	if dc.Estimate(3) != 0 {
-		t.Fatal("Reset failed")
-	}
-	if dc.MemoryWords() != 5*128 {
-		t.Fatalf("memory = %d", dc.MemoryWords())
-	}
-	if _, err := NewDegreeCounter(0, 10, 1); err == nil {
-		t.Fatal("bad shape accepted")
-	}
-}
-
 // The §5.1 experiment in miniature: sketched peeling stays within a
 // reasonable factor of exact peeling when b is a fraction of n.
 func TestSketchedPeelingQuality(t *testing.T) {
@@ -147,17 +124,20 @@ func TestSketchedPeelingQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dc, err := NewDegreeCounter(5, 1000, 21) // 5000 words vs n=3000... still < n per table
-	if err != nil {
-		t.Fatal(err)
-	}
-	sketched, err := stream.Undirected(stream.FromUndirected(g), 0.5, dc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := sketched.Density / exact.Density
-	if ratio < 0.5 || ratio > 1.5 {
-		t.Fatalf("sketched/exact density ratio %v out of [0.5, 1.5] (sketched %v, exact %v)",
-			ratio, sketched.Density, exact.Density)
+	for _, workers := range []int{1, 4} {
+		// 5000 words vs n=3000... still < n per table.
+		sk, err := NewStriped(5, 1000, 21, stream.SketchScanLanes(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sketched, err := stream.UndirectedSketched(stream.FromUndirected(g), 0.5, sk, core.Opts{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ratio := sketched.Density / exact.Density
+		if ratio < 0.5 || ratio > 1.5 {
+			t.Fatalf("workers=%d: sketched/exact density ratio %v out of [0.5, 1.5] (sketched %v, exact %v)",
+				workers, ratio, sketched.Density, exact.Density)
+		}
 	}
 }

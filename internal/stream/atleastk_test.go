@@ -23,15 +23,17 @@ func TestStreamingAtLeastKMatchesInMemory(t *testing.T) {
 				if err != nil {
 					return false
 				}
-				got, err := AtLeastK(FromUndirected(g), k, eps, NewExactCounter(g.NumNodes()))
-				if err != nil {
-					return false
-				}
-				if math.Abs(ref.Density-got.Density) > 1e-9 || ref.Passes != got.Passes {
-					return false
-				}
-				if !sameSet(ref.Set, got.Set) {
-					return false
+				for _, w := range workerCounts {
+					got, err := AtLeastK(FromUndirected(g), k, eps, core.Opts{Workers: w})
+					if err != nil {
+						return false
+					}
+					if math.Abs(ref.Density-got.Density) > 1e-9 || ref.Passes != got.Passes {
+						return false
+					}
+					if !sameSet(ref.Set, got.Set) {
+						return false
+					}
 				}
 			}
 		}
@@ -44,21 +46,21 @@ func TestStreamingAtLeastKMatchesInMemory(t *testing.T) {
 
 func TestStreamingAtLeastKValidation(t *testing.T) {
 	s, _ := NewSliceStream(3, []Edge{{U: 0, V: 1}})
-	if _, err := AtLeastK(s, 0, 0.5, NewExactCounter(3)); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-	if _, err := AtLeastK(s, 4, 0.5, NewExactCounter(3)); err == nil {
-		t.Fatal("k > n accepted")
-	}
-	if _, err := AtLeastK(s, 1, -1, NewExactCounter(3)); err == nil {
-		t.Fatal("negative eps accepted")
-	}
-	if _, err := AtLeastK(s, 1, 0.5, nil); err == nil {
-		t.Fatal("nil counter accepted")
-	}
 	empty, _ := NewSliceStream(0, nil)
-	if _, err := AtLeastK(empty, 1, 0.5, NewExactCounter(0)); !errors.Is(err, graph.ErrEmptyGraph) {
-		t.Fatalf("empty: %v", err)
+	for _, w := range workerCounts {
+		o := core.Opts{Workers: w}
+		if _, err := AtLeastK(s, 0, 0.5, o); err == nil {
+			t.Fatal("k=0 accepted")
+		}
+		if _, err := AtLeastK(s, 4, 0.5, o); err == nil {
+			t.Fatal("k > n accepted")
+		}
+		if _, err := AtLeastK(s, 1, -1, o); err == nil {
+			t.Fatal("negative eps accepted")
+		}
+		if _, err := AtLeastK(empty, 1, 0.5, o); !errors.Is(err, graph.ErrEmptyGraph) {
+			t.Fatalf("empty: %v", err)
+		}
 	}
 }
 
@@ -68,12 +70,14 @@ func TestStreamingAtLeastKSizeGuarantee(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []int{5, 50, 200} {
-		r, err := AtLeastK(FromUndirected(g), k, 0.5, NewExactCounter(g.NumNodes()))
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		if len(r.Set) < k {
-			t.Fatalf("k=%d: |set| = %d", k, len(r.Set))
+		for _, w := range workerCounts {
+			r, err := AtLeastK(FromUndirected(g), k, 0.5, core.Opts{Workers: w})
+			if err != nil {
+				t.Fatalf("k=%d: %v", k, err)
+			}
+			if len(r.Set) < k {
+				t.Fatalf("k=%d: |set| = %d", k, len(r.Set))
+			}
 		}
 	}
 }

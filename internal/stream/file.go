@@ -22,7 +22,7 @@ import (
 //
 // FileStream implements ShardedStream: Shards(k) cuts the file into k
 // ranges (byte ranges with line-boundary resync for text, block ranges
-// for binary), so the parallel peelers scan disk inputs with the same
+// for binary), so the streaming scan reads disk inputs with the same
 // worker fan-out as in-memory streams. The shard set is memoized per k
 // and re-positioned by Reset each pass; Close releases every handle
 // (and unmaps a mapped file) and is idempotent.
@@ -111,8 +111,9 @@ func (fs *FileStream) Next() (Edge, error) { return fs.seq.Next() }
 // Shards implements ShardedStream: the file is cut into up to k ranges
 // (byte ranges for text, block ranges for binary), each scanning
 // through its own cursor. The shard set is memoized per k, so the
-// per-pass calls of the parallel peelers reuse the same handles and
-// decode buffers; FileStream.Close closes them.
+// per-pass calls of the scan reuse the same handles and decode
+// buffers; FileStream.Close closes them. One shard is the sequential
+// reader itself, which already covers the whole file.
 func (fs *FileStream) Shards(k int) []EdgeStream {
 	if k < 1 {
 		k = 1
@@ -125,11 +126,16 @@ func (fs *FileStream) Shards(k int) []EdgeStream {
 		for _, sh := range fs.shards {
 			closeReader(sh)
 		}
-		fs.shards = fs.shardsFn(k)
+		fs.shards = nil
+		readers := []edgeio.Reader{fs.seq}
+		if k > 1 {
+			fs.shards = fs.shardsFn(k)
+			readers = fs.shards
+		}
 		fs.shardK = k
-		backing := make([]readerStream, len(fs.shards))
-		fs.wrap = make([]EdgeStream, len(fs.shards))
-		for i, sh := range fs.shards {
+		backing := make([]readerStream, len(readers))
+		fs.wrap = make([]EdgeStream, len(readers))
+		for i, sh := range readers {
 			backing[i] = readerStream{n: fs.n, r: sh}
 			fs.wrap[i] = &backing[i]
 		}
@@ -182,8 +188,8 @@ func (s *readerStream) Reset() error { return s.r.Reset() }
 func (s *readerStream) Next() (Edge, error) { return s.r.Next() }
 
 // errorStream is an EdgeStream that fails on Reset; it reports misuse
-// (scanning a closed stream's shards) through the peelers' normal
-// error path.
+// (scanning a closed stream's shards) through the scan's normal error
+// path.
 type errorStream struct {
 	n   int
 	err error

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"densestream/internal/core"
@@ -36,8 +37,9 @@ func sameResult(a, b *core.Result) bool {
 }
 
 // TestFileStreamShardedParity checks the sharded file scan returns
-// bit-identical results to the sequential file scan for every worker
-// count — the disk-input analogue of TestParallelMatchesSequential.
+// bit-identical results to the sequential file scan (the stream read
+// as one shard through its own cursor) for every worker count — the
+// disk-input analogue of TestUndirectedParallelMatchesSequential.
 func TestFileStreamShardedParity(t *testing.T) {
 	g, err := gen.ChungLu(500, 3000, 2.2, 7)
 	if err != nil {
@@ -50,7 +52,7 @@ func TestFileStreamShardedParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fsSeq.Close()
-	want, err := Undirected(fsSeq, 0.5, NewExactCounter(fsSeq.NumNodes()))
+	want, err := Undirected(seqStream{fsSeq}, 0.5, core.Opts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func TestFileStreamShardedParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := UndirectedParallel(fs, 0.5, workers)
+		got, err := Undirected(fs, 0.5, core.Opts{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -68,8 +70,8 @@ func TestFileStreamShardedParity(t *testing.T) {
 			t.Fatalf("workers=%d: density %v passes %d |S|=%d, want %v/%d/%d",
 				workers, got.Density, got.Passes, len(got.Set), want.Density, want.Passes, len(want.Set))
 		}
-		if workers > 1 && fs.BytesScanned() == 0 {
-			t.Fatal("BytesScanned = 0 after a sharded run")
+		if fs.BytesScanned() == 0 {
+			t.Fatalf("workers=%d: BytesScanned = 0 after a sharded run", workers)
 		}
 		if err := fs.Close(); err != nil {
 			t.Fatal(err)
@@ -91,17 +93,16 @@ func TestFileStreamShardedDirected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	n := fs.NumNodes()
-	want, err := Directed(fs, 1, 0.5, NewExactCounter(n), NewExactCounter(n))
+	want, err := Directed(seqStream{fs}, 1, 0.5, core.Opts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, 8} {
+	for _, workers := range []int{1, 2, 4, 8} {
 		fs2, err := OpenFileStream(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DirectedParallel(fs2, 1, 0.5, workers)
+		got, err := Directed(fs2, 1, 0.5, core.Opts{Workers: workers})
 		fs2.Close()
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -114,19 +115,20 @@ func TestFileStreamShardedDirected(t *testing.T) {
 }
 
 // TestAtLeastKParallelParity checks the sharded AtLeastK scan matches
-// the sequential one exactly, on both in-memory and file streams.
+// the sequential one-shard scan exactly, on both in-memory and file
+// streams.
 func TestAtLeastKParallelParity(t *testing.T) {
 	g, err := gen.ChungLu(400, 2400, 2.2, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []int{5, 40, 150} {
-		want, err := AtLeastK(FromUndirected(g), k, 0.5, NewExactCounter(g.NumNodes()))
+		want, err := AtLeastK(seqStream{FromUndirected(g)}, k, 0.5, core.Opts{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 4, 8} {
-			got, err := AtLeastKParallel(FromUndirected(g), k, 0.5, workers)
+			got, err := AtLeastK(FromUndirected(g), k, 0.5, core.Opts{Workers: workers})
 			if err != nil {
 				t.Fatalf("k=%d workers=%d: %v", k, workers, err)
 			}
@@ -142,11 +144,11 @@ func TestAtLeastKParallelParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	want, err := AtLeastK(fs, 40, 0.5, NewExactCounter(fs.NumNodes()))
+	want, err := AtLeastK(seqStream{fs}, 40, 0.5, core.Opts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AtLeastKParallel(fs, 40, 0.5, 4)
+	got, err := AtLeastK(fs, 40, 0.5, core.Opts{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,9 +157,9 @@ func TestAtLeastKParallelParity(t *testing.T) {
 	}
 }
 
-// TestWeightedParallelWorkerParity checks the weighted parallel peeler
-// is bit-identical across worker counts (its fixed-lane contract) on
-// slice and file streams, and agrees with the sequential scan on
+// TestWeightedParallelWorkerParity checks the weighted scan is
+// bit-identical across worker counts (its fixed-lane contract) on slice
+// and file streams, and agrees with the sequential one-shard scan on
 // dyadic weights (whose float sums are exact in any order).
 func TestWeightedParallelWorkerParity(t *testing.T) {
 	g, err := gen.Gnm(200, 1200, 3)
@@ -175,19 +177,19 @@ func TestWeightedParallelWorkerParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	seq, err := UndirectedWeighted(FromUndirectedWeighted(wg), 0.5)
+	seq, err := UndirectedWeighted(seqWeightedStream{FromUndirectedWeighted(wg)}, 0.5, core.Opts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var first *core.Result
 	for _, workers := range []int{1, 2, 3, 8} {
-		got, err := UndirectedWeightedParallel(FromUndirectedWeighted(wg), 0.5, workers)
+		got, err := UndirectedWeighted(FromUndirectedWeighted(wg), 0.5, core.Opts{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if first == nil {
 			first = got
-		} else if !sameResult(got, first) {
+		} else if !reflect.DeepEqual(got, first) {
 			t.Fatalf("workers=%d: weighted parallel not worker-invariant", workers)
 		}
 		if !sameResult(got, seq) {
@@ -219,7 +221,7 @@ func TestWeightedParallelWorkerParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ws.Close()
-	got, err := UndirectedWeightedParallel(ws, 0.5, 4)
+	got, err := UndirectedWeighted(ws, 0.5, core.Opts{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +299,7 @@ func TestFileStreamParserEdgeCases(t *testing.T) {
 	if fs.NumNodes() != 5 {
 		t.Fatalf("n = %d, want 5", fs.NumNodes())
 	}
-	want, err := Undirected(fs, 0.5, NewExactCounter(fs.NumNodes()))
+	want, err := Undirected(seqStream{fs}, 0.5, core.Opts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +310,7 @@ func TestFileStreamParserEdgeCases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := UndirectedParallel(fs2, 0.5, workers)
+		got, err := Undirected(fs2, 0.5, core.Opts{Workers: workers})
 		fs2.Close()
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

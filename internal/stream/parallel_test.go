@@ -1,9 +1,11 @@
 package stream
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
+	"densestream/internal/core"
 	"densestream/internal/gen"
 	"densestream/internal/par"
 )
@@ -43,54 +45,62 @@ func TestSliceStreamShardsPartitionEdges(t *testing.T) {
 func TestStripedCounterFoldMatchesExact(t *testing.T) {
 	n := 3*par.ChunkSize + 7
 	pool := par.New(4)
-	sc := NewStripedCounter(n, 4)
-	exact := NewExactCounter(n)
-	for i := 0; i < 4*n; i++ {
-		u := int32(i % n)
-		sc.AddLane(i%4, u)
-		exact.Add(u)
+	var sc stripedCounter
+	sc.init(n, 4)
+	exact := make([]float64, n)
+	for l := 0; l < 4; l++ {
+		sc.reset(l)
 	}
-	sc.Fold(pool)
+	for i := 0; i < 4*n; i++ {
+		u := i % n
+		lane, dirty := sc.lane(i % 4)
+		lane[u]++
+		dirty[u/par.ChunkSize] = true
+		exact[u]++
+	}
+	sc.fold(pool, 4)
 	for u := 0; u < n; u += 97 {
-		if sc.Estimate(int32(u)) != exact.Estimate(int32(u)) {
-			t.Fatalf("node %d: striped %d, exact %d", u, sc.Estimate(int32(u)), exact.Estimate(int32(u)))
+		if sc.degree(int32(u)) != exact[u] {
+			t.Fatalf("node %d: striped %v, exact %v", u, sc.degree(int32(u)), exact[u])
 		}
 	}
-	if sc.MemoryWords() != 4*n {
-		t.Fatalf("MemoryWords = %d, want %d", sc.MemoryWords(), 4*n)
-	}
-	sc.Reset(pool)
-	if sc.Estimate(5) != 0 {
-		t.Fatal("Reset did not clear lane 0")
+	sc.reset(0)
+	if sc.degree(5) != 0 {
+		t.Fatal("reset did not clear lane 0")
 	}
 }
 
 func TestStreamScanLanesBoundsMemory(t *testing.T) {
-	if got := streamScanLanes(1000, 4, 1); got != 4 {
+	if got := streamScanLanes(1000, 4); got != 4 {
 		t.Fatalf("small graph: lanes = %d, want 4", got)
 	}
-	if got := streamScanLanes(1000, 64, 1); got != maxScanLanes {
+	if got := streamScanLanes(1000, 64); got != maxScanLanes {
 		t.Fatalf("many workers: lanes = %d, want cap %d", got, maxScanLanes)
 	}
 	// A huge node count must shed lanes instead of multiplying memory:
-	// above one lane, lanes*n*counters stays within the word budget
-	// (one lane per counter is the floor — that memory is inherent to
-	// exact counting, not to striping).
-	n := 100_000_000
-	for _, counters := range []int{1, 2} {
-		lanes := streamScanLanes(n, 32, counters)
-		if lanes < 1 || (lanes > 1 && lanes*n*counters > maxStripedWords) {
-			t.Fatalf("n=%d counters=%d: lanes = %d exceeds budget", n, counters, lanes)
+	// above one lane, lanes*n stays within the word budget (one lane is
+	// the floor — that memory is inherent to exact counting, not to
+	// striping).
+	for _, n := range []int{100_000_000, 50_000_000} {
+		lanes := streamScanLanes(n, 32)
+		if lanes < 1 || (lanes > 1 && lanes*n > maxStripedWords) {
+			t.Fatalf("n=%d: lanes = %d exceeds budget", n, lanes)
 		}
 		if lanes == 32 {
-			t.Fatalf("n=%d counters=%d: lanes not shed", n, counters)
+			t.Fatalf("n=%d: lanes not shed", n)
 		}
 	}
-	if got := streamScanLanes(0, 4, 1); got != 4 {
+	if got := streamScanLanes(0, 4); got != 4 {
 		t.Fatalf("n=0: lanes = %d", got)
+	}
+	if got := weightedScanLanes(1000); got != maxScanLanes {
+		t.Fatalf("weighted lanes = %d, want %d whatever the workers", got, maxScanLanes)
 	}
 }
 
+// The sharded scan is bit-identical to the sequential one-shard scan
+// at every worker count — set, density and trace — and agrees with the
+// in-memory engine.
 func TestUndirectedParallelMatchesSequential(t *testing.T) {
 	for _, seed := range []int64{2, 17} {
 		g, err := gen.ChungLu(2500, 12000, 2.1, seed)
@@ -98,20 +108,24 @@ func TestUndirectedParallelMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, eps := range []float64{0, 0.5, 1} {
-			ref, err := Undirected(FromUndirected(g), eps, NewExactCounter(g.NumNodes()))
+			ref, err := core.Undirected(g, eps)
 			if err != nil {
 				t.Fatal(err)
 			}
+			one, err := Undirected(seqStream{FromUndirected(g)}, eps, core.Opts{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref.Density != one.Density || !reflect.DeepEqual(ref.Set, one.Set) {
+				t.Fatalf("seed=%d eps=%v: stream diverges from core", seed, eps)
+			}
 			for _, w := range []int{1, 2, 8} {
-				got, err := UndirectedParallel(FromUndirected(g), eps, w)
+				got, err := Undirected(FromUndirected(g), eps, core.Opts{Workers: w})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ref.Density != got.Density || ref.Passes != got.Passes {
-					t.Fatalf("seed=%d eps=%v workers=%d: density/passes differ", seed, eps, w)
-				}
-				if !reflect.DeepEqual(ref.Set, got.Set) || !reflect.DeepEqual(ref.Trace, got.Trace) {
-					t.Fatalf("seed=%d eps=%v workers=%d: set/trace differ", seed, eps, w)
+				if !reflect.DeepEqual(one, got) {
+					t.Fatalf("seed=%d eps=%v workers=%d: result differs from the sequential scan", seed, eps, w)
 				}
 			}
 		}
@@ -123,25 +137,26 @@ func TestDirectedParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := g.NumNodes()
 	for _, c := range []float64{0.5, 1, 2} {
-		ref, err := Directed(FromDirected(g), c, 0.5, NewExactCounter(n), NewExactCounter(n))
+		ref, err := core.Directed(g, c, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
+		one, err := Directed(seqStream{FromDirected(g)}, c, 0.5, core.Opts{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref.Density != one.Density || ref.Passes != one.Passes ||
+			!reflect.DeepEqual(ref.S, one.S) || !reflect.DeepEqual(ref.T, one.T) {
+			t.Fatalf("c=%v: stream diverges from core", c)
+		}
 		for _, w := range []int{1, 2, 8} {
-			got, err := DirectedParallel(FromDirected(g), c, 0.5, w)
+			got, err := Directed(FromDirected(g), c, 0.5, core.Opts{Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ref.Density != got.Density || ref.Passes != got.Passes {
-				t.Fatalf("c=%v workers=%d: density/passes differ", c, w)
-			}
-			if !reflect.DeepEqual(ref.S, got.S) || !reflect.DeepEqual(ref.T, got.T) {
-				t.Fatalf("c=%v workers=%d: S/T differ", c, w)
-			}
-			if !reflect.DeepEqual(ref.Trace, got.Trace) {
-				t.Fatalf("c=%v workers=%d: traces differ", c, w)
+			if !reflect.DeepEqual(one, got) {
+				t.Fatalf("c=%v workers=%d: result differs from the sequential scan", c, w)
 			}
 		}
 	}
@@ -154,8 +169,8 @@ func TestUndirectedParallelPropagatesShardErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := &faultShardedStream{inner: FromUndirected(g), failAfter: 100}
-	if _, err := UndirectedParallel(fs, 0.5, 4); err == nil {
-		t.Fatal("expected injected shard error")
+	if _, err := Undirected(fs, 0.5, core.Opts{Workers: 4}); !errors.Is(err, ErrInjected) {
+		t.Fatalf("want the injected shard error, got %v", err)
 	}
 }
 

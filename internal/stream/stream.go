@@ -4,10 +4,13 @@
 //
 // EdgeStream abstracts the edge source; implementations cover in-memory
 // slices (tests, benchmarks), frozen graphs, and edge-list files on disk
-// (true external streaming). The peelers in this package implement
-// Algorithms 1 and 3 strictly against this interface: they never hold
-// more than O(n) state and re-stream all edges once per pass, so their
-// pass counts are exactly the paper's pass complexity.
+// (true external streaming). Every objective here (Algorithms 1–3, the
+// weighted and sketched variants, the δ-sweep) is the core scan-peel
+// policy over one degree oracle: a scan that re-streams all edges once
+// per pass, split across workers through the stream's shards, into an
+// O(n) striped counter. A stream that does not implement ShardedStream
+// (or ShardedWeightedStream) is scanned as a single shard. Pass counts
+// are exactly the paper's pass complexity.
 package stream
 
 import (
@@ -79,8 +82,8 @@ func (s *SliceStream) Next() (Edge, error) {
 // independent sub-streams so one pass can be scanned by several workers
 // at once. Shards(k) returns at most k streams that together yield
 // exactly the edges of one full scan, each safe to drive from its own
-// goroutine. The parallel peelers use it when available and fall back
-// to a sequential scan otherwise (e.g. for file streams).
+// goroutine. The streaming scan uses it when available and reads a
+// stream that does not implement it as one shard.
 type ShardedStream interface {
 	EdgeStream
 	Shards(k int) []EdgeStream
@@ -89,8 +92,8 @@ type ShardedStream interface {
 // Shards implements ShardedStream: the edge slice is split into up to k
 // contiguous ranges through the edgeio resident source, so in-memory
 // and on-disk scans use one decomposition rule. The shard set is
-// memoized per k, so the per-pass calls of the parallel peelers reuse
-// the same cursors.
+// memoized per k, so the per-pass calls of the scan reuse the same
+// cursors.
 func (s *SliceStream) Shards(k int) []EdgeStream {
 	if k < 1 {
 		k = 1

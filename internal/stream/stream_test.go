@@ -164,8 +164,19 @@ func sameSet(a, b []int32) bool {
 	return true
 }
 
-// The streaming peeler with an exact counter must agree exactly with the
-// in-memory reference implementation.
+// workerCounts are the scan fan-outs every engine test runs at: one
+// shard, and several.
+var workerCounts = []int{1, 4}
+
+// seqStream hides a stream's Shards method, so the scan reads it as
+// one shard in stream order.
+type seqStream struct{ EdgeStream }
+
+// seqWeightedStream hides WeightedShards the same way.
+type seqWeightedStream struct{ WeightedEdgeStream }
+
+// The streaming scan must agree exactly with the in-memory reference
+// implementation.
 func TestStreamingMatchesInMemoryUndirected(t *testing.T) {
 	f := func(seed int64) bool {
 		g, err := gen.Gnm(40, 120, seed)
@@ -177,18 +188,14 @@ func TestStreamingMatchesInMemoryUndirected(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			got, err := Undirected(FromUndirected(g), eps, NewExactCounter(g.NumNodes()))
-			if err != nil {
-				return false
-			}
-			if math.Abs(ref.Density-got.Density) > 1e-9 {
-				return false
-			}
-			if ref.Passes != got.Passes {
-				return false
-			}
-			if !sameSet(ref.Set, got.Set) {
-				return false
+			for _, w := range workerCounts {
+				got, err := Undirected(FromUndirected(g), eps, core.Opts{Workers: w})
+				if err != nil {
+					return false
+				}
+				if ref.Density != got.Density || ref.Passes != got.Passes || !sameSet(ref.Set, got.Set) {
+					return false
+				}
 			}
 		}
 		return true
@@ -209,16 +216,17 @@ func TestStreamingMatchesInMemoryDirected(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			got, err := Directed(FromDirected(g), c, 0.5,
-				NewExactCounter(g.NumNodes()), NewExactCounter(g.NumNodes()))
-			if err != nil {
-				return false
-			}
-			if math.Abs(ref.Density-got.Density) > 1e-9 || ref.Passes != got.Passes {
-				return false
-			}
-			if !sameSet(ref.S, got.S) || !sameSet(ref.T, got.T) {
-				return false
+			for _, w := range workerCounts {
+				got, err := Directed(FromDirected(g), c, 0.5, core.Opts{Workers: w})
+				if err != nil {
+					return false
+				}
+				if ref.Density != got.Density || ref.Passes != got.Passes {
+					return false
+				}
+				if !sameSet(ref.S, got.S) || !sameSet(ref.T, got.T) {
+					return false
+				}
 			}
 		}
 		return true
@@ -244,62 +252,73 @@ func TestStreamingUndirectedFromFile(t *testing.T) {
 	}
 	f.Close()
 
-	fs, err := OpenFileStream(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	// The file may have fewer trailing nodes if high ids are isolated;
-	// peel via the file and compare densities with the in-memory run.
-	got, err := Undirected(fs, 1, NewExactCounter(fs.NumNodes()))
-	if err != nil {
-		t.Fatal(err)
-	}
 	ref, err := core.Undirected(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(got.Density-ref.Density) > 1e-9 {
-		t.Fatalf("file density %v != in-memory %v", got.Density, ref.Density)
+	for _, w := range workerCounts {
+		fs, err := OpenFileStream(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The file may have fewer trailing nodes if high ids are
+		// isolated; peel via the file and compare densities with the
+		// in-memory run.
+		got, err := Undirected(fs, 1, core.Opts{Workers: w})
+		fs.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got.Density-ref.Density) > 1e-9 {
+			t.Fatalf("workers=%d: file density %v != in-memory %v", w, got.Density, ref.Density)
+		}
 	}
 }
 
 func TestStreamingValidation(t *testing.T) {
 	s, _ := NewSliceStream(2, []Edge{{U: 0, V: 1}})
-	if _, err := Undirected(s, -1, NewExactCounter(2)); err == nil {
-		t.Fatal("negative eps accepted")
-	}
-	if _, err := Undirected(s, 1, nil); err == nil {
-		t.Fatal("nil counter accepted")
-	}
 	empty, _ := NewSliceStream(0, nil)
-	if _, err := Undirected(empty, 1, NewExactCounter(0)); !errors.Is(err, graph.ErrEmptyGraph) {
-		t.Fatalf("empty: %v", err)
-	}
-	if _, err := Directed(s, 0, 1, NewExactCounter(2), NewExactCounter(2)); err == nil {
-		t.Fatal("c=0 accepted")
-	}
-	if _, err := Directed(s, 1, -1, NewExactCounter(2), NewExactCounter(2)); err == nil {
-		t.Fatal("negative eps accepted for directed")
-	}
-	if _, err := Directed(s, 1, 1, nil, nil); err == nil {
-		t.Fatal("nil counters accepted")
-	}
-	if _, err := Directed(empty, 1, 1, NewExactCounter(0), NewExactCounter(0)); err == nil {
-		t.Fatal("empty directed accepted")
+	for _, w := range workerCounts {
+		o := core.Opts{Workers: w}
+		if _, err := Undirected(s, -1, o); err == nil {
+			t.Fatal("negative eps accepted")
+		}
+		if _, err := UndirectedSketched(s, 1, nil, o); err == nil {
+			t.Fatal("nil counter accepted")
+		}
+		if _, err := Undirected(empty, 1, o); !errors.Is(err, graph.ErrEmptyGraph) {
+			t.Fatalf("empty: %v", err)
+		}
+		if _, err := Directed(s, 0, 1, o); err == nil {
+			t.Fatal("c=0 accepted")
+		}
+		if _, err := Directed(s, 1, -1, o); err == nil {
+			t.Fatal("negative eps accepted for directed")
+		}
+		if _, err := Directed(empty, 1, 1, o); !errors.Is(err, graph.ErrEmptyGraph) {
+			t.Fatalf("empty directed: %v", err)
+		}
+		if _, err := DirectedSweep(s, 1, 1, o); err == nil {
+			t.Fatal("delta=1 accepted")
+		}
+		if _, err := DirectedSweep(empty, 2, 1, o); !errors.Is(err, graph.ErrEmptyGraph) {
+			t.Fatalf("empty sweep: %v", err)
+		}
 	}
 }
 
 func TestStreamingFaultMidPass(t *testing.T) {
 	g, _ := gen.Gnm(50, 150, 3)
-	inner := FromUndirected(g)
-	if inner.NumNodes() != 50 {
-		t.Fatalf("n = %d", inner.NumNodes())
-	}
-	faulty := &FaultStream{Inner: inner, FailAfter: 50} // fails mid-pass 1
-	_, err := Undirected(faulty, 1, NewExactCounter(50))
-	if !errors.Is(err, ErrInjected) {
-		t.Fatalf("want injected failure, got %v", err)
+	for _, w := range workerCounts {
+		inner := FromUndirected(g)
+		if inner.NumNodes() != 50 {
+			t.Fatalf("n = %d", inner.NumNodes())
+		}
+		faulty := &FaultStream{Inner: inner, FailAfter: 50} // fails mid-pass 1
+		_, err := Undirected(faulty, 1, core.Opts{Workers: w})
+		if !errors.Is(err, ErrInjected) {
+			t.Fatalf("workers=%d: want injected failure, got %v", w, err)
+		}
 	}
 }
 
@@ -307,11 +326,14 @@ func TestStreamingOutOfRangeEdgeRejected(t *testing.T) {
 	// A stream that lies about NumNodes: edge ids beyond n must error,
 	// not corrupt state.
 	bad := &FaultStream{Inner: &fakeStream{n: 2, edges: []Edge{{U: 0, V: 5}}}, FailAfter: -1}
-	if _, err := Undirected(bad, 1, NewExactCounter(2)); !errors.Is(err, graph.ErrNodeRange) {
-		t.Fatalf("got %v", err)
-	}
-	if _, err := Directed(bad, 1, 1, NewExactCounter(2), NewExactCounter(2)); !errors.Is(err, graph.ErrNodeRange) {
-		t.Fatalf("directed got %v", err)
+	for _, w := range workerCounts {
+		o := core.Opts{Workers: w}
+		if _, err := Undirected(bad, 1, o); !errors.Is(err, graph.ErrNodeRange) {
+			t.Fatalf("got %v", err)
+		}
+		if _, err := Directed(bad, 1, 1, o); !errors.Is(err, graph.ErrNodeRange) {
+			t.Fatalf("directed got %v", err)
+		}
 	}
 }
 
@@ -330,21 +352,4 @@ func (f *fakeStream) Next() (Edge, error) {
 	e := f.edges[f.pos]
 	f.pos++
 	return e, nil
-}
-
-func TestExactCounter(t *testing.T) {
-	c := NewExactCounter(3)
-	c.Add(0)
-	c.Add(0)
-	c.Add(2)
-	if c.Estimate(0) != 2 || c.Estimate(1) != 0 || c.Estimate(2) != 1 {
-		t.Fatalf("estimates: %d %d %d", c.Estimate(0), c.Estimate(1), c.Estimate(2))
-	}
-	if c.MemoryWords() != 3 {
-		t.Fatalf("memory = %d", c.MemoryWords())
-	}
-	c.Reset()
-	if c.Estimate(0) != 0 {
-		t.Fatal("Reset did not clear")
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 
-	"densestream/internal/core"
 	"densestream/internal/edgeio"
 	"densestream/internal/graph"
 )
@@ -51,8 +50,8 @@ func NewWeightedSliceStream(n int, edges []WeightedEdge) (*WeightedSliceStream, 
 // WeightedShards(k) returns at most k streams that together yield
 // exactly the edges of one full scan, each safe to drive from its own
 // goroutine. The decomposition must depend only on the data and k —
-// never on the worker count — because the weighted peelers fold
-// per-shard float partials in shard order and promise bit-identical
+// never on the worker count — because the weighted scan folds
+// per-shard float partials in shard order and promises bit-identical
 // results for every worker count.
 type ShardedWeightedStream interface {
 	WeightedEdgeStream
@@ -96,114 +95,4 @@ func FromUndirectedWeighted(g *graph.Undirected) *WeightedSliceStream {
 		return true
 	})
 	return &WeightedSliceStream{n: g.NumNodes(), edges: edges}
-}
-
-// UndirectedWeighted runs the weighted Algorithm 1 against a weighted
-// edge stream with O(n) state (one float64 weighted-degree accumulator
-// per node). With unit weights it matches Undirected; in general it
-// matches core.UndirectedWeighted on the same graph.
-func UndirectedWeighted(es WeightedEdgeStream, eps float64) (*core.Result, error) {
-	return UndirectedWeightedOpts(es, eps, core.Opts{})
-}
-
-// UndirectedWeightedOpts is UndirectedWeighted with an execution
-// configuration: o.Ctx and o.Progress interrupt the run between passes
-// (and mid-scan) with a core.PartialError. o.Workers is accepted for
-// signature uniformity but the scan is sequential until
-// WeightedEdgeStream grows a Shards analogue (see ROADMAP).
-func UndirectedWeightedOpts(es WeightedEdgeStream, eps float64, o core.Opts) (*core.Result, error) {
-	if eps < 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
-		return nil, fmt.Errorf("stream: epsilon must be a finite value >= 0, got %v", eps)
-	}
-	if err := o.Begin(); err != nil {
-		return nil, err
-	}
-	n := es.NumNodes()
-	if n == 0 {
-		return nil, graph.ErrEmptyGraph
-	}
-
-	alive := make([]bool, n)
-	for u := range alive {
-		alive[u] = true
-	}
-	wdeg := make([]float64, n)
-	removedAt := make([]int, n)
-	nodes := n
-
-	bestPass := 0
-	bestDensity := -1.0
-	var trace []core.PassStat
-
-	threshold := 2 * (1 + eps)
-	pass := 0
-	prev := core.PassStat{Nodes: n}
-	for nodes > 0 {
-		if err := o.Checkpoint(prev); err != nil {
-			return nil, &core.PartialError{Passes: pass, Trace: trace, Err: err}
-		}
-		pass++
-		for i := range wdeg {
-			wdeg[i] = 0
-		}
-		if err := es.Reset(); err != nil {
-			return nil, fmt.Errorf("stream: pass %d: %w", pass, err)
-		}
-		var weight float64
-		var edges int64
-		var scanned int64
-		for {
-			e, err := es.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, fmt.Errorf("stream: pass %d: %w", pass, err)
-			}
-			if err := pollCtx(o.Ctx, scanned); err != nil {
-				return nil, &core.PartialError{Passes: pass - 1, Trace: trace, Err: err}
-			}
-			scanned++
-			if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
-				return nil, fmt.Errorf("%w: edge (%d,%d) with n=%d", graph.ErrNodeRange, e.U, e.V, n)
-			}
-			if alive[e.U] && alive[e.V] {
-				wdeg[e.U] += e.Weight
-				wdeg[e.V] += e.Weight
-				weight += e.Weight
-				edges++
-			}
-		}
-		rho := weight / float64(nodes)
-		if rho > bestDensity {
-			bestDensity = rho
-			bestPass = pass
-		}
-		cut := threshold*rho + 1e-12
-		removed := 0
-		for u := 0; u < n; u++ {
-			if alive[u] && wdeg[u] <= cut {
-				alive[u] = false
-				removedAt[u] = pass
-				removed++
-			}
-		}
-		if removed == 0 {
-			return nil, fmt.Errorf("stream: weighted pass %d removed no nodes (ρ=%v)", pass, rho)
-		}
-		st := core.PassStat{
-			Pass: pass, Nodes: nodes, Edges: edges, Density: rho, Removed: removed,
-		}
-		trace = append(trace, st)
-		prev = st
-		nodes -= removed
-	}
-
-	var set []int32
-	for u, p := range removedAt {
-		if p == 0 || p >= bestPass {
-			set = append(set, int32(u))
-		}
-	}
-	return &core.Result{Set: set, Density: bestDensity, Passes: pass, Trace: trace}, nil
 }

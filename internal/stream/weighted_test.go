@@ -48,12 +48,14 @@ func TestStreamingWeightedMatchesInMemory(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			got, err := UndirectedWeighted(FromUndirectedWeighted(wg), eps)
-			if err != nil {
-				return false
-			}
-			if math.Abs(ref.Density-got.Density) > 1e-6 || ref.Passes != got.Passes {
-				return false
+			for _, w := range workerCounts {
+				got, err := UndirectedWeighted(FromUndirectedWeighted(wg), eps, core.Opts{Workers: w})
+				if err != nil {
+					return false
+				}
+				if math.Abs(ref.Density-got.Density) > 1e-6 || ref.Passes != got.Passes {
+					return false
+				}
 			}
 		}
 		return true
@@ -68,16 +70,19 @@ func TestStreamingWeightedUnitWeightsMatchUnweighted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := Undirected(FromUndirected(g), 0.5, NewExactCounter(g.NumNodes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := UndirectedWeighted(FromUndirectedWeighted(g), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(u.Density-w.Density) > 1e-9 || u.Passes != w.Passes {
-		t.Fatalf("unit-weight mismatch: %v/%d vs %v/%d", u.Density, u.Passes, w.Density, w.Passes)
+	for _, workers := range workerCounts {
+		o := core.Opts{Workers: workers}
+		u, err := Undirected(FromUndirected(g), 0.5, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := UndirectedWeighted(FromUndirectedWeighted(g), 0.5, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(u.Density-w.Density) > 1e-9 || u.Passes != w.Passes {
+			t.Fatalf("unit-weight mismatch: %v/%d vs %v/%d", u.Density, u.Passes, w.Density, w.Passes)
+		}
 	}
 }
 
@@ -89,22 +94,27 @@ func TestStreamingWeightedLemma6Instance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := UndirectedWeighted(FromUndirectedWeighted(g), 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Passes < 5 {
-		t.Fatalf("Lemma 6 instance peeled in %d passes; want the slow, many-pass behavior", r.Passes)
+	for _, w := range workerCounts {
+		r, err := UndirectedWeighted(FromUndirectedWeighted(g), 0.05, core.Opts{Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Passes < 5 {
+			t.Fatalf("Lemma 6 instance peeled in %d passes; want the slow, many-pass behavior", r.Passes)
+		}
 	}
 }
 
 func TestStreamingWeightedValidation(t *testing.T) {
 	s, _ := NewWeightedSliceStream(2, []WeightedEdge{{U: 0, V: 1, Weight: 1}})
-	if _, err := UndirectedWeighted(s, -1); err == nil {
-		t.Fatal("negative eps accepted")
-	}
 	empty, _ := NewWeightedSliceStream(0, nil)
-	if _, err := UndirectedWeighted(empty, 0.5); !errors.Is(err, graph.ErrEmptyGraph) {
-		t.Fatalf("empty: %v", err)
+	for _, w := range workerCounts {
+		o := core.Opts{Workers: w}
+		if _, err := UndirectedWeighted(s, -1, o); err == nil {
+			t.Fatal("negative eps accepted")
+		}
+		if _, err := UndirectedWeighted(empty, 0.5, o); !errors.Is(err, graph.ErrEmptyGraph) {
+			t.Fatalf("empty: %v", err)
+		}
 	}
 }

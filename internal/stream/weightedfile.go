@@ -169,7 +169,7 @@ func (s *weightedReaderStream) Reset() error { return s.r.Reset() }
 func (s *weightedReaderStream) Next() (WeightedEdge, error) { return s.r.Next() }
 
 // weightedErrorStream fails on Reset, reporting misuse of a closed
-// stream through the peelers' normal error path.
+// stream through the scan's normal error path.
 type weightedErrorStream struct {
 	n   int
 	err error

@@ -98,20 +98,22 @@ func TestWeightedFileStreamPeelMatchesInMemory(t *testing.T) {
 	}
 	f.Close()
 
-	ws, err := OpenWeightedFileStream(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ws.Close()
-	got, err := UndirectedWeighted(ws, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ref, err := core.UndirectedWeighted(g, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(got.Density-ref.Density) > 1e-9 || got.Passes != ref.Passes {
-		t.Fatalf("file %v/%d vs memory %v/%d", got.Density, got.Passes, ref.Density, ref.Passes)
+	for _, w := range workerCounts {
+		ws, err := OpenWeightedFileStream(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := UndirectedWeighted(ws, 0.5, core.Opts{Workers: w})
+		ws.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got.Density-ref.Density) > 1e-9 || got.Passes != ref.Passes {
+			t.Fatalf("workers=%d: file %v/%d vs memory %v/%d", w, got.Density, got.Passes, ref.Density, ref.Passes)
+		}
 	}
 }

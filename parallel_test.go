@@ -90,6 +90,16 @@ func TestParallelWorkersDeterminismStreaming(t *testing.T) {
 		}
 		assertSameResult(t, "Streaming", one, eight)
 
+		// A stream that hides its Shards method is scanned as a single
+		// shard at any worker count, with the same result.
+		for _, w := range []int{1, 8} {
+			seq, err := ds.Streaming(unshardedStream{ds.StreamGraph(g)}, 0.5, ds.WithWorkers(w))
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResult(t, "Streaming/unsharded", one, seq)
+		}
+
 		// And the streaming engine still agrees exactly with in-memory
 		// peeling at both worker counts.
 		mem, err := ds.Undirected(g, 0.5, ds.WithWorkers(8))
@@ -101,6 +111,10 @@ func TestParallelWorkersDeterminismStreaming(t *testing.T) {
 		}
 	}
 }
+
+// unshardedStream exposes only the EdgeStream methods of the stream it
+// wraps, so the engine cannot shard it.
+type unshardedStream struct{ ds.EdgeStream }
 
 func TestParallelWorkersDeterminismAtLeastKAndWeighted(t *testing.T) {
 	g, err := gen.ChungLu(3000, 12000, 2.1, 13)

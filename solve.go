@@ -364,7 +364,7 @@ func solveStream(sol *Solution, p Problem, o Options, ex core.Opts) error {
 			defer f.Close()
 			ws = f
 		}
-		r, err := stream.UndirectedWeightedParallelOpts(ws, p.Eps, ex)
+		r, err := stream.UndirectedWeighted(ws, p.Eps, ex)
 		if err != nil {
 			return err
 		}
@@ -403,7 +403,7 @@ func solveStream(sol *Solution, p Problem, o Options, ex core.Opts) error {
 			if err != nil {
 				return err
 			}
-			r, err := stream.UndirectedSketchedOpts(es, p.Eps, sk, ex)
+			r, err := stream.UndirectedSketched(es, p.Eps, sk, ex)
 			if err != nil {
 				return err
 			}
@@ -412,25 +412,25 @@ func solveStream(sol *Solution, p Problem, o Options, ex core.Opts) error {
 			recordScan(sol, es)
 			return nil
 		}
-		r, err := stream.UndirectedParallelOpts(es, p.Eps, ex)
+		r, err := stream.Undirected(es, p.Eps, ex)
 		if err != nil {
 			return err
 		}
 		sol.fillResult(r)
 	case ObjectiveAtLeastK:
-		r, err := stream.AtLeastKParallelOpts(es, p.K, p.Eps, ex)
+		r, err := stream.AtLeastK(es, p.K, p.Eps, ex)
 		if err != nil {
 			return err
 		}
 		sol.fillResult(r)
 	case ObjectiveDirected:
-		r, err := stream.DirectedParallelOpts(es, p.C, p.Eps, ex)
+		r, err := stream.Directed(es, p.C, p.Eps, ex)
 		if err != nil {
 			return err
 		}
 		sol.fillDirected(r)
 	case ObjectiveDirectedSweep:
-		sw, err := stream.DirectedSweepParallelOpts(es, p.Delta, p.Eps, ex)
+		sw, err := stream.DirectedSweep(es, p.Delta, p.Eps, ex)
 		if err != nil {
 			return err
 		}

@@ -14,10 +14,6 @@ type EdgeStream = stream.EdgeStream
 // StreamEdge is one streamed edge (directed U→V for directed streams).
 type StreamEdge = stream.Edge
 
-// DegreeCounter accumulates per-node degree counts during a streaming
-// pass; the exact O(n) array and the Count-Sketch both implement it.
-type DegreeCounter = stream.DegreeCounter
-
 // NewSliceStream returns an EdgeStream over an in-memory edge slice.
 func NewSliceStream(n int, edges []StreamEdge) (EdgeStream, error) {
 	return stream.NewSliceStream(n, edges)
@@ -41,9 +37,9 @@ func OpenFileStream(path string) (*FileStream, error) {
 
 // Streaming runs Algorithm 1 against an edge stream holding only O(n)
 // node state; results are identical to Undirected on the same graph.
-// When the stream is shardable (in-memory streams are; file streams are
-// not) each pass's edge scan splits across workers with per-worker
-// counter lanes — results stay identical for every worker count.
+// When the stream is shardable (in-memory and file streams are) each
+// pass's edge scan splits across workers with per-worker counter lanes
+// — results stay identical for every worker count.
 //
 // Deprecated: use the Solve front door:
 //
