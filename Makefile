@@ -16,7 +16,7 @@ BENCH_ALLOC_GATED = BenchmarkFileStreamPeel,BenchmarkBinaryStreamPeel,BenchmarkM
 BENCH_PATTERN = BenchmarkTable1|BenchmarkParallelPeel|BenchmarkMapReducePeel|BenchmarkMapReduceCheckpoint|BenchmarkMapReduceSpill|BenchmarkFileStreamPeel|BenchmarkBinaryStreamPeel|BenchmarkConvert|BenchmarkCore|BenchmarkServe|BenchmarkDynamic
 BENCH_PKGS = . ./internal/core ./internal/serve
 
-.PHONY: build test race bench bench-core bench-mr bench-json bench-trend fmt fmt-check vet api-check api-snapshot serve-smoke deprecated-check ci
+.PHONY: build test race fuzz-smoke bench bench-core bench-mr bench-json bench-trend fmt fmt-check vet api-check api-snapshot serve-smoke deprecated-check ci
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,12 @@ race:
 	$(GO) test -race ./internal/...
 	$(GO) test -race -run 'TestParallel|TestTraceIdentity' .
 	$(GO) test -race -run 'TestOutOfCore' .
+
+# Fuzz the text edge-list parser for a short while: the sharded file
+# loader must match the sequential reader and the reference parse on
+# arbitrary bytes. Plain `go test` replays the checked-in seed corpus.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadUndirectedFile$$' -fuzztime 20s ./internal/graph
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
@@ -99,4 +105,4 @@ vet:
 
 # bench-trend mirrors CI's gate; refresh the committed baseline
 # deliberately with `make bench-json`.
-ci: build vet fmt-check api-check deprecated-check test race serve-smoke bench-trend
+ci: build vet fmt-check api-check deprecated-check test race fuzz-smoke serve-smoke bench-trend

@@ -23,7 +23,9 @@ type GraphBuilder = graph.Builder
 type DirectedGraphBuilder = graph.DirectedBuilder
 
 // LabelMap records the mapping between external node labels and the dense
-// ids used internally, as produced by the Read functions.
+// ids used internally, as produced by the Read functions. Canonical
+// decimal labels ("0", "17", not "07" or "+7") are stored as integers
+// and formatted on demand by Label; other labels are stored as strings.
 type LabelMap = graph.LabelMap
 
 // GraphStats summarizes basic structural parameters of a graph.
@@ -51,7 +53,8 @@ func ReadDirected(r io.Reader) (*DirectedGraph, *LabelMap, error) {
 
 // ReadUndirectedFile is ReadUndirected for a file on disk, with the
 // line scan and tokenizing sharded across workers (byte-range shards
-// with line-boundary resync). Output is bit-identical to ReadUndirected
+// with line-boundary resync; block ranges for binary files), allocating
+// nothing per line. Output is bit-identical to ReadUndirected
 // on the same bytes for every worker count; workers <= 0 means
 // GOMAXPROCS. Solve uses it for every Problem with a Path input. The
 // format is sniffed from the magic bytes: both text edge lists and

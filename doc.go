@@ -159,7 +159,11 @@
 //     passes, and a pass in steady state allocates nothing.
 //   - BackendPeel and BackendMapReduce load the file through the same
 //     sharded scan (ReadUndirectedFile/ReadDirectedFile): workers
-//     tokenize byte ranges, labels intern in file order, and the built
+//     tokenize byte ranges of a text file, or decode block ranges of a
+//     binary one, into label keys without allocating per line; one
+//     fold then interns the keys in file order (canonical decimal
+//     labels as integers, through a dense table when the ids are
+//     dense) straight into the builder's edge slice, and the built
 //     graph is bit-identical to a sequential parse.
 //   - BackendMapReduce additionally bounds its resident footprint:
 //     with MRConfig.SpillBytes > 0 (CLI: -spill-mb), dataset

@@ -211,21 +211,14 @@ func (sh *FileShard) Reset() error {
 }
 
 // NextLine returns the next raw owned line (with its terminator
-// stripped; a trailing '\r' from CRLF input is kept for the caller's
-// TrimSpace) and the byte offset at which it starts, or io.EOF when the
-// shard's range is exhausted. Comment and blank lines are returned
-// too — NextLine is the layer below edge parsing, used by the parallel
-// graph loaders.
-func (sh *FileShard) NextLine() (string, int64, error) {
-	line, start, err := sh.nextLineBytes()
-	return string(line), start, err
-}
-
-// nextLineBytes is NextLine without the string copy: the returned slice
-// aliases the shard's read buffer (or its long-line scratch) and is
-// valid only until the next read. It is the allocation-free layer the
-// edge parsers scan through.
-func (sh *FileShard) nextLineBytes() ([]byte, int64, error) {
+// stripped; a trailing '\r' from CRLF input is kept for the caller to
+// trim) and the byte offset at which it starts, or io.EOF when the
+// shard's range is exhausted. Comment and blank lines are returned too.
+// The slice aliases the shard's read buffer (or its long-line scratch)
+// and is valid only until the next read, so a scan allocates nothing
+// per line. It is the layer below edge parsing: the edge readers here
+// and the graph loaders scan through it.
+func (sh *FileShard) NextLine() ([]byte, int64, error) {
 	if sh.closed {
 		return nil, 0, fmt.Errorf("edgeio: NextLine on closed shard of %s", sh.src.path)
 	}
@@ -269,7 +262,7 @@ func (sh *FileShard) nextLineBytes() ([]byte, int64, error) {
 // comments, blanks, and self loops.
 func (sh *FileShard) Next() (Edge, error) {
 	for {
-		line, start, err := sh.nextLineBytes()
+		line, start, err := sh.NextLine()
 		if err != nil {
 			return Edge{}, err
 		}
@@ -315,7 +308,7 @@ func (w weightedShard) Reset() error { return w.sh.Reset() }
 // Next implements WeightedReader, parsing "u v [w]" lines.
 func (w weightedShard) Next() (WeightedEdge, error) {
 	for {
-		line, start, err := w.sh.nextLineBytes()
+		line, start, err := w.sh.NextLine()
 		if err != nil {
 			return WeightedEdge{}, err
 		}

@@ -1,9 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"densestream/internal/par"
 )
@@ -118,25 +119,26 @@ func (b *Builder) Freeze() (*Undirected, error) {
 // path.
 var sortRunSize = 1 << 15
 
-// edgeLess orders edges by (U, V); duplicates compare equal and are
-// merged by Freeze afterwards.
-func edgeLess(a, b Edge) bool {
-	if a.U != b.U {
-		return a.U < b.U
+// compareEdges orders edges by (U, V); duplicates compare equal and
+// are merged by Freeze afterwards.
+func compareEdges(a, b Edge) int {
+	if c := cmp.Compare(a.U, b.U); c != 0 {
+		return c
 	}
-	return a.V < b.V
+	return cmp.Compare(a.V, b.V)
 }
 
-// sortEdges sorts the edge list by (U, V) through internal/par: the
-// slice is cut into fixed-size runs sorted concurrently, then merged
-// pairwise in a fixed binary tree, each level's merges running
-// concurrently. Ties always prefer the left (earlier) run, so the
-// result is deterministic for any worker count. The O(m log m)
-// single-threaded sort was the bottleneck of Freeze on large graphs.
+// sortEdges sorts either builder's edge list by (U, V) through
+// internal/par: the slice is cut into fixed-size runs sorted
+// concurrently, then merged pairwise in a fixed binary tree, each
+// level's merges running concurrently. Ties always prefer the left
+// (earlier) run, so the result is deterministic for any worker count.
+// The O(m log m) single-threaded sort was the bottleneck of Freeze on
+// large graphs.
 func sortEdges(edges []Edge) {
 	n := len(edges)
 	if n <= sortRunSize {
-		sort.Slice(edges, func(i, j int) bool { return edgeLess(edges[i], edges[j]) })
+		slices.SortFunc(edges, compareEdges)
 		return
 	}
 	pool := par.New(0)
@@ -144,8 +146,7 @@ func sortEdges(edges []Edge) {
 	pool.ForEach(runs, func(r int) {
 		lo := r * sortRunSize
 		hi := min(lo+sortRunSize, n)
-		run := edges[lo:hi]
-		sort.Slice(run, func(i, j int) bool { return edgeLess(run[i], run[j]) })
+		slices.SortFunc(edges[lo:hi], compareEdges)
 	})
 	buf := make([]Edge, n)
 	src, dst := edges, buf
@@ -169,7 +170,7 @@ func sortEdges(edges []Edge) {
 func mergeRuns(a, b, out []Edge) {
 	i, j := 0, 0
 	for k := range out {
-		if j >= len(b) || (i < len(a) && !edgeLess(b[j], a[i])) {
+		if j >= len(b) || (i < len(a) && compareEdges(b[j], a[i]) >= 0) {
 			out[k] = a[i]
 			i++
 		} else {

@@ -3,7 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 )
 
@@ -28,7 +28,7 @@ func sortedDelta(keys map[[2]int32]bool) []Edge {
 	for k := range keys {
 		out = append(out, Edge{U: k[0], V: k[1], Weight: 1})
 	}
-	sort.Slice(out, func(i, j int) bool { return edgeLess(out[i], out[j]) })
+	slices.SortFunc(out, compareEdges)
 	return out
 }
 

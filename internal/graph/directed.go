@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Directed is a frozen directed graph with both out- and in-adjacency in
@@ -158,12 +157,7 @@ func (b *DirectedBuilder) Freeze() (*Directed, error) {
 		return nil, fmt.Errorf("graph: Freeze called twice")
 	}
 	b.frozen = true
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i].U != b.edges[j].U {
-			return b.edges[i].U < b.edges[j].U
-		}
-		return b.edges[i].V < b.edges[j].V
-	})
+	sortEdges(b.edges)
 	merged := b.edges[:0]
 	for _, e := range b.edges {
 		if k := len(merged); k > 0 && merged[k-1].U == e.U && merged[k-1].V == e.V {

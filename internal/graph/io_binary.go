@@ -4,122 +4,69 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strconv"
 
 	"densestream/internal/edgeio"
+	"densestream/internal/par"
 )
 
 // Binary columnar graph files ("BSG1", see internal/edgeio) are the
 // second on-disk format of the loaders. Node ids in a binary file are
-// already dense integers, but the in-memory loaders still intern them
-// in first-seen order with decimal labels — exactly what the text
-// loader does to the same edge sequence — so a text file and its
-// binary conversion freeze into bit-identical graphs (and therefore
-// bit-identical Solutions on every in-memory backend).
+// already dense integers; they enter the same fold as the text
+// loader's numeric labels, as the integer keys of their decimal
+// labels. A text file and its binary conversion therefore freeze into
+// bit-identical graphs with identical LabelMaps (and so bit-identical
+// Solutions on every in-memory backend).
 
-// readUndirectedBinary loads a binary columnar file into an undirected
-// graph. The weight column is consumed only when weighted is true,
-// matching ReadUndirectedFile's contract for text files.
-func readUndirectedBinary(path string, weighted bool) (*Undirected, *LabelMap, error) {
+// readBinary decodes a BSG1 file's block shards across workers. The
+// weight column is kept only when weighted is true, matching
+// ReadUndirectedFile's contract for text files. A failing shard
+// re-runs the decode as one shard, so the edge index an error names
+// counts from the start of the file.
+func readBinary(path string, weighted bool, workers int) ([]*edgeTokens, error) {
 	src, err := edgeio.OpenBinarySource(path)
 	if err != nil {
-		return nil, nil, fmt.Errorf("graph: %w", err)
+		return nil, fmt.Errorf("graph: %w", err)
 	}
 	defer src.Close()
-	lm := NewLabelMap()
-	var edges []Edge
-	r := src.WeightedShards(1)[0]
-	if err := r.Reset(); err != nil {
-		return nil, nil, fmt.Errorf("graph: %w", err)
+	parts, err := decodeBinary(src, weighted, workers)
+	if err != nil && workers != 1 {
+		parts, err = decodeBinary(src, weighted, 1)
 	}
-	for i := 0; ; i++ {
-		e, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("graph: %w", err)
-		}
-		if e.U < 0 || e.V < 0 {
-			return nil, nil, fmt.Errorf("graph: %s: edge %d (%d,%d): negative node id", path, i, e.U, e.V)
-		}
-		if e.U == e.V {
-			continue // self loop: ignored by the density model
-		}
-		if weighted && (!(e.Weight > 0) || math.IsNaN(e.Weight) || math.IsInf(e.Weight, 0)) {
-			return nil, nil, fmt.Errorf("graph: %s: edge %d (%d,%d): %w (got %v)", path, i, e.U, e.V, ErrBadWeight, e.Weight)
-		}
-		w := 1.0
-		if weighted {
-			w = e.Weight
-		}
-		edges = append(edges, Edge{U: internDense(lm, e.U), V: internDense(lm, e.V), Weight: w})
-	}
-	b := NewBuilder(lm.Len())
-	for _, e := range edges {
-		var err error
-		if weighted {
-			err = b.AddWeightedEdge(e.U, e.V, e.Weight)
-		} else {
-			err = b.AddEdge(e.U, e.V)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	g, err := b.Freeze()
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, lm, nil
+	return parts, err
 }
 
-// readDirectedBinary is readUndirectedBinary for directed graphs.
-func readDirectedBinary(path string) (*Directed, *LabelMap, error) {
-	src, err := edgeio.OpenBinarySource(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("graph: %w", err)
-	}
-	defer src.Close()
-	lm := NewLabelMap()
-	var edges [][2]int32
-	r := src.Shards(1)[0]
-	if err := r.Reset(); err != nil {
-		return nil, nil, fmt.Errorf("graph: %w", err)
-	}
-	for i := 0; ; i++ {
-		e, err := r.Next()
-		if err == io.EOF {
-			break
+func decodeBinary(src edgeio.BinarySource, weighted bool, workers int) ([]*edgeTokens, error) {
+	shards := src.WeightedShards(par.Clamp(workers))
+	return tokenizeShards(len(shards), workers, weighted, func(s int, t *edgeTokens) error {
+		r := shards[s]
+		if c, ok := r.(io.Closer); ok {
+			defer c.Close()
 		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("graph: %w", err)
+		if err := r.Reset(); err != nil {
+			return fmt.Errorf("graph: %w", err)
 		}
-		if e.U < 0 || e.V < 0 {
-			return nil, nil, fmt.Errorf("graph: %s: edge %d (%d,%d): negative node id", path, i, e.U, e.V)
+		for i := 0; ; i++ {
+			e, err := r.Next()
+			if err == io.EOF {
+				return nil
+			}
+			if err != nil {
+				return fmt.Errorf("graph: %w", err)
+			}
+			if e.U < 0 || e.V < 0 {
+				return fmt.Errorf("graph: %s: edge %d (%d,%d): negative node id", src.Path(), i, e.U, e.V)
+			}
+			if e.U == e.V {
+				continue // self loop: ignored by the density model
+			}
+			if weighted && (!(e.Weight > 0) || math.IsNaN(e.Weight) || math.IsInf(e.Weight, 0)) {
+				return fmt.Errorf("graph: %s: edge %d (%d,%d): %w (got %v)", src.Path(), i, e.U, e.V, ErrBadWeight, e.Weight)
+			}
+			u, v := uint64(e.U), uint64(e.V)
+			t.numEnd = max(t.numEnd, u+1, v+1)
+			t.push(u, v, e.Weight)
 		}
-		if e.U == e.V {
-			continue
-		}
-		edges = append(edges, [2]int32{internDense(lm, e.U), internDense(lm, e.V)})
-	}
-	b := NewDirectedBuilder(lm.Len())
-	for _, e := range edges {
-		if err := b.AddEdge(e[0], e[1]); err != nil {
-			return nil, nil, err
-		}
-	}
-	g, err := b.Freeze()
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, lm, nil
-}
-
-// internDense interns a dense binary id under its decimal label — the
-// label the text loader would have seen for the same edge.
-func internDense(lm *LabelMap, id int32) int32 {
-	return lm.ID(strconv.Itoa(int(id)))
+	})
 }
 
 // WriteUndirectedBinary emits the graph as a binary columnar file at

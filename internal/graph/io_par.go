@@ -1,98 +1,25 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"densestream/internal/edgeio"
 	"densestream/internal/par"
 )
 
-// Sharded file loading: the expensive part of parsing an edge list —
-// line splitting, field tokenizing, weight parsing — runs on byte-range
-// shards of the file through the edgeio layer, while label interning
-// (inherently first-seen order) folds the shards' raw edges back in
-// shard order. Because the shards together yield exactly the file's
-// lines in order, the interned ids, the builder's edge order, and
-// therefore the frozen graph are bit-identical to the sequential
-// ReadUndirected/ReadDirected on the same bytes.
+// Sharded file loading: the tokenizer runs on shards of the file —
+// byte ranges of a text edge list (through the edgeio layer), or block
+// ranges of a BSG1 file — one part per shard, while the fold interns
+// the parts in shard order. Because the shards together yield exactly
+// the file's lines (or records) in order, the interned ids, the edge
+// order, and therefore the frozen graph are bit-identical to the
+// sequential ReadUndirected/ReadDirected on the same bytes.
 
-// rawEdge is one tokenized-but-uninterned edge line. The label strings
-// alias the shard's line buffers; they are only retained until
-// interning copies them into the LabelMap.
-type rawEdge struct {
-	u, v string
-	w    float64
-}
-
-// scanFileSharded tokenizes the file's edge lines across workers,
-// returning the per-shard raw edges in shard (= file) order. Any parse
-// error is returned as-is; callers fall back to the sequential reader,
-// which reports the canonical *ParseError with a line number.
-func scanFileSharded(path string, weighted bool, workers int) ([][]rawEdge, error) {
-	src, err := edgeio.OpenFileSource(path)
-	if err != nil {
-		return nil, err
-	}
-	shards := src.FileShards(par.Clamp(workers))
-	out := make([][]rawEdge, len(shards))
-	errs := make([]error, len(shards))
-	pool := par.New(workers)
-	pool.RunTasks(len(shards), func(i int) {
-		sh := shards[i]
-		defer sh.Close()
-		if err := sh.Reset(); err != nil {
-			errs[i] = err
-			return
-		}
-		var local []rawEdge
-		for {
-			line, _, err := sh.NextLine()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			text := strings.TrimSpace(line)
-			if text == "" || strings.HasPrefix(text, "#") || strings.HasPrefix(text, "%") {
-				continue
-			}
-			fields := strings.Fields(text)
-			if len(fields) < 2 {
-				errs[i] = fmt.Errorf("want at least 2 fields, got %d", len(fields))
-				return
-			}
-			w := 1.0
-			if weighted && len(fields) >= 3 {
-				w, err = strconv.ParseFloat(fields[2], 64)
-				if err != nil {
-					errs[i] = fmt.Errorf("bad weight: %v", err)
-					return
-				}
-				if w <= 0 {
-					errs[i] = ErrBadWeight
-					return
-				}
-			}
-			if fields[0] == fields[1] {
-				continue // self loop: ignored by the density model
-			}
-			local = append(local, rawEdge{u: fields[0], v: fields[1], w: w})
-		}
-		out[i] = local
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
+// errLongLine stops a shard at a line the sequential scanner rejects.
+var errLongLine = errors.New("line too long")
 
 // ReadUndirectedFile parses an undirected edge-list file with the line
 // scan sharded across workers (the sequential ReadUndirected is the
@@ -100,82 +27,85 @@ func scanFileSharded(path string, weighted bool, workers int) ([][]rawEdge, erro
 // numbers). Output is bit-identical to ReadUndirected on the same
 // bytes for every worker count.
 func ReadUndirectedFile(path string, weighted bool, workers int) (*Undirected, *LabelMap, error) {
-	if isBin, err := edgeio.DetectBinary(path); err == nil && isBin {
-		return readUndirectedBinary(path, weighted)
-	}
-	sharded, err := scanFileSharded(path, weighted, workers)
-	if err != nil {
-		return readUndirectedSeq(path, weighted)
-	}
-	lm := NewLabelMap()
-	var edges []Edge
-	for _, shard := range sharded {
-		for _, r := range shard {
-			edges = append(edges, Edge{U: lm.ID(r.u), V: lm.ID(r.v), Weight: r.w})
-		}
-	}
-	b := NewBuilder(lm.Len())
-	for _, e := range edges {
-		var err error
-		if weighted {
-			err = b.AddWeightedEdge(e.U, e.V, e.Weight)
-		} else {
-			err = b.AddEdge(e.U, e.V)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	g, err := b.Freeze()
+	parts, err := readFile(path, weighted, workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	return g, lm, nil
+	return buildUndirected(parts, weighted)
 }
 
 // ReadDirectedFile is ReadUndirectedFile for directed edge lists.
 func ReadDirectedFile(path string, workers int) (*Directed, *LabelMap, error) {
-	if isBin, err := edgeio.DetectBinary(path); err == nil && isBin {
-		return readDirectedBinary(path)
-	}
-	sharded, err := scanFileSharded(path, false, workers)
-	if err != nil {
-		return readDirectedSeq(path)
-	}
-	lm := NewLabelMap()
-	var edges [][2]int32
-	for _, shard := range sharded {
-		for _, r := range shard {
-			edges = append(edges, [2]int32{lm.ID(r.u), lm.ID(r.v)})
-		}
-	}
-	b := NewDirectedBuilder(lm.Len())
-	for _, e := range edges {
-		if err := b.AddEdge(e[0], e[1]); err != nil {
-			return nil, nil, err
-		}
-	}
-	g, err := b.Freeze()
+	parts, err := readFile(path, false, workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	return g, lm, nil
+	return buildDirected(parts)
 }
 
-func readUndirectedSeq(path string, weighted bool) (*Undirected, *LabelMap, error) {
+// readFile tokenizes a BSG1 or text file into parts in file order.
+func readFile(path string, weighted bool, workers int) ([]*edgeTokens, error) {
+	if isBin, err := edgeio.DetectBinary(path); err == nil && isBin {
+		return readBinary(path, weighted, workers)
+	}
+	if parts, err := scanTextShards(path, weighted, workers); err == nil {
+		return parts, nil
+	}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, fmt.Errorf("graph: %w", err)
+		return nil, fmt.Errorf("graph: %w", err)
 	}
 	defer f.Close()
-	return ReadUndirected(f, weighted)
+	return tokenizeText(f, weighted)
 }
 
-func readDirectedSeq(path string) (*Directed, *LabelMap, error) {
-	f, err := os.Open(path)
+// scanTextShards tokenizes a text file on byte-range shards. Any error
+// is returned as-is: the caller then re-reads the file sequentially,
+// which reports the canonical error, with a line number for a parse
+// error.
+func scanTextShards(path string, weighted bool, workers int) ([]*edgeTokens, error) {
+	src, err := edgeio.OpenFileSource(path)
 	if err != nil {
-		return nil, nil, fmt.Errorf("graph: %w", err)
+		return nil, err
 	}
-	defer f.Close()
-	return ReadDirected(f)
+	shards := src.FileShards(par.Clamp(workers))
+	return tokenizeShards(len(shards), workers, weighted, func(i int, t *edgeTokens) error {
+		sh := shards[i]
+		defer sh.Close()
+		for {
+			line, _, err := sh.NextLine()
+			if err == io.EOF {
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			if len(line) >= maxLineBytes {
+				return errLongLine
+			}
+			if err := t.addLine(line); err != nil {
+				return err
+			}
+		}
+	})
+}
+
+// tokenizeShards runs scan on every shard across workers, each filling
+// its own part, and returns the parts in shard order or the first
+// shard's error in that order.
+func tokenizeShards(shards, workers int, weighted bool, scan func(i int, t *edgeTokens) error) ([]*edgeTokens, error) {
+	parts := make([]*edgeTokens, shards)
+	errs := make([]error, shards)
+	pool := par.Acquire(workers)
+	defer pool.Release()
+	pool.RunTasks(shards, func(i int) {
+		parts[i] = &edgeTokens{weighted: weighted}
+		errs[i] = scan(i, parts[i])
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return parts, nil
 }

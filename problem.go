@@ -205,8 +205,8 @@ type Problem struct {
 	WeightedEdges WeightedEdgeStream `json:"-"`
 	// Path is an edge-list file input. Stream backends re-read it every
 	// pass (true external-memory streaming; requires dense integer
-	// ids), while in-memory backends parse it once with
-	// ReadUndirected/ReadDirected (arbitrary labels).
+	// ids), while in-memory backends load it once with the sharded
+	// ReadUndirectedFile/ReadDirectedFile (arbitrary labels).
 	Path string `json:"path,omitempty"`
 }
 
