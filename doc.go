@@ -124,7 +124,11 @@
 //     sorts the CSR into the degree classes RowBanks wants; results
 //     map back through the original ids, which never move. A pull pass
 //     and a due compaction fuse: one scan yields the new degrees and
-//     the new layout.
+//     the new layout. The rebuild's two row scans — the live-degree
+//     count and the filtered copy — run on the solve's workers over
+//     pieces of fixed original-row volume; only the maximum degree
+//     crosses rows, so the rebuilt CSR is identical at every worker
+//     count.
 //
 // Determinism survives all three because every choice is arithmetic on
 // deterministic integers, the hub-first permutation is itself a
@@ -136,6 +140,13 @@
 // The layout parity sweep in internal/core asserts reflect.DeepEqual
 // against the pre-layout reference engines across graphs, objectives,
 // ε values, and workers 1–8.
+//
+// The undirected engines recycle their peel scratch — frontier,
+// bitsets, degree arrays, batch buffers and both compaction scratches
+// — across solves through a sync.Pool, so a warm solve allocates
+// little beyond its Solution. The GC drops idle scratch, so a
+// long-running process does not keep its largest graph's buffers
+// forever.
 //
 // # The out-of-core model
 //

@@ -2,11 +2,14 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"densestream/internal/gen"
 	"densestream/internal/graph"
+	"densestream/internal/par"
 )
 
 // Microbenchmarks of the peel hot path (the `make bench-core` suite):
@@ -144,17 +147,24 @@ func BenchmarkCoreCompact(b *testing.B) {
 			}
 		}
 	})
+	// The degree-ordered rebuild runs on a pool; workers=1 against
+	// workers=GOMAXPROCS shows its parallel speedup.
 	b.Run("degree-ordered", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(degSum * 4 * 2)
-		var s graph.CompactScratch
-		g.CompactIntoDegreeOrdered(keep, &s)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sub, order := g.CompactIntoDegreeOrdered(keep, &s)
-			if sub.NumNodes() != len(keep) || len(order) != len(keep) {
-				b.Fatalf("compacted to %d nodes (order %d), want %d", sub.NumNodes(), len(order), len(keep))
-			}
+		for _, workers := range slices.Compact([]int{1, runtime.GOMAXPROCS(0)}) {
+			b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(degSum * 4 * 2)
+				pool := par.New(workers)
+				var s graph.CompactScratch
+				g.CompactIntoDegreeOrdered(pool, keep, &s)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sub, order := g.CompactIntoDegreeOrdered(pool, keep, &s)
+					if sub.NumNodes() != len(keep) || len(order) != len(keep) {
+						b.Fatalf("compacted to %d nodes (order %d), want %d", sub.NumNodes(), len(order), len(keep))
+					}
+				}
+			})
 		}
 	})
 }

@@ -45,7 +45,9 @@ func DirectedOpts(g *graph.Directed, c, eps float64, o Opts) (*DirectedResult, e
 	if n == 0 {
 		return nil, graph.ErrEmptyGraph
 	}
-	st := newDirectedState(g, o.pool())
+	pool := o.pool()
+	defer pool.Release()
+	st := newDirectedState(g, pool)
 	edges := g.NumEdges()
 	sizeS, sizeT := n, n
 

@@ -39,7 +39,8 @@ func AtLeastKOpts(g *graph.Undirected, k int, eps float64, o Opts) (*Result, err
 	if err := o.Begin(); err != nil {
 		return nil, err
 	}
-	st := newPeelState(g, o.pool(), false)
+	st := newPeelState(g, o, false)
+	defer st.release()
 	if eps < 1 {
 		st.compactTilt = 4 // as in UndirectedOpts: slow sweeps repay early rebuilds
 	}

@@ -13,8 +13,9 @@ import (
 // frontier, adaptive push/pull, CSR compaction) must be
 // reflect.DeepEqual to the preserved pre-layout reference
 // implementations — set, density, passes, and full trace — across
-// Chung-Lu and RMAT graphs, all four objectives, workers 1–8, and ε
-// values forcing both tiny (push) and huge (pull) removal batches. The
+// Chung-Lu and RMAT graphs, all four objectives, workers 1–8, ε
+// values forcing both tiny (push) and huge (pull) removal batches,
+// and (for the hub-first rebuild) one-piece and many-piece rebuilds. The
 // hooks additionally prove that each decrement direction and the
 // compactor actually ran somewhere in the sweep, so the equality is
 // over the interesting paths, not around them.
@@ -22,6 +23,12 @@ import (
 // parityEps spans tiny batches (0: minimum removals, many passes),
 // moderate, and huge batches (3: near-total removals).
 var parityEps = []float64{0, 0.3, 3}
+
+// parityGrains are the hub-first rebuild's piece grains the unweighted
+// sweeps run at: the production graph.CompactGrain, at which these
+// small graphs rebuild in one piece, and a tiny one that cuts every
+// rebuild into many pieces copied in parallel.
+var parityGrains = []int64{graph.CompactGrain, 16}
 
 type parityCounters struct {
 	push, pull, compactions int
@@ -67,6 +74,7 @@ func rmatUndirectedT(scale int, m int64, seed int64) (*graph.Undirected, error) 
 }
 
 func TestLayoutParityUndirected(t *testing.T) {
+	defer func(grain int64) { graph.CompactGrain = grain }(graph.CompactGrain)
 	var pc parityCounters
 	for name, g := range parityGraphs(t) {
 		for _, eps := range parityEps {
@@ -74,14 +82,17 @@ func TestLayoutParityUndirected(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s eps=%g: reference: %v", name, eps, err)
 			}
-			for workers := 1; workers <= 8; workers++ {
-				got, err := UndirectedOpts(g, eps, pc.opts(workers))
-				if err != nil {
-					t.Fatalf("%s eps=%g workers=%d: %v", name, eps, workers, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s eps=%g workers=%d: layout engine diverged from reference\ngot  %+v\nwant %+v",
-						name, eps, workers, summarize(got), summarize(want))
+			for _, grain := range parityGrains {
+				graph.CompactGrain = grain
+				for workers := 1; workers <= 8; workers++ {
+					got, err := UndirectedOpts(g, eps, pc.opts(workers))
+					if err != nil {
+						t.Fatalf("%s eps=%g grain=%d workers=%d: %v", name, eps, grain, workers, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s eps=%g grain=%d workers=%d: layout engine diverged from reference\ngot  %+v\nwant %+v",
+							name, eps, grain, workers, summarize(got), summarize(want))
+					}
 				}
 			}
 		}
@@ -203,6 +214,7 @@ func starHeavyWeighted(t *testing.T) *graph.Undirected {
 }
 
 func TestLayoutParityAtLeastK(t *testing.T) {
+	defer func(grain int64) { graph.CompactGrain = grain }(graph.CompactGrain)
 	var pc parityCounters
 	for name, g := range parityGraphs(t) {
 		// ε=0 means a one-node quota per pass — thousands of O(n)
@@ -215,14 +227,17 @@ func TestLayoutParityAtLeastK(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s k=%d eps=%g: reference: %v", name, k, eps, err)
 				}
-				for workers := 1; workers <= 8; workers++ {
-					got, err := AtLeastKOpts(g, k, eps, pc.opts(workers))
-					if err != nil {
-						t.Fatalf("%s k=%d eps=%g workers=%d: %v", name, k, eps, workers, err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s k=%d eps=%g workers=%d: AtLeastK layout engine diverged",
-							name, k, eps, workers)
+				for _, grain := range parityGrains {
+					graph.CompactGrain = grain
+					for workers := 1; workers <= 8; workers++ {
+						got, err := AtLeastKOpts(g, k, eps, pc.opts(workers))
+						if err != nil {
+							t.Fatalf("%s k=%d eps=%g grain=%d workers=%d: %v", name, k, eps, grain, workers, err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s k=%d eps=%g grain=%d workers=%d: AtLeastK layout engine diverged",
+								name, k, eps, grain, workers)
+						}
 					}
 				}
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"densestream/internal/graph"
 	"densestream/internal/par"
@@ -35,14 +36,20 @@ import (
 //   - periodic CSR compaction with a hub-first relabel: once the live
 //     fraction drops below 1/compactLiveDivisor, the surviving
 //     subgraph is rebuilt into a dense CSR ordered by surviving degree
-//     (graph.CompactIntoDegreeOrdered, scratch reused). Dense rows pack
-//     to the front, equal-length rows become fixed-stride banks the
-//     pull recount walks with counted branch-light loops, and the
-//     orig() mapping composes through the permutation so emitted
-//     Solutions are unchanged. The weighted engine keeps the
+//     (graph.CompactIntoDegreeOrdered, whose two row scans run on the
+//     solve's pool over pieces of fixed original-row volume). Dense
+//     rows pack to the front, equal-length rows become fixed-stride
+//     banks the pull recount walks with counted branch-light loops,
+//     and the orig() mapping composes through the permutation so
+//     emitted Solutions are unchanged. The weighted engine keeps the
 //     order-preserving relabel: its float reductions are grouped by
 //     original-id chunks and depend on the frontier staying ascending
-//     in original order.
+//     in original order;
+//   - recycled scratch: every per-solve buffer, the compaction
+//     scratches included, lives in a peelState that statePool hands
+//     from one solve to the next, so a warm solve neither allocates
+//     nor zeroes O(n + m) memory it already had. The GC may drop an
+//     idle state at any time.
 //
 // Every decision above is a function of the graph shape only — never
 // of the worker count — which preserves the engines' bit-identical
@@ -103,10 +110,17 @@ type peelState struct {
 	batch    []int32
 	router   *par.Router
 	sweep    par.Sweeper
-	volSlots []int64 // per-chunk row-volume partials of the fused scan
-	degSlots []int64 // per-chunk live-degree partials of the fused scan
+	volSlots []int64   // per-chunk row-volume partials of the fused scan
+	degSlots []int64   // per-chunk live-degree partials of the fused scan
+	wSlots   []float64 // per-original-chunk weight partials of weightedPull
+	eSlots   []int64   // per-original-chunk edge partials of weightedPull
 	cs       [2]graph.CompactScratch
 	csTurn   int
+	// origBuf is the ping-pong storage behind origOf: a compaction
+	// composes the new map from the old one, so the two never share
+	// storage.
+	origBuf  [2][]int32
+	origTurn int
 
 	// compactTilt scales how far a due compaction may exceed the push
 	// cost before the engine still takes it (see decrement). A rebuild
@@ -119,23 +133,61 @@ type peelState struct {
 	compactTilt int64
 }
 
-func newPeelState(g *graph.Undirected, pool *par.Pool, weighted bool) *peelState {
-	n := g.NumNodes()
-	st := &peelState{
-		pool: pool, g: g, n: n, origN: n,
-		live:        make([]int32, n),
-		liveRowVol:  2 * g.NumEdges(),
-		alive:       graph.NewBitset(n),
-		inBatch:     graph.NewBitset(n),
-		removedAt:   make([]int32, n),
-		col:         par.NewCollector(n),
-		volSlots:    make([]int64, par.NumChunks(n)),
-		degSlots:    make([]int64, par.NumChunks(n)),
-		compactTilt: 2,
+// statePool recycles peel scratch across solves, so a warm solve
+// reuses the previous run's buffers instead of allocating and zeroing
+// them afresh. Being a sync.Pool, it lets the GC drop idle states: a
+// long-lived process does not keep its largest graph's scratch
+// forever.
+var statePool sync.Pool
+
+// resize returns buf with length n, reusing its storage when the
+// capacity suffices. Reused contents are stale; callers overwrite or
+// clear them.
+func resize[S ~[]E, E any](buf S, n int) S {
+	if cap(buf) < n {
+		return make(S, n)
 	}
+	return buf[:n]
+}
+
+// newPeelState takes a state from statePool (or a fresh one) and
+// initializes it for a peel of g on a pool acquired for o.Workers.
+// Every buffer is resized to g and every field the engines read before
+// writing is reset, so no run sees its predecessor's contents. Pair it
+// with release.
+func newPeelState(g *graph.Undirected, o Opts, weighted bool) *peelState {
+	n := g.NumNodes()
+	st, _ := statePool.Get().(*peelState)
+	if st == nil {
+		st = &peelState{col: par.NewCollector(n)}
+	}
+	pool := o.pool()
+	st.pool, st.g, st.n, st.origN = pool, g, n, n
+	st.origOf = nil
+	st.live = resize(st.live, n)
+	st.liveRowVol = 2 * g.NumEdges()
+	st.alive = resize(st.alive, (n+63)>>6)
 	st.alive.Fill(n)
+	st.inBatch = resize(st.inBatch, (n+63)>>6)
+	st.inBatch.Zero()
+	st.removedAt = resize(st.removedAt, n)
+	clear(st.removedAt)
+	st.col.Grow(n)
+	if st.router != nil && st.router.Lanes() != par.NumLanes(n) {
+		st.router = nil
+	}
+	chunks := par.NumChunks(n)
+	st.volSlots = resize(st.volSlots, chunks)
+	st.degSlots = resize(st.degSlots, chunks)
+	clear(st.volSlots)
+	clear(st.degSlots)
+	st.compactTilt = 2
 	if weighted {
-		st.wdeg = make([]float64, n)
+		st.wSlots = resize(st.wSlots, chunks)
+		st.eSlots = resize(st.eSlots, chunks)
+		clear(st.wSlots)
+		clear(st.eSlots)
+		st.wdeg = resize(st.wdeg, n)
 		pool.ForChunks(n, func(_, lo, hi int) {
 			for u := lo; u < hi; u++ {
 				st.live[u] = int32(u)
@@ -143,7 +195,7 @@ func newPeelState(g *graph.Undirected, pool *par.Pool, weighted bool) *peelState
 			}
 		})
 	} else {
-		st.deg = make([]int32, n)
+		st.deg = resize(st.deg, n)
 		pool.ForChunks(n, func(_, lo, hi int) {
 			for u := lo; u < hi; u++ {
 				st.live[u] = int32(u)
@@ -152,6 +204,23 @@ func newPeelState(g *graph.Undirected, pool *par.Pool, weighted bool) *peelState
 		})
 	}
 	return st
+}
+
+// release hands the state back to statePool and its worker pool back
+// for reuse. The emitted Result must not alias the state: Set and
+// Trace are always fresh allocations. Nothing may touch st afterwards.
+func (st *peelState) release() {
+	st.pool.Release()
+	st.pool, st.g, st.origOf = nil, nil, nil
+	statePool.Put(st)
+}
+
+// nextOrigOf returns the origBuf half that the current origOf does not
+// use, sized to nn.
+func (st *peelState) nextOrigOf(nn int) []int32 {
+	st.origTurn ^= 1
+	st.origBuf[st.origTurn] = resize(st.origBuf[st.origTurn], nn)
+	return st.origBuf[st.origTurn]
 }
 
 // orig maps a current vertex id back to its original id.
@@ -497,8 +566,9 @@ func (st *peelState) decrement(o Opts, batch []int32, pass int, edges, pushVol, 
 //
 // Call BEFORE filterLive: st.live must still contain this pass's
 // removals (alive bit off, inBatch bit on).
-func (st *peelState) weightedPull(wslots []float64, eslots []int64) {
+func (st *peelState) weightedPull() {
 	g, wdeg, live := st.g, st.wdeg, st.live
+	wslots, eslots := st.wSlots, st.eSlots
 	alive, inBatch := st.alive, st.inBatch
 	chunks := par.NumChunks(st.origN)
 	st.pool.ForEach(chunks, func(c int) {
@@ -574,14 +644,16 @@ func (st *peelState) maybeCompactWeighted(o Opts, edges int64) {
 func (st *peelState) compact(o Opts) {
 	keep := st.live
 	prevN := st.n
-	ng, order := st.g.CompactIntoDegreeOrdered(keep, &st.cs[st.csTurn])
+	ng, order := st.g.CompactIntoDegreeOrdered(st.pool, keep, &st.cs[st.csTurn])
 	st.csTurn ^= 1
 	nn := len(keep)
-	origOf := make([]int32, nn)
+	origOf := st.nextOrigOf(nn)
 	for r, u := range order[:nn] {
 		origOf[r] = st.orig(u)
 	}
-	nd := make([]int32, nn)
+	// The compaction read nothing from deg, so the new degrees can
+	// overwrite it.
+	nd := st.deg[:nn]
 	for i := range nd {
 		nd[i] = int32(ng.Degree(int32(i)))
 	}
@@ -595,20 +667,20 @@ func (st *peelState) compact(o Opts) {
 // compactWeighted rebuilds the CSR around the live set with the
 // order-preserving relabel the weighted engine requires (see
 // weightedPull); weighted degrees are running float accumulators and
-// are copied bit-exactly.
+// are copied bit-exactly. keep is ascending, so keep[i] ≥ i and the
+// degrees move down in place without overwriting one still unread.
 func (st *peelState) compactWeighted(o Opts) {
 	keep := st.live
 	prevN := st.n
 	ng := st.g.CompactInto(keep, &st.cs[st.csTurn])
 	st.csTurn ^= 1
 	nn := len(keep)
-	origOf := make([]int32, nn)
-	nw := make([]float64, nn)
+	origOf := st.nextOrigOf(nn)
 	for i, u := range keep {
 		origOf[i] = st.orig(u)
-		nw[i] = st.wdeg[u]
+		st.wdeg[i] = st.wdeg[u]
 	}
-	st.wdeg = nw
+	st.wdeg = st.wdeg[:nn]
 	st.finishCompact(o, ng, origOf, prevN)
 }
 

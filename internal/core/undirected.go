@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"densestream/internal/graph"
-	"densestream/internal/par"
 )
 
 // Result is the output of the undirected peeling algorithms.
@@ -47,7 +46,8 @@ func UndirectedOpts(g *graph.Undirected, eps float64, o Opts) (*Result, error) {
 	if g.Weighted() {
 		return nil, fmt.Errorf("core: Undirected needs an unweighted graph; use UndirectedWeighted")
 	}
-	st := newPeelState(g, o.pool(), false)
+	st := newPeelState(g, o, false)
+	defer st.release()
 	if eps < 1 {
 		st.compactTilt = 4 // slow sweep: many passes repay an early rebuild
 	}
@@ -122,7 +122,8 @@ func UndirectedWeightedOpts(g *graph.Undirected, eps float64, o Opts) (*Result, 
 	if n == 0 {
 		return nil, graph.ErrEmptyGraph
 	}
-	st := newPeelState(g, o.pool(), true)
+	st := newPeelState(g, o, true)
+	defer st.release()
 	weight := g.TotalWeight()
 	var edges int64 = g.NumEdges()
 	nodes := n
@@ -133,8 +134,6 @@ func UndirectedWeightedOpts(g *graph.Undirected, eps float64, o Opts) (*Result, 
 
 	threshold := 2 * (1 + eps)
 	pass := 0
-	wslots := make([]float64, par.NumChunks(n))
-	eslots := make([]int64, par.NumChunks(n))
 	for nodes > 0 {
 		if err := o.Checkpoint(trace[len(trace)-1]); err != nil {
 			return nil, &PartialError{Passes: pass, Trace: trace, Err: err}
@@ -150,10 +149,10 @@ func UndirectedWeightedOpts(g *graph.Undirected, eps float64, o Opts) (*Result, 
 		if len(batch) == 0 {
 			return nil, fmt.Errorf("core: weighted pass %d removed no nodes (ρ=%v)", pass, rho)
 		}
-		st.weightedPull(wslots, eslots)
-		for c := range wslots {
-			weight -= wslots[c]
-			edges -= eslots[c]
+		st.weightedPull()
+		for c := range st.wSlots {
+			weight -= st.wSlots[c]
+			edges -= st.eSlots[c]
 		}
 		st.filterLive(pushVol)
 		st.clearBatch(batch)

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -321,5 +322,114 @@ func TestFileShardGeneratedSweep(t *testing.T) {
 		if !sameEdges(got, want) {
 			t.Fatalf("k=%d: sharded scan differs from sequential", k)
 		}
+	}
+}
+
+// lineEnd returns the offset just past the line containing data[off].
+func lineEnd(data string, off int64) int64 {
+	if i := strings.IndexByte(data[off:], '\n'); i >= 0 {
+		return off + int64(i) + 1
+	}
+	return int64(len(data))
+}
+
+// shardSpan models the bytes one shard reads in a full pass: the
+// resync skip through the line containing lo (when lo > 0), then every
+// line that starts at or before hi.
+func shardSpan(data string, lo, hi int64) int64 {
+	if hi <= lo {
+		return 0
+	}
+	off := lo
+	if lo > 0 {
+		off = lineEnd(data, lo)
+	}
+	for off < int64(len(data)) && off <= hi {
+		off = lineEnd(data, off)
+	}
+	return off - lo
+}
+
+// drainLines runs one full NextLine pass over sh.
+func drainLines(t *testing.T, sh *FileShard) {
+	t.Helper()
+	if err := sh.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, _, err := sh.NextLine(); err == io.EOF {
+			return
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestBytesScannedPerShard pins the shard-local byte counters: after
+// full passes at 1–8 shards, BytesScanned is every line's bytes plus
+// every resync skip, and a pass cut short by Reset or Close still
+// publishes what it read.
+func TestBytesScannedPerShard(t *testing.T) {
+	var b strings.Builder
+	for i := 0; i < 300; i++ {
+		switch i % 5 {
+		case 1:
+			b.WriteString("# a comment line that is longer than most edges\n")
+		case 3:
+			fmt.Fprintf(&b, "%d %d\r\n", i, i+7)
+		default:
+			fmt.Fprintf(&b, "%d %d\n", i, (i*17)%300)
+		}
+	}
+	b.WriteString("5 6") // no trailing newline
+	content := b.String()
+
+	for k := 1; k <= 8; k++ {
+		src := writeFile(t, content)
+		shards := src.FileShards(k)
+		var want int64
+		for pass := 1; pass <= 2; pass++ {
+			for _, sh := range shards {
+				drainLines(t, sh)
+				want += shardSpan(content, sh.lo, sh.hi)
+			}
+			if got := src.BytesScanned(); got != want {
+				t.Fatalf("k=%d pass %d: BytesScanned = %d, want %d", k, pass, got, want)
+			}
+		}
+		for _, sh := range shards {
+			sh.Close()
+		}
+		if got := src.BytesScanned(); got != want {
+			t.Fatalf("k=%d after Close: BytesScanned = %d, want %d", k, got, want)
+		}
+	}
+
+	// Partial passes over a middle shard: three lines, cut short by a
+	// Reset that publishes them; then two lines, cut short by Close.
+	src := writeFile(t, content)
+	sh := src.FileShards(3)[1]
+	partial := func(lines int) int64 {
+		t.Helper()
+		if err := sh.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		off := lineEnd(content, sh.lo) // the resync skip
+		for i := 0; i < lines; i++ {
+			if _, _, err := sh.NextLine(); err != nil {
+				t.Fatal(err)
+			}
+			off = lineEnd(content, off)
+		}
+		return off - sh.lo
+	}
+	first := partial(3)
+	want := first + partial(2)
+	if got := src.BytesScanned(); got < first {
+		t.Fatalf("after Reset: BytesScanned = %d, want at least the cut pass's %d", got, first)
+	}
+	sh.Close()
+	if got := src.BytesScanned(); got != want {
+		t.Fatalf("after Close: BytesScanned = %d, want %d", got, want)
 	}
 }

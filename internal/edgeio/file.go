@@ -22,7 +22,9 @@ type FileSource struct {
 	size int64
 	// bytes accumulates every byte the shards read (edge lines,
 	// comments, and resync skips alike) across all passes — the honest
-	// disk-scan volume of a run.
+	// disk-scan volume of a run. Shards count locally and publish here
+	// at EOF, Reset and Close, so the line loop touches no shared cache
+	// line; during a pass the total lags by the in-flight shards' counts.
 	bytes atomic.Int64
 
 	mu   sync.Mutex
@@ -50,7 +52,8 @@ func (s *FileSource) Path() string { return s.path }
 func (s *FileSource) Size() int64 { return s.size }
 
 // BytesScanned returns the cumulative bytes read from disk by all of
-// this source's shards since it was opened.
+// this source's shards since it was opened, counting each shard up to
+// its last EOF, Reset or Close.
 func (s *FileSource) BytesScanned() int64 { return s.bytes.Load() }
 
 // acquire hands out the shared file handle, opening it on first use.
@@ -158,8 +161,17 @@ type FileShard struct {
 	// across lines and passes so the scan loop stays allocation-free.
 	scratch []byte
 	off     int64 // offset of the next unread byte
+	pending int64 // bytes read but not yet published to src.bytes
 	done    bool
 	closed  bool
+}
+
+// publish adds the shard's unpublished byte count to its source.
+func (sh *FileShard) publish() {
+	if sh.pending != 0 {
+		sh.src.bytes.Add(sh.pending)
+		sh.pending = 0
+	}
 }
 
 // Reset implements Reader: it (re)positions the shard at its first
@@ -169,6 +181,7 @@ func (sh *FileShard) Reset() error {
 	if sh.closed {
 		return fmt.Errorf("edgeio: Reset on closed shard of %s", sh.src.path)
 	}
+	sh.publish()
 	if sh.sr == nil {
 		f, err := sh.src.acquire()
 		if err != nil {
@@ -195,7 +208,7 @@ func (sh *FileShard) Reset() error {
 		for {
 			skipped, err := sh.rd.ReadSlice('\n')
 			sh.off += int64(len(skipped))
-			sh.src.bytes.Add(int64(len(skipped)))
+			sh.pending += int64(len(skipped))
 			if err == bufio.ErrBufferFull {
 				continue
 			}
@@ -228,6 +241,7 @@ func (sh *FileShard) NextLine() ([]byte, int64, error) {
 		}
 	}
 	if sh.done || sh.off > sh.hi {
+		sh.publish()
 		return nil, 0, io.EOF
 	}
 	start := sh.off
@@ -243,10 +257,11 @@ func (sh *FileShard) NextLine() ([]byte, int64, error) {
 		line = sh.scratch
 	}
 	sh.off += int64(len(line))
-	sh.src.bytes.Add(int64(len(line)))
+	sh.pending += int64(len(line))
 	if err == io.EOF {
 		sh.done = true
 		if len(line) == 0 {
+			sh.publish()
 			return nil, 0, io.EOF
 		}
 	} else if err != nil {
@@ -277,14 +292,15 @@ func (sh *FileShard) Next() (Edge, error) {
 	}
 }
 
-// Close returns the shard's read buffer to the pool and drops its
-// reference on the source's shared handle (the last shard to close
-// releases the file). It is idempotent.
+// Close publishes the shard's byte count, returns its read buffer to
+// the pool and drops its reference on the source's shared handle (the
+// last shard to close releases the file). It is idempotent.
 func (sh *FileShard) Close() error {
 	if sh.closed {
 		return nil
 	}
 	sh.closed = true
+	sh.publish()
 	if sh.rd != nil {
 		sh.rd.Reset(nil)
 		readerPool.Put(sh.rd)

@@ -141,7 +141,8 @@ func sortEdges(edges []Edge) {
 		slices.SortFunc(edges, compareEdges)
 		return
 	}
-	pool := par.New(0)
+	pool := par.Acquire(0)
+	defer pool.Release()
 	runs := (n + sortRunSize - 1) / sortRunSize
 	pool.ForEach(runs, func(r int) {
 		lo := r * sortRunSize

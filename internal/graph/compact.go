@@ -1,5 +1,7 @@
 package graph
 
+import "densestream/internal/par"
+
 // Compaction support for the peeling hot loops: once most vertices of a
 // frozen CSR are dead, every remaining pass still walks adjacency rows
 // full of removed neighbors scattered across the original layout. The
@@ -22,7 +24,14 @@ package graph
 //     vertices share cache lines. The permutation is returned so
 //     callers can compose their current→original id maps through it;
 //     the integer peel engines do exactly that and stay bit-identical
-//     to the id-ordered layout at every worker count.
+//     to the id-ordered layout at every worker count. Its two row
+//     scans run on a par.Pool over pieces of about CompactGrain
+//     original-row volume, cut by graph shape alone, so the rebuilt
+//     CSR does not depend on the worker count either.
+//
+// CompactInto and the directed CompactInto stay sequential: the
+// former's weighted total is one float sum in row order, and the
+// latter is off the undirected peel's hot path.
 
 // CompactScratch holds the reusable buffers behind CompactInto and
 // CompactIntoDegreeOrdered, so a peel run that compacts several times
@@ -43,6 +52,9 @@ type CompactScratch struct {
 	bucket []int32 // counting-sort buckets
 	order  []int32 // new rank -> old vertex id
 	banks  RowBanks
+
+	cuts     []int32 // piece boundaries of the current parallel loop
+	pieceMax []int32 // per-piece max surviving degree
 }
 
 // grow returns buf resized to n, reallocating only when capacity is
@@ -137,6 +149,35 @@ func (g *Undirected) CompactInto(keep []int32, s *CompactScratch) *Undirected {
 	return &Undirected{n: n, offsets: offsets, adj: adj, weights: weights, m: m, totalW: totalW}
 }
 
+// CompactGrain is the original-row volume — adjacency entries plus one
+// per row — of one piece of the degree-ordered rebuild's two parallel
+// loops. Like sortRunSize it must stay constant: piece boundaries
+// depend on the graph and the keep set only, never on the worker
+// count. It is an exported variable only so the tests of this package
+// and of the peel engines can shrink it to force many-piece rebuilds on
+// small graphs; nothing else may change it.
+var CompactGrain int64 = 1 << 16
+
+// cutPieces fills s.cuts with the boundaries of consecutive runs of
+// ids whose original-row volume reaches CompactGrain (the last run may
+// fall short) and returns them: piece p covers ids[cuts[p]:cuts[p+1]].
+func (s *CompactScratch) cutPieces(g *Undirected, ids []int32) []int32 {
+	cuts := append(s.cuts[:0], 0)
+	var vol int64
+	for i, u := range ids {
+		vol += int64(g.offsets[u+1]-g.offsets[u]) + 1
+		if vol >= CompactGrain {
+			cuts = append(cuts, int32(i+1))
+			vol = 0
+		}
+	}
+	if vol > 0 {
+		cuts = append(cuts, int32(len(ids)))
+	}
+	s.cuts = cuts
+	return cuts
+}
+
 // CompactIntoDegreeOrdered builds the same induced subgraph as
 // CompactInto but relabels hub-first: new id r goes to the vertex with
 // the r-th largest surviving degree (counting sort; equal degrees keep
@@ -146,25 +187,43 @@ func (g *Undirected) CompactInto(keep []int32, s *CompactScratch) *Undirected {
 // the keep-space (old current-space) id of new vertex r. Within a row,
 // adjacency keeps g's relative neighbor order; row contents are the
 // relabeled ids. The returned graph, banks, and order all alias s.
-func (g *Undirected) CompactIntoDegreeOrdered(keep []int32, s *CompactScratch) (*Undirected, []int32) {
+//
+// The two O(row volume) loops — the surviving-degree count in keep
+// order and the filtered row copy in rank order — run on pool over
+// pieces of about CompactGrain original-row volume. Both are per-row
+// integer work whose only cross-row reduction is the max degree, so
+// the output is identical for every worker count and every piece cut.
+// The counting sort, the offsets prefix sum and the RowBanks classes
+// stay sequential O(live), as does the weighted total, which is summed
+// in rank-major order.
+func (g *Undirected) CompactIntoDegreeOrdered(pool *par.Pool, keep []int32, s *CompactScratch) (*Undirected, []int32) {
 	n := len(keep)
 	bits := s.keepBits(g.n, keep)
 
-	// Surviving degree per keep index; counting sort descending, stable
-	// in keep order.
+	// Surviving degree per keep index; each piece folds its own max.
 	s.cnt = grow(s.cnt, n)
 	cnt := s.cnt
+	cuts := s.cutPieces(g, keep)
+	s.pieceMax = grow(s.pieceMax, len(cuts)-1)
+	pieceMax := s.pieceMax
+	pool.ForEach(len(pieceMax), func(p int) {
+		m := int32(0)
+		for i := cuts[p]; i < cuts[p+1]; i++ {
+			c := int32(0)
+			for _, v := range g.Neighbors(keep[i]) {
+				c += bits.Bit(v)
+			}
+			cnt[i] = c
+			m = max(m, c)
+		}
+		pieceMax[p] = m
+	})
 	maxd := int32(0)
-	for i, u := range keep {
-		c := int32(0)
-		for _, v := range g.Neighbors(u) {
-			c += bits.Bit(v)
-		}
-		cnt[i] = c
-		if c > maxd {
-			maxd = c
-		}
+	for _, m := range pieceMax {
+		maxd = max(maxd, m)
 	}
+
+	// Counting sort descending, stable in keep order.
 	s.bucket = grow(s.bucket, int(maxd)+1)
 	bucket := s.bucket
 	for d := range bucket {
@@ -179,6 +238,9 @@ func (g *Undirected) CompactIntoDegreeOrdered(keep []int32, s *CompactScratch) (
 		bucket[d] = pos
 		pos += b
 	}
+	// Ranks [0, nz) have a non-empty row; the rows after them are empty
+	// and need no copy.
+	nz := int(bucket[0])
 	s.order = grow(s.order, n)
 	s.rdeg = grow(s.rdeg, n)
 	s.newID = grow(s.newID, g.n) // dead entries stale; bits guards every read
@@ -198,60 +260,70 @@ func (g *Undirected) CompactIntoDegreeOrdered(keep []int32, s *CompactScratch) (
 		offsets[r+1] = offsets[r] + rdeg[r]
 	}
 	total := int(offsets[n])
-	// One slot of slack: the branch-free fill below writes every
-	// neighbor before advancing the cursor, so trailing dropped
-	// neighbors of the final row touch adj[total] once.
-	s.adj = grow(s.adj, total+1)
-	adj := s.adj[:total+1]
+	s.adj = grow(s.adj, total)
+	adj := s.adj
 	weighted := g.weights != nil
 	var weights []float64
 	if weighted {
 		s.weights = grow(s.weights, total)
 		weights = s.weights
 	}
-	var totalW float64
-	if weighted {
-		for r := 0; r < n; r++ {
-			u := order[r]
-			cur := offsets[r]
-			ws := g.NeighborWeights(u)
-			for j, v := range g.Neighbors(u) {
-				if !bits.Test(v) {
-					continue
+	cuts = s.cutPieces(g, order[:nz])
+	pool.ForEach(len(cuts)-1, func(p int) {
+		lo, hi := cuts[p], cuts[p+1]
+		if weighted {
+			for r := lo; r < hi; r++ {
+				cur := offsets[r]
+				ws := g.NeighborWeights(order[r])
+				for j, v := range g.Neighbors(order[r]) {
+					if bits.Test(v) {
+						adj[cur] = newID[v]
+						weights[cur] = ws[j]
+						cur++
+					}
 				}
-				nv := newID[v]
-				adj[cur] = nv
-				w := ws[j]
-				weights[cur] = w
-				if nv > int32(r) {
-					totalW += w
-				}
-				cur++
 			}
+			return
 		}
-	} else {
 		// Branch-free filter-copy: kept/dropped neighbors interleave
 		// unpredictably in a decayed row, so a membership branch
 		// mispredicts constantly; writing unconditionally and advancing
 		// the cursor by the membership bit keeps the pipeline full. A
-		// dropped neighbor writes a stale newID entry that the next kept
-		// neighbor overwrites — the row never exceeds its exact length.
-		for r := 0; r < n; r++ {
-			u := order[r]
+		// dropped neighbor after the row's last kept one writes a stale
+		// entry into the first slot of row r+1, which is non-empty (r+1
+		// < nz) and overwrites it. The piece's last row takes the
+		// guarded copy instead: row hi belongs to another piece, and
+		// another worker.
+		for r := lo; r < hi-1; r++ {
 			cur := offsets[r]
-			row := g.Neighbors(u)
-			for _, v := range row {
+			for _, v := range g.Neighbors(order[r]) {
 				adj[cur] = newID[v]
 				cur += bits.Bit(v)
 			}
 		}
-		totalW = float64(int64(total) / 2)
-	}
+		cur := offsets[hi-1]
+		for _, v := range g.Neighbors(order[hi-1]) {
+			if bits.Test(v) {
+				adj[cur] = newID[v]
+				cur++
+			}
+		}
+	})
 	m := int64(total) / 2
+	totalW := float64(m)
+	if weighted {
+		totalW = 0
+		for r := 0; r < nz; r++ {
+			for j := offsets[r]; j < offsets[r+1]; j++ {
+				if adj[j] > int32(r) {
+					totalW += weights[j]
+				}
+			}
+		}
+	}
 
 	// Degree classes over the ranked layout: runs of equal row length,
 	// descending; over-stride hubs form the spill prefix.
-	adj = adj[:total]
 	b := &s.banks
 	b.adj = adj
 	b.degs, b.starts, b.base = b.degs[:0], b.starts[:0], b.base[:0]

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"densestream/internal/par"
 )
 
 // The relabel property sweep: over random graphs and random keep-sets,
@@ -133,13 +135,14 @@ func TestCompactDegreeOrderedProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(271828))
 	var sOrd, sRef CompactScratch
 	for trial := 0; trial < 40; trial++ {
+		pool := par.New(1 + trial%4)
 		n := 2 + rng.Intn(500)
 		m := rng.Intn(4*n) + 1
 		weighted := trial%3 == 0
 		g := buildRandom(t, n, m, weighted, int64(1000+trial))
 		keep := randomKeep(rng, n)
 
-		got, order := g.CompactIntoDegreeOrdered(keep, &sOrd)
+		got, order := g.CompactIntoDegreeOrdered(pool, keep, &sOrd)
 		ref := g.CompactInto(keep, &sRef)
 		if err := got.Validate(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -192,7 +195,7 @@ func TestCompactDegreeOrderedSpill(t *testing.T) {
 		keep[i] = int32(i)
 	}
 	var s CompactScratch
-	got, order := g.CompactIntoDegreeOrdered(keep, &s)
+	got, order := g.CompactIntoDegreeOrdered(par.New(2), keep, &s)
 	banks := got.RowBanks()
 	if banks.SpillEnd != 1 || order[0] != 0 {
 		t.Fatalf("SpillEnd=%d order[0]=%d; want the hub alone in the spill lane", banks.SpillEnd, order[0])

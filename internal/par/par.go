@@ -436,6 +436,14 @@ func NewCollector(n int) *Collector {
 	return &Collector{bufs: make([][]int32, NumChunks(n))}
 }
 
+// Grow extends the collector to cover scans over [0, n), keeping its
+// existing chunk buffers; a collector never shrinks.
+func (c *Collector) Grow(n int) {
+	if k := NumChunks(n); k > len(c.bufs) {
+		c.bufs = append(c.bufs, make([][]int32, k-len(c.bufs))...)
+	}
+}
+
 // Reset clears all chunk buffers, keeping their capacity.
 func (c *Collector) Reset() {
 	for i := range c.bufs {
