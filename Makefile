@@ -34,11 +34,14 @@ race:
 	$(GO) test -race -run 'TestParallel|TestTraceIdentity' .
 	$(GO) test -race -run 'TestOutOfCore' .
 
-# Fuzz the text edge-list parser for a short while: the sharded file
-# loader must match the sequential reader and the reference parse on
-# arbitrary bytes. Plain `go test` replays the checked-in seed corpus.
+# Fuzz the two untrusted-input parsers for a short while each: the
+# text edge-list loader must match the sequential reader and the
+# reference parse, and the two BSG1 readers must agree with each other
+# and with the reference block decoder, on arbitrary bytes. Plain
+# `go test` replays the checked-in seed corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadUndirectedFile$$' -fuzztime 20s ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzBinarySource$$' -fuzztime 20s ./internal/edgeio
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .

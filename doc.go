@@ -165,9 +165,13 @@
 //     streams, with bit-identical results at every worker count
 //     (weighted scans use a float-lane striped counter whose lane
 //     decomposition is fixed by the input shape, never the worker
-//     count). The scan paths are allocation-flat in the worker count:
-//     read buffers pool across solves, worker crews park between
-//     passes, and a pass in steady state allocates nothing.
+//     count). A pass over a binary file reads it a decoded block at a
+//     time and skips every block an earlier pass of the same solve
+//     found without a live edge: live sets only shrink, so such a
+//     block stays dead, and the skip cannot change the answer. The
+//     scan paths are allocation-flat in the worker count: read
+//     buffers pool across solves, worker crews park between passes,
+//     and a pass in steady state allocates nothing.
 //   - BackendPeel and BackendMapReduce load the file through the same
 //     sharded scan (ReadUndirectedFile/ReadDirectedFile): workers
 //     tokenize byte ranges of a text file, or decode block ranges of a
@@ -185,8 +189,10 @@
 //     remove them when the run ends.
 //
 // Solution.Stats reports the I/O a solve performed: BytesScanned
-// (disk reads by the file-backed streams, discovery scan included) and
-// BytesSpilled (MapReduce spill writes under the budget).
+// (disk reads by the file-backed streams, discovery scan included;
+// the bytes of the text lines and binary blocks actually read, so a
+// skipped block counts nothing) and BytesSpilled (MapReduce spill
+// writes under the budget).
 //
 // # Binary columnar edge storage
 //
@@ -221,9 +227,12 @@
 // steady-state read path allocates nothing and a pass runs at disk
 // (or page-cache) bandwidth; on Unix the file is mmapped and decoded
 // in place, with a transparent fallback to buffered pread elsewhere.
-// Readers validate magic, version, flags, the trailer, and every
-// block bound before touching payload bytes, and corruption errors
-// carry the byte offset of the damage.
+// The varint decoder checks a block's one-byte src deltas with one OR
+// and reads short dsts from one word load, and decodes anything else
+// value by value. Readers validate magic, version, flags, the
+// trailer, and every block bound before touching payload bytes, an
+// index entry must claim no more edges than its block's bytes can
+// hold, and corruption errors carry the byte offset of the damage.
 //
 // When to convert: text is the interchange format — keep it for
 // datasets you edit, grep, or ship elsewhere. Convert to binary

@@ -79,6 +79,12 @@ type ScanOracle interface {
 	// directed runs pass S and T and the side being peeled ('S' or
 	// 'T'), and Degree then reports degrees on that side only. A
 	// context error must be returned unwrapped.
+	//
+	// Within a run the policy only ever clears live flags: a node live
+	// in pass p was live in every earlier pass. So an edge that is not
+	// live in one pass is not live in any later pass of the run, and an
+	// oracle may skip any part of the edges it saw without a live edge
+	// (the stream scanner skips such blocks). Start begins a new run.
 	Measure(pass int, aliveU, aliveV []bool, side byte) (edges int64, weight float64, err error)
 	// Degree returns node u's degree from the last Measure.
 	Degree(u int32) float64

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 )
 
@@ -26,6 +27,18 @@ import (
 // non-negative and non-decreasing — sorted inputs compress several
 // fold), and each dst as an absolute uvarint. Weights are always
 // fixed-width float64 bits.
+//
+// Decoding: decodeBlock is the one decoder of both readers, the
+// MapReduce spill reader and the graph loader. It accepts every
+// uvarint binary.Uvarint accepts (up to 10 bytes, canonical or not)
+// and takes two fast paths for the shapes sorted writers produce: a
+// src column whose deltas all fit one byte is checked with one OR and
+// widened by a running sum, and dsts of up to 4 bytes are read two per
+// 8-byte load. Anything else, malformed input included, is decoded
+// value by value, so every error names the same payload byte. No
+// decoder read leaves the block. An index entry must claim at most one
+// edge per 2 payload bytes (10 on weighted files), so a reader never
+// sizes a buffer from a count its block cannot hold.
 //
 // nodes in the header is maxID+1 over the written edges (0 for an empty
 // file), so readers need no discovery pass; the index in the footer
@@ -395,6 +408,18 @@ func readBinaryMeta(f *os.File, path string) (*binaryMeta, error) {
 			total += count
 			prevEnd = off + binaryBlockHdr
 		}
+		// Readers size their decode buffers from the largest count, so a
+		// count must fit its block's extent: at least one varint byte per
+		// src and dst, plus the weight column.
+		minBytes := int64(2)
+		if m.weighted {
+			minBytes += 8
+		}
+		for i, b := range m.index {
+			if payload := m.blockEnd(i) - b.off - binaryBlockHdr; int64(b.count)*minBytes > payload {
+				return nil, fmt.Errorf("edgeio: %s: index entry %d at offset %d: %d edges cannot fit the block's %d payload bytes", path, i, indexOff+int64(i)*binaryIndexEntry, b.count, payload)
+			}
+		}
 		if total != m.edges {
 			return nil, fmt.Errorf("edgeio: %s: index counts sum to %d, trailer says %d edges", path, total, m.edges)
 		}
@@ -414,93 +439,164 @@ func (m *binaryMeta) blockEnd(i int) int64 {
 }
 
 // decodeBlock decodes one raw block (header + payload, as laid out on
-// disk at offset off) into the caller's edge and weight buffers, which
-// must have capacity for the block's edge count. weights is ignored
-// for unweighted files and may be nil to skip the weight column. All
-// reads are bounds-checked; errors carry the file offset.
+// disk) into the caller's edge and weight buffers, which must have
+// capacity for the block's edge count. weights may be nil to skip the
+// weight column, and the returned weights are nil unless the file is
+// weighted and weights is not. It reads nothing outside raw, and its
+// errors carry the file offset.
 func (m *binaryMeta) decodeBlock(i int, raw []byte, edges []Edge, weights []float64) ([]Edge, []float64, error) {
-	ref := m.index[i]
 	if len(raw) < binaryBlockHdr {
-		return nil, nil, fmt.Errorf("edgeio: %s: block %d at offset %d: %d bytes, need %d for the header", m.path, i, ref.off, len(raw), binaryBlockHdr)
+		return nil, nil, m.blockErr(i, "%d bytes, need %d for the header", len(raw), binaryBlockHdr)
 	}
 	count := int(binary.LittleEndian.Uint32(raw[0:4]))
 	payloadLen := int(binary.LittleEndian.Uint32(raw[4:8]))
-	enc := raw[8]
-	if count != ref.count {
-		return nil, nil, fmt.Errorf("edgeio: %s: block %d at offset %d: header says %d edges, index says %d", m.path, i, ref.off, count, ref.count)
+	if count != m.index[i].count {
+		return nil, nil, m.blockErr(i, "header says %d edges, index says %d", count, m.index[i].count)
 	}
 	payload := raw[binaryBlockHdr:]
 	if payloadLen != len(payload) {
-		return nil, nil, fmt.Errorf("edgeio: %s: block %d at offset %d: payload length %d does not match the block extent %d", m.path, i, ref.off, payloadLen, len(payload))
+		return nil, nil, m.blockErr(i, "payload length %d does not match the block extent %d", payloadLen, len(payload))
 	}
 	edges = edges[:count]
 	weightBytes := 0
 	if m.weighted {
 		weightBytes = count * 8
 	}
-	switch enc {
+	switch enc := raw[8]; enc {
 	case blockFixed:
 		if len(payload) != count*8+weightBytes {
-			return nil, nil, fmt.Errorf("edgeio: %s: block %d at offset %d: fixed payload of %d bytes, want %d", m.path, i, ref.off, len(payload), count*8+weightBytes)
+			return nil, nil, m.blockErr(i, "fixed payload of %d bytes, want %d", len(payload), count*8+weightBytes)
 		}
-		src := payload[:count*4]
-		dst := payload[count*4 : count*8]
-		for j := 0; j < count; j++ {
-			edges[j] = Edge{
-				U: int32(binary.LittleEndian.Uint32(src[j*4:])),
-				V: int32(binary.LittleEndian.Uint32(dst[j*4:])),
-			}
+		src, dst := payload[:count*4], payload[count*4:count*8]
+		for j := range edges {
+			edges[j] = Edge{U: int32(binary.LittleEndian.Uint32(src[j*4:])), V: int32(binary.LittleEndian.Uint32(dst[j*4:]))}
 		}
-		payload = payload[count*8:]
 	case blockVarint:
-		cols := payload
-		if weightBytes > 0 {
-			if len(cols) < weightBytes {
-				return nil, nil, fmt.Errorf("edgeio: %s: block %d at offset %d: varint payload of %d bytes, need %d for the weight column", m.path, i, ref.off, len(cols), weightBytes)
-			}
-			cols = cols[:len(cols)-weightBytes]
+		if len(payload) < weightBytes {
+			return nil, nil, m.blockErr(i, "varint payload of %d bytes, need %d for the weight column", len(payload), weightBytes)
 		}
-		pos := 0
-		prev := int64(0)
-		for j := 0; j < count; j++ {
-			d, n := binary.Uvarint(cols[pos:])
-			if n <= 0 {
-				return nil, nil, fmt.Errorf("edgeio: %s: block %d at offset %d: bad src varint at payload byte %d", m.path, i, ref.off, pos)
-			}
-			pos += n
-			if j == 0 {
-				prev = int64(d)
-			} else {
-				prev += int64(d)
-			}
-			if prev < 0 || prev > math.MaxInt32 {
-				return nil, nil, fmt.Errorf("edgeio: %s: block %d at offset %d: src id %d out of int32 range", m.path, i, ref.off, prev)
-			}
-			edges[j].U = int32(prev)
+		if err := m.decodeVarints(i, payload[:len(payload)-weightBytes], edges); err != nil {
+			return nil, nil, err
 		}
-		for j := 0; j < count; j++ {
-			d, n := binary.Uvarint(cols[pos:])
-			if n <= 0 {
-				return nil, nil, fmt.Errorf("edgeio: %s: block %d at offset %d: bad dst varint at payload byte %d", m.path, i, ref.off, pos)
-			}
-			pos += n
-			if d > math.MaxUint32 {
-				return nil, nil, fmt.Errorf("edgeio: %s: block %d at offset %d: dst id %d out of range", m.path, i, ref.off, d)
-			}
-			edges[j].V = int32(uint32(d))
-		}
-		if pos != len(cols) {
-			return nil, nil, fmt.Errorf("edgeio: %s: block %d at offset %d: %d trailing payload bytes", m.path, i, ref.off, len(cols)-pos)
-		}
-		payload = payload[len(cols):]
 	default:
-		return nil, nil, fmt.Errorf("edgeio: %s: block %d at offset %d: unknown encoding %d", m.path, i, ref.off, enc)
+		return nil, nil, m.blockErr(i, "unknown encoding %d", enc)
 	}
-	if m.weighted && weights != nil {
-		weights = weights[:count]
-		for j := 0; j < count; j++ {
-			weights[j] = math.Float64frombits(binary.LittleEndian.Uint64(payload[j*8:]))
-		}
+	if !m.weighted || weights == nil {
+		return edges, nil, nil
+	}
+	col := payload[len(payload)-weightBytes:]
+	weights = weights[:count]
+	for j := range weights {
+		weights[j] = math.Float64frombits(binary.LittleEndian.Uint64(col[j*8:]))
 	}
 	return edges, weights, nil
+}
+
+// decodeVarints decodes the src and dst columns of a delta-varint
+// block, which must fill cols exactly. A value is a uvarint of up to 10
+// bytes, canonical or not. The first src is absolute and each later one
+// adds its delta modulo 2^64; every src must land in [0, MaxInt32] and
+// every dst in [0, MaxUint32]. Two shapes take a fast path: a src
+// column whose deltas all fit one byte (the shape sorted writers
+// produce) is checked with one OR and widened by a running sum, and a
+// dst of at most 4 bytes is decoded from one 4-byte load. Everything
+// else, the column tail and every malformed value included, goes
+// through binary.Uvarint, so errors name the same payload byte.
+func (m *binaryMeta) decodeVarints(i int, cols []byte, edges []Edge) error {
+	prev, pos := binary.Uvarint(cols)
+	if pos <= 0 {
+		return m.blockErr(i, "bad src varint at payload byte 0")
+	}
+	if prev > math.MaxInt32 {
+		return m.blockErr(i, "src id %d out of int32 range", int64(prev))
+	}
+	edges[0].U = int32(prev)
+	j := 1
+	if rest := cols[pos:min(pos+len(edges)-1, len(cols))]; len(rest) == len(edges)-1 && oneByteValues(rest) {
+		sum := prev
+		dst := edges[1:][:len(rest)]
+		for k, d := range rest {
+			sum += uint64(d)
+			dst[k].U = int32(sum)
+		}
+		// The sum only grows, so its end is its maximum; past MaxInt32
+		// the careful loop finds the first id out of range.
+		if sum <= math.MaxInt32 {
+			prev, pos, j = sum, pos+len(rest), len(edges)
+		}
+	}
+	for ; j < len(edges); j++ {
+		d, n := binary.Uvarint(cols[pos:])
+		if n <= 0 {
+			return m.blockErr(i, "bad src varint at payload byte %d", pos)
+		}
+		pos += n
+		prev += d
+		if prev > math.MaxInt32 {
+			return m.blockErr(i, "src id %d out of int32 range", int64(prev))
+		}
+		edges[j].U = int32(prev)
+	}
+	for j := 0; j < len(edges); j++ {
+		if pos+8 <= len(cols) && j+1 < len(edges) {
+			// Two values of at most 4 bytes each from one 8-byte load.
+			x := binary.LittleEndian.Uint64(cols[pos:])
+			stop := ^x & 0x8080808080808080
+			stop2 := stop & (stop - 1)
+			n1 := bits.TrailingZeros64(stop)>>3 + 1
+			n2 := bits.TrailingZeros64(stop2)>>3 + 1
+			if n1 <= 4 && n2-n1 <= 4 {
+				edges[j].V = int32(packVarint(uint32(x & (stop ^ (stop - 1)))))
+				edges[j+1].V = int32(packVarint(uint32((x & (stop2 ^ (stop2 - 1))) >> (8 * n1))))
+				pos += n2
+				j++
+				continue
+			}
+		}
+		if pos+4 <= len(cols) {
+			x := binary.LittleEndian.Uint32(cols[pos:])
+			if stop := ^x & 0x80808080; stop != 0 {
+				edges[j].V = int32(packVarint(x & (stop ^ (stop - 1))))
+				pos += bits.TrailingZeros32(stop)>>3 + 1
+				continue
+			}
+		}
+		d, n := binary.Uvarint(cols[pos:])
+		if n <= 0 {
+			return m.blockErr(i, "bad dst varint at payload byte %d", pos)
+		}
+		pos += n
+		if d > math.MaxUint32 {
+			return m.blockErr(i, "dst id %d out of range", d)
+		}
+		edges[j].V = int32(uint32(d))
+	}
+	if pos != len(cols) {
+		return m.blockErr(i, "%d trailing payload bytes", len(cols)-pos)
+	}
+	return nil
+}
+
+// packVarint returns the value of a uvarint of at most 4 bytes given
+// its bytes, little-endian, with every byte after its last zeroed.
+func packVarint(x uint32) uint32 {
+	return x&0x7f | x>>1&0x3f80 | x>>2&0x1fc000 | x>>3&0xfe00000
+}
+
+// oneByteValues reports whether every byte of b is a whole one-byte
+// uvarint, that is, has its continuation bit clear.
+func oneByteValues(b []byte) bool {
+	var acc uint64
+	for ; len(b) >= 8; b = b[8:] {
+		acc |= binary.LittleEndian.Uint64(b)
+	}
+	for _, c := range b {
+		acc |= uint64(c)
+	}
+	return acc&0x8080808080808080 == 0
+}
+
+// blockErr formats an error about block i, naming its file offset.
+func (m *binaryMeta) blockErr(i int, format string, args ...any) error {
+	return fmt.Errorf("edgeio: %s: block %d at offset %d: %s", m.path, i, m.index[i].off, fmt.Sprintf(format, args...))
 }

@@ -1,6 +1,7 @@
 package edgeio
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -302,6 +303,68 @@ func TestBinaryCorruption(t *testing.T) {
 	mut(t, "encoding.bsg", func(b []byte) { b[binaryHeaderSize+8] = 9 }, "unknown encoding", true)
 }
 
+// oneBlockFile hand-assembles a BSG1 file of one block whose header,
+// index entry and trailer all claim count edges, around the given
+// encoding byte and payload.
+func oneBlockFile(count uint32, enc byte, payload []byte, weighted bool, nodes uint64) []byte {
+	b := []byte(binaryMagic)
+	b = binary.LittleEndian.AppendUint16(b, binaryVersion)
+	flags := uint16(0)
+	if weighted {
+		flags = binaryFlagWeight
+	}
+	b = binary.LittleEndian.AppendUint16(b, flags)
+	b = binary.LittleEndian.AppendUint64(b, nodes)
+	b = binary.LittleEndian.AppendUint32(b, count)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = append(b, enc)
+	b = append(b, payload...)
+	indexOff := len(b)
+	b = binary.LittleEndian.AppendUint64(b, binaryHeaderSize)
+	b = binary.LittleEndian.AppendUint32(b, count)
+	b = binary.LittleEndian.AppendUint64(b, uint64(indexOff))
+	b = binary.LittleEndian.AppendUint64(b, uint64(count))
+	b = binary.LittleEndian.AppendUint32(b, 1)
+	return append(b, binaryEndMagic...)
+}
+
+// TestBinaryOversizedIndexCount: an index entry whose edge count cannot
+// fit its block's bytes is rejected at open, naming the entry's offset,
+// before any reader sizes a decode buffer from it. The 67-byte file
+// claims 2^28 edges in a 2-byte payload.
+func TestBinaryOversizedIndexCount(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "huge.bsg")
+	data := oneBlockFile(1<<28, blockVarint, []byte{0, 0}, false, 1)
+	if len(data) != 67 {
+		t.Fatalf("test file is %d bytes, want 67", len(data))
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("index entry 0 at offset 27: %d edges cannot fit the block's 2 payload bytes", 1<<28)
+	if _, err := OpenBinaryFileSource(path); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("buffered open: %v, want an error containing %q", err, want)
+	}
+	if _, err := OpenMmapSource(path); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("mmap open: %v, want an error containing %q", err, want)
+	}
+	// The weighted minimum is 10 bytes per edge: one edge in 9 payload
+	// bytes is refused, in 10 it opens.
+	for _, tc := range []struct {
+		payload int
+		ok      bool
+	}{{9, false}, {10, true}} {
+		data := oneBlockFile(1, blockVarint, make([]byte, tc.payload), true, 1)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenBinaryFileSource(path); (err == nil) != tc.ok {
+			t.Fatalf("weighted edge in %d payload bytes: open error %v", tc.payload, err)
+		}
+	}
+}
+
 // TestBinaryNotAFile covers text files and short files through the
 // binary openers.
 func TestBinaryNotAFile(t *testing.T) {
@@ -503,37 +566,61 @@ func TestBlockRanges(t *testing.T) {
 	}
 }
 
-// TestBinaryScanAllocs verifies the zero-alloc steady state: after the
-// first pass warms the buffers, repeated passes do not allocate.
+// TestBinaryScanAllocs verifies the zero-alloc steady state on both
+// readers: after the first pass warms the buffers, further passes
+// allocate nothing, whether they pull edges through Next or decode
+// whole blocks through Block (on the weighted lane, weight column
+// included).
 func TestBinaryScanAllocs(t *testing.T) {
 	dir := t.TempDir()
 	var edges []WeightedEdge
 	for i := 0; i < 20000; i++ {
-		edges = append(edges, WeightedEdge{U: int32(i / 5), V: int32(i % 4000), Weight: 1})
+		edges = append(edges, WeightedEdge{U: int32(i / 5), V: int32(i % 4000), Weight: 1 + float64(i%3)})
 	}
-	path := writeBinaryFile(t, dir, "a.bsg", edges, false, 0)
-	src, err := OpenBinarySource(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	sh := src.Shards(1)[0]
-	drainBinary(t, sh) // warm buffers
-	n := testing.AllocsPerRun(3, func() {
-		if err := sh.Reset(); err != nil {
+	path := writeBinaryFile(t, dir, "a.bsg", edges, true, 4096)
+	for _, open := range []func(string) (*BinaryFileSource, error){OpenBinaryFileSource, OpenMmapSource} {
+		src, err := open(path)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for {
-			if _, err := sh.Next(); err != nil {
-				if err != io.EOF {
-					t.Fatal(err)
+		sh := src.Shards(1)[0]
+		drainBinary(t, sh) // warm buffers
+		n := testing.AllocsPerRun(3, func() {
+			if err := sh.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			for {
+				if _, err := sh.Next(); err != nil {
+					if err != io.EOF {
+						t.Fatal(err)
+					}
+					return
 				}
-				return
+			}
+		})
+		if n > 0 {
+			t.Fatalf("mapped=%v: steady-state Next pass allocates %v times", src.mapped, n)
+		}
+		shards := src.BlockShards(2, true)
+		pass := func() {
+			for _, sh := range shards {
+				lo, hi := sh.Blocks()
+				for i := lo; i < hi; i++ {
+					if _, w, err := sh.Block(i); err != nil || len(w) == 0 {
+						t.Fatalf("block %d: %d weights, error %v", i, len(w), err)
+					}
+				}
 			}
 		}
-	})
-	if n > 1 {
-		t.Fatalf("steady-state scan allocates %v times per pass", n)
+		pass() // warm buffers
+		if n := testing.AllocsPerRun(3, pass); n > 0 {
+			t.Fatalf("mapped=%v: steady-state Block pass allocates %v times", src.mapped, n)
+		}
+		for _, sh := range shards {
+			sh.Close()
+		}
+		sh.(io.Closer).Close()
+		src.Close()
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 	"sync/atomic"
 )
 
@@ -22,8 +23,12 @@ type BinarySource interface {
 	Weighted() bool
 	// Path returns the file path.
 	Path() string
-	// BytesScanned returns the cumulative bytes decoded across all
-	// shards and passes.
+	// BlockShards cuts the file into 1..k contiguous block ranges for
+	// block-at-a-time reads. weights selects the weighted lane: whether
+	// Block returns a weighted file's weight column.
+	BlockShards(k int, weights bool) []*BinaryShard
+	// BytesScanned returns the cumulative bytes of the blocks decoded
+	// across all shards and passes. A block never read is not counted.
 	BytesScanned() int64
 	// Close releases file handles or mappings. Shards must not be used
 	// after Close.
@@ -52,17 +57,30 @@ type formatError struct{ err error }
 func (e *formatError) Error() string { return e.err.Error() }
 func (e *formatError) Unwrap() error { return e.err }
 
-// BinaryFileSource reads a binary columnar graph file through buffered
-// file I/O. Shards cover contiguous block ranges (a function of the
-// block count and k only); each shard owns its file handle and reuses
-// one raw block buffer and one decoded edge buffer across blocks and
-// passes, so a steady-state scan performs no allocations.
+// BinaryFileSource is an open binary columnar graph file. Its shards
+// get block bytes from one of two places: straight out of a read-only
+// memory mapping (OpenMmapSource), or through ReadAt into a pooled
+// buffer (OpenBinaryFileSource). Either way one shard type and one
+// decoder turn them into edges. Shards cover contiguous block ranges
+// (a function of the block count and k only) and reuse their decode
+// buffers across blocks and passes, so a steady-state scan performs no
+// allocations.
+//
+// Close unmaps a mapped file and is idempotent; it must not race a
+// running scan (the owning stream closes shards and source together).
+// Every block read from the mapping is bounds-checked, so a file that
+// shrank after opening surfaces as an error, not a fault.
 type BinaryFileSource struct {
 	meta  *binaryMeta
 	bytes atomic.Int64
+
+	mu     sync.Mutex
+	mapped bool
+	data   []byte // the mapping; nil for buffered reads and after Close
 }
 
-// OpenBinaryFileSource opens and validates the binary file at path.
+// OpenBinaryFileSource opens and validates the binary file at path for
+// buffered reads: each shard opens its own handle.
 func OpenBinaryFileSource(path string) (*BinaryFileSource, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -88,21 +106,34 @@ func (s *BinaryFileSource) Weighted() bool { return s.meta.weighted }
 // Path implements BinarySource.
 func (s *BinaryFileSource) Path() string { return s.meta.path }
 
-// BytesScanned implements BinarySource.
+// BytesScanned implements BinarySource. For a mapped file a block is
+// scanned when it is decoded out of the mapping.
 func (s *BinaryFileSource) BytesScanned() int64 { return s.bytes.Load() }
 
-// Close implements BinarySource. The source holds no file handle of
-// its own (shards own theirs, released by their Close), so this is a
-// no-op kept for interface symmetry with MmapSource.
-func (s *BinaryFileSource) Close() error { return nil }
+// Close implements BinarySource: it unmaps a mapped file, and it is
+// idempotent. Buffered shards own their file handles, released by
+// their own Close.
+func (s *BinaryFileSource) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	data := s.data
+	s.data = nil
+	if data == nil {
+		return nil
+	}
+	if err := munmapFile(data); err != nil {
+		return fmt.Errorf("edgeio: munmap %s: %w", s.meta.path, err)
+	}
+	return nil
+}
 
-// BlockShards cuts the file into 1..k contiguous block ranges.
-func (s *BinaryFileSource) BlockShards(k int) []*BinaryShard {
+// BlockShards implements BinarySource.
+func (s *BinaryFileSource) BlockShards(k int, weights bool) []*BinaryShard {
 	ranges := blockRanges(len(s.meta.index), k)
 	backing := make([]BinaryShard, len(ranges))
 	shards := make([]*BinaryShard, len(ranges))
 	for i, r := range ranges {
-		backing[i] = BinaryShard{src: s, lo: r[0], hi: r[1]}
+		backing[i] = BinaryShard{src: s, lo: r[0], hi: r[1], next: r[0], weights: weights && s.meta.weighted}
 		shards[i] = &backing[i]
 	}
 	return shards
@@ -110,7 +141,7 @@ func (s *BinaryFileSource) BlockShards(k int) []*BinaryShard {
 
 // Shards implements Source.
 func (s *BinaryFileSource) Shards(k int) []Reader {
-	bs := s.BlockShards(k)
+	bs := s.BlockShards(k, false)
 	out := make([]Reader, len(bs))
 	for i, sh := range bs {
 		out[i] = sh
@@ -121,10 +152,9 @@ func (s *BinaryFileSource) Shards(k int) []Reader {
 // WeightedShards implements WeightedSource. Unweighted files serve
 // weight 1, like the text parsers.
 func (s *BinaryFileSource) WeightedShards(k int) []WeightedReader {
-	bs := s.BlockShards(k)
+	bs := s.BlockShards(k, true)
 	out := make([]WeightedReader, len(bs))
 	for i, sh := range bs {
-		sh.decodeWeights = s.meta.weighted
 		out[i] = binaryWeightedShard{sh}
 	}
 	return out
@@ -150,121 +180,145 @@ func blockRanges(nblocks, k int) [][2]int {
 	return out
 }
 
-// BinaryShard scans one block range of a BinaryFileSource. It
-// implements Reader; WeightedShards wraps it for the weighted lane.
-// The raw, edge, and weight buffers come out of the package pools on
-// the first pass, are reused for every later block and pass, and go
-// back on Close.
+// BinaryShard scans one block range of a binary file, a whole decoded
+// block at a time (Blocks, Block) or an edge at a time (Reset, Next,
+// a cursor over the current block). It implements Reader;
+// WeightedShards wraps it for the weighted lane. A buffered shard opens
+// its own file handle on first use. The raw, edge and weight buffers
+// come out of the package pools on first use, are reused for every
+// later block and pass, and go back on Close, after which the shard
+// refuses every call.
 type BinaryShard struct {
-	src    *BinaryFileSource
-	lo, hi int // block range [lo, hi)
+	src     *BinaryFileSource
+	lo, hi  int  // block range [lo, hi)
+	weights bool // decode the weight column
 
-	f             *os.File
-	raw           []byte
-	edges         []Edge
-	weights       []float64
-	rawBox        *[]byte
-	edgeBox       *[]Edge
-	weightBox     *[]float64
-	decodeWeights bool
+	f         *os.File // buffered reads only
+	rawBox    *[]byte
+	edgeBox   *[]Edge
+	weightBox *[]float64
 
-	block  int // next block to decode
-	pos    int // next edge within the decoded block
-	have   int // decoded edges available
+	cur    []Edge    // the block Next walks
+	curW   []float64 // its weights on the weighted lane
+	pos    int       // Next's position in cur
+	next   int       // the block Next decodes after cur
 	closed bool
 }
 
+// Blocks returns the shard's range [lo, hi) of the file's block
+// numbers. Numbers are global: shard cuts of any k number a block the
+// same way.
+func (sh *BinaryShard) Blocks() (lo, hi int) { return sh.lo, sh.hi }
+
 // Reset implements Reader, (re)positioning the shard at its first
-// block and opening the file handle on first use.
+// block and opening a buffered shard's file handle on first use.
 func (sh *BinaryShard) Reset() error {
-	if sh.closed {
-		return fmt.Errorf("edgeio: Reset on closed shard of %s", sh.src.meta.path)
+	if err := sh.ready(); err != nil {
+		return err
 	}
-	if sh.f == nil {
-		f, err := os.Open(sh.src.meta.path)
+	sh.next = sh.lo
+	sh.cur, sh.curW, sh.pos = nil, nil, 0
+	return nil
+}
+
+// ready checks the shard and its source are open, opening a buffered
+// shard's file handle on first use.
+func (sh *BinaryShard) ready() error {
+	path := sh.src.meta.path
+	switch {
+	case sh.closed:
+		return fmt.Errorf("edgeio: read from a closed shard of %s", path)
+	case sh.src.mapped:
+		if sh.src.data == nil {
+			return fmt.Errorf("edgeio: read from the closed mmap source %s", path)
+		}
+	case sh.f == nil:
+		f, err := os.Open(path)
 		if err != nil {
 			return fmt.Errorf("edgeio: %w", err)
 		}
 		sh.f = f
 	}
-	sh.block = sh.lo
-	sh.pos, sh.have = 0, 0
 	return nil
 }
 
-// fill reads and decodes the next block into the shard's buffers.
-func (sh *BinaryShard) fill() error {
-	if sh.closed {
-		return fmt.Errorf("edgeio: Next on closed shard of %s", sh.src.meta.path)
-	}
-	if sh.f == nil {
-		if err := sh.Reset(); err != nil {
-			return err
-		}
-	}
-	if sh.block >= sh.hi {
-		return io.EOF
+// Block decodes block i (lo <= i < hi) and returns its edges and, on
+// the weighted lane of a weighted file, its weights (nil otherwise).
+// The slices stay valid until the shard's next Block, Next or Close.
+// Block i becomes Next's current block with the cursor at its end, so
+// a following Next continues with block i+1.
+func (sh *BinaryShard) Block(i int) ([]Edge, []float64, error) {
+	if err := sh.ready(); err != nil {
+		return nil, nil, err
 	}
 	m := sh.src.meta
-	i := sh.block
-	size := int(m.blockEnd(i) - m.index[i].off)
-	if cap(sh.raw) < size {
-		if sh.rawBox == nil {
-			sh.rawBox = rawPool.Get().(*[]byte)
-		}
-		if cap(*sh.rawBox) < size {
-			*sh.rawBox = make([]byte, size)
-		}
-		sh.raw = *sh.rawBox
+	if i < sh.lo || i >= sh.hi {
+		return nil, nil, fmt.Errorf("edgeio: %s: block %d outside the shard's range [%d,%d)", m.path, i, sh.lo, sh.hi)
 	}
-	raw := sh.raw[:size]
-	if _, err := sh.f.ReadAt(raw, m.index[i].off); err != nil {
-		return fmt.Errorf("edgeio: %s: reading block %d at offset %d: %w", m.path, i, m.index[i].off, err)
-	}
-	if cap(sh.edges) < m.maxCount {
-		if sh.edgeBox == nil {
-			sh.edgeBox = edgePool.Get().(*[]Edge)
+	off, end := m.index[i].off, m.blockEnd(i)
+	var raw []byte
+	if sh.src.mapped {
+		data := sh.src.data
+		if off < 0 || end > int64(len(data)) || off > end {
+			return nil, nil, fmt.Errorf("edgeio: %s: block %d extent [%d,%d) outside the %d-byte mapping", m.path, i, off, end, len(data))
 		}
-		if cap(*sh.edgeBox) < m.maxCount {
-			*sh.edgeBox = make([]Edge, m.maxCount)
-		}
-		sh.edges = *sh.edgeBox
-		if sh.decodeWeights {
-			if sh.weightBox == nil {
-				sh.weightBox = weightPool.Get().(*[]float64)
-			}
-			if cap(*sh.weightBox) < m.maxCount {
-				*sh.weightBox = make([]float64, m.maxCount)
-			}
-			sh.weights = *sh.weightBox
+		raw = data[off:end]
+	} else {
+		raw = pooled(&sh.rawBox, &rawPool, int(end-off))
+		if _, err := sh.f.ReadAt(raw, off); err != nil {
+			return nil, nil, fmt.Errorf("edgeio: %s: reading block %d at offset %d: %w", m.path, i, off, err)
 		}
 	}
+	edges := pooled(&sh.edgeBox, &edgePool, m.maxCount)
 	var weights []float64
-	if sh.decodeWeights {
-		weights = sh.weights
+	if sh.weights {
+		weights = pooled(&sh.weightBox, &weightPool, m.maxCount)
 	}
-	edges, weights, err := m.decodeBlock(i, raw, sh.edges, weights)
+	edges, weights, err := m.decodeBlock(i, raw, edges, weights)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	sh.edges = edges
-	if sh.decodeWeights {
-		sh.weights = weights
+	sh.src.bytes.Add(end - off)
+	sh.cur, sh.curW, sh.pos, sh.next = edges, weights, len(edges), i+1
+	return edges, weights, nil
+}
+
+// pooled returns the slice in *box resized to n elements, taking the
+// box from pool on first use and growing its slice when short.
+func pooled[T any](box **[]T, pool *sync.Pool, n int) []T {
+	if *box == nil {
+		*box = pool.Get().(*[]T)
 	}
-	sh.src.bytes.Add(int64(size))
-	sh.block++
-	sh.pos, sh.have = 0, len(edges)
+	if cap(**box) < n {
+		**box = make([]T, n)
+	}
+	return (**box)[:n]
+}
+
+// advance makes the next edge of the range current, decoding blocks as
+// the cursor crosses them.
+func (sh *BinaryShard) advance() error {
+	for sh.pos >= len(sh.cur) {
+		if sh.closed || sh.next >= sh.hi {
+			if err := sh.ready(); err != nil {
+				return err
+			}
+			return io.EOF
+		}
+		if _, _, err := sh.Block(sh.next); err != nil {
+			return err
+		}
+		sh.pos = 0
+	}
 	return nil
 }
 
 // Next implements Reader.
 func (sh *BinaryShard) Next() (Edge, error) {
-	for sh.pos >= sh.have {
-		if err := sh.fill(); err != nil {
-			return Edge{}, err
-		}
+	if err := sh.advance(); err != nil {
+		return Edge{}, err
 	}
-	e := sh.edges[sh.pos]
+	e := sh.cur[sh.pos]
 	sh.pos++
 	return e, nil
 }
@@ -276,52 +330,40 @@ func (sh *BinaryShard) Close() error {
 		return nil
 	}
 	sh.closed = true
-	if sh.rawBox != nil {
-		*sh.rawBox = sh.raw[:cap(sh.raw)]
-		rawPool.Put(sh.rawBox)
-		sh.rawBox, sh.raw = nil, nil
-	}
-	if sh.edgeBox != nil {
-		*sh.edgeBox = sh.edges[:cap(sh.edges)]
-		edgePool.Put(sh.edgeBox)
-		sh.edgeBox, sh.edges = nil, nil
-	}
-	if sh.weightBox != nil {
-		*sh.weightBox = sh.weights[:cap(sh.weights)]
-		weightPool.Put(sh.weightBox)
-		sh.weightBox, sh.weights = nil, nil
-	}
-	sh.pos, sh.have = 0, 0
+	release(&sh.rawBox, &rawPool)
+	release(&sh.edgeBox, &edgePool)
+	release(&sh.weightBox, &weightPool)
+	sh.cur, sh.curW, sh.pos = nil, nil, 0
 	if sh.f == nil {
 		return nil
 	}
 	return sh.f.Close()
 }
 
-// binaryWeightedShard adapts a BinaryShard to the weighted lane;
-// unweighted files serve weight 1.
-type binaryWeightedShard struct {
-	sh *BinaryShard
+// release puts a box taken by pooled back into its pool.
+func release[T any](box **[]T, pool *sync.Pool) {
+	if *box != nil {
+		pool.Put(*box)
+		*box = nil
+	}
 }
 
-// Reset implements WeightedReader.
-func (w binaryWeightedShard) Reset() error { return w.sh.Reset() }
+// binaryWeightedShard is a BinaryShard on the weighted lane; unweighted
+// files serve weight 1.
+type binaryWeightedShard struct {
+	*BinaryShard
+}
 
 // Next implements WeightedReader.
 func (w binaryWeightedShard) Next() (WeightedEdge, error) {
-	sh := w.sh
-	for sh.pos >= sh.have {
-		if err := sh.fill(); err != nil {
-			return WeightedEdge{}, err
-		}
+	sh := w.BinaryShard
+	if err := sh.advance(); err != nil {
+		return WeightedEdge{}, err
 	}
-	e := WeightedEdge{U: sh.edges[sh.pos].U, V: sh.edges[sh.pos].V, Weight: 1}
-	if sh.decodeWeights {
-		e.Weight = sh.weights[sh.pos]
+	e := WeightedEdge{U: sh.cur[sh.pos].U, V: sh.cur[sh.pos].V, Weight: 1}
+	if sh.curW != nil {
+		e.Weight = sh.curW[sh.pos]
 	}
 	sh.pos++
 	return e, nil
 }
-
-// Close releases the underlying shard's file handle.
-func (w binaryWeightedShard) Close() error { return w.sh.Close() }

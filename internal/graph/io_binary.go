@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"densestream/internal/edgeio"
@@ -17,11 +16,11 @@ import (
 // bit-identical graphs with identical LabelMaps (and so bit-identical
 // Solutions on every in-memory backend).
 
-// readBinary decodes a BSG1 file's block shards across workers. The
-// weight column is kept only when weighted is true, matching
-// ReadUndirectedFile's contract for text files. A failing shard
-// re-runs the decode as one shard, so the edge index an error names
-// counts from the start of the file.
+// readBinary decodes a BSG1 file's block shards across workers, a
+// whole block at a time. The weight column is decoded only when
+// weighted is true, matching ReadUndirectedFile's contract for text
+// files. A failing shard re-runs the decode as one shard, so the edge
+// index an error names counts from the start of the file.
 func readBinary(path string, weighted bool, workers int) ([]*edgeTokens, error) {
 	src, err := edgeio.OpenBinarySource(path)
 	if err != nil {
@@ -36,36 +35,38 @@ func readBinary(path string, weighted bool, workers int) ([]*edgeTokens, error) 
 }
 
 func decodeBinary(src edgeio.BinarySource, weighted bool, workers int) ([]*edgeTokens, error) {
-	shards := src.WeightedShards(par.Clamp(workers))
+	shards := src.BlockShards(par.Clamp(workers), weighted)
 	return tokenizeShards(len(shards), workers, weighted, func(s int, t *edgeTokens) error {
-		r := shards[s]
-		if c, ok := r.(io.Closer); ok {
-			defer c.Close()
-		}
-		if err := r.Reset(); err != nil {
-			return fmt.Errorf("graph: %w", err)
-		}
-		for i := 0; ; i++ {
-			e, err := r.Next()
-			if err == io.EOF {
-				return nil
-			}
+		sh := shards[s]
+		defer sh.Close()
+		lo, hi := sh.Blocks()
+		first := 0 // shard-relative index of the block's first edge
+		for b := lo; b < hi; b++ {
+			edges, weights, err := sh.Block(b)
 			if err != nil {
 				return fmt.Errorf("graph: %w", err)
 			}
-			if e.U < 0 || e.V < 0 {
-				return fmt.Errorf("graph: %s: edge %d (%d,%d): negative node id", src.Path(), i, e.U, e.V)
+			for j, e := range edges {
+				if e.U < 0 || e.V < 0 {
+					return fmt.Errorf("graph: %s: edge %d (%d,%d): negative node id", src.Path(), first+j, e.U, e.V)
+				}
+				if e.U == e.V {
+					continue // self loop: ignored by the density model
+				}
+				w := 1.0
+				if weights != nil {
+					w = weights[j]
+					if !(w > 0) || math.IsNaN(w) || math.IsInf(w, 0) {
+						return fmt.Errorf("graph: %s: edge %d (%d,%d): %w (got %v)", src.Path(), first+j, e.U, e.V, ErrBadWeight, w)
+					}
+				}
+				u, v := uint64(e.U), uint64(e.V)
+				t.numEnd = max(t.numEnd, u+1, v+1)
+				t.push(u, v, w)
 			}
-			if e.U == e.V {
-				continue // self loop: ignored by the density model
-			}
-			if weighted && (!(e.Weight > 0) || math.IsNaN(e.Weight) || math.IsInf(e.Weight, 0)) {
-				return fmt.Errorf("graph: %s: edge %d (%d,%d): %w (got %v)", src.Path(), i, e.U, e.V, ErrBadWeight, e.Weight)
-			}
-			u, v := uint64(e.U), uint64(e.V)
-			t.numEnd = max(t.numEnd, u+1, v+1)
-			t.push(u, v, e.Weight)
+			first += len(edges)
 		}
+		return nil
 	})
 }
 

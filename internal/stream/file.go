@@ -18,7 +18,8 @@ import (
 //     genGraph converter): block-decoded with no per-edge parsing, read
 //     through an mmap-backed source where the platform supports it (with
 //     a transparent fallback to buffered reads). The node count comes
-//     from the header — no discovery pass.
+//     from the header — no discovery pass. The streaming scan reads
+//     such a file a decoded block at a time and skips dead blocks.
 //
 // FileStream implements ShardedStream: Shards(k) cuts the file into k
 // ranges (byte ranges with line-boundary resync for text, block ranges
@@ -146,7 +147,8 @@ func (fs *FileStream) Shards(k int) []EdgeStream {
 // BytesScanned reports the cumulative bytes this stream has read from
 // disk — for text files the discovery scan plus every pass of every
 // shard; for binary files every block decoded (including through the
-// mmap path, where "read" means decoded out of the mapping).
+// mmap path, where "read" means decoded out of the mapping). A block
+// the scan skips as dead is not read, so it is not counted.
 func (fs *FileStream) BytesScanned() int64 { return fs.bytesFn() }
 
 // Close releases every handle held by the stream and its shards, and

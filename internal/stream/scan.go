@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"densestream/internal/core"
+	"densestream/internal/edgeio"
 	"densestream/internal/graph"
 	"densestream/internal/par"
 )
@@ -38,11 +39,6 @@ func streamScanLanes(n, workers int) int {
 // lane count is a function of the input shape alone and workers merely
 // decide how many lanes run concurrently.
 func weightedScanLanes(n int) int { return streamScanLanes(n, maxScanLanes) }
-
-// scanCheckMask throttles the context poll inside edge scans: one
-// Ctx.Err() load every scanCheckMask+1 edges of a shard, so even a pass
-// over a giant on-disk stream notices cancellation promptly.
-const scanCheckMask = 1<<16 - 1
 
 // StripedDegreeCounter is a lane-striped approximate degree counter,
 // satisfied by sketch.Striped. The counter must be linear: after Fold,
@@ -160,8 +156,17 @@ func peel(es EdgeStream, sketch StripedDegreeCounter, spec core.ScanSpec, o core
 // core scan-peel policy. One pass scans the stream's shards
 // concurrently, each into its own counter lane, and merges per-shard
 // edge counts and weights in shard order; a context error wins over
-// shard errors. A stream that cannot shard runs as a single shard. All
-// scan state is built before the first pass, so a pass allocates
+// shard errors. A stream that cannot shard runs as a single shard.
+//
+// Shards are read a block at a time: BSG1 shards hand over whole
+// decoded blocks, and every other shard goes through nextBlocks. A
+// BSG1 block seen without a live edge is dead: live sets only shrink
+// within a run (see core.ScanOracle), so it can hold no live edge
+// later, and the scanner never reads it again in that run. Deadness is
+// kept per block number, so it does not depend on the shard cut, and a
+// skipped block skips only additions that would never happen.
+//
+// All scan state is built in the first pass, so a later pass allocates
 // nothing beyond what the stream's Shards call does (SliceStream and
 // the file streams memoize their shard sets, and readers keep their
 // decode buffers across passes).
@@ -177,21 +182,26 @@ type scanner struct {
 	counter stripedCounter
 	sketch  StripedDegreeCounter // non-nil: estimates replace counter
 
-	// The current pass: its shards and live sets, whether an edge adds
-	// to its source's and its target's degree, and per-shard results.
-	cur            []EdgeStream
-	wcur           []WeightedEdgeStream
+	// The current pass: its shards as block readers, its live sets,
+	// whether an edge adds to its source's and its target's degree,
+	// and per-shard results.
+	views          []blockShard
+	adapters       []nextBlocks
+	dead           []bool // per block number: seen without a live edge
 	aliveU, aliveV []bool
 	addU, addV     bool
 	slots          []shardSlot
 	task           func(i int)
 }
 
-// edgeReader is what a shard scan calls: an EdgeStream, or the edgeio
-// reader behind one.
-type edgeReader interface {
+// blockShard is one scan shard read a block at a time. A shard with
+// numbered blocks (a BSG1 shard) must hold the same edges under the
+// same number in every pass of a run; nextBlocks, which has none,
+// reports an open-ended range and ends with io.EOF.
+type blockShard interface {
 	Reset() error
-	Next() (Edge, error)
+	Blocks() (lo, hi int)
+	Block(i int) ([]Edge, []float64, error)
 }
 
 // shardSlot is one shard's scan result.
@@ -217,11 +227,13 @@ func newScanner(es EdgeStream, sketch StripedDegreeCounter, lanes int, ctx conte
 }
 
 // Start implements core.ScanOracle; the counter is sized only once the
-// policy has validated the run.
+// policy has validated the run, and a new run starts with no dead
+// block.
 func (s *scanner) Start() (*core.ScanSnapshot, error) {
 	if s.sketch == nil {
 		s.counter.init(s.n, s.lanes)
 	}
+	clear(s.dead)
 	return nil, nil
 }
 
@@ -229,14 +241,7 @@ func (s *scanner) Start() (*core.ScanSnapshot, error) {
 func (s *scanner) Measure(pass int, aliveU, aliveV []bool, side byte) (int64, float64, error) {
 	s.aliveU, s.aliveV = aliveU, aliveV
 	s.addU, s.addV = side != 'T', side != 'S'
-	var k int
-	if s.wshards != nil {
-		s.wcur = s.wshards(s.lanes)
-		k = len(s.wcur)
-	} else {
-		s.cur = s.shards(s.lanes)
-		k = len(s.cur)
-	}
+	k := s.viewShards()
 	if cap(s.slots) < k {
 		s.slots = make([]shardSlot, k)
 	}
@@ -245,10 +250,8 @@ func (s *scanner) Measure(pass int, aliveU, aliveV []bool, side byte) (int64, fl
 		s.sketch.Reset()
 	}
 	s.pool.RunTasks(k, s.task)
-	if s.ctx != nil {
-		if err := s.ctx.Err(); err != nil {
-			return 0, 0, err
-		}
+	if err := s.canceled(); err != nil {
+		return 0, 0, err
 	}
 	var edges int64
 	var weight float64
@@ -270,6 +273,88 @@ func (s *scanner) Measure(pass int, aliveU, aliveV []bool, side byte) (int64, fl
 	return edges, weight, nil
 }
 
+// viewShards fetches the pass's shards and sets s.views to their block
+// readers, returning the shard count. A shard with block methods, or
+// the edgeio reader behind one, is read directly; any other goes
+// through a nextBlocks.
+func (s *scanner) viewShards() int {
+	var cur []EdgeStream
+	var wcur []WeightedEdgeStream
+	if s.wshards != nil {
+		wcur = s.wshards(s.lanes)
+	} else {
+		cur = s.shards(s.lanes)
+	}
+	k := max(len(cur), len(wcur))
+	if cap(s.views) < k {
+		s.views = make([]blockShard, k)
+	}
+	s.views = s.views[:k]
+	blocks := 0
+	for i := range s.views {
+		var r any
+		if wcur != nil {
+			r = wcur[i]
+			if rs, ok := r.(*weightedReaderStream); ok {
+				r = rs.r
+			}
+		} else {
+			r = cur[i]
+			if rs, ok := r.(*readerStream); ok {
+				r = rs.r
+			}
+		}
+		b, numbered := r.(blockShard)
+		if numbered {
+			_, hi := b.Blocks()
+			blocks = max(blocks, hi)
+		} else {
+			b = s.adapter(i, k, r)
+		}
+		s.views[i] = b
+	}
+	if len(s.dead) < blocks {
+		s.dead = make([]bool, blocks)
+	}
+	return k
+}
+
+// adapter returns the nextBlocks of shard i of k over r (an
+// edgeio.Reader or an edgeio.WeightedReader), with its buffers made on
+// first use.
+func (s *scanner) adapter(i, k int, r any) *nextBlocks {
+	if len(s.adapters) < k {
+		s.adapters = make([]nextBlocks, k)
+	}
+	a := &s.adapters[i]
+	if a.edges == nil {
+		a.edges = make([]Edge, 0, nextBlockEdges)
+	}
+	switch r := r.(type) {
+	case edgeio.Reader:
+		a.r, a.wr = r, nil
+	case edgeio.WeightedReader:
+		a.r, a.wr = nil, r
+		if a.weights == nil {
+			a.weights = make([]float64, 0, nextBlockEdges)
+		}
+	}
+	return a
+}
+
+// canceled polls the run's context.
+func (s *scanner) canceled() error {
+	if s.ctx == nil {
+		return nil
+	}
+	return s.ctx.Err()
+}
+
+// nodeRangeErr reports an edge with an end outside 0..n-1.
+func nodeRangeErr(e Edge, n int) error {
+	return fmt.Errorf("%w: edge (%d,%d) with n=%d", graph.ErrNodeRange, e.U, e.V, n)
+}
+
 // Degree implements core.ScanOracle.
 func (s *scanner) Degree(u int32) float64 {
 	if s.sketch != nil {
@@ -282,101 +367,118 @@ func (s *scanner) Degree(u int32) float64 {
 // so a stream has nothing to apply.
 func (s *scanner) Commit(*core.ScanSnapshot) error { return nil }
 
-// vet handles the rare cases of a scanned edge: a read error (io.EOF
-// included), a due context poll, and out-of-range node ids.
-func (s *scanner) vet(err error, u, v int32) error {
-	if err != nil {
-		return err
+// eachBlock walks shard i's blocks in order for one pass, skipping the
+// dead ones and polling the context before each block it reads, and
+// returns the sum of visit's live-edge counts. A numbered block visit
+// finds without a live edge is dead for the rest of the run.
+func (s *scanner) eachBlock(i int, visit func(blk []Edge, weights []float64) (int64, error)) (int64, error) {
+	sh := s.views[i]
+	if err := sh.Reset(); err != nil {
+		return 0, err
 	}
-	if s.ctx != nil {
-		if err := s.ctx.Err(); err != nil {
-			return err
+	lo, hi := sh.Blocks()
+	var dead []bool
+	if _, adapted := sh.(*nextBlocks); !adapted {
+		dead = s.dead[lo:hi]
+	}
+	var edges int64
+	for b := lo; b < hi; b++ {
+		if dead != nil && dead[b-lo] {
+			continue
 		}
+		if err := s.canceled(); err != nil {
+			return 0, err
+		}
+		blk, weights, err := sh.Block(b)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return 0, err
+		}
+		live, err := visit(blk, weights)
+		if err != nil {
+			return 0, err
+		}
+		if live == 0 && dead != nil {
+			dead[b-lo] = true
+		}
+		edges += live
 	}
-	if u < 0 || int(u) >= s.n || v < 0 || int(v) >= s.n {
-		return fmt.Errorf("%w: edge (%d,%d) with n=%d", graph.ErrNodeRange, u, v, s.n)
-	}
-	return nil
+	return edges, nil
 }
 
 // scanEdges scans unweighted shard i into lane i. The live test and
-// the count run inline: this loop is the whole cost of a pass.
+// the count run inline: this loop is the whole cost of a pass over
+// decoded edges.
 func (s *scanner) scanEdges(i int) shardSlot {
-	// Slice and file shards wrap an edgeio reader; reading it directly
-	// saves one dynamic call per edge.
-	var sh edgeReader = s.cur[i]
-	if rs, ok := sh.(*readerStream); ok {
-		sh = rs.r
-	}
-	if err := sh.Reset(); err != nil {
-		return shardSlot{err: err}
-	}
 	var lane []float64
 	var dirty []bool
 	if s.sketch == nil {
 		s.counter.reset(i)
 		lane, dirty = s.counter.lane(i)
 	}
-	aliveU, aliveV, addU, addV, n := s.aliveU, s.aliveV, s.addU, s.addV, s.n
-	var edges int64
-	for scanned := 0; ; scanned++ {
-		e, err := sh.Next()
-		if err != nil || scanned&scanCheckMask == 0 || e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
-			if err := s.vet(err, e.U, e.V); err == io.EOF {
-				return shardSlot{edges: edges}
-			} else if err != nil {
-				return shardSlot{err: err}
+	aliveU, aliveV, addU, addV, n := s.aliveU, s.aliveV, s.addU, s.addV, uint(s.n)
+	edges, err := s.eachBlock(i, func(blk []Edge, _ []float64) (int64, error) {
+		var live int64
+		for _, e := range blk {
+			if uint(e.U) >= n || uint(e.V) >= n {
+				return 0, nodeRangeErr(e, s.n)
+			}
+			if !aliveU[e.U] || !aliveV[e.V] {
+				continue
+			}
+			live++
+			if lane == nil {
+				s.sketch.AddLane(i, e.U)
+				s.sketch.AddLane(i, e.V)
+				continue
+			}
+			if addU {
+				lane[e.U]++
+				dirty[uint32(e.U)/par.ChunkSize] = true
+			}
+			if addV {
+				lane[e.V]++
+				dirty[uint32(e.V)/par.ChunkSize] = true
 			}
 		}
-		if !aliveU[e.U] || !aliveV[e.V] {
-			continue
-		}
-		edges++
-		if lane == nil {
-			s.sketch.AddLane(i, e.U)
-			s.sketch.AddLane(i, e.V)
-			continue
-		}
-		if addU {
-			lane[e.U]++
-			dirty[uint32(e.U)/par.ChunkSize] = true
-		}
-		if addV {
-			lane[e.V]++
-			dirty[uint32(e.V)/par.ChunkSize] = true
-		}
-	}
+		return live, nil
+	})
+	return shardSlot{edges: edges, err: err}
 }
 
 // scanWeighted scans weighted shard i into lane i, summing the live
-// weight in stream order.
+// weight in stream order across its blocks. A block without a weight
+// column weighs 1 per edge.
 func (s *scanner) scanWeighted(i int) shardSlot {
-	sh := s.wcur[i]
-	if err := sh.Reset(); err != nil {
-		return shardSlot{err: err}
-	}
 	s.counter.reset(i)
 	lane, dirty := s.counter.lane(i)
-	alive, n := s.aliveU, s.n
-	var edges int64
+	alive, n := s.aliveU, uint(s.n)
 	var weight float64
-	for scanned := 0; ; scanned++ {
-		e, err := sh.Next()
-		if err != nil || scanned&scanCheckMask == 0 || e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
-			if err := s.vet(err, e.U, e.V); err == io.EOF {
-				return shardSlot{edges: edges, weight: weight}
-			} else if err != nil {
-				return shardSlot{err: err}
+	edges, err := s.eachBlock(i, func(blk []Edge, ws []float64) (int64, error) {
+		var live int64
+		sum := weight
+		for j, e := range blk {
+			if uint(e.U) >= n || uint(e.V) >= n {
+				return 0, nodeRangeErr(e, s.n)
 			}
+			if !alive[e.U] || !alive[e.V] {
+				continue
+			}
+			w := 1.0
+			if ws != nil {
+				w = ws[j]
+			}
+			live++
+			sum += w
+			lane[e.U] += w
+			lane[e.V] += w
+			dirty[uint32(e.U)/par.ChunkSize] = true
+			dirty[uint32(e.V)/par.ChunkSize] = true
 		}
-		if !alive[e.U] || !alive[e.V] {
-			continue
-		}
-		edges++
-		weight += e.Weight
-		lane[e.U] += e.Weight
-		lane[e.V] += e.Weight
-		dirty[uint32(e.U)/par.ChunkSize] = true
-		dirty[uint32(e.V)/par.ChunkSize] = true
-	}
+		weight = sum
+		return live, nil
+	})
+	return shardSlot{edges: edges, weight: weight, err: err}
 }

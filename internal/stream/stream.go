@@ -6,9 +6,11 @@
 // slices (tests, benchmarks), frozen graphs, and edge-list files on disk
 // (true external streaming). Every objective here (Algorithms 1–3, the
 // weighted and sketched variants, the δ-sweep) is the core scan-peel
-// policy over one degree oracle: a scan that re-streams all edges once
+// policy over one degree oracle: a scan that re-streams the edges once
 // per pass, split across workers through the stream's shards, into an
-// O(n) striped counter. A stream that does not implement ShardedStream
+// O(n) striped counter. Shards are read a block at a time, and a
+// binary file's blocks that an earlier pass found without a live edge
+// are not read again. A stream that does not implement ShardedStream
 // (or ShardedWeightedStream) is scanned as a single shard. Pass counts
 // are exactly the paper's pass complexity.
 package stream
@@ -17,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"densestream/internal/edgeio"
 	"densestream/internal/graph"
@@ -162,4 +165,58 @@ func (f *FaultStream) Next() (Edge, error) {
 		f.served++
 	}
 	return e, err
+}
+
+// nextBlockEdges is the block size nextBlocks reads a shard in.
+const nextBlockEdges = 1024
+
+// nextBlocks is the scanner's view of a shard without numbered blocks
+// (text files, slices, user streams): it reads the shard through Next,
+// nextBlockEdges edges per block, on one lane (r or wr). Its block
+// range is open-ended: Block returns io.EOF once the shard is drained,
+// and hands out the edges read before an error ahead of the error
+// itself, so a scan meets bad edges and errors in stream order.
+type nextBlocks struct {
+	r       edgeio.Reader
+	wr      edgeio.WeightedReader
+	edges   []Edge
+	weights []float64 // weighted lane only
+	err     error
+}
+
+// Reset rewinds the shard for a new pass.
+func (a *nextBlocks) Reset() error {
+	a.err = nil
+	if a.wr != nil {
+		return a.wr.Reset()
+	}
+	return a.r.Reset()
+}
+
+// Blocks reports an open-ended range; the shard ends with io.EOF.
+func (a *nextBlocks) Blocks() (lo, hi int) { return 0, math.MaxInt }
+
+// Block reads the shard's next block, whatever the number asked for.
+func (a *nextBlocks) Block(int) ([]Edge, []float64, error) {
+	edges, weights := a.edges[:0], a.weights[:0]
+	if a.wr != nil {
+		for a.err == nil && len(edges) < cap(edges) {
+			var e WeightedEdge
+			if e, a.err = a.wr.Next(); a.err == nil {
+				edges = append(edges, Edge{U: e.U, V: e.V})
+				weights = append(weights, e.Weight)
+			}
+		}
+	} else {
+		for a.err == nil && len(edges) < cap(edges) {
+			var e Edge
+			if e, a.err = a.r.Next(); a.err == nil {
+				edges = append(edges, e)
+			}
+		}
+	}
+	if len(edges) == 0 {
+		return nil, nil, a.err
+	}
+	return edges, weights, nil
 }

@@ -120,7 +120,8 @@ func (ws *WeightedFileStream) WeightedShards(k int) []WeightedEdgeStream {
 }
 
 // BytesScanned reports the cumulative bytes this stream has read from
-// disk across discovery (text only) and every pass.
+// disk across discovery (text only) and every pass; binary blocks the
+// scan skips as dead are not read and not counted.
 func (ws *WeightedFileStream) BytesScanned() int64 { return ws.bytesFn() }
 
 // Close releases every handle held by the stream and its shards, and

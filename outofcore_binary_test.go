@@ -7,6 +7,7 @@ package densestream_test
 // MapReduce backends.
 
 import (
+	"io"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -29,7 +30,9 @@ func writeBinaryEdgeFile(t *testing.T, g *ds.UndirectedGraph) string {
 
 // binSourceStream adapts a specific edgeio.BinarySource into a
 // ShardedStream, bypassing OpenBinarySource's reader selection so the
-// sweep can pin the mmap and buffered readers individually.
+// sweep can pin the mmap and buffered readers individually. Its shards
+// keep the readers' block methods, so the scan reads them a block at a
+// time as it reads a file opened by Path.
 type binSourceStream struct {
 	src    edgeio.BinarySource
 	seq    edgeio.Reader
@@ -44,27 +47,65 @@ func newBinSourceStream(src edgeio.BinarySource) *binSourceStream {
 func (s *binSourceStream) NumNodes() int              { return s.src.Nodes() }
 func (s *binSourceStream) Reset() error               { return s.seq.Reset() }
 func (s *binSourceStream) Next() (stream.Edge, error) { return s.seq.Next() }
+func (s *binSourceStream) BytesScanned() int64        { return s.src.BytesScanned() }
 
 func (s *binSourceStream) Shards(k int) []stream.EdgeStream {
 	if s.shards == nil || s.shardK != k {
-		readers := s.src.Shards(k)
-		s.shards = make([]stream.EdgeStream, len(readers))
-		for i, r := range readers {
-			s.shards[i] = readerEdgeStream{n: s.src.Nodes(), r: r}
+		shards := s.src.BlockShards(k, false)
+		s.shards = make([]stream.EdgeStream, len(shards))
+		for i, sh := range shards {
+			s.shards[i] = pinnedShard{n: s.src.Nodes(), BinaryShard: sh}
 		}
 		s.shardK = k
 	}
 	return s.shards
 }
 
-type readerEdgeStream struct {
+type pinnedShard struct {
 	n int
-	r edgeio.Reader
+	*edgeio.BinaryShard
 }
 
-func (s readerEdgeStream) NumNodes() int              { return s.n }
-func (s readerEdgeStream) Reset() error               { return s.r.Reset() }
-func (s readerEdgeStream) Next() (stream.Edge, error) { return s.r.Next() }
+func (s pinnedShard) NumNodes() int { return s.n }
+
+// binSourceWeightedStream is binSourceStream on the weighted lane.
+type binSourceWeightedStream struct {
+	src    edgeio.BinarySource
+	seq    edgeio.WeightedReader
+	shards []stream.WeightedEdgeStream
+	shardK int
+}
+
+// blockWeightedReader is a weighted BSG1 shard with its block methods.
+type blockWeightedReader interface {
+	edgeio.WeightedReader
+	Blocks() (lo, hi int)
+	Block(i int) ([]edgeio.Edge, []float64, error)
+}
+
+type pinnedWeightedShard struct {
+	n int
+	blockWeightedReader
+}
+
+func (s pinnedWeightedShard) NumNodes() int { return s.n }
+
+func (s *binSourceWeightedStream) NumNodes() int                      { return s.src.Nodes() }
+func (s *binSourceWeightedStream) Reset() error                       { return s.seq.Reset() }
+func (s *binSourceWeightedStream) Next() (stream.WeightedEdge, error) { return s.seq.Next() }
+func (s *binSourceWeightedStream) BytesScanned() int64                { return s.src.BytesScanned() }
+
+func (s *binSourceWeightedStream) WeightedShards(k int) []stream.WeightedEdgeStream {
+	if s.shards == nil || s.shardK != k {
+		readers := s.src.WeightedShards(k)
+		s.shards = make([]stream.WeightedEdgeStream, len(readers))
+		for i, r := range readers {
+			s.shards[i] = pinnedWeightedShard{n: s.src.Nodes(), blockWeightedReader: r.(blockWeightedReader)}
+		}
+		s.shardK = k
+	}
+	return s.shards
+}
 
 // TestOutOfCoreBinaryStreamParity: `-algo stream` must produce the same
 // Solution from the resident graph, the text file, the binary file
@@ -202,5 +243,151 @@ func TestOutOfCoreBinarySketchedParity(t *testing.T) {
 				t.Fatalf("workers=%d path=%s: sketched Solution differs", workers, filepath.Ext(path))
 			}
 		}
+	}
+}
+
+// writeBlockFile writes edges as a BSG1 file of 64-edge blocks, so a
+// sweep graph spans about a hundred blocks, and whole blocks of the
+// CSR-ordered edges lose their last live edge as the peel advances.
+func writeBlockFile(t *testing.T, weighted bool, edges func(yield func(u, v int32, w float64) bool)) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "blocks.bsg")
+	w, err := edgeio.CreateBinary(path, weighted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SetBlockEdges(64)
+	edges(func(u, v int32, wt float64) bool {
+		w.AppendWeighted(edgeio.WeightedEdge{U: u, V: v, Weight: wt})
+		return true
+	})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// blockBytes is the total size of a BSG1 file's blocks: what one full
+// pass that skips nothing scans.
+func blockBytes(t *testing.T, path string) int64 {
+	t.Helper()
+	src, err := edgeio.OpenBinaryFileSource(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := src.Shards(1)[0]
+	defer sh.(io.Closer).Close()
+	if err := sh.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, err := sh.Next(); err == io.EOF {
+			return src.BytesScanned()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestOutOfCoreBinaryBlockSkipParity: on multi-block BSG1 files every
+// streaming objective (Undirected, AtLeastK, Directed at three ratios,
+// weighted and sketched) must return the text route's Solution through
+// the Path route and through the pinned buffered and mmap readers, at
+// every worker count, while the scan skips blocks left without a live
+// edge. The skip depends on block numbers alone, so BytesScanned is
+// the same at every worker count and on every route, and it stays
+// below passes × the file's block bytes.
+func TestOutOfCoreBinaryBlockSkipParity(t *testing.T) {
+	g := outOfCoreGraphs(t)[0]
+	b := ds.NewBuilder(g.NumNodes())
+	i := 0
+	g.Edges(func(u, v int32, _ float64) bool {
+		i++
+		if err := b.AddWeightedEdge(u, v, 0.5*float64(1+i%4)); err != nil {
+			t.Fatal(err)
+		}
+		return true
+	})
+	wg, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dg, err := ds.GenerateChungLuDirected(800, 5000, 2.2, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	undirected := struct{ txt, bin string }{writeEdgeFile(t, g), writeBlockFile(t, false, g.Edges)}
+	weighted := struct{ txt, bin string }{writeEdgeFile(t, wg), writeBlockFile(t, true, wg.Edges)}
+	directed := struct{ txt, bin string }{writeDirectedEdgeFile(t, dg), writeBlockFile(t, false, func(yield func(u, v int32, w float64) bool) {
+		dg.Edges(func(u, v int32) bool { return yield(u, v, 1) })
+	})}
+	sketch := ds.WithSketch(ds.SketchConfig{Tables: 5, Buckets: 256, Seed: 1})
+	cases := []struct {
+		name  string
+		files struct{ txt, bin string }
+		p     ds.Problem
+		opts  []ds.Option
+	}{
+		{"undirected", undirected, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendStream, Eps: 0.5}, nil},
+		{"atleastk", undirected, ds.Problem{Objective: ds.ObjectiveAtLeastK, Backend: ds.BackendStream, K: 50, Eps: 0.5}, nil},
+		{"sketched", undirected, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendStreamSketched, Eps: 0.5}, []ds.Option{sketch}},
+		{"weighted", weighted, ds.Problem{Objective: ds.ObjectiveWeighted, Backend: ds.BackendStream, Eps: 0.5}, nil},
+		{"directed-c0.5", directed, ds.Problem{Objective: ds.ObjectiveDirected, Backend: ds.BackendStream, C: 0.5, Eps: 0.5}, nil},
+		{"directed-c1", directed, ds.Problem{Objective: ds.ObjectiveDirected, Backend: ds.BackendStream, C: 1, Eps: 0.5}, nil},
+		{"directed-c2", directed, ds.Problem{Objective: ds.ObjectiveDirected, Backend: ds.BackendStream, C: 2, Eps: 0.5}, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			full := blockBytes(t, tc.files.bin)
+			pt := tc.p
+			pt.Path = tc.files.txt
+			want := stripStats(solveOK(t, pt, append(tc.opts, ds.WithWorkers(1))...))
+			var scanned int64
+			check := func(route string, workers int, sol *ds.Solution) {
+				t.Helper()
+				if !reflect.DeepEqual(stripStats(sol), want) {
+					t.Fatalf("%s workers=%d: Solution differs from the text route", route, workers)
+				}
+				if scanned == 0 {
+					scanned = sol.Stats.BytesScanned
+					if limit := int64(sol.Passes) * full; scanned <= 0 || scanned >= limit {
+						t.Fatalf("%s workers=%d: BytesScanned %d, want in (0, %d): no block was skipped", route, workers, scanned, limit)
+					}
+				} else if sol.Stats.BytesScanned != scanned {
+					t.Fatalf("%s workers=%d: BytesScanned %d, want %d as on every route and worker count", route, workers, sol.Stats.BytesScanned, scanned)
+				}
+			}
+			for _, workers := range []int{1, 2, 4, 8} {
+				opts := append(tc.opts, ds.WithWorkers(workers))
+				pt := tc.p
+				pt.Path = tc.files.txt
+				if got := stripStats(solveOK(t, pt, opts...)); !reflect.DeepEqual(got, want) {
+					t.Fatalf("text workers=%d: Solution differs from workers=1", workers)
+				}
+				pb := tc.p
+				pb.Path = tc.files.bin
+				check("path", workers, solveOK(t, pb, opts...))
+				for _, pinned := range []struct {
+					name string
+					open func(string) (edgeio.BinarySource, error)
+				}{
+					{"buffered", func(p string) (edgeio.BinarySource, error) { return edgeio.OpenBinaryFileSource(p) }},
+					{"mmap", func(p string) (edgeio.BinarySource, error) { return edgeio.OpenMmapSource(p) }},
+				} {
+					src, err := pinned.open(tc.files.bin)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pp := tc.p
+					if pp.Objective == ds.ObjectiveWeighted {
+						pp.WeightedEdges = &binSourceWeightedStream{src: src, seq: src.WeightedShards(1)[0]}
+					} else {
+						pp.Edges = newBinSourceStream(src)
+					}
+					check(pinned.name, workers, solveOK(t, pp, opts...))
+					src.Close()
+				}
+			}
+		})
 	}
 }

@@ -82,8 +82,12 @@ type Solution struct {
 // edge layer. Both fields are 0 for fully in-memory runs.
 type SolveStats struct {
 	// BytesScanned counts bytes read from an on-disk edge-list input by
-	// the streaming backends — the node-count discovery scan plus every
-	// pass of every shard (comments and resync skips included).
+	// the streaming backends: the node-count discovery scan plus every
+	// pass of every shard. It counts the text lines (comments and
+	// resync skips included) and the binary blocks actually read; a
+	// binary block a pass skips, because an earlier pass found no live
+	// edge in it, counts nothing. The skips depend on the blocks alone,
+	// so the count is the same at every worker count.
 	BytesScanned int64 `json:"bytesScanned"`
 	// BytesSpilled counts bytes the MapReduce backend wrote to spill
 	// files under the MRConfig.SpillBytes budget.
