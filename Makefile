@@ -16,7 +16,7 @@ BENCH_ALLOC_GATED = BenchmarkFileStreamPeel,BenchmarkBinaryStreamPeel,BenchmarkM
 BENCH_PATTERN = BenchmarkTable1|BenchmarkParallelPeel|BenchmarkMapReducePeel|BenchmarkMapReduceCheckpoint|BenchmarkMapReduceSpill|BenchmarkFileStreamPeel|BenchmarkBinaryStreamPeel|BenchmarkConvert|BenchmarkCore|BenchmarkServe|BenchmarkDynamic
 BENCH_PKGS = . ./internal/core ./internal/serve
 
-.PHONY: build test race fuzz-smoke bench bench-core bench-mr bench-json bench-trend fmt fmt-check vet api-check api-snapshot serve-smoke deprecated-check ci
+.PHONY: build test race fuzz-smoke bench bench-core bench-mr bench-json bench-trend fmt fmt-check vet api-check api-snapshot serve-smoke ci
 
 build:
 	$(GO) build ./...
@@ -92,11 +92,6 @@ api-snapshot:
 serve-smoke:
 	$(GO) run ./cmd/densestd -smoke
 
-# Fail when cmd/ or internal/ code still calls a deprecated entry
-# point instead of the Solve front door.
-deprecated-check:
-	scripts/check_deprecated.sh
-
 fmt:
 	gofmt -w .
 
@@ -108,4 +103,4 @@ vet:
 
 # bench-trend mirrors CI's gate; refresh the committed baseline
 # deliberately with `make bench-json`.
-ci: build vet fmt-check api-check deprecated-check test race fuzz-smoke serve-smoke bench-trend
+ci: build vet fmt-check api-check test race fuzz-smoke serve-smoke bench-trend

@@ -1,151 +1,30 @@
 package densestream
 
 import (
-	"context"
-
-	"densestream/internal/charikar"
 	"densestream/internal/core"
-	"densestream/internal/flow"
 	"densestream/internal/kcore"
 	"densestream/internal/mapreduce"
 )
 
-// Result is the output of the undirected approximation algorithms: the
-// densest intermediate subgraph S̃, its density, the number of passes the
-// algorithm made over the edges, and a per-pass trace.
-type Result = core.Result
-
-// PassStat is one entry of Result.Trace.
+// PassStat is one entry of Solution.Trace.
 type PassStat = core.PassStat
 
-// DirectedResult is the output of the directed algorithms.
+// DirectedResult is one directed run at a fixed ratio c; it is the
+// type of SweepResult.Best.
 type DirectedResult = core.DirectedResult
 
-// DirectedPassStat is one entry of DirectedResult.Trace.
+// DirectedPassStat is one entry of Solution.DirectedTrace.
 type DirectedPassStat = core.DirectedPassStat
 
-// SweepResult aggregates DirectedSweep over all attempted ratios c.
+// SweepResult aggregates ObjectiveDirectedSweep over all attempted
+// ratios c; Solve returns it in Solution.Sweep.
 type SweepResult = core.SweepResult
 
 // SweepPoint is the outcome for a single c in a sweep.
 type SweepPoint = core.SweepPoint
 
-// ExactResult is the output of the exact flow-based solver.
-type ExactResult = flow.Result
-
-// GreedyResult is the output of Charikar's greedy baseline.
-type GreedyResult = charikar.Result
-
-// Undirected runs Algorithm 1 of the paper: each pass removes every node
-// with degree at most 2(1+ε) times the current density and keeps the
-// densest intermediate subgraph. It guarantees ρ(S̃) ≥ ρ*(G)/(2+2ε) and
-// makes O(log_{1+ε} n) passes.
-//
-// Deprecated: use the Solve front door, which adds context
-// cancellation and progress hooks and returns bit-identical results:
-//
-//	Solve(ctx, Problem{Objective: ObjectiveUndirected, Backend: BackendPeel, Eps: eps, Graph: g})
-func Undirected(g *UndirectedGraph, eps float64, opts ...Option) (*Result, error) {
-	sol, err := Solve(context.Background(), Problem{Objective: ObjectiveUndirected, Backend: BackendPeel, Eps: eps, Graph: g}, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return sol.asResult(), nil
-}
-
-// UndirectedWeighted is Undirected over weighted degrees; it accepts
-// unweighted graphs too (treated as unit weights).
-//
-// Deprecated: use the Solve front door:
-//
-//	Solve(ctx, Problem{Objective: ObjectiveWeighted, Backend: BackendPeel, Eps: eps, Graph: g})
-func UndirectedWeighted(g *UndirectedGraph, eps float64, opts ...Option) (*Result, error) {
-	sol, err := Solve(context.Background(), Problem{Objective: ObjectiveWeighted, Backend: BackendPeel, Eps: eps, Graph: g}, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return sol.asResult(), nil
-}
-
-// AtLeastK runs Algorithm 2: the returned subgraph has at least k nodes
-// and density within (3+3ε) of the best subgraph of size ≥ k — within
-// (2+2ε) when the optimal such subgraph has more than k nodes.
-//
-// Deprecated: use the Solve front door:
-//
-//	Solve(ctx, Problem{Objective: ObjectiveAtLeastK, Backend: BackendPeel, Eps: eps, K: k, Graph: g})
-func AtLeastK(g *UndirectedGraph, k int, eps float64, opts ...Option) (*Result, error) {
-	sol, err := Solve(context.Background(), Problem{Objective: ObjectiveAtLeastK, Backend: BackendPeel, K: k, Eps: eps, Graph: g}, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return sol.asResult(), nil
-}
-
-// Directed runs Algorithm 3 for a fixed ratio guess c = |S*|/|T*|,
-// guaranteeing a (2+2ε)-approximation when c is correct.
-//
-// Deprecated: use the Solve front door:
-//
-//	Solve(ctx, Problem{Objective: ObjectiveDirected, Backend: BackendPeel, Eps: eps, C: c, Directed: g})
-func Directed(g *DirectedGraph, c, eps float64, opts ...Option) (*DirectedResult, error) {
-	sol, err := Solve(context.Background(), Problem{Objective: ObjectiveDirected, Backend: BackendPeel, C: c, Eps: eps, Directed: g}, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return sol.asDirectedResult(), nil
-}
-
-// DirectedSweep tries c = δ^j for all j covering [1/n, n] and returns the
-// best result; the sweep costs at most a factor δ in approximation.
-//
-// Deprecated: use the Solve front door (the sweep detail lands in
-// Solution.Sweep):
-//
-//	Solve(ctx, Problem{Objective: ObjectiveDirectedSweep, Eps: eps, Delta: delta, Directed: g})
-func DirectedSweep(g *DirectedGraph, delta, eps float64, opts ...Option) (*SweepResult, error) {
-	sol, err := Solve(context.Background(), Problem{Objective: ObjectiveDirectedSweep, Backend: BackendPeel, Delta: delta, Eps: eps, Directed: g}, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return sol.Sweep, nil
-}
-
-// Exact computes the optimal density ρ*(G) and a witness subgraph using
-// Goldberg's max-flow characterization (the role the LP plays in the
-// paper's Table 2). Exponentially smaller graphs than the streaming
-// algorithms handle — intended for ground truth at moderate scale.
-//
-// Deprecated: use the Solve front door (the exact ratio lands in
-// Solution.ExactNumer/ExactDenom):
-//
-//	Solve(ctx, Problem{Objective: ObjectiveExact, Graph: g})
-func Exact(g *UndirectedGraph) (*ExactResult, error) {
-	return flow.ExactDensest(g)
-}
-
-// Greedy runs Charikar's greedy 2-approximation (remove one minimum-
-// degree node at a time), the algorithm the paper's Algorithm 1 relaxes.
-//
-// Deprecated: use the Solve front door:
-//
-//	Solve(ctx, Problem{Objective: ObjectiveGreedy, Graph: g})
-func Greedy(g *UndirectedGraph) (*GreedyResult, error) {
-	return charikar.Densest(g)
-}
-
-// GreedyWeighted is Greedy over weighted degrees.
-//
-// Deprecated: use the Solve front door — weighted graphs use weighted
-// degrees automatically:
-//
-//	Solve(ctx, Problem{Objective: ObjectiveGreedy, Graph: g})
-func GreedyWeighted(g *UndirectedGraph) (*GreedyResult, error) {
-	return charikar.DensestWeighted(g)
-}
-
 // BestCore returns the densest d-core of the graph (a 2-approximation
-// closely related to Greedy) together with its density.
+// closely related to ObjectiveGreedy) together with its density.
 func BestCore(g *UndirectedGraph) ([]int32, float64, error) {
 	return kcore.BestCore(g)
 }
@@ -163,24 +42,14 @@ func BestCore(g *UndirectedGraph) ([]int32, float64, error) {
 // Pass it through WithMapReduceConfig.
 type MRConfig = mapreduce.Config
 
-// MRStats reports the work of one MapReduce job or round.
-type MRStats = mapreduce.Stats
-
 // MRMachineStats is the shuffle volume one simulated machine received.
 type MRMachineStats = mapreduce.MachineStats
 
-// MRRoundStat is one entry of MRResult.Rounds.
+// MRRoundStat is one entry of Solution.MRRounds.
 type MRRoundStat = mapreduce.RoundStat
 
-// MRDirectedRoundStat is one entry of MRDirectedResult.Rounds.
+// MRDirectedRoundStat is one entry of Solution.MRDirectedRounds.
 type MRDirectedRoundStat = mapreduce.DirectedRoundStat
-
-// MRResult is the output of the MapReduce drivers, including per-round
-// wall-clock and shuffle statistics (total and per machine).
-type MRResult = mapreduce.MRResult
-
-// MRDirectedResult is the directed analogue of MRResult.
-type MRDirectedResult = mapreduce.MRDirectedResult
 
 // MRFailurePlan is a deterministic failure schedule for the simulated
 // cluster, installed via MRConfig.Failures: explicit task and machine
@@ -195,8 +64,9 @@ type MRFault = mapreduce.Fault
 // MRFaultKind selects what an MRFault takes down.
 type MRFaultKind = mapreduce.FaultKind
 
-// The injectable fault kinds, plus the map-task target reproducing the
-// legacy MRConfig.Straggler behavior.
+// The injectable fault kinds, plus MRFirstSpilledShard: the MRFaultMap
+// target that resolves, per job, to the map task covering the input's
+// first spilled partition.
 const (
 	MRFaultMap          = mapreduce.FaultMap
 	MRFaultReduce       = mapreduce.FaultReduce
@@ -207,7 +77,7 @@ const (
 // MRFaultStats counts a MapReduce run's fault-tolerance events: task
 // reruns, speculative wins/losses, machine failures, checkpoints
 // written, and the round a resumed run restarted from. Carried in
-// MRResult.Faults and Solution.MRFaults.
+// Solution.MRFaults.
 type MRFaultStats = mapreduce.FaultStats
 
 // ErrSimulatedCrash is returned by a MapReduce solve whose failure plan
@@ -215,77 +85,3 @@ type MRFaultStats = mapreduce.FaultStats
 // subsequent solve with the same MRConfig.CheckpointDir resumes from
 // the persisted round checkpoint.
 var ErrSimulatedCrash = mapreduce.ErrSimulatedCrash
-
-// MapReduce runs Algorithm 1 as MapReduce rounds (§5.2): per pass, one
-// degree job and two marker-join filter jobs, executed on a simulated
-// cluster with real worker parallelism. Results match Undirected
-// exactly, and are bit-identical for every cluster shape given with
-// WithMapReduceConfig.
-//
-// Deprecated: use the Solve front door (round traces land in
-// Solution.MRRounds):
-//
-//	Solve(ctx, Problem{Objective: ObjectiveUndirected, Backend: BackendMapReduce, Eps: eps, Graph: g})
-func MapReduce(g *UndirectedGraph, eps float64, opts ...Option) (*MRResult, error) {
-	sol, err := Solve(context.Background(), Problem{Objective: ObjectiveUndirected, Backend: BackendMapReduce, Eps: eps, Graph: g}, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return sol.asMRResult(), nil
-}
-
-// MapReduceDirected runs Algorithm 3 as MapReduce rounds for a fixed c.
-//
-// Deprecated: use the Solve front door:
-//
-//	Solve(ctx, Problem{Objective: ObjectiveDirected, Backend: BackendMapReduce, Eps: eps, C: c, Directed: g})
-func MapReduceDirected(g *DirectedGraph, c, eps float64, opts ...Option) (*MRDirectedResult, error) {
-	sol, err := Solve(context.Background(), Problem{Objective: ObjectiveDirected, Backend: BackendMapReduce, C: c, Eps: eps, Directed: g}, opts...)
-	if err != nil {
-		return nil, err
-	}
-	r := &MRDirectedResult{S: sol.S, T: sol.T, Density: sol.Density, Passes: sol.Passes, Rounds: sol.MRDirectedRounds, SpilledBytes: sol.Stats.BytesSpilled}
-	if sol.MRFaults != nil {
-		r.Faults = *sol.MRFaults
-		r.StragglerReruns = r.Faults.MapTaskReruns
-	}
-	return r, nil
-}
-
-// MapReduceAtLeastK runs Algorithm 2 as MapReduce rounds; results match
-// AtLeastK exactly.
-//
-// Deprecated: use the Solve front door:
-//
-//	Solve(ctx, Problem{Objective: ObjectiveAtLeastK, Backend: BackendMapReduce, Eps: eps, K: k, Graph: g})
-func MapReduceAtLeastK(g *UndirectedGraph, k int, eps float64, opts ...Option) (*MRResult, error) {
-	sol, err := Solve(context.Background(), Problem{Objective: ObjectiveAtLeastK, Backend: BackendMapReduce, K: k, Eps: eps, Graph: g}, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return sol.asMRResult(), nil
-}
-
-// DefaultMRConfig is a small single-machine simulated cluster suitable
-// for laptops.
-var DefaultMRConfig = mapreduce.DefaultConfig
-
-// asResult reconstructs the legacy Result shape from a Solution.
-func (s *Solution) asResult() *Result {
-	return &Result{Set: s.Set, Density: s.Density, Passes: s.Passes, Trace: s.Trace}
-}
-
-// asDirectedResult reconstructs the legacy DirectedResult shape.
-func (s *Solution) asDirectedResult() *DirectedResult {
-	return &DirectedResult{S: s.S, T: s.T, Density: s.Density, Passes: s.Passes, Trace: s.DirectedTrace}
-}
-
-// asMRResult reconstructs the legacy MRResult shape.
-func (s *Solution) asMRResult() *MRResult {
-	r := &MRResult{Set: s.Set, Density: s.Density, Passes: s.Passes, Rounds: s.MRRounds, SpilledBytes: s.Stats.BytesSpilled}
-	if s.MRFaults != nil {
-		r.Faults = *s.MRFaults
-		r.StragglerReruns = r.Faults.MapTaskReruns
-	}
-	return r
-}

@@ -141,10 +141,11 @@ func benchGraph(b *testing.B) *ds.UndirectedGraph {
 // BenchmarkPeelUndirected measures Algorithm 1 throughput at ε=1.
 func BenchmarkPeelUndirected(b *testing.B) {
 	g := benchGraph(b)
+	ctx, p := context.Background(), ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendPeel, Eps: 1, Graph: g}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ds.Undirected(g, 1); err != nil {
+		if _, err := ds.Solve(ctx, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -154,10 +155,11 @@ func BenchmarkPeelUndirected(b *testing.B) {
 // BenchmarkGreedyPeel measures Charikar's greedy on the same graph.
 func BenchmarkGreedyPeel(b *testing.B) {
 	g := benchGraph(b)
+	ctx, p := context.Background(), ds.Problem{Objective: ds.ObjectiveGreedy, Graph: g}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ds.Greedy(g); err != nil {
+		if _, err := ds.Solve(ctx, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -170,9 +172,10 @@ func BenchmarkExactFlow(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ctx, p := context.Background(), ds.Problem{Objective: ds.ObjectiveExact, Graph: g}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ds.Exact(g); err != nil {
+		if _, err := ds.Solve(ctx, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -184,10 +187,11 @@ func BenchmarkDirectedPeel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ctx, p := context.Background(), ds.Problem{Objective: ds.ObjectiveDirected, Backend: ds.BackendPeel, C: 1, Eps: 1, Directed: g}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ds.Directed(g, 1, 1); err != nil {
+		if _, err := ds.Solve(ctx, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -198,11 +202,11 @@ func BenchmarkDirectedPeel(b *testing.B) {
 // in-memory stream (isolates per-pass scan cost).
 func BenchmarkStreamingPeel(b *testing.B) {
 	g := benchGraph(b)
-	es := ds.StreamGraph(g)
+	ctx, p := context.Background(), ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendStream, Eps: 1, Edges: ds.StreamGraph(g)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ds.Streaming(es, 1); err != nil {
+		if _, err := ds.Solve(ctx, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -211,17 +215,16 @@ func BenchmarkStreamingPeel(b *testing.B) {
 
 // BenchmarkSketchUpdate measures raw Count-Sketch update throughput.
 func BenchmarkSketchUpdate(b *testing.B) {
-	r, _, err := ds.StreamingSketched(ds.StreamGraph(benchGraph(b)), 1,
-		ds.SketchConfig{Tables: 5, Buckets: 1000, Seed: 1})
-	if err != nil {
+	ctx := context.Background()
+	p := ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendStreamSketched, Eps: 1, Edges: ds.StreamGraph(benchGraph(b))}
+	cfg := ds.WithSketch(ds.SketchConfig{Tables: 5, Buckets: 1000, Seed: 1})
+	if _, err := ds.Solve(ctx, p, cfg); err != nil {
 		b.Fatal(err)
 	}
-	_ = r
 	// The full sketched run above warms the path; now measure per-update.
-	dcStream := ds.StreamGraph(benchGraph(b))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ds.StreamingSketched(dcStream, 1, ds.SketchConfig{Tables: 5, Buckets: 1000, Seed: 1}); err != nil {
+		if _, err := ds.Solve(ctx, p, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -242,12 +245,13 @@ func BenchmarkParallelPeel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	p := ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendPeel, Eps: 1, Graph: g}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(g.NumEdges() * 8)
 			for i := 0; i < b.N; i++ {
-				if _, err := ds.Undirected(g, 1, ds.WithWorkers(workers)); err != nil {
+				if _, err := ds.Solve(context.Background(), p, ds.WithWorkers(workers)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -263,13 +267,13 @@ func BenchmarkParallelStreamingPeel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	es := ds.StreamGraph(g)
+	p := ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendStream, Eps: 1, Edges: ds.StreamGraph(g)}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(g.NumEdges() * 8)
 			for i := 0; i < b.N; i++ {
-				if _, err := ds.Streaming(es, 1, ds.WithWorkers(workers)); err != nil {
+				if _, err := ds.Solve(context.Background(), p, ds.WithWorkers(workers)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -426,18 +430,19 @@ func BenchmarkMapReduceSpill(b *testing.B) {
 		b.Fatal(err)
 	}
 	dir := b.TempDir()
+	p := ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendMapReduce, Eps: 1, Graph: g}
 	for _, budget := range []int64{0, int64(g.NumEdges()) * 4, 1} {
 		b.Run(fmt.Sprintf("spill-bytes=%d", budget), func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(g.NumEdges() * 8)
 			var spilled int64
 			for i := 0; i < b.N; i++ {
-				r, err := ds.MapReduce(g, 1, ds.WithMapReduceConfig(
+				sol, err := ds.Solve(context.Background(), p, ds.WithMapReduceConfig(
 					ds.MRConfig{Mappers: 4, Reducers: 4, SpillBytes: budget, SpillDir: dir}))
 				if err != nil {
 					b.Fatal(err)
 				}
-				spilled = r.SpilledBytes
+				spilled = sol.Stats.BytesSpilled
 			}
 			b.ReportMetric(float64(spilled)/(1<<20), "spilled-MB/run")
 		})
@@ -464,6 +469,7 @@ func BenchmarkMapReducePeel(b *testing.B) {
 		{Mappers: 4, Reducers: 4, Machines: 4},
 		{Mappers: 4, Reducers: 4, Machines: 2, Combine: true},
 	}
+	p := ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendMapReduce, Eps: 1, Graph: g}
 	for _, cfg := range shapes {
 		name := fmt.Sprintf("mappers=%d,reducers=%d,machines=%d", cfg.Mappers, cfg.Reducers, max(cfg.Machines, 1))
 		if cfg.Combine {
@@ -474,12 +480,12 @@ func BenchmarkMapReducePeel(b *testing.B) {
 			b.SetBytes(g.NumEdges() * 8)
 			var shuffleRecs, shuffleBytes int64
 			for i := 0; i < b.N; i++ {
-				r, err := ds.MapReduce(g, 1, ds.WithMapReduceConfig(cfg))
+				sol, err := ds.Solve(context.Background(), p, ds.WithMapReduceConfig(cfg))
 				if err != nil {
 					b.Fatal(err)
 				}
 				shuffleRecs, shuffleBytes = 0, 0
-				for _, rd := range r.Rounds {
+				for _, rd := range sol.MRRounds {
 					shuffleRecs += rd.Shuffle
 					shuffleBytes += rd.ShuffleBytes
 				}
@@ -501,6 +507,7 @@ func BenchmarkMapReduceCheckpoint(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	p := ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendMapReduce, Eps: 1, Graph: g}
 	for _, every := range []int{1, 2} {
 		b.Run(fmt.Sprintf("every=%d", every), func(b *testing.B) {
 			b.ReportAllocs()
@@ -508,13 +515,15 @@ func BenchmarkMapReduceCheckpoint(b *testing.B) {
 			dir := b.TempDir()
 			var ckBytes, ckWrites int64
 			for i := 0; i < b.N; i++ {
-				r, err := ds.MapReduce(g, 1, ds.WithMapReduceConfig(
+				sol, err := ds.Solve(context.Background(), p, ds.WithMapReduceConfig(
 					ds.MRConfig{Mappers: 4, Reducers: 4, CheckpointEvery: every, CheckpointDir: dir}))
 				if err != nil {
 					b.Fatal(err)
 				}
-				ckBytes = r.Faults.CheckpointBytes
-				ckWrites = r.Faults.CheckpointsWritten
+				if sol.MRFaults != nil {
+					ckBytes = sol.MRFaults.CheckpointBytes
+					ckWrites = sol.MRFaults.CheckpointsWritten
+				}
 			}
 			b.ReportMetric(float64(ckBytes)/(1<<20), "ckpt-MB/run")
 			b.ReportMetric(float64(ckWrites), "ckpts/run")

@@ -65,6 +65,7 @@ func main() {
 
 func runStreaming(in string, directed, weighted bool, algo string, eps, c float64, workers, tables, buckets int, trace bool) error {
 	ctx := context.Background()
+	opts := []ds.Option{ds.WithWorkers(workers)}
 	if weighted {
 		if directed || algo == "sketch" {
 			return fmt.Errorf("weighted streaming supports undirected -algo stream only")
@@ -77,7 +78,7 @@ func runStreaming(in string, directed, weighted bool, algo string, eps, c float6
 		sol, err := ds.Solve(ctx, ds.Problem{
 			Objective: ds.ObjectiveWeighted, Backend: ds.BackendStream,
 			Eps: eps, WeightedEdges: ws,
-		})
+		}, opts...)
 		if err != nil {
 			return err
 		}
@@ -97,7 +98,7 @@ func runStreaming(in string, directed, weighted bool, algo string, eps, c float6
 		sol, err := ds.Solve(ctx, ds.Problem{
 			Objective: ds.ObjectiveDirected, Backend: ds.BackendStream,
 			C: c, Eps: eps, Edges: es,
-		}, ds.WithWorkers(workers))
+		}, opts...)
 		if err != nil {
 			return err
 		}
@@ -107,7 +108,7 @@ func runStreaming(in string, directed, weighted bool, algo string, eps, c float6
 		sol, err := ds.Solve(ctx, ds.Problem{
 			Objective: ds.ObjectiveUndirected, Backend: ds.BackendStream,
 			Eps: eps, Edges: es,
-		}, ds.WithWorkers(workers))
+		}, opts...)
 		if err != nil {
 			return err
 		}
@@ -127,7 +128,7 @@ func runStreaming(in string, directed, weighted bool, algo string, eps, c float6
 		sol, err := ds.Solve(ctx, ds.Problem{
 			Objective: ds.ObjectiveUndirected, Backend: ds.BackendStreamSketched,
 			Eps: eps, Edges: es,
-		}, ds.WithSketch(ds.SketchConfig{Tables: tables, Buckets: buckets, Seed: 1}))
+		}, append(opts, ds.WithSketch(ds.SketchConfig{Tables: tables, Buckets: buckets, Seed: 1}))...)
 		if err != nil {
 			return err
 		}

@@ -35,26 +35,17 @@ func buildTestGraph(t *testing.T) *ds.UndirectedGraph {
 func TestPublicAPIPipeline(t *testing.T) {
 	g := buildTestGraph(t)
 
-	exact, err := ds.Exact(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact := solveOK(t, ds.Problem{Objective: ds.ObjectiveExact, Graph: g})
 	if math.Abs(exact.Density-2.5) > 1e-12 {
 		t.Fatalf("exact = %v, want 2.5", exact.Density)
 	}
 
-	approx, err := ds.Undirected(g, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	approx := solveOK(t, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendPeel, Eps: 0.5, Graph: g})
 	if approx.Density < exact.Density/3-1e-9 {
 		t.Fatalf("approx %v below (2+2ε) guarantee of %v", approx.Density, exact.Density)
 	}
 
-	greedy, err := ds.Greedy(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	greedy := solveOK(t, ds.Problem{Objective: ds.ObjectiveGreedy, Graph: g})
 	if greedy.Density < exact.Density/2-1e-9 {
 		t.Fatalf("greedy %v below 2-approx of %v", greedy.Density, exact.Density)
 	}
@@ -67,36 +58,24 @@ func TestPublicAPIPipeline(t *testing.T) {
 		t.Fatalf("best core %v below 2-approx", coreDensity)
 	}
 
-	atLeast, err := ds.AtLeastK(g, 10, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	atLeast := solveOK(t, ds.Problem{Objective: ds.ObjectiveAtLeastK, Backend: ds.BackendPeel, K: 10, Eps: 0.5, Graph: g})
 	if len(atLeast.Set) < 10 {
 		t.Fatalf("AtLeastK returned %d nodes", len(atLeast.Set))
 	}
 
-	mr, err := ds.MapReduce(g, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mr := solveOK(t, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendMapReduce, Eps: 0.5, Graph: g})
 	if math.Abs(mr.Density-approx.Density) > 1e-9 {
 		t.Fatalf("MapReduce %v != in-memory %v", mr.Density, approx.Density)
 	}
 
-	st, err := ds.Streaming(ds.StreamGraph(g), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := solveOK(t, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendStream, Eps: 0.5, Edges: ds.StreamGraph(g)})
 	if math.Abs(st.Density-approx.Density) > 1e-9 {
 		t.Fatalf("Streaming %v != in-memory %v", st.Density, approx.Density)
 	}
 
-	sk, mem, err := ds.StreamingSketched(ds.StreamGraph(g), 0.5,
-		ds.SketchConfig{Tables: 5, Buckets: 512, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mem != 5*512 {
+	sk := solveOK(t, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendStreamSketched, Eps: 0.5, Edges: ds.StreamGraph(g)},
+		ds.WithSketch(ds.SketchConfig{Tables: 5, Buckets: 512, Seed: 1}))
+	if mem := sk.SketchMemoryWords; mem != 5*512 {
 		t.Fatalf("sketch memory = %d", mem)
 	}
 	if sk.Density < exact.Density/4 {
@@ -121,35 +100,23 @@ func TestPublicAPIDirected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := ds.Directed(g, 0.5, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := solveOK(t, ds.Problem{Objective: ds.ObjectiveDirected, Backend: ds.BackendPeel, C: 0.5, Eps: 0.5, Directed: g})
 	blockDensity := 50.0 / math.Sqrt(5*10)
 	if r.Density < blockDensity/3-1e-9 {
 		t.Fatalf("directed %v below guarantee of %v", r.Density, blockDensity)
 	}
 
-	sweep, err := ds.DirectedSweep(g, 2, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sweep := solveOK(t, ds.Problem{Objective: ds.ObjectiveDirectedSweep, Backend: ds.BackendPeel, Delta: 2, Eps: 0.5, Directed: g}).Sweep
 	if sweep.Best.Density < r.Density-1e-9 {
 		t.Fatalf("sweep %v worse than single c %v", sweep.Best.Density, r.Density)
 	}
 
-	sr, err := ds.StreamingDirected(ds.StreamDirectedGraph(g), 0.5, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sr := solveOK(t, ds.Problem{Objective: ds.ObjectiveDirected, Backend: ds.BackendStream, C: 0.5, Eps: 0.5, Edges: ds.StreamDirectedGraph(g)})
 	if math.Abs(sr.Density-r.Density) > 1e-9 {
 		t.Fatalf("streaming directed %v != in-memory %v", sr.Density, r.Density)
 	}
 
-	mr, err := ds.MapReduceDirected(g, 0.5, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mr := solveOK(t, ds.Problem{Objective: ds.ObjectiveDirected, Backend: ds.BackendMapReduce, C: 0.5, Eps: 0.5, Directed: g})
 	if math.Abs(mr.Density-r.Density) > 1e-9 {
 		t.Fatalf("MR directed %v != in-memory %v", mr.Density, r.Density)
 	}
@@ -240,17 +207,12 @@ func TestPublicAPIWeighted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := ds.UndirectedWeighted(g, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := solveOK(t, ds.Problem{Objective: ds.ObjectiveWeighted, Backend: ds.BackendPeel, Eps: 0.5, Graph: g})
 	if r.Density < 15.0/3/3 {
 		t.Fatalf("weighted density %v", r.Density)
 	}
-	gw, err := ds.GreedyWeighted(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// ObjectiveGreedy peels by weighted degree on a weighted graph.
+	gw := solveOK(t, ds.Problem{Objective: ds.ObjectiveGreedy, Graph: g})
 	if gw.Density < 15.0/3/2-1e-9 {
 		t.Fatalf("greedy weighted %v", gw.Density)
 	}

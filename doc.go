@@ -53,10 +53,6 @@
 // wrapping ErrStopped — use it for progress bars, time budgets, or
 // early stopping once the density is good enough.
 //
-// The legacy per-algorithm entry points (Undirected, Streaming,
-// MapReduce, …) remain as thin deprecated wrappers over Solve and
-// return bit-identical results.
-//
 // # Parallelism model
 //
 // The peeling hot paths run on a chunked worker pool (internal/par):
@@ -281,12 +277,11 @@
 // tasks. A lost map task re-executes from its input split; a lost
 // reduce partition recomputes from the surviving shard buckets. With
 // Speculate the re-run races a speculative backup against the delayed
-// original, first result wins. The legacy MRConfig.Straggler boolean
-// maps onto the canned plan that drops the map task covering each
-// job's first spilled partition. All recovery work is counted in
-// MRResult.Faults / Solution.MRFaults (task reruns, speculative
-// wins/losses, machine failures) and aggregated by densestd under the
-// /metrics mapReduce block.
+// original, first result wins. The MRFirstSpilledShard map target
+// drops, in every job, the map task covering the input's first spilled
+// partition. All recovery work is counted in Solution.MRFaults (task
+// reruns, speculative wins/losses, machine failures) and aggregated by
+// densestd under the /metrics mapReduce block.
 //
 // MRConfig.CheckpointEvery/CheckpointDir turn on round-level
 // checkpoint/restart: every N completed rounds the driver persists the

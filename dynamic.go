@@ -1,6 +1,7 @@
 package densestream
 
 import (
+	"densestream/internal/core"
 	"densestream/internal/dynamic"
 )
 
@@ -112,7 +113,7 @@ func (m *Maintainer) Flush() (*Solution, error) {
 	return m.wrap(r), nil
 }
 
-func (m *Maintainer) wrap(r *Result) *Solution {
+func (m *Maintainer) wrap(r *core.Result) *Solution {
 	sol := &Solution{Objective: ObjectiveUndirected, Backend: BackendPeel}
 	sol.fillResult(r)
 	return sol

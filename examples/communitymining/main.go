@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -48,7 +49,7 @@ func main() {
 		// exact greedy peel (Charikar); Algorithm 1 with ε > 0 would trade
 		// some of that precision for fewer passes — the right trade on
 		// billion-edge graphs, but not needed at this scale.
-		r, err := ds.Greedy(sub)
+		r, err := ds.Solve(context.Background(), ds.Problem{Objective: ds.ObjectiveGreedy, Graph: sub})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -71,7 +72,7 @@ func main() {
 		}
 		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
 		fmt.Printf("community %d: %3d nodes, density %.3f, peels %d — %3.0f%% from planted community %d\n",
-			round, len(members), r.Density, r.Peels,
+			round, len(members), r.Density, r.Passes,
 			100*float64(bestVotes)/float64(len(members)), bestComm)
 		for _, u := range members {
 			alive[u] = false

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,17 +21,21 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("graph: %d nodes, %d edges\n", g.NumNodes(), g.NumEdges())
+	ctx := context.Background()
+	mapReduce := func(eps float64) ds.Problem {
+		return ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendMapReduce, Eps: eps, Graph: g}
+	}
 
 	for _, eps := range []float64{0, 1, 2} {
 		cfg := ds.MRConfig{Mappers: 8, Reducers: 8, Machines: 1}
-		r, err := ds.MapReduce(g, eps, ds.WithMapReduceConfig(cfg))
+		r, err := ds.Solve(ctx, mapReduce(eps), ds.WithMapReduceConfig(cfg))
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\nε = %v: ρ = %.3f, |S̃| = %d, %d passes (3 MR jobs per pass)\n",
 			eps, r.Density, len(r.Set), r.Passes)
 		fmt.Println("  pass    |S|        |E|        ρ       wall      shuffle     shuffleMB")
-		for _, rd := range r.Rounds {
+		for _, rd := range r.MRRounds {
 			fmt.Printf("  %4d %8d %10d %8.3f %10s %12d %12.2f\n",
 				rd.Pass, rd.Nodes, rd.Edges, rd.Density, rd.Wall.Round(1000),
 				rd.Shuffle, float64(rd.ShuffleBytes)/(1<<20))
@@ -43,11 +48,11 @@ func main() {
 	fmt.Println("\ncluster-size sweep at ε=1 (first-round shuffle per machine):")
 	for _, machines := range []int{1, 2, 4} {
 		cfg := ds.MRConfig{Mappers: 4, Reducers: 4, Machines: machines, Combine: true}
-		r, err := ds.MapReduce(g, 1, ds.WithMapReduceConfig(cfg))
+		r, err := ds.Solve(ctx, mapReduce(1), ds.WithMapReduceConfig(cfg))
 		if err != nil {
 			log.Fatal(err)
 		}
-		first := r.Rounds[0]
+		first := r.MRRounds[0]
 		fmt.Printf("  machines=%d: wall=%s, total shuffle=%d recs, per machine:",
 			machines, first.Wall.Round(1000), first.Shuffle)
 		for m, ms := range first.PerMachine {
@@ -57,11 +62,11 @@ func main() {
 	}
 
 	// Cross-check: the distributed result matches the single-machine one.
-	mem, err := ds.Undirected(g, 1)
+	mem, err := ds.Solve(ctx, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendPeel, Eps: 1, Graph: g})
 	if err != nil {
 		log.Fatal(err)
 	}
-	mr, err := ds.MapReduce(g, 1)
+	mr, err := ds.Solve(ctx, mapReduce(1))
 	if err != nil {
 		log.Fatal(err)
 	}

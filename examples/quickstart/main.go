@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,16 +38,20 @@ func main() {
 	fmt.Printf("graph: %d nodes, %d edges, overall density %.3f\n\n",
 		g.NumNodes(), g.NumEdges(), g.Density())
 
+	// Every algorithm runs through Solve: the Problem names the
+	// objective, the backend, and the input.
+	ctx := context.Background()
+
 	// Ground truth via the flow-based exact solver.
-	exact, err := ds.Exact(g)
+	exact, err := ds.Solve(ctx, ds.Problem{Objective: ds.ObjectiveExact, Graph: g})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("exact:   ρ* = %.4f  (= %d/%d)  |S| = %d  flow calls = %d\n",
-		exact.Density, exact.Numer, exact.Denom, len(exact.Set), exact.FlowCalls)
+		exact.Density, exact.ExactNumer, exact.ExactDenom, len(exact.Set), exact.Passes)
 
 	// Charikar's greedy: one minimum-degree node at a time.
-	greedy, err := ds.Greedy(g)
+	greedy, err := ds.Solve(ctx, ds.Problem{Objective: ds.ObjectiveGreedy, Graph: g})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,7 +60,7 @@ func main() {
 
 	// The paper's Algorithm 1: batched peeling, few passes.
 	for _, eps := range []float64{0, 0.5, 1} {
-		r, err := ds.Undirected(g, eps)
+		r, err := ds.Solve(ctx, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendPeel, Eps: eps, Graph: g})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,10 +24,11 @@ func main() {
 	fmt.Printf("web graph: %d pages, %d links\n", g.NumNodes(), g.NumEdges())
 	fmt.Printf("planted farm: %d supporters -> %d targets\n\n", len(farm), len(targets))
 
-	sweep, err := ds.DirectedSweep(g, 2, 0.5)
+	sol, err := ds.Solve(context.Background(), ds.Problem{Objective: ds.ObjectiveDirectedSweep, Delta: 2, Eps: 0.5, Directed: g})
 	if err != nil {
 		log.Fatal(err)
 	}
+	sweep := sol.Sweep
 	fmt.Printf("sweep found ρ(S,T) = %.2f at c = %.4g  (|S| = %d, |T| = %d)\n",
 		sweep.Best.Density, sweep.BestC, len(sweep.Best.S), len(sweep.Best.T))
 

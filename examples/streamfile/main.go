@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -44,7 +45,8 @@ func main() {
 		log.Fatal(err)
 	}
 	defer es.Close()
-	exact, err := ds.Streaming(es, 0.5)
+	ctx := context.Background()
+	exact, err := ds.Solve(ctx, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendStream, Eps: 0.5, Edges: es})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,11 +58,13 @@ func main() {
 		if err := es.Reset(); err != nil {
 			log.Fatal(err)
 		}
-		r, mem, err := ds.StreamingSketched(es, 0.5,
-			ds.SketchConfig{Tables: 5, Buckets: buckets, Seed: 99})
+		r, err := ds.Solve(ctx,
+			ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendStreamSketched, Eps: 0.5, Edges: es},
+			ds.WithSketch(ds.SketchConfig{Tables: 5, Buckets: buckets, Seed: 99}))
 		if err != nil {
 			log.Fatal(err)
 		}
+		mem := r.SketchMemoryWords
 		fmt.Printf("sketch b=%-6d     ρ = %8.3f  |S| = %4d  passes = %d  memory = %d words (%.0f%% of exact)  quality = %.3f\n",
 			buckets, r.Density, len(r.Set), r.Passes, mem,
 			100*float64(mem)/float64(es.NumNodes()), r.Density/exact.Density)

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -66,7 +67,8 @@ func main() {
 
 	// Unconstrained: the densest subgraph is the tight 12-person clique —
 	// great chemistry, but the project needs 30 engineers.
-	best, err := ds.Greedy(g)
+	ctx := context.Background()
+	best, err := ds.Solve(ctx, ds.Problem{Objective: ds.ObjectiveGreedy, Graph: g})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,7 +77,7 @@ func main() {
 
 	// Algorithm 2: insist on at least k people.
 	for _, k := range []int{20, 30, 60} {
-		r, err := ds.AtLeastK(g, k, 0.5)
+		r, err := ds.Solve(ctx, ds.Problem{Objective: ds.ObjectiveAtLeastK, Backend: ds.BackendPeel, K: k, Eps: 0.5, Graph: g})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -85,7 +87,7 @@ func main() {
 
 	// The same computation works when the collaboration graph only
 	// exists as an edge stream.
-	r, err := ds.StreamingAtLeastK(ds.StreamGraph(g), 30, 0.5)
+	r, err := ds.Solve(ctx, ds.Problem{Objective: ds.ObjectiveAtLeastK, Backend: ds.BackendStream, K: 30, Eps: 0.5, Edges: ds.StreamGraph(g)})
 	if err != nil {
 		log.Fatal(err)
 	}

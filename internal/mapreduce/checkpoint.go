@@ -160,12 +160,38 @@ func (c *checkpointer) resume() (*ckptManifest, *Dataset[int32, int32], error) {
 		if sp.Records != part.Records {
 			return nil, nil, fmt.Errorf("mapreduce: checkpoint partition %d holds %d records, manifest says %d", p, sp.Records, part.Records)
 		}
+		// The drivers index their O(n) state by node id, so an id
+		// outside the job's node range must fail the resume here,
+		// before any round runs.
+		if err := checkNodeRange(sp, m.Nodes); err != nil {
+			return nil, nil, fmt.Errorf("mapreduce: restoring checkpoint partition %d: %w", p, err)
+		}
 		d.spills[p] = sp
 		d.n += sp.Records
 	}
 	c.e.setRound(m.Round)
 	c.e.markResumed(m.Round)
 	return &m, d, nil
+}
+
+// checkNodeRange reports the first record of a restored partition
+// with an endpoint outside [0, nodes).
+func checkNodeRange(sp *edgeio.SpillFile, nodes int) error {
+	r, err := sp.OpenReader()
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	for i := 0; i < sp.Records; i++ {
+		e, err := r.Next()
+		if err != nil {
+			return err
+		}
+		if e.U < 0 || int(e.U) >= nodes || e.V < 0 || int(e.V) >= nodes {
+			return fmt.Errorf("record %d (%d,%d) has a node id outside [0,%d)", i, e.U, e.V, nodes)
+		}
+	}
+	return nil
 }
 
 // write persists the given completed round when it is due: partition

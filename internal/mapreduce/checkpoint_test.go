@@ -1,12 +1,16 @@
 package mapreduce
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"densestream/internal/edgeio"
 	"densestream/internal/gen"
 )
 
@@ -73,7 +77,7 @@ func TestCheckpointResumeUndirected(t *testing.T) {
 	if got.Faults.CheckpointsWritten == 0 || got.Faults.CheckpointBytes == 0 {
 		t.Fatalf("resumed run wrote no checkpoints: %+v", got.Faults)
 	}
-	if !reflect.DeepEqual(stripStraggler(got), stripStraggler(want)) {
+	if !reflect.DeepEqual(stripFaults(got), stripFaults(want)) {
 		t.Fatal("resumed run differs from uninterrupted run")
 	}
 	checkpointGone(t, ckdir)
@@ -109,7 +113,7 @@ func TestCheckpointResumeMachinesChange(t *testing.T) {
 	if got.Faults.ResumedFromRound != 2 {
 		t.Fatalf("resumed from round %d, want 2", got.Faults.ResumedFromRound)
 	}
-	if !reflect.DeepEqual(stripStraggler(got), stripStraggler(want)) {
+	if !reflect.DeepEqual(stripFaults(got), stripFaults(want)) {
 		t.Fatal("resumed run on a resized cluster differs from uninterrupted run")
 	}
 	checkpointGone(t, ckdir)
@@ -141,7 +145,7 @@ func TestCheckpointResumeAtLeastK(t *testing.T) {
 	if got.Faults.ResumedFromRound != 2 {
 		t.Fatalf("resumed from round %d, want 2", got.Faults.ResumedFromRound)
 	}
-	if !reflect.DeepEqual(stripStraggler(got), stripStraggler(want)) {
+	if !reflect.DeepEqual(stripFaults(got), stripFaults(want)) {
 		t.Fatal("resumed AtLeastK run differs from uninterrupted run")
 	}
 	checkpointGone(t, ckdir)
@@ -215,7 +219,7 @@ func TestCheckpointEveryN(t *testing.T) {
 	if got.Faults.ResumedFromRound != 2 {
 		t.Fatalf("resumed from round %d, want 2", got.Faults.ResumedFromRound)
 	}
-	if !reflect.DeepEqual(stripStraggler(got), stripStraggler(want)) {
+	if !reflect.DeepEqual(stripFaults(got), stripFaults(want)) {
 		t.Fatal("resumed run differs from uninterrupted run")
 	}
 	checkpointGone(t, ckdir)
@@ -242,4 +246,76 @@ func TestCheckpointJobMismatch(t *testing.T) {
 	if _, err := Undirected(g, 0.5, resumeCfg(base, ckdir)); err != nil {
 		t.Fatalf("matching resume rejected: %v", err)
 	}
+}
+
+// TestCheckpointResumeRejectsBadNodeIDs: a partition file rewritten
+// with node ids outside the job's node range, but with the record
+// count the manifest expects, must fail the resume with an error that
+// names the partition instead of panicking in the first round.
+func TestCheckpointResumeRejectsBadNodeIDs(t *testing.T) {
+	g, err := gen.ChungLu(400, 2500, 2.2, 43)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dg, err := gen.ChungLuDirected(300, 1800, 2.2, 59)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drivers := []struct {
+		name string
+		run  func(Config) error
+	}{
+		{"undirected", func(cfg Config) error { _, err := Undirected(g, 0.5, cfg); return err }},
+		{"directed", func(cfg Config) error { _, err := Directed(dg, 1, 0.5, cfg); return err }},
+	}
+	base := Config{Mappers: 4, Reducers: 4}
+	for _, d := range drivers {
+		t.Run(d.name, func(t *testing.T) {
+			ckdir := t.TempDir()
+			if err := d.run(crashCfg(base, ckdir, 1)); !errors.Is(err, ErrSimulatedCrash) {
+				t.Fatalf("crashing run returned %v, want ErrSimulatedCrash", err)
+			}
+			p := tamperPartition(t, ckdir, edgeio.Edge{U: 1000000, V: 1})
+			err := d.run(resumeCfg(base, ckdir))
+			if err == nil {
+				t.Fatal("resume accepted a partition with out-of-range node ids")
+			}
+			if want := fmt.Sprintf("partition %d:", p); !strings.Contains(err.Error(), want) {
+				t.Fatalf("resume error %q does not name %q", err, want)
+			}
+		})
+	}
+}
+
+// tamperPartition overwrites the first non-empty partition file of the
+// checkpoint committed in dir with as many copies of e as the manifest
+// says the partition holds, and returns the partition's index.
+func tamperPartition(t *testing.T, dir string, e edgeio.Edge) int {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m ckptManifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	for p, part := range m.Parts {
+		if part.File == "" {
+			continue
+		}
+		w, err := edgeio.CreateSpill(filepath.Join(dir, part.File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range part.Records {
+			w.Append(e)
+		}
+		if _, err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	t.Fatal("checkpoint has no non-empty partition")
+	return -1
 }

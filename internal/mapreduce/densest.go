@@ -35,10 +35,6 @@ type MRResult struct {
 	// SpilledBytes totals the bytes the run wrote to spill files under
 	// the Config.SpillBytes budget (0 for a fully resident run).
 	SpilledBytes int64
-	// StragglerReruns counts the map tasks dropped and re-executed
-	// under the failure plan; it mirrors Faults.MapTaskReruns and is
-	// kept for callers of the original straggler simulation.
-	StragglerReruns int64
 	// Faults aggregates every fault-tolerance event of the run:
 	// injected task loss, speculative re-execution, and checkpointing.
 	// Zero when the run saw no failure plan and no checkpointing.
@@ -142,8 +138,7 @@ func peelUndirected(g *graph.Undirected, kind string, spec core.ScanSpec, cfg Co
 		return nil, err
 	}
 	m.ck.clear()
-	fs := e.FaultStats()
-	return &MRResult{Set: r.Set, Density: r.Density, Passes: r.Passes, Rounds: m.rounds, SpilledBytes: e.SpilledBytes(), StragglerReruns: fs.MapTaskReruns, Faults: fs}, nil
+	return &MRResult{Set: r.Set, Density: r.Density, Passes: r.Passes, Rounds: m.rounds, SpilledBytes: e.SpilledBytes(), Faults: e.FaultStats()}, nil
 }
 
 // peelOracle is the MapReduce degree oracle of the core scan-peel

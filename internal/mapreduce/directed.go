@@ -32,10 +32,6 @@ type MRDirectedResult struct {
 	// SpilledBytes totals the bytes the run wrote to spill files under
 	// the Config.SpillBytes budget (0 for a fully resident run).
 	SpilledBytes int64
-	// StragglerReruns counts the map tasks dropped and re-executed
-	// under the failure plan; it mirrors Faults.MapTaskReruns and is
-	// kept for callers of the original straggler simulation.
-	StragglerReruns int64
 	// Faults aggregates every fault-tolerance event of the run; see
 	// MRResult.Faults.
 	Faults FaultStats
@@ -111,6 +107,5 @@ func DirectedOpts(g *graph.Directed, c, eps float64, cfg Config, o core.Opts) (*
 		return nil, err
 	}
 	m.ck.clear()
-	fs := e.FaultStats()
-	return &MRDirectedResult{S: r.S, T: r.T, Density: r.Density, Passes: r.Passes, Rounds: m.drounds, SpilledBytes: e.SpilledBytes(), StragglerReruns: fs.MapTaskReruns, Faults: fs}, nil
+	return &MRDirectedResult{S: r.S, T: r.T, Density: r.Density, Passes: r.Passes, Rounds: m.drounds, SpilledBytes: e.SpilledBytes(), Faults: e.FaultStats()}, nil
 }

@@ -89,7 +89,7 @@ const (
 type Config struct {
 	Mappers  int  // map worker slots per machine
 	Reducers int  // reduce worker slots per machine
-	Machines int  // simulated machines; <= 0 means 1
+	Machines int  // simulated machines; 0 means 1
 	Combine  bool // per-shard combiners in the drivers' degree jobs
 
 	// SpillBytes is the resident-memory budget per edge Dataset: when a
@@ -103,14 +103,6 @@ type Config struct {
 	// spill directory; "" means the OS temp dir. The engine removes its
 	// spill directory on Cleanup.
 	SpillDir string
-
-	// Straggler is the legacy single-fault knob: it maps onto the
-	// canned FailurePlan {Faults: [{Kind: FaultMap, Target:
-	// FirstSpilledShard}]} — on every job whose input dataset has a
-	// spilled partition, the map task covering the first spilled
-	// partition is dropped and re-executed from its durable input
-	// split. Ignored when Failures is set explicitly.
-	Straggler bool
 
 	// Failures is the deterministic fault-injection schedule: explicit
 	// and seeded losses of map tasks, reduce partitions, and whole
@@ -159,9 +151,6 @@ func (c Config) Normalize() (Config, error) {
 	}
 	if c.Machines == 0 {
 		c.Machines = 1
-	}
-	if c.Straggler && c.Failures == nil {
-		c.Failures = stragglerPlan()
 	}
 	if err := c.Failures.Validate(c.Machines); err != nil {
 		return Config{}, err
@@ -273,12 +262,6 @@ func (e *Engine) spillPath() (string, error) {
 	e.spillSeq++
 	return filepath.Join(e.spillDir, fmt.Sprintf("part-%06d.spill", e.spillSeq)), nil
 }
-
-// StragglerReruns reports how many map tasks the engine has dropped
-// and re-executed under the failure model (Config.Straggler or an
-// explicit FailurePlan) — kept as the legacy name for the original
-// single-straggler simulation.
-func (e *Engine) StragglerReruns() int64 { return e.faults.mapReruns.Load() }
 
 // FaultStats snapshots the engine's failure-model counters: task
 // re-executions, speculative race outcomes, machine losses, and

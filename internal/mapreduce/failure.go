@@ -37,7 +37,7 @@ type FaultKind uint8
 const (
 	// FaultMap drops one map task: Target is a map shard in
 	// [0, NumMapShards), or FirstSpilledShard for the task covering the
-	// input's first spilled partition (the legacy Straggler target).
+	// input's first spilled partition.
 	FaultMap FaultKind = iota
 	// FaultReduce drops one reduce task: Target is a shuffle partition
 	// in [0, NumPartitions). The partition is recomputed from the
@@ -52,8 +52,9 @@ const (
 
 // FirstSpilledShard is the FaultMap target that resolves, per job, to
 // the map shard covering the first record of the input's first spilled
-// partition — no task is dropped when nothing is spilled. It reproduces
-// the legacy Config.Straggler behavior exactly.
+// partition — no task is dropped when nothing is spilled. A plan of
+// {Faults: [{Kind: FaultMap, Target: FirstSpilledShard}]} loses that
+// task in every job of every round: the classic straggler.
 const FirstSpilledShard = -1
 
 // Fault is one injected failure.
@@ -133,13 +134,6 @@ func (p *FailurePlan) Validate(machines int) error {
 		}
 	}
 	return nil
-}
-
-// stragglerPlan is the canned plan Config.Straggler maps onto: on every
-// round, every job loses the map task covering its input's first
-// spilled partition and recovers it sequentially.
-func stragglerPlan() *FailurePlan {
-	return &FailurePlan{Faults: []Fault{{Kind: FaultMap, Target: FirstSpilledShard}}}
 }
 
 // active reports whether the plan injects anything at the given round.

@@ -79,7 +79,7 @@ func TestFailureParityUndirected(t *testing.T) {
 				t.Fatalf("plan %d cfg %d: %v", pi, ci, err)
 			}
 			checkFaultCounts(t, got.Faults, plan)
-			if !reflect.DeepEqual(stripStraggler(got), stripStraggler(want)) {
+			if !reflect.DeepEqual(stripFaults(got), stripFaults(want)) {
 				t.Fatalf("plan %d cfg %d: recovered run differs from undisturbed run", pi, ci)
 			}
 		}
@@ -103,7 +103,7 @@ func TestFailureParityAtLeastK(t *testing.T) {
 				t.Fatalf("plan %d cfg %d: %v", pi, ci, err)
 			}
 			checkFaultCounts(t, got.Faults, plan)
-			if !reflect.DeepEqual(stripStraggler(got), stripStraggler(want)) {
+			if !reflect.DeepEqual(stripFaults(got), stripFaults(want)) {
 				t.Fatalf("plan %d cfg %d: recovered run differs from undisturbed run", pi, ci)
 			}
 		}
@@ -155,7 +155,7 @@ func TestSpeculativeRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkFaultCounts(t, got.Faults, plan)
-	if !reflect.DeepEqual(stripStraggler(got), stripStraggler(want)) {
+	if !reflect.DeepEqual(stripFaults(got), stripFaults(want)) {
 		t.Fatal("speculative run differs from undisturbed run")
 	}
 
@@ -174,42 +174,6 @@ func TestSpeculativeRecovery(t *testing.T) {
 	checkFaultCounts(t, dgot.Faults, plan)
 	if dgot.Density != dwant.Density || !reflect.DeepEqual(dgot.S, dwant.S) || !reflect.DeepEqual(dgot.T, dwant.T) {
 		t.Fatal("speculative directed run differs from undisturbed run")
-	}
-}
-
-// TestStragglerPlanBackCompat checks the legacy boolean maps onto the
-// canned FailurePlan: both configurations drop and recover the same
-// tasks and return identical results and counters.
-func TestStragglerPlanBackCompat(t *testing.T) {
-	g, err := gen.ChungLu(300, 1800, 2.2, 41)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	base := Config{Mappers: 4, Reducers: 4, SpillBytes: 1, SpillDir: dir}
-
-	legacy := base
-	legacy.Straggler = true
-	old, err := Undirected(g, 0.5, legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	planned := base
-	planned.Failures = &FailurePlan{Faults: []Fault{{Kind: FaultMap, Target: FirstSpilledShard}}}
-	new_, err := Undirected(g, 0.5, planned)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if old.StragglerReruns == 0 {
-		t.Fatal("legacy straggler run never dropped a task")
-	}
-	if old.StragglerReruns != new_.StragglerReruns || old.Faults != new_.Faults {
-		t.Fatalf("legacy counters %+v != planned counters %+v", old.Faults, new_.Faults)
-	}
-	if !reflect.DeepEqual(stripResult(old), stripResult(new_)) {
-		t.Fatal("legacy Straggler run differs from its FailurePlan equivalent")
 	}
 }
 

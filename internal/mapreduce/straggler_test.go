@@ -7,17 +7,23 @@ import (
 	"densestream/internal/gen"
 )
 
-// The straggler/failure simulation (ROADMAP): under Config.Straggler
-// every job drops the map task covering its input's first spilled
+// The straggler simulation: a FailurePlan fault on FirstSpilledShard
+// drops, in every job, the map task covering the input's first spilled
 // partition mid-job and recovers it by re-reading the spill file. The
 // recovered run must be bit-identical to an undisturbed one.
 
-// stripStraggler clears the fields that legitimately differ between an
+// withSpilledShardFault returns cfg with that fault installed in every
+// round.
+func withSpilledShardFault(cfg Config) Config {
+	cfg.Failures = &FailurePlan{Faults: []Fault{{Kind: FaultMap, Target: FirstSpilledShard}}}
+	return cfg
+}
+
+// stripFaults clears the fields that legitimately differ between an
 // undisturbed and a recovered run: wall clock and the fault-recovery
 // counters themselves.
-func stripStraggler(r *MRResult) *MRResult {
+func stripFaults(r *MRResult) *MRResult {
 	c := stripResult(r)
-	c.StragglerReruns = 0
 	c.Faults = FaultStats{}
 	return c
 }
@@ -35,25 +41,23 @@ func TestStragglerRecoveryUndirected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.StragglerReruns != 0 {
-		t.Fatalf("undisturbed run reports %d straggler reruns", want.StragglerReruns)
+	if want.Faults.MapTaskReruns != 0 {
+		t.Fatalf("undisturbed run reports %d map task reruns", want.Faults.MapTaskReruns)
 	}
 
-	withStraggler := base
-	withStraggler.Straggler = true
-	got, err := Undirected(g, 0.5, withStraggler)
+	got, err := Undirected(g, 0.5, withSpilledShardFault(base))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.StragglerReruns == 0 {
+	if got.Faults.MapTaskReruns == 0 {
 		t.Fatal("straggler simulation never dropped a task (nothing spilled?)")
 	}
 	// Every round runs three jobs over spilled inputs, so the rerun
 	// count must cover at least one task per pass.
-	if got.StragglerReruns < int64(got.Passes) {
-		t.Fatalf("only %d reruns over %d passes", got.StragglerReruns, got.Passes)
+	if got.Faults.MapTaskReruns < int64(got.Passes) {
+		t.Fatalf("only %d reruns over %d passes", got.Faults.MapTaskReruns, got.Passes)
 	}
-	if !reflect.DeepEqual(stripStraggler(got), stripStraggler(want)) {
+	if !reflect.DeepEqual(stripFaults(got), stripFaults(want)) {
 		t.Fatal("recovered run differs from undisturbed run")
 	}
 }
@@ -69,16 +73,14 @@ func TestStragglerRecoveryAtLeastK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withStraggler := base
-	withStraggler.Straggler = true
-	got, err := AtLeastK(g, 30, 0.5, withStraggler)
+	got, err := AtLeastK(g, 30, 0.5, withSpilledShardFault(base))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.StragglerReruns == 0 {
+	if got.Faults.MapTaskReruns == 0 {
 		t.Fatal("straggler simulation never dropped a task")
 	}
-	if !reflect.DeepEqual(stripStraggler(got), stripStraggler(want)) {
+	if !reflect.DeepEqual(stripFaults(got), stripFaults(want)) {
 		t.Fatal("recovered AtLeastK run differs from undisturbed run")
 	}
 }
@@ -94,13 +96,11 @@ func TestStragglerRecoveryDirected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withStraggler := base
-	withStraggler.Straggler = true
-	got, err := Directed(g, 1, 0.5, withStraggler)
+	got, err := Directed(g, 1, 0.5, withSpilledShardFault(base))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.StragglerReruns == 0 {
+	if got.Faults.MapTaskReruns == 0 {
 		t.Fatal("straggler simulation never dropped a task")
 	}
 	if got.Density != want.Density || got.Passes != want.Passes ||
@@ -117,18 +117,19 @@ func TestStragglerNoSpill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Undirected(g, 0.5, Config{Mappers: 4, Reducers: 4})
+	base := Config{Mappers: 4, Reducers: 4}
+	want, err := Undirected(g, 0.5, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Undirected(g, 0.5, Config{Mappers: 4, Reducers: 4, Straggler: true})
+	got, err := Undirected(g, 0.5, withSpilledShardFault(base))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.StragglerReruns != 0 {
-		t.Fatalf("resident run re-ran %d tasks", got.StragglerReruns)
+	if got.Faults.MapTaskReruns != 0 {
+		t.Fatalf("resident run re-ran %d tasks", got.Faults.MapTaskReruns)
 	}
-	if !reflect.DeepEqual(stripStraggler(got), stripStraggler(want)) {
-		t.Fatal("straggler flag changed a resident run")
+	if !reflect.DeepEqual(stripFaults(got), stripFaults(want)) {
+		t.Fatal("straggler fault changed a resident run")
 	}
 }

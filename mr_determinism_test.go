@@ -4,12 +4,13 @@ package densestream_test
 // parallel_test.go for the third execution model: every simulated
 // cluster shape — Config{1,1}, Config{8,8}, uneven shapes, multiple
 // machines, with or without the degree-job combiner — must return a
-// bit-identical MRResult on power-law (Chung–Lu) and RMAT graphs. Wall
-// and PerMachine are the only fields allowed to differ: they describe
-// the run's cluster, not the algorithm, and are normalized away before
-// comparison.
+// bit-identical Solution on power-law (Chung–Lu) and RMAT graphs. The
+// rounds' Wall and PerMachine are the only fields allowed to differ:
+// they describe the run's cluster, not the algorithm, and are
+// normalized away before comparison.
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -28,20 +29,29 @@ var mrShapes = []ds.MRConfig{
 	{Mappers: 2, Reducers: 2, Machines: 8},
 }
 
-func normalizeMR(r *ds.MRResult) *ds.MRResult {
-	for i := range r.Rounds {
-		r.Rounds[i].Wall = 0
-		r.Rounds[i].PerMachine = nil
+// solveMR runs p on BackendMapReduce and normalizes the result.
+func solveMR(t *testing.T, p ds.Problem, opts ...ds.Option) *ds.Solution {
+	t.Helper()
+	p.Backend = ds.BackendMapReduce
+	sol, err := ds.Solve(context.Background(), p, opts...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return r
+	return normalizeMR(sol)
 }
 
-func normalizeMRDirected(r *ds.MRDirectedResult) *ds.MRDirectedResult {
-	for i := range r.Rounds {
-		r.Rounds[i].Wall = 0
-		r.Rounds[i].PerMachine = nil
+// normalizeMR zeroes the cluster-only fields of a Solution's round
+// traces: the wall clock and the per-machine shuffle attribution.
+func normalizeMR(sol *ds.Solution) *ds.Solution {
+	for i := range sol.MRRounds {
+		sol.MRRounds[i].Wall = 0
+		sol.MRRounds[i].PerMachine = nil
 	}
-	return r
+	for i := range sol.MRDirectedRounds {
+		sol.MRDirectedRounds[i].Wall = 0
+		sol.MRDirectedRounds[i].PerMachine = nil
+	}
+	return sol
 }
 
 func TestMapReduceShapeDeterminismUndirected(t *testing.T) {
@@ -51,18 +61,12 @@ func TestMapReduceShapeDeterminismUndirected(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, eps := range []float64{0, 1} {
-			want, err := ds.MapReduce(g, eps, ds.WithMapReduceConfig(mrShapes[0]))
-			if err != nil {
-				t.Fatal(err)
-			}
-			normalizeMR(want)
+			p := ds.Problem{Objective: ds.ObjectiveUndirected, Eps: eps, Graph: g}
+			want := solveMR(t, p, ds.WithMapReduceConfig(mrShapes[0]))
 			for _, cfg := range mrShapes[1:] {
-				got, err := ds.MapReduce(g, eps, ds.WithMapReduceConfig(cfg))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(normalizeMR(got), want) {
-					t.Fatalf("seed=%d eps=%v cfg=%+v: MRResult differs from 1×1 cluster", seed, eps, cfg)
+				got := solveMR(t, p, ds.WithMapReduceConfig(cfg))
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed=%d eps=%v cfg=%+v: Solution differs from 1×1 cluster", seed, eps, cfg)
 				}
 			}
 		}
@@ -77,15 +81,13 @@ func TestWithOptionsZeroMRConfigFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := ds.MapReduce(g, 1, ds.WithOptions(ds.Options{Workers: 4}))
+	p := ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendMapReduce, Eps: 1, Graph: g}
+	r, err := ds.Solve(context.Background(), p, ds.WithOptions(ds.Options{Workers: 4}))
 	if err != nil {
 		t.Fatalf("WithOptions without a MapReduce config: %v", err)
 	}
-	ref, err := ds.MapReduce(g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(normalizeMR(r), normalizeMR(ref)) {
+	ref := solveMR(t, p)
+	if !reflect.DeepEqual(normalizeMR(r), ref) {
 		t.Fatal("zero MRConfig fallback disagrees with the default config")
 	}
 }
@@ -97,23 +99,18 @@ func TestMapReduceCombinerShrinksShuffleOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := ds.MapReduce(g, 1, ds.WithMapReduceConfig(ds.MRConfig{Mappers: 4, Reducers: 4}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	combined, err := ds.MapReduce(g, 1, ds.WithMapReduceConfig(ds.MRConfig{Mappers: 4, Reducers: 4, Combine: true}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	prob := ds.Problem{Objective: ds.ObjectiveUndirected, Eps: 1, Graph: g}
+	plain := solveMR(t, prob, ds.WithMapReduceConfig(ds.MRConfig{Mappers: 4, Reducers: 4}))
+	combined := solveMR(t, prob, ds.WithMapReduceConfig(ds.MRConfig{Mappers: 4, Reducers: 4, Combine: true}))
 	if !reflect.DeepEqual(plain.Set, combined.Set) || plain.Density != combined.Density || plain.Passes != combined.Passes {
 		t.Fatal("combiner changed the result")
 	}
-	if combined.Rounds[0].Shuffle >= plain.Rounds[0].Shuffle {
+	if combined.MRRounds[0].Shuffle >= plain.MRRounds[0].Shuffle {
 		t.Fatalf("combiner did not shrink the first round's shuffle: %d vs %d",
-			combined.Rounds[0].Shuffle, plain.Rounds[0].Shuffle)
+			combined.MRRounds[0].Shuffle, plain.MRRounds[0].Shuffle)
 	}
-	for i := range plain.Rounds {
-		p, c := plain.Rounds[i], combined.Rounds[i]
+	for i := range plain.MRRounds {
+		p, c := plain.MRRounds[i], combined.MRRounds[i]
 		if p.Nodes != c.Nodes || p.Edges != c.Edges || p.Density != c.Density || p.Removed != c.Removed {
 			t.Fatalf("round %d: algorithmic fields differ with combiner", i+1)
 		}
@@ -126,18 +123,12 @@ func TestMapReduceShapeDeterminismDirectedRMAT(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []float64{0.5, 2} {
-		want, err := ds.MapReduceDirected(g, c, 0.5, ds.WithMapReduceConfig(mrShapes[0]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		normalizeMRDirected(want)
+		p := ds.Problem{Objective: ds.ObjectiveDirected, C: c, Eps: 0.5, Directed: g}
+		want := solveMR(t, p, ds.WithMapReduceConfig(mrShapes[0]))
 		for _, cfg := range mrShapes[1:] {
-			got, err := ds.MapReduceDirected(g, c, 0.5, ds.WithMapReduceConfig(cfg))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(normalizeMRDirected(got), want) {
-				t.Fatalf("c=%v cfg=%+v: MRDirectedResult differs from 1×1 cluster", c, cfg)
+			got := solveMR(t, p, ds.WithMapReduceConfig(cfg))
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("c=%v cfg=%+v: Solution differs from 1×1 cluster", c, cfg)
 			}
 		}
 	}
@@ -148,22 +139,17 @@ func TestMapReduceShapeDeterminismAtLeastK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ds.MapReduceAtLeastK(g, 100, 0.5, ds.WithMapReduceConfig(mrShapes[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	normalizeMR(want)
+	p := ds.Problem{Objective: ds.ObjectiveAtLeastK, K: 100, Eps: 0.5, Graph: g}
+	want := solveMR(t, p, ds.WithMapReduceConfig(mrShapes[0]))
 	for _, cfg := range mrShapes[1:] {
-		got, err := ds.MapReduceAtLeastK(g, 100, 0.5, ds.WithMapReduceConfig(cfg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(normalizeMR(got), want) {
-			t.Fatalf("cfg=%+v: AtLeastK MRResult differs from 1×1 cluster", cfg)
+		got := solveMR(t, p, ds.WithMapReduceConfig(cfg))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("cfg=%+v: AtLeastK Solution differs from 1×1 cluster", cfg)
 		}
 	}
 	// And the MR result still agrees with the in-memory reference.
-	mem, err := ds.AtLeastK(g, 100, 0.5)
+	p.Backend = ds.BackendPeel
+	mem, err := ds.Solve(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,8 +63,7 @@ func DefaultOptions() Options {
 	}
 }
 
-// Option is a functional option for Solve and the algorithm entry
-// points.
+// Option is a functional option for Solve.
 type Option func(*Options)
 
 // WithWorkers sets the worker count for the sharded per-pass scans;

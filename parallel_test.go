@@ -1,9 +1,9 @@
 package densestream_test
 
 // Determinism contract of the parallel engine: Workers(1) and
-// Workers(8) must return identical Set, Density, and Trace — not just
-// equivalent densities — on random graphs. This is the public-API pin
-// for the bit-identical merge order of internal/par.
+// Workers(8) must return identical Solutions — the same Set, Density,
+// and Trace, not just equivalent densities — on random graphs. This is
+// the public-API pin for the bit-identical merge order of internal/par.
 
 import (
 	"reflect"
@@ -13,16 +13,19 @@ import (
 	"densestream/internal/gen"
 )
 
-func assertSameResult(t *testing.T, label string, a, b *ds.Result) {
+func assertSameResult(t *testing.T, label string, a, b *ds.Solution) {
 	t.Helper()
 	if a.Density != b.Density {
 		t.Fatalf("%s: density %v vs %v", label, a.Density, b.Density)
 	}
 	if !reflect.DeepEqual(a.Set, b.Set) {
-		t.Fatalf("%s: Result.Set differs (%d vs %d nodes)", label, len(a.Set), len(b.Set))
+		t.Fatalf("%s: Solution.Set differs (%d vs %d nodes)", label, len(a.Set), len(b.Set))
 	}
 	if !reflect.DeepEqual(a.Trace, b.Trace) {
-		t.Fatalf("%s: Result.Trace differs", label)
+		t.Fatalf("%s: Solution.Trace differs", label)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("%s: Solution differs", label)
 	}
 }
 
@@ -33,15 +36,8 @@ func TestParallelWorkersDeterminismUndirected(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, eps := range []float64{0, 0.5, 1} {
-			one, err := ds.Undirected(g, eps, ds.WithWorkers(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			eight, err := ds.Undirected(g, eps, ds.WithWorkers(8))
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameResult(t, "Undirected", one, eight)
+			p := ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendPeel, Eps: eps, Graph: g}
+			assertSameResult(t, "Undirected", solveOK(t, p, ds.WithWorkers(1)), solveOK(t, p, ds.WithWorkers(8)))
 		}
 	}
 }
@@ -53,22 +49,19 @@ func TestParallelWorkersDeterminismDirected(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, c := range []float64{0.5, 1, 2} {
-			one, err := ds.Directed(g, c, 0.5, ds.WithWorkers(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			eight, err := ds.Directed(g, c, 0.5, ds.WithWorkers(8))
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := ds.Problem{Objective: ds.ObjectiveDirected, Backend: ds.BackendPeel, C: c, Eps: 0.5, Directed: g}
+			one, eight := solveOK(t, p, ds.WithWorkers(1)), solveOK(t, p, ds.WithWorkers(8))
 			if one.Density != eight.Density {
 				t.Fatalf("Directed c=%v: density %v vs %v", c, one.Density, eight.Density)
 			}
 			if !reflect.DeepEqual(one.S, eight.S) || !reflect.DeepEqual(one.T, eight.T) {
 				t.Fatalf("Directed c=%v: S/T differ", c)
 			}
-			if !reflect.DeepEqual(one.Trace, eight.Trace) {
-				t.Fatalf("Directed c=%v: Trace differs", c)
+			if !reflect.DeepEqual(one.DirectedTrace, eight.DirectedTrace) {
+				t.Fatalf("Directed c=%v: DirectedTrace differs", c)
+			}
+			if !reflect.DeepEqual(one, eight) {
+				t.Fatalf("Directed c=%v: Solution differs", c)
 			}
 		}
 	}
@@ -80,32 +73,23 @@ func TestParallelWorkersDeterminismStreaming(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		one, err := ds.Streaming(ds.StreamGraph(g), 0.5, ds.WithWorkers(1))
-		if err != nil {
-			t.Fatal(err)
+		stream := func(es ds.EdgeStream) ds.Problem {
+			return ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendStream, Eps: 0.5, Edges: es}
 		}
-		eight, err := ds.Streaming(ds.StreamGraph(g), 0.5, ds.WithWorkers(8))
-		if err != nil {
-			t.Fatal(err)
-		}
+		one := solveOK(t, stream(ds.StreamGraph(g)), ds.WithWorkers(1))
+		eight := solveOK(t, stream(ds.StreamGraph(g)), ds.WithWorkers(8))
 		assertSameResult(t, "Streaming", one, eight)
 
 		// A stream that hides its Shards method is scanned as a single
 		// shard at any worker count, with the same result.
 		for _, w := range []int{1, 8} {
-			seq, err := ds.Streaming(unshardedStream{ds.StreamGraph(g)}, 0.5, ds.WithWorkers(w))
-			if err != nil {
-				t.Fatal(err)
-			}
+			seq := solveOK(t, stream(unshardedStream{ds.StreamGraph(g)}), ds.WithWorkers(w))
 			assertSameResult(t, "Streaming/unsharded", one, seq)
 		}
 
 		// And the streaming engine still agrees exactly with in-memory
 		// peeling at both worker counts.
-		mem, err := ds.Undirected(g, 0.5, ds.WithWorkers(8))
-		if err != nil {
-			t.Fatal(err)
-		}
+		mem := solveOK(t, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendPeel, Eps: 0.5, Graph: g}, ds.WithWorkers(8))
 		if mem.Density != eight.Density {
 			t.Fatalf("Streaming vs Undirected density: %v vs %v", eight.Density, mem.Density)
 		}
@@ -121,23 +105,9 @@ func TestParallelWorkersDeterminismAtLeastKAndWeighted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := ds.AtLeastK(g, 100, 0.5, ds.WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eight, err := ds.AtLeastK(g, 100, 0.5, ds.WithWorkers(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, "AtLeastK", one, eight)
+	p := ds.Problem{Objective: ds.ObjectiveAtLeastK, Backend: ds.BackendPeel, K: 100, Eps: 0.5, Graph: g}
+	assertSameResult(t, "AtLeastK", solveOK(t, p, ds.WithWorkers(1)), solveOK(t, p, ds.WithWorkers(8)))
 
-	wone, err := ds.UndirectedWeighted(g, 0.5, ds.WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	weight, err := ds.UndirectedWeighted(g, 0.5, ds.WithWorkers(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, "UndirectedWeighted", wone, weight)
+	p = ds.Problem{Objective: ds.ObjectiveWeighted, Backend: ds.BackendPeel, Eps: 0.5, Graph: g}
+	assertSameResult(t, "UndirectedWeighted", solveOK(t, p, ds.WithWorkers(1)), solveOK(t, p, ds.WithWorkers(8)))
 }

@@ -95,8 +95,8 @@ type SolveStats struct {
 }
 
 // Solve executes one densest-subgraph Problem and returns the uniform
-// Solution envelope. It is the single entry point behind every legacy
-// function in this package: the Problem declares what to compute
+// Solution envelope. It is the package's one entry point for every
+// algorithm on every backend: the Problem declares what to compute
 // (objective + parameters), on which input, and with which execution
 // model, while Options configure how it runs (workers, cluster shape,
 // sketch shape, progress).
@@ -454,7 +454,7 @@ func recordScan(sol *Solution, s any) {
 	}
 }
 
-func (s *Solution) fillResult(r *Result) {
+func (s *Solution) fillResult(r *core.Result) {
 	s.Set, s.Density, s.Passes, s.Trace = r.Set, r.Density, r.Passes, r.Trace
 }
 
@@ -462,7 +462,7 @@ func (s *Solution) fillDirected(r *DirectedResult) {
 	s.S, s.T, s.Density, s.Passes, s.DirectedTrace = r.S, r.T, r.Density, r.Passes, r.Trace
 }
 
-func (s *Solution) fillMR(r *MRResult) {
+func (s *Solution) fillMR(r *mapreduce.MRResult) {
 	s.Set, s.Density, s.Passes = r.Set, r.Density, r.Passes
 	s.MRRounds = r.Rounds
 	s.Stats.BytesSpilled = r.SpilledBytes

@@ -1,10 +1,11 @@
 package densestream_test
 
-// Parity pin for the unified Solve API: every objective × backend pair
-// must return bit-identical results to the legacy entry point it
-// replaced, across ChungLu and RMAT inputs. Plus the cancellation
-// contract: a context canceled mid-solve returns context.Canceled
-// promptly with a partial trace, on all three runtimes.
+// Parity pin for the unified Solve API: every backend of an objective
+// must agree with the in-memory peel on ChungLu and RMAT inputs, and
+// ObjectiveExact and ObjectiveGreedy must match the solvers they
+// dispatch to. Plus the cancellation contract: a context canceled
+// mid-solve returns context.Canceled promptly with a partial trace, on
+// all three runtimes.
 
 import (
 	"context"
@@ -14,6 +15,8 @@ import (
 	"time"
 
 	ds "densestream"
+	"densestream/internal/charikar"
+	"densestream/internal/flow"
 )
 
 // parityGraphs returns the undirected and directed inputs of the
@@ -60,70 +63,32 @@ func solveOK(t *testing.T, p ds.Problem, opts ...ds.Option) *ds.Solution {
 	return sol
 }
 
-func wantSame(t *testing.T, label string, got, want any) {
-	t.Helper()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: Solve diverges from the legacy entry point\n got: %+v\nwant: %+v", label, got, want)
-	}
-}
-
-// stripWall zeroes the wall-clock field of MR rounds, the only
-// per-round field that differs between two runs of the same job.
-func stripWall(rounds []ds.MRRoundStat) []ds.MRRoundStat {
-	out := make([]ds.MRRoundStat, len(rounds))
-	for i, r := range rounds {
-		r.Wall = 0
-		out[i] = r
-	}
-	return out
-}
-
 func TestSolveParityUndirectedObjectives(t *testing.T) {
 	und, _ := parityGraphs(t)
 	const eps = 0.5
 	sketchCfg := ds.SketchConfig{Tables: 5, Buckets: 256, Seed: 1}
 	for gi, g := range und {
-		// Peel.
-		sol := solveOK(t, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendPeel, Eps: eps, Graph: g})
-		legacy, err := ds.Undirected(g, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSame(t, "undirected/peel", &ds.Result{Set: sol.Set, Density: sol.Density, Passes: sol.Passes, Trace: sol.Trace}, legacy)
+		peel := solveOK(t, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendPeel, Eps: eps, Graph: g})
 
-		// Stream.
-		sol = solveOK(t, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendStream, Eps: eps, Edges: ds.StreamGraph(g)})
-		st, err := ds.Streaming(ds.StreamGraph(g), eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSame(t, "undirected/stream", &ds.Result{Set: sol.Set, Density: sol.Density, Passes: sol.Passes, Trace: sol.Trace}, st)
-		if sol.Density != legacy.Density {
-			t.Fatalf("graph %d: stream density %v != peel %v", gi, sol.Density, legacy.Density)
+		sol := solveOK(t, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendStream, Eps: eps, Edges: ds.StreamGraph(g)})
+		if sol.Density != peel.Density {
+			t.Fatalf("graph %d: stream density %v != peel %v", gi, sol.Density, peel.Density)
 		}
 
-		// StreamSketched.
+		// The sketch estimates degrees, so its density may fall short
+		// of the exact peel's; it can never beat ρ* ≤ (2+2ε)·peel.
 		sol = solveOK(t, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendStreamSketched, Eps: eps, Edges: ds.StreamGraph(g)},
 			ds.WithSketch(sketchCfg))
-		sk, mem, err := ds.StreamingSketched(ds.StreamGraph(g), eps, sketchCfg)
-		if err != nil {
-			t.Fatal(err)
+		if sol.Density <= 0 || sol.Density > (2+2*eps)*peel.Density {
+			t.Fatalf("graph %d: sketch density %v outside (0, (2+2ε)·peel = %v]", gi, sol.Density, (2+2*eps)*peel.Density)
 		}
-		wantSame(t, "undirected/sketch", &ds.Result{Set: sol.Set, Density: sol.Density, Passes: sol.Passes, Trace: sol.Trace}, sk)
-		if sol.SketchMemoryWords != mem {
-			t.Fatalf("sketch memory %d != %d", sol.SketchMemoryWords, mem)
+		if want := sketchCfg.Tables * sketchCfg.Buckets; sol.SketchMemoryWords != want {
+			t.Fatalf("sketch memory %d != %d", sol.SketchMemoryWords, want)
 		}
 
-		// MapReduce.
 		sol = solveOK(t, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendMapReduce, Eps: eps, Graph: g})
-		mr, err := ds.MapReduce(g, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSame(t, "undirected/mr", &ds.MRResult{Set: sol.Set, Density: sol.Density, Passes: sol.Passes, Rounds: stripWall(sol.MRRounds)},
-			&ds.MRResult{Set: mr.Set, Density: mr.Density, Passes: mr.Passes, Rounds: stripWall(mr.Rounds)})
-		if sol.Density != legacy.Density {
-			t.Fatalf("graph %d: MR density %v != peel %v", gi, sol.Density, legacy.Density)
+		if sol.Density != peel.Density {
+			t.Fatalf("graph %d: MR density %v != peel %v", gi, sol.Density, peel.Density)
 		}
 	}
 }
@@ -134,108 +99,92 @@ func TestSolveParityWeightedAndAtLeastK(t *testing.T) {
 	const eps, k = 0.5, 100
 
 	// Weighted on peel and stream (unit weights on an unweighted graph).
-	sol := solveOK(t, ds.Problem{Objective: ds.ObjectiveWeighted, Backend: ds.BackendPeel, Eps: eps, Graph: g})
-	w, err := ds.UndirectedWeighted(g, eps)
-	if err != nil {
-		t.Fatal(err)
+	peel := solveOK(t, ds.Problem{Objective: ds.ObjectiveWeighted, Backend: ds.BackendPeel, Eps: eps, Graph: g})
+	sol := solveOK(t, ds.Problem{Objective: ds.ObjectiveWeighted, Backend: ds.BackendStream, Eps: eps, WeightedEdges: ds.StreamWeightedGraph(g)})
+	if sol.Density != peel.Density {
+		t.Fatalf("weighted: stream density %v != peel %v", sol.Density, peel.Density)
 	}
-	wantSame(t, "weighted/peel", sol.Set, w.Set)
-	sol = solveOK(t, ds.Problem{Objective: ds.ObjectiveWeighted, Backend: ds.BackendStream, Eps: eps, WeightedEdges: ds.StreamWeightedGraph(g)})
-	ws, err := ds.StreamingWeighted(ds.StreamWeightedGraph(g), eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSame(t, "weighted/stream", &ds.Result{Set: sol.Set, Density: sol.Density, Passes: sol.Passes, Trace: sol.Trace}, ws)
 
 	// AtLeastK on all three exact backends.
-	sol = solveOK(t, ds.Problem{Objective: ds.ObjectiveAtLeastK, Backend: ds.BackendPeel, K: k, Eps: eps, Graph: g})
-	al, err := ds.AtLeastK(g, k, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSame(t, "atleastk/peel", &ds.Result{Set: sol.Set, Density: sol.Density, Passes: sol.Passes, Trace: sol.Trace}, al)
-
+	peel = solveOK(t, ds.Problem{Objective: ds.ObjectiveAtLeastK, Backend: ds.BackendPeel, K: k, Eps: eps, Graph: g})
 	sol = solveOK(t, ds.Problem{Objective: ds.ObjectiveAtLeastK, Backend: ds.BackendStream, K: k, Eps: eps, Edges: ds.StreamGraph(g)})
-	als, err := ds.StreamingAtLeastK(ds.StreamGraph(g), k, eps)
-	if err != nil {
-		t.Fatal(err)
+	if sol.Density != peel.Density {
+		t.Fatalf("atleastk: stream density %v != peel %v", sol.Density, peel.Density)
 	}
-	wantSame(t, "atleastk/stream", &ds.Result{Set: sol.Set, Density: sol.Density, Passes: sol.Passes, Trace: sol.Trace}, als)
-
 	sol = solveOK(t, ds.Problem{Objective: ds.ObjectiveAtLeastK, Backend: ds.BackendMapReduce, K: k, Eps: eps, Graph: g})
-	alm, err := ds.MapReduceAtLeastK(g, k, eps)
-	if err != nil {
-		t.Fatal(err)
+	if sol.Density != peel.Density {
+		t.Fatalf("atleastk: MR density %v != peel %v", sol.Density, peel.Density)
 	}
-	wantSame(t, "atleastk/mr", &ds.MRResult{Set: sol.Set, Density: sol.Density, Passes: sol.Passes, Rounds: stripWall(sol.MRRounds)},
-		&ds.MRResult{Set: alm.Set, Density: alm.Density, Passes: alm.Passes, Rounds: stripWall(alm.Rounds)})
 }
 
 func TestSolveParityDirectedObjectives(t *testing.T) {
 	_, dir := parityGraphs(t)
 	const eps, c, delta = 0.5, 1.0, 2.0
 	for gi, g := range dir {
-		sol := solveOK(t, ds.Problem{Objective: ds.ObjectiveDirected, Backend: ds.BackendPeel, C: c, Eps: eps, Directed: g})
-		legacy, err := ds.Directed(g, c, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSame(t, "directed/peel", &ds.DirectedResult{S: sol.S, T: sol.T, Density: sol.Density, Passes: sol.Passes, Trace: sol.DirectedTrace}, legacy)
+		peel := solveOK(t, ds.Problem{Objective: ds.ObjectiveDirected, Backend: ds.BackendPeel, C: c, Eps: eps, Directed: g})
 
-		sol = solveOK(t, ds.Problem{Objective: ds.ObjectiveDirected, Backend: ds.BackendStream, C: c, Eps: eps, Edges: ds.StreamDirectedGraph(g)})
-		st, err := ds.StreamingDirected(ds.StreamDirectedGraph(g), c, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSame(t, "directed/stream", &ds.DirectedResult{S: sol.S, T: sol.T, Density: sol.Density, Passes: sol.Passes, Trace: sol.DirectedTrace}, st)
-		if sol.Density != legacy.Density {
-			t.Fatalf("graph %d: stream directed density %v != peel %v", gi, sol.Density, legacy.Density)
+		sol := solveOK(t, ds.Problem{Objective: ds.ObjectiveDirected, Backend: ds.BackendStream, C: c, Eps: eps, Edges: ds.StreamDirectedGraph(g)})
+		if sol.Density != peel.Density {
+			t.Fatalf("graph %d: stream directed density %v != peel %v", gi, sol.Density, peel.Density)
 		}
 
 		sol = solveOK(t, ds.Problem{Objective: ds.ObjectiveDirected, Backend: ds.BackendMapReduce, C: c, Eps: eps, Directed: g})
-		mr, err := ds.MapReduceDirected(g, c, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(sol.S, mr.S) || !reflect.DeepEqual(sol.T, mr.T) || sol.Density != mr.Density || sol.Passes != mr.Passes {
-			t.Fatalf("directed/mr: Solve diverges from MapReduceDirected")
+		if sol.Density != peel.Density {
+			t.Fatalf("graph %d: MR directed density %v != peel %v", gi, sol.Density, peel.Density)
 		}
 
-		swSol := solveOK(t, ds.Problem{Objective: ds.ObjectiveDirectedSweep, Backend: ds.BackendPeel, Delta: delta, Eps: eps, Directed: g})
-		sw, err := ds.DirectedSweep(g, delta, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSame(t, "sweep/peel", swSol.Sweep, sw)
-		if swSol.Density != sw.Best.Density {
-			t.Fatalf("sweep: Solution density %v != Best %v", swSol.Density, sw.Best.Density)
+		sw := solveOK(t, ds.Problem{Objective: ds.ObjectiveDirectedSweep, Backend: ds.BackendPeel, Delta: delta, Eps: eps, Directed: g})
+		if sw.Sweep == nil || sw.Density != sw.Sweep.Best.Density {
+			t.Fatalf("sweep: Solution density %v does not match Sweep.Best", sw.Density)
 		}
 	}
 }
 
+// TestSolveParityExactAndGreedy pins ObjectiveExact and ObjectiveGreedy
+// to the flow and Charikar solvers they dispatch to.
 func TestSolveParityExactAndGreedy(t *testing.T) {
 	g, err := ds.GenerateChungLu(400, 1600, 2.1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sol := solveOK(t, ds.Problem{Objective: ds.ObjectiveExact, Graph: g})
-	ex, err := ds.Exact(g)
+	ex, err := flow.ExactDensest(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSame(t, "exact/peel", sol.Set, ex.Set)
-	if sol.Density != ex.Density || sol.ExactNumer != ex.Numer || sol.ExactDenom != ex.Denom || sol.Passes != ex.FlowCalls {
-		t.Fatalf("exact: Solve diverges: %+v vs %+v", sol, ex)
+	if !reflect.DeepEqual(sol.Set, ex.Set) || sol.Density != ex.Density || sol.ExactNumer != ex.Numer ||
+		sol.ExactDenom != ex.Denom || sol.Passes != ex.FlowCalls {
+		t.Fatalf("exact: Solve diverges from flow.ExactDensest: %+v vs %+v", sol, ex)
 	}
 
 	sol = solveOK(t, ds.Problem{Objective: ds.ObjectiveGreedy, Graph: g})
-	gr, err := ds.Greedy(g)
+	gr, err := charikar.Densest(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSame(t, "greedy/peel", sol.Set, gr.Set)
-	if sol.Density != gr.Density || sol.Passes != gr.Peels {
-		t.Fatalf("greedy: Solve diverges: %+v vs %+v", sol, gr)
+	if !reflect.DeepEqual(sol.Set, gr.Set) || sol.Density != gr.Density || sol.Passes != gr.Peels {
+		t.Fatalf("greedy: Solve diverges from charikar.Densest: %+v vs %+v", sol, gr)
+	}
+
+	// On a weighted graph ObjectiveGreedy peels by weighted degree.
+	b := ds.NewBuilder(g.NumNodes())
+	g.Edges(func(u, v int32, _ float64) bool {
+		if err := b.AddWeightedEdge(u, v, float64(1+(u+v)%4)); err != nil {
+			t.Fatal(err)
+		}
+		return true
+	})
+	wg, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol = solveOK(t, ds.Problem{Objective: ds.ObjectiveGreedy, Graph: wg})
+	gw, err := charikar.DensestWeighted(wg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sol.Set, gw.Set) || sol.Density != gw.Density || sol.Passes != gw.Peels {
+		t.Fatalf("weighted greedy: Solve diverges from charikar.DensestWeighted: %+v vs %+v", sol, gw)
 	}
 }
 

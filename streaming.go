@@ -1,10 +1,6 @@
 package densestream
 
-import (
-	"context"
-
-	"densestream/internal/stream"
-)
+import "densestream/internal/stream"
 
 // EdgeStream is a re-scannable stream of edges: Reset begins a pass, Next
 // yields edges until io.EOF. Implementations include in-memory slices,
@@ -35,23 +31,6 @@ func OpenFileStream(path string) (*FileStream, error) {
 	return stream.OpenFileStream(path)
 }
 
-// Streaming runs Algorithm 1 against an edge stream holding only O(n)
-// node state; results are identical to Undirected on the same graph.
-// When the stream is shardable (in-memory and file streams are) each
-// pass's edge scan splits across workers with per-worker counter lanes
-// — results stay identical for every worker count.
-//
-// Deprecated: use the Solve front door:
-//
-//	Solve(ctx, Problem{Objective: ObjectiveUndirected, Backend: BackendStream, Eps: eps, Edges: es})
-func Streaming(es EdgeStream, eps float64, opts ...Option) (*Result, error) {
-	sol, err := Solve(context.Background(), Problem{Objective: ObjectiveUndirected, Backend: BackendStream, Eps: eps, Edges: es}, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return sol.asResult(), nil
-}
-
 // SketchConfig shapes the Count-Sketch degree oracle of §5.1: Tables
 // independent hash tables (the paper uses 5) of Buckets counters each.
 // Memory is Tables×Buckets words instead of one word per node. An
@@ -62,25 +41,6 @@ type SketchConfig struct {
 	Tables  int
 	Buckets int
 	Seed    int64
-}
-
-// StreamingSketched runs Algorithm 1 with Count-Sketch degree estimation
-// instead of the exact degree array, trading a little accuracy for a
-// memory footprint independent of n (§5.1). Returns the result and the
-// counter memory in 64-bit words (for comparison against n).
-//
-// Deprecated: use the Solve front door; the counter memory is reported
-// in Solution.SketchMemoryWords:
-//
-//	Solve(ctx, Problem{Objective: ObjectiveUndirected, Backend: BackendStreamSketched, Eps: eps, Edges: es}, WithSketch(cfg))
-func StreamingSketched(es EdgeStream, eps float64, cfg SketchConfig) (*Result, int, error) {
-	sol, err := Solve(context.Background(),
-		Problem{Objective: ObjectiveUndirected, Backend: BackendStreamSketched, Eps: eps, Edges: es},
-		WithSketch(cfg))
-	if err != nil {
-		return nil, 0, err
-	}
-	return sol.asResult(), sol.SketchMemoryWords, nil
 }
 
 // WeightedEdgeStream is a re-scannable stream of weighted edges.
@@ -111,51 +71,4 @@ type WeightedFileStream = stream.WeightedFileStream
 // WeightedEdgeStream. Close it when done.
 func OpenWeightedFileStream(path string) (*WeightedFileStream, error) {
 	return stream.OpenWeightedFileStream(path)
-}
-
-// StreamingWeighted runs the weighted Algorithm 1 against a weighted edge
-// stream with O(n) state; results match UndirectedWeighted on the same
-// graph. Shardable weighted streams (slices and files) scan each pass
-// through a fixed float-lane decomposition, so results are
-// bit-identical for every WithWorkers count.
-//
-// Deprecated: use the Solve front door:
-//
-//	Solve(ctx, Problem{Objective: ObjectiveWeighted, Backend: BackendStream, Eps: eps, WeightedEdges: es})
-func StreamingWeighted(es WeightedEdgeStream, eps float64, opts ...Option) (*Result, error) {
-	sol, err := Solve(context.Background(), Problem{Objective: ObjectiveWeighted, Backend: BackendStream, Eps: eps, WeightedEdges: es}, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return sol.asResult(), nil
-}
-
-// StreamingAtLeastK runs Algorithm 2 against an edge stream holding only
-// O(n) node state; results are identical to AtLeastK on the same graph.
-// Shardable streams scan each pass across WithWorkers workers.
-//
-// Deprecated: use the Solve front door:
-//
-//	Solve(ctx, Problem{Objective: ObjectiveAtLeastK, Backend: BackendStream, Eps: eps, K: k, Edges: es})
-func StreamingAtLeastK(es EdgeStream, k int, eps float64, opts ...Option) (*Result, error) {
-	sol, err := Solve(context.Background(), Problem{Objective: ObjectiveAtLeastK, Backend: BackendStream, K: k, Eps: eps, Edges: es}, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return sol.asResult(), nil
-}
-
-// StreamingDirected runs Algorithm 3 against a directed edge stream for a
-// fixed ratio c; results are identical to Directed on the same graph.
-// Shardable streams scan each pass across workers, as in Streaming.
-//
-// Deprecated: use the Solve front door:
-//
-//	Solve(ctx, Problem{Objective: ObjectiveDirected, Backend: BackendStream, Eps: eps, C: c, Edges: es})
-func StreamingDirected(es EdgeStream, c, eps float64, opts ...Option) (*DirectedResult, error) {
-	sol, err := Solve(context.Background(), Problem{Objective: ObjectiveDirected, Backend: BackendStream, C: c, Eps: eps, Edges: es}, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return sol.asDirectedResult(), nil
 }
