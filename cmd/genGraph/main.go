@@ -195,13 +195,17 @@ func runConvert(in, out string, weighted bool) error {
 	return convertToBinary(in, out, weighted)
 }
 
+// convertToBinary reads the text file with or without its weight
+// column, as weighted says: without it a third column is ignored, as
+// every unweighted reader ignores it.
 func convertToBinary(in, out string, weighted bool) error {
 	src, err := edgeio.OpenFileSource(in)
 	if err != nil {
 		return err
 	}
-	r := src.SequentialWeightedReader()
-	if err := r.Reset(); err != nil {
+	sh := src.BlockShards(1, weighted)[0]
+	defer sh.Close()
+	if err := sh.Reset(); err != nil {
 		return err
 	}
 	w, err := edgeio.CreateBinary(out, weighted)
@@ -209,8 +213,9 @@ func convertToBinary(in, out string, weighted bool) error {
 		return err
 	}
 	edges := int64(0)
-	for {
-		e, err := r.Next()
+	lo, hi := sh.Blocks()
+	for b := lo; b < hi; b++ {
+		blk, weights, err := sh.Block(b)
 		if err == io.EOF {
 			break
 		}
@@ -219,12 +224,14 @@ func convertToBinary(in, out string, weighted bool) error {
 			os.Remove(out)
 			return err
 		}
-		if weighted {
-			w.AppendWeighted(e)
-		} else {
-			w.Append(edgeio.Edge{U: e.U, V: e.V})
+		for j, e := range blk {
+			if weights != nil {
+				w.AppendWeighted(edgeio.WeightedEdge{U: e.U, V: e.V, Weight: weights[j]})
+			} else {
+				w.Append(e)
+			}
 		}
-		edges++
+		edges += int64(len(blk))
 	}
 	if err := w.Close(); err != nil {
 		return err
@@ -239,34 +246,33 @@ func convertToText(in, out string) error {
 		return err
 	}
 	defer src.Close()
+	sh := src.BlockShards(1, true)[0]
+	defer sh.Close()
 	f, err := os.Create(out)
 	if err != nil {
 		return err
 	}
 	bw := bufio.NewWriter(f)
-	r := src.WeightedShards(1)[0]
-	if err := r.Reset(); err != nil {
-		f.Close()
-		return err
-	}
 	edges := int64(0)
-	for {
-		e, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err == nil {
-			if src.Weighted() {
-				_, err = fmt.Fprintf(bw, "%d\t%d\t%g\n", e.U, e.V, e.Weight)
-			} else {
-				_, err = fmt.Fprintf(bw, "%d\t%d\n", e.U, e.V)
-			}
-		}
+	lo, hi := sh.Blocks()
+	for b := lo; b < hi; b++ {
+		blk, weights, err := sh.Block(b)
 		if err != nil {
 			f.Close()
 			return err
 		}
-		edges++
+		for j, e := range blk {
+			if weights != nil {
+				_, err = fmt.Fprintf(bw, "%d\t%d\t%g\n", e.U, e.V, weights[j])
+			} else {
+				_, err = fmt.Fprintf(bw, "%d\t%d\n", e.U, e.V)
+			}
+			if err != nil {
+				f.Close()
+				return err
+			}
+		}
+		edges += int64(len(blk))
 	}
 	if err := bw.Flush(); err != nil {
 		f.Close()

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -136,6 +137,51 @@ func TestConvertWeighted(t *testing.T) {
 	}
 }
 
+// TestConvertIgnoresThirdColumn: without -weighted the converter reads
+// a text file as every unweighted reader does, ignoring a third column
+// — a sign, as in SNAP's soc-sign files, or a timestamp — so the binary
+// file holds exactly the text's edges. With -weighted a third column is
+// a weight, and a negative one is still rejected.
+func TestConvertIgnoresThirdColumn(t *testing.T) {
+	dir := t.TempDir()
+	for name, content := range map[string]string{
+		"signed.txt":      "# FromNodeId ToNodeId Sign\n0\t1\t-1\n1\t2\t1\n2\t0\t-1\n3\t3\t1\n2\t3\t-1\n",
+		"timestamped.txt": "0 1 1217567877\n1 2 1217573547\r\n2 0 0\n2 3 1.5e9",
+	} {
+		txt := filepath.Join(dir, name)
+		if err := os.WriteFile(txt, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		bin := txt + ".bsg"
+		if err := runConvert(txt, bin, false); err != nil {
+			t.Fatalf("%s without -weighted: %v", name, err)
+		}
+		src, err := edgeio.OpenBinarySource(bin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []edgeio.Edge
+		sh := src.BlockShards(1, false)[0]
+		lo, hi := sh.Blocks()
+		for b := lo; b < hi; b++ {
+			edges, _, err := sh.Block(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, edges...)
+		}
+		sh.Close()
+		src.Close()
+		want := []edgeio.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 2, V: 3}}
+		if src.Weighted() || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: converted to weighted=%v edges %v, want unweighted %v", name, src.Weighted(), got, want)
+		}
+	}
+	if err := runConvert(filepath.Join(dir, "signed.txt"), filepath.Join(dir, "w.bsg"), true); err == nil || !strings.Contains(err.Error(), `bad weight "-1"`) {
+		t.Fatalf("-weighted on a negative weight: %v, want a bad weight error", err)
+	}
+}
+
 // TestRunTimestamped checks both -timestamps modes in both formats:
 // the third column must be a permutation of 1..m (the identity for
 // monotone), identical edge sequence to the unstamped output, and the
@@ -187,20 +233,22 @@ func TestRunTimestamped(t *testing.T) {
 			src.Close()
 			t.Fatalf("%s: binary output has no timestamp column", mode)
 		}
-		r := src.WeightedShards(1)[0]
-		if err := r.Reset(); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; ; i++ {
-			e, err := r.Next()
+		sh := src.BlockShards(1, true)[0]
+		lo, hi := sh.Blocks()
+		for b, i := lo, 0; b < hi; b++ {
+			edges, weights, err := sh.Block(b)
 			if err != nil {
-				break
+				t.Fatal(err)
 			}
-			f := strings.Fields(lines[i])
-			if f[0] != strconv.Itoa(int(e.U)) || f[1] != strconv.Itoa(int(e.V)) || f[2] != strconv.FormatInt(int64(e.Weight), 10) {
-				t.Fatalf("%s edge %d: binary (%d,%d,%v) vs text %q", mode, i, e.U, e.V, e.Weight, lines[i])
+			for j, e := range edges {
+				f := strings.Fields(lines[i])
+				if f[0] != strconv.Itoa(int(e.U)) || f[1] != strconv.Itoa(int(e.V)) || f[2] != strconv.FormatInt(int64(weights[j]), 10) {
+					t.Fatalf("%s edge %d: binary (%d,%d,%v) vs text %q", mode, i, e.U, e.V, weights[j], lines[i])
+				}
+				i++
 			}
 		}
+		sh.Close()
 		src.Close()
 	}
 	if err := run("chunglu", filepath.Join(dir, "bad.txt"), "text", "random", 1, 300, 900, 8, 2.2, 5); err == nil {

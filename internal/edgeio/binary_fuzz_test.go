@@ -10,9 +10,10 @@ import (
 	"testing"
 )
 
-// scanResult is everything one full scan of a source yields on both
-// lanes: the edges and weight bits in shard order, and the first error.
-// Weights are compared as bits, so a NaN in the file compares equal.
+// scanResult is everything one full scan of a source yields, edge at a
+// time and block at a time with weights: the edges and weight bits in
+// shard order, and the first error of each. Weights are compared as
+// bits, so a NaN in the file compares equal.
 type scanResult struct {
 	edges   []Edge
 	wedges  []Edge
@@ -22,8 +23,8 @@ type scanResult struct {
 	scanned bool
 }
 
-// scanSource drains k shards of src in shard order on both lanes,
-// stopping each lane at its first error.
+// scanSource drains k shards of src in shard order through Next and
+// through Block with weights, stopping each at its first error.
 func scanSource(src BinarySource, k int) scanResult {
 	var res scanResult
 	res.scanned = true
@@ -35,9 +36,13 @@ func scanSource(src BinarySource, k int) scanResult {
 			break
 		}
 	}
-	for _, sh := range src.WeightedShards(k) {
-		err := drainWeightedTo(sh, &res.wedges, &res.wbits)
-		closeIf(sh)
+	for _, sh := range src.BlockShards(k, true) {
+		wedges, err := drainBlocks(sh)
+		sh.Close()
+		for _, e := range wedges {
+			res.wedges = append(res.wedges, Edge{U: e.U, V: e.V})
+			res.wbits = append(res.wbits, math.Float64bits(e.Weight))
+		}
 		if err != nil {
 			res.werr = err.Error()
 			break
@@ -62,30 +67,13 @@ func drainTo(r Reader, out *[]Edge) error {
 	}
 }
 
-func drainWeightedTo(r WeightedReader, out *[]Edge, bits *[]uint64) error {
-	if err := r.Reset(); err != nil {
-		return err
-	}
-	for {
-		e, err := r.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		*out = append(*out, Edge{U: e.U, V: e.V})
-		*bits = append(*bits, math.Float64bits(e.Weight))
-	}
-}
-
 func closeIf(r any) {
 	if c, ok := r.(io.Closer); ok {
 		c.Close()
 	}
 }
 
-// blockResult is one block decoded on the weighted lane.
+// blockResult is one block decoded with its weights.
 type blockResult struct {
 	edges []Edge
 	wbits []uint64

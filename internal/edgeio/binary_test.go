@@ -51,22 +51,13 @@ func drainBinary(t *testing.T, r Reader) []Edge {
 	}
 }
 
-func drainBinaryWeighted(t *testing.T, r WeightedReader) []WeightedEdge {
+func drainBinaryWeighted(t *testing.T, r BlockReader) []WeightedEdge {
 	t.Helper()
-	if err := r.Reset(); err != nil {
-		t.Fatalf("Reset: %v", err)
+	out, err := drainBlocks(r)
+	if err != nil {
+		t.Fatalf("Block: %v", err)
 	}
-	var out []WeightedEdge
-	for {
-		e, err := r.Next()
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		out = append(out, e)
-	}
+	return out
 }
 
 // binaryCases is the round-trip corpus: edge-case shapes plus both
@@ -151,7 +142,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 					}
 				}
 				var gotW []WeightedEdge
-				for _, sh := range src.WeightedShards(k) {
+				for _, sh := range src.BlockShards(k, true) {
 					gotW = append(gotW, drainBinaryWeighted(t, sh)...)
 				}
 				for i, e := range gotW {
@@ -438,10 +429,10 @@ func TestMmapParity(t *testing.T) {
 			}
 			for k := 1; k <= 4; k++ {
 				var a, b []WeightedEdge
-				for _, sh := range ms.WeightedShards(k) {
+				for _, sh := range ms.BlockShards(k, true) {
 					a = append(a, drainBinaryWeighted(t, sh)...)
 				}
-				for _, sh := range fs.WeightedShards(k) {
+				for _, sh := range fs.BlockShards(k, true) {
 					b = append(b, drainBinaryWeighted(t, sh)...)
 				}
 				if len(a) != len(b) {
@@ -569,8 +560,7 @@ func TestBlockRanges(t *testing.T) {
 // TestBinaryScanAllocs verifies the zero-alloc steady state on both
 // readers: after the first pass warms the buffers, further passes
 // allocate nothing, whether they pull edges through Next or decode
-// whole blocks through Block (on the weighted lane, weight column
-// included).
+// whole blocks through Block (with weights, weight column included).
 func TestBinaryScanAllocs(t *testing.T) {
 	dir := t.TempDir()
 	var edges []WeightedEdge

@@ -9,12 +9,12 @@ import (
 )
 
 // BinarySource is the common surface of the binary-file readers: a
-// sharded, re-scannable edge source (both lanes) that knows its node
-// and edge counts from the header — no discovery pass — and releases
-// its resources on Close.
+// sharded, re-scannable edge source that knows its node and edge
+// counts from the header — no discovery pass — and releases its
+// resources on Close.
 type BinarySource interface {
-	Source
-	WeightedSource
+	// Shards returns BlockShards(k, false) as edge-at-a-time Readers.
+	Shards(k int) []Reader
 	// Nodes is the header's node count (max id + 1 over the edges).
 	Nodes() int
 	// NumEdges is the trailer's total edge count.
@@ -24,8 +24,8 @@ type BinarySource interface {
 	// Path returns the file path.
 	Path() string
 	// BlockShards cuts the file into 1..k contiguous block ranges for
-	// block-at-a-time reads. weights selects the weighted lane: whether
-	// Block returns a weighted file's weight column.
+	// block-at-a-time reads. weights selects whether Block returns a
+	// weighted file's weight column.
 	BlockShards(k int, weights bool) []*BinaryShard
 	// BytesScanned returns the cumulative bytes of the blocks decoded
 	// across all shards and passes. A block never read is not counted.
@@ -139,23 +139,12 @@ func (s *BinaryFileSource) BlockShards(k int, weights bool) []*BinaryShard {
 	return shards
 }
 
-// Shards implements Source.
+// Shards implements BinarySource.
 func (s *BinaryFileSource) Shards(k int) []Reader {
 	bs := s.BlockShards(k, false)
 	out := make([]Reader, len(bs))
 	for i, sh := range bs {
 		out[i] = sh
-	}
-	return out
-}
-
-// WeightedShards implements WeightedSource. Unweighted files serve
-// weight 1, like the text parsers.
-func (s *BinaryFileSource) WeightedShards(k int) []WeightedReader {
-	bs := s.BlockShards(k, true)
-	out := make([]WeightedReader, len(bs))
-	for i, sh := range bs {
-		out[i] = binaryWeightedShard{sh}
 	}
 	return out
 }
@@ -182,8 +171,8 @@ func blockRanges(nblocks, k int) [][2]int {
 
 // BinaryShard scans one block range of a binary file, a whole decoded
 // block at a time (Blocks, Block) or an edge at a time (Reset, Next,
-// a cursor over the current block). It implements Reader;
-// WeightedShards wraps it for the weighted lane. A buffered shard opens
+// a cursor over the current block). It implements BlockReader, with
+// numbered blocks, and Reader. A buffered shard opens
 // its own file handle on first use. The raw, edge and weight buffers
 // come out of the package pools on first use, are reused for every
 // later block and pass, and go back on Close, after which the shard
@@ -198,10 +187,9 @@ type BinaryShard struct {
 	edgeBox   *[]Edge
 	weightBox *[]float64
 
-	cur    []Edge    // the block Next walks
-	curW   []float64 // its weights on the weighted lane
-	pos    int       // Next's position in cur
-	next   int       // the block Next decodes after cur
+	cur    []Edge // the block Next walks
+	pos    int    // Next's position in cur
+	next   int    // the block Next decodes after cur
 	closed bool
 }
 
@@ -210,14 +198,15 @@ type BinaryShard struct {
 // same way.
 func (sh *BinaryShard) Blocks() (lo, hi int) { return sh.lo, sh.hi }
 
-// Reset implements Reader, (re)positioning the shard at its first
-// block and opening a buffered shard's file handle on first use.
+// Reset implements BlockReader and Reader, (re)positioning the shard at
+// its first block and opening a buffered shard's file handle on first
+// use.
 func (sh *BinaryShard) Reset() error {
 	if err := sh.ready(); err != nil {
 		return err
 	}
 	sh.next = sh.lo
-	sh.cur, sh.curW, sh.pos = nil, nil, 0
+	sh.cur, sh.pos = nil, 0
 	return nil
 }
 
@@ -242,9 +231,10 @@ func (sh *BinaryShard) ready() error {
 	return nil
 }
 
-// Block decodes block i (lo <= i < hi) and returns its edges and, on
-// the weighted lane of a weighted file, its weights (nil otherwise).
-// The slices stay valid until the shard's next Block, Next or Close.
+// Block decodes block i (lo <= i < hi) and returns its edges and, for
+// a shard reading weights of a weighted file, its weights (nil
+// otherwise). The slices stay valid until the shard's next Block, Next
+// or Close.
 // Block i becomes Next's current block with the cursor at its end, so
 // a following Next continues with block i+1.
 func (sh *BinaryShard) Block(i int) ([]Edge, []float64, error) {
@@ -279,7 +269,7 @@ func (sh *BinaryShard) Block(i int) ([]Edge, []float64, error) {
 		return nil, nil, err
 	}
 	sh.src.bytes.Add(end - off)
-	sh.cur, sh.curW, sh.pos, sh.next = edges, weights, len(edges), i+1
+	sh.cur, sh.pos, sh.next = edges, len(edges), i+1
 	return edges, weights, nil
 }
 
@@ -295,28 +285,19 @@ func pooled[T any](box **[]T, pool *sync.Pool, n int) []T {
 	return (**box)[:n]
 }
 
-// advance makes the next edge of the range current, decoding blocks as
-// the cursor crosses them.
-func (sh *BinaryShard) advance() error {
+// Next implements Reader, decoding blocks as the cursor crosses them.
+func (sh *BinaryShard) Next() (Edge, error) {
 	for sh.pos >= len(sh.cur) {
 		if sh.closed || sh.next >= sh.hi {
 			if err := sh.ready(); err != nil {
-				return err
+				return Edge{}, err
 			}
-			return io.EOF
+			return Edge{}, io.EOF
 		}
 		if _, _, err := sh.Block(sh.next); err != nil {
-			return err
+			return Edge{}, err
 		}
 		sh.pos = 0
-	}
-	return nil
-}
-
-// Next implements Reader.
-func (sh *BinaryShard) Next() (Edge, error) {
-	if err := sh.advance(); err != nil {
-		return Edge{}, err
 	}
 	e := sh.cur[sh.pos]
 	sh.pos++
@@ -333,7 +314,7 @@ func (sh *BinaryShard) Close() error {
 	release(&sh.rawBox, &rawPool)
 	release(&sh.edgeBox, &edgePool)
 	release(&sh.weightBox, &weightPool)
-	sh.cur, sh.curW, sh.pos = nil, nil, 0
+	sh.cur, sh.pos = nil, 0
 	if sh.f == nil {
 		return nil
 	}
@@ -346,24 +327,4 @@ func release[T any](box **[]T, pool *sync.Pool) {
 		pool.Put(*box)
 		*box = nil
 	}
-}
-
-// binaryWeightedShard is a BinaryShard on the weighted lane; unweighted
-// files serve weight 1.
-type binaryWeightedShard struct {
-	*BinaryShard
-}
-
-// Next implements WeightedReader.
-func (w binaryWeightedShard) Next() (WeightedEdge, error) {
-	sh := w.BinaryShard
-	if err := sh.advance(); err != nil {
-		return WeightedEdge{}, err
-	}
-	e := WeightedEdge{U: sh.cur[sh.pos].U, V: sh.cur[sh.pos].V, Weight: 1}
-	if sh.curW != nil {
-		e.Weight = sh.curW[sh.pos]
-	}
-	sh.pos++
-	return e, nil
 }

@@ -40,6 +40,34 @@ func drainReader(t *testing.T, r Reader) []Edge {
 	}
 }
 
+// drainBlocks runs one full block pass over r and returns its edges,
+// with weight 1 for a block without a weight column, stopping at the
+// first error.
+func drainBlocks(r BlockReader) ([]WeightedEdge, error) {
+	if err := r.Reset(); err != nil {
+		return nil, err
+	}
+	var out []WeightedEdge
+	lo, hi := r.Blocks()
+	for b := lo; b < hi; b++ {
+		edges, weights, err := r.Block(b)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return out, err
+		}
+		for j, e := range edges {
+			w := 1.0
+			if weights != nil {
+				w = weights[j]
+			}
+			out = append(out, WeightedEdge{U: e.U, V: e.V, Weight: w})
+		}
+	}
+	return out, nil
+}
+
 func sameEdges(a, b []Edge) bool {
 	if len(a) != len(b) {
 		return false
@@ -69,10 +97,10 @@ func TestFileShardSweep(t *testing.T) {
 	}
 	for ci, content := range contents {
 		src := writeFile(t, content)
-		want := drainReader(t, src.SequentialReader())
+		want := drainReader(t, src.SequentialReader(false))
 		for k := 1; k <= 9; k++ {
 			var got []Edge
-			for _, sh := range src.FileShards(k) {
+			for _, sh := range src.BlockShards(k, false) {
 				got = append(got, drainReader(t, sh)...)
 				sh.Close()
 			}
@@ -90,7 +118,7 @@ func TestFileShardSweep(t *testing.T) {
 func TestFileShardEverySplitPoint(t *testing.T) {
 	content := "0 1\n# c\n1 2\r\n\n22 33\n3 4"
 	src := writeFile(t, content)
-	want := drainReader(t, src.SequentialReader())
+	want := drainReader(t, src.SequentialReader(false))
 	size := src.Size()
 	for b := int64(0); b <= size; b++ {
 		left := &FileShard{src: src, lo: 0, hi: b}
@@ -109,7 +137,7 @@ func TestFileShardEverySplitPoint(t *testing.T) {
 // idempotent with Reset failing afterwards.
 func TestFileShardRescan(t *testing.T) {
 	src := writeFile(t, "0 1\n1 2\n2 3\n3 0\n")
-	shards := src.FileShards(3)
+	shards := src.BlockShards(3, false)
 	var first []Edge
 	for pass := 0; pass < 3; pass++ {
 		var got []Edge
@@ -141,7 +169,7 @@ func TestFileShardParseErrors(t *testing.T) {
 	cases := []string{"0 x\n", "onlyone\n", "0 -1\n", "99999999999999999999 1\n"}
 	for _, content := range cases {
 		src := writeFile(t, content)
-		r := src.SequentialReader()
+		r := src.SequentialReader(false)
 		if err := r.Reset(); err != nil {
 			t.Fatal(err)
 		}
@@ -157,20 +185,12 @@ func TestWeightedFileShards(t *testing.T) {
 	want := []WeightedEdge{{0, 1, 2.5}, {1, 2, 1}, {2, 3, 0.25}, {3, 4, 1.5}}
 	for k := 1; k <= 6; k++ {
 		var got []WeightedEdge
-		for _, sh := range src.WeightedShards(k) {
-			if err := sh.Reset(); err != nil {
+		for _, sh := range src.BlockShards(k, true) {
+			edges, err := drainBlocks(sh)
+			if err != nil {
 				t.Fatal(err)
 			}
-			for {
-				e, err := sh.Next()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, e)
-			}
+			got = append(got, edges...)
 		}
 		if len(got) != len(want) {
 			t.Fatalf("k=%d: %d edges, want %d", k, len(got), len(want))
@@ -182,11 +202,11 @@ func TestWeightedFileShards(t *testing.T) {
 		}
 	}
 	bad := writeFile(t, "0 1 -3\n")
-	sh := bad.WeightedShards(1)[0]
+	sh := bad.BlockShards(1, true)[0]
 	if err := sh.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sh.Next(); err == nil || err == io.EOF {
+	if _, _, err := sh.Block(0); err == nil || err == io.EOF {
 		t.Fatalf("negative weight accepted (err=%v)", err)
 	}
 }
@@ -194,7 +214,7 @@ func TestWeightedFileShards(t *testing.T) {
 func TestBytesScanned(t *testing.T) {
 	content := "0 1\n# comment\n1 2\n"
 	src := writeFile(t, content)
-	drainReader(t, src.SequentialReader())
+	drainReader(t, src.SequentialReader(false))
 	if got := src.BytesScanned(); got != int64(len(content)) {
 		t.Fatalf("BytesScanned = %d, want %d", got, len(content))
 	}
@@ -208,20 +228,26 @@ func TestSliceSourceShards(t *testing.T) {
 	src := &SliceSource{Edges: edges}
 	for k := 1; k <= 20; k++ {
 		var got []Edge
-		for _, sh := range src.Shards(k) {
-			got = append(got, drainReader(t, sh)...)
+		for _, sh := range src.BlockShards(k) {
+			wedges, err := drainBlocks(sh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range wedges {
+				got = append(got, Edge{U: e.U, V: e.V})
+			}
 		}
 		if !sameEdges(got, edges) {
 			t.Fatalf("k=%d: resharded scan differs", k)
 		}
 	}
 	empty := &SliceSource{}
-	shards := empty.Shards(4)
+	shards := empty.BlockShards(4)
 	if len(shards) != 1 {
 		t.Fatalf("empty source: %d shards, want 1", len(shards))
 	}
-	if got := drainReader(t, shards[0]); len(got) != 0 {
-		t.Fatalf("empty source yielded %v", got)
+	if got, err := drainBlocks(shards[0]); len(got) != 0 || err != nil {
+		t.Fatalf("empty source yielded %v, %v", got, err)
 	}
 }
 
@@ -231,8 +257,10 @@ func TestSpillRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Three spill blocks: two full, one partial.
+	const records = 2*spillBlockEdges + 500
 	var want []Edge
-	for i := 0; i < 1000; i++ {
+	for i := 0; i < records; i++ {
 		e := Edge{U: int32(i * 3), V: int32(i*7 + 1)}
 		want = append(want, e)
 		w.Append(e)
@@ -245,45 +273,52 @@ func TestSpillRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp.Records != 1000 || sp.Bytes != st.Size() || sp.Bytes == 0 {
+	if sp.Records != records || sp.Bytes != st.Size() || sp.Bytes == 0 {
 		t.Fatalf("descriptor %+v (on-disk size %d)", sp, st.Size())
 	}
-	r, err := sp.OpenReader()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	for pass := 0; pass < 2; pass++ {
-		got := drainReader(t, r)
-		if !sameEdges(got, want) {
-			t.Fatalf("pass %d: round trip differs", pass)
+	each := func(sp *SpillFile, lo, hi int) []Edge {
+		t.Helper()
+		var got []Edge
+		if err := sp.Each(lo, hi, func(e Edge) { got = append(got, e) }); err != nil {
+			t.Fatalf("Each(%d, %d): %v", lo, hi, err)
 		}
+		return got
 	}
-	// Record-indexed seek.
-	if err := r.Seek(990); err != nil {
-		t.Fatal(err)
-	}
-	e, err := r.Next()
+	reopened, err := OpenSpill(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e != want[990] {
-		t.Fatalf("after seek: %+v, want %+v", e, want[990])
+	if reopened.Records != records || reopened.Bytes != sp.Bytes {
+		t.Fatalf("reopened descriptor %+v, want %+v", reopened, sp)
 	}
-	if err := r.Seek(1001); err == nil {
-		t.Fatal("out-of-range seek accepted")
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
+	for _, f := range []*SpillFile{sp, reopened} {
+		for pass := 0; pass < 2; pass++ {
+			if got := each(f, 0, records); !sameEdges(got, want) {
+				t.Fatalf("pass %d: round trip differs", pass)
+			}
+		}
+		// Record ranges inside one block, on block boundaries, and
+		// crossing one or two of them.
+		b := spillBlockEdges
+		for _, r := range [][2]int{{990, 1000}, {b - 1, b + 1}, {b, 2 * b}, {b - 5, 2*b + 7}, {3, records - 3}, {records, records}, {7, 7}} {
+			if got := each(f, r[0], r[1]); !sameEdges(got, want[r[0]:r[1]]) {
+				t.Fatalf("records [%d,%d): %d edges differ from the written ones", r[0], r[1], len(got))
+			}
+		}
+		for _, r := range [][2]int{{-1, 5}, {0, records + 1}, {9, 8}} {
+			if err := f.Each(r[0], r[1], func(Edge) {}); err == nil {
+				t.Fatalf("out-of-range records [%d,%d) accepted", r[0], r[1])
+			}
+		}
 	}
 	if err := sp.Remove(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("spill file still present: %v", err)
+	}
+	if err := sp.Each(0, 1, func(Edge) {}); err == nil {
+		t.Fatal("Each on a removed spill file succeeded")
 	}
 }
 
@@ -312,10 +347,10 @@ func TestFileShardGeneratedSweep(t *testing.T) {
 		}
 	}
 	src := writeFile(t, content)
-	want := drainReader(t, src.SequentialReader())
+	want := drainReader(t, src.SequentialReader(false))
 	for _, k := range []int{2, 3, 5, 8, 13, 32, 100} {
 		var got []Edge
-		for _, sh := range src.FileShards(k) {
+		for _, sh := range src.BlockShards(k, false) {
 			got = append(got, drainReader(t, sh)...)
 			sh.Close()
 		}
@@ -386,7 +421,7 @@ func TestBytesScannedPerShard(t *testing.T) {
 
 	for k := 1; k <= 8; k++ {
 		src := writeFile(t, content)
-		shards := src.FileShards(k)
+		shards := src.BlockShards(k, false)
 		var want int64
 		for pass := 1; pass <= 2; pass++ {
 			for _, sh := range shards {
@@ -408,7 +443,7 @@ func TestBytesScannedPerShard(t *testing.T) {
 	// Partial passes over a middle shard: three lines, cut short by a
 	// Reset that publishes them; then two lines, cut short by Close.
 	src := writeFile(t, content)
-	sh := src.FileShards(3)[1]
+	sh := src.BlockShards(3, false)[1]
 	partial := func(lines int) int64 {
 		t.Helper()
 		if err := sh.Reset(); err != nil {

@@ -10,13 +10,13 @@ import (
 )
 
 // FileSource is an edge-list file on disk, shardable into byte ranges
-// with line-boundary resync. It serves both lanes: every shard parses
-// "u v" lines as a Reader and "u v [w]" lines as a WeightedReader.
-// All shards read through one shared file handle, opened lazily on the
-// first shard Reset and refcounted away on the last shard Close; each
-// shard keeps its own cursor (an io.SectionReader over the handle), so
-// concurrent shard scans never contend and a k-way scan costs one open
-// instead of k.
+// with line-boundary resync. Every shard parses "u v" lines, or
+// "u v [w]" lines when it was made to read weights. All shards read
+// through one shared file handle, opened lazily on the first shard
+// Reset and refcounted away on the last shard Close; each shard keeps
+// its own cursor (an io.SectionReader over the handle), so concurrent
+// shard scans never contend and a k-way scan costs one open instead of
+// k.
 type FileSource struct {
 	path string
 	size int64
@@ -86,11 +86,11 @@ func (s *FileSource) release() error {
 	return f.Close()
 }
 
-// FileShards returns 1..k byte-range shards covering the whole file.
-// Boundaries are a function of the file size and k only. Shards open
-// their file handle on first Reset; Close each shard (or let the owner
-// stream close them) when done.
-func (s *FileSource) FileShards(k int) []*FileShard {
+// BlockShards returns 1..k byte-range shards covering the whole file,
+// reading weights when weights is set. Boundaries are a function of the
+// file size and k only. Shards open their file handle on first Reset;
+// Close each shard (or let the owner stream close them) when done.
+func (s *FileSource) BlockShards(k int, weights bool) []*FileShard {
 	if k < 1 {
 		k = 1
 	}
@@ -101,18 +101,19 @@ func (s *FileSource) FileShards(k int) []*FileShard {
 	shards := make([]*FileShard, k)
 	for i := range backing {
 		backing[i] = FileShard{
-			src: s,
-			lo:  s.size * int64(i) / int64(k),
-			hi:  s.size * int64(i+1) / int64(k),
+			src:     s,
+			lo:      s.size * int64(i) / int64(k),
+			hi:      s.size * int64(i+1) / int64(k),
+			weights: weights,
 		}
 		shards[i] = &backing[i]
 	}
 	return shards
 }
 
-// Shards implements Source.
+// Shards returns BlockShards(k, false) as edge-at-a-time Readers.
 func (s *FileSource) Shards(k int) []Reader {
-	fileShards := s.FileShards(k)
+	fileShards := s.BlockShards(k, false)
 	out := make([]Reader, len(fileShards))
 	for i, sh := range fileShards {
 		out[i] = sh
@@ -120,38 +121,25 @@ func (s *FileSource) Shards(k int) []Reader {
 	return out
 }
 
-// WeightedShards implements WeightedSource.
-func (s *FileSource) WeightedShards(k int) []WeightedReader {
-	fileShards := s.FileShards(k)
-	out := make([]WeightedReader, len(fileShards))
-	for i, sh := range fileShards {
-		out[i] = weightedShard{sh}
-	}
-	return out
-}
-
 // SequentialReader returns one shard covering the whole file — the
-// sequential lane used for node-count discovery and single-worker
+// sequential cut used for node-count discovery and single-worker
 // scans.
-func (s *FileSource) SequentialReader() *FileShard {
-	return &FileShard{src: s, lo: 0, hi: s.size}
-}
-
-// SequentialWeightedReader is SequentialReader for the weighted lane.
-// The returned reader also implements io.Closer.
-func (s *FileSource) SequentialWeightedReader() WeightedReader {
-	return weightedShard{s.SequentialReader()}
+func (s *FileSource) SequentialReader(weights bool) *FileShard {
+	return &FileShard{src: s, lo: 0, hi: s.size, weights: weights}
 }
 
 // FileShard reads the lines of one byte range [lo, hi) of the file,
 // owning exactly the lines whose first byte is in (lo, hi] — except the
 // first shard (lo == 0), which also owns the line at offset 0. A shard
 // starting mid-line resyncs to the next line start; the line spanning
-// hi is read to completion. It implements Reader; wrap it in
-// WeightedShards for the weighted lane.
+// hi is read to completion. It implements Reader, and BlockReader
+// with up to fileBlockEdges parsed edges per unnumbered block; its
+// block buffers come out of the package pools on first use and go back
+// on Close.
 type FileShard struct {
-	src    *FileSource
-	lo, hi int64
+	src     *FileSource
+	lo, hi  int64
+	weights bool // parse and hand out the weight column
 	// sr is this shard's private cursor over the source's shared file
 	// handle (section [0, ∞) — the shard's own lo/hi bookkeeping bounds
 	// the scan). Non-nil sr implies one reference on the source handle.
@@ -164,7 +152,14 @@ type FileShard struct {
 	pending int64 // bytes read but not yet published to src.bytes
 	done    bool
 	closed  bool
+
+	edgeBox   *[]Edge
+	weightBox *[]float64
+	err       error // the error Block hands out after its edges
 }
+
+// fileBlockEdges is the most parsed edges one FileShard block holds.
+const fileBlockEdges = 1024
 
 // publish adds the shard's unpublished byte count to its source.
 func (sh *FileShard) publish() {
@@ -182,6 +177,7 @@ func (sh *FileShard) Reset() error {
 		return fmt.Errorf("edgeio: Reset on closed shard of %s", sh.src.path)
 	}
 	sh.publish()
+	sh.err = nil
 	if sh.sr == nil {
 		f, err := sh.src.acquire()
 		if err != nil {
@@ -273,34 +269,75 @@ func (sh *FileShard) NextLine() ([]byte, int64, error) {
 	return line, start, nil
 }
 
-// Next implements Reader, parsing owned "u v" lines and skipping
-// comments, blanks, and self loops.
-func (sh *FileShard) Next() (Edge, error) {
+// next parses the next owned edge and its weight, skipping comments,
+// blanks, and self loops.
+func (sh *FileShard) next() (Edge, float64, error) {
 	for {
 		line, start, err := sh.NextLine()
 		if err != nil {
-			return Edge{}, err
+			return Edge{}, 0, err
 		}
-		e, skip, perr := parseEdgeLineBytes(line)
+		e, w, skip, perr := parseEdgeLineBytes(line, sh.weights)
 		if perr != nil {
-			return Edge{}, fmt.Errorf("edgeio: %s offset %d: %w", sh.src.path, start, perr)
+			return Edge{}, 0, fmt.Errorf("edgeio: %s offset %d: %w", sh.src.path, start, perr)
 		}
-		if skip {
-			continue
+		if !skip {
+			return e, w, nil
 		}
-		return e, nil
 	}
 }
 
-// Close publishes the shard's byte count, returns its read buffer to
-// the pool and drops its reference on the source's shared handle (the
-// last shard to close releases the file). It is idempotent.
+// Next implements Reader.
+func (sh *FileShard) Next() (Edge, error) {
+	e, _, err := sh.next()
+	return e, err
+}
+
+// Blocks implements BlockReader: a text shard's blocks are unnumbered.
+func (sh *FileShard) Blocks() (lo, hi int) { return 0, Unnumbered }
+
+// Block implements BlockReader, parsing the shard's next block of
+// owned edges whatever the number asked for.
+func (sh *FileShard) Block(int) ([]Edge, []float64, error) {
+	if sh.closed {
+		return nil, nil, fmt.Errorf("edgeio: Block on closed shard of %s", sh.src.path)
+	}
+	if sh.err != nil {
+		return nil, nil, sh.err
+	}
+	edges := pooled(&sh.edgeBox, &edgePool, fileBlockEdges)[:0]
+	var weights []float64
+	if sh.weights {
+		weights = pooled(&sh.weightBox, &weightPool, fileBlockEdges)[:0]
+	}
+	for len(edges) < fileBlockEdges {
+		e, w, err := sh.next()
+		if err != nil {
+			if len(edges) == 0 {
+				return nil, nil, err
+			}
+			sh.err = err
+			break
+		}
+		edges = append(edges, e)
+		if sh.weights {
+			weights = append(weights, w)
+		}
+	}
+	return edges, weights, nil
+}
+
+// Close publishes the shard's byte count, returns its read and block
+// buffers to the pools and drops its reference on the source's shared
+// handle (the last shard to close releases the file). It is idempotent.
 func (sh *FileShard) Close() error {
 	if sh.closed {
 		return nil
 	}
 	sh.closed = true
 	sh.publish()
+	release(&sh.edgeBox, &edgePool)
+	release(&sh.weightBox, &weightPool)
 	if sh.rd != nil {
 		sh.rd.Reset(nil)
 		readerPool.Put(sh.rd)
@@ -312,32 +349,3 @@ func (sh *FileShard) Close() error {
 	sh.sr = nil
 	return sh.src.release()
 }
-
-// weightedShard adapts a FileShard to the weighted lane.
-type weightedShard struct {
-	sh *FileShard
-}
-
-// Reset implements WeightedReader.
-func (w weightedShard) Reset() error { return w.sh.Reset() }
-
-// Next implements WeightedReader, parsing "u v [w]" lines.
-func (w weightedShard) Next() (WeightedEdge, error) {
-	for {
-		line, start, err := w.sh.NextLine()
-		if err != nil {
-			return WeightedEdge{}, err
-		}
-		e, skip, perr := parseWeightedEdgeLineBytes(line)
-		if perr != nil {
-			return WeightedEdge{}, fmt.Errorf("edgeio: %s offset %d: %w", w.sh.src.path, start, perr)
-		}
-		if skip {
-			continue
-		}
-		return e, nil
-	}
-}
-
-// Close releases the underlying shard's file handle.
-func (w weightedShard) Close() error { return w.sh.Close() }

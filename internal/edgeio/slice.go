@@ -2,34 +2,27 @@ package edgeio
 
 import "io"
 
-// SliceSource is the memory-resident Source: a fixed edge slice,
-// sharded into contiguous ranges. The range decomposition depends only
-// on the edge count and k.
+// SliceSource is the memory-resident edge source: a fixed edge slice,
+// optionally with one weight per edge, sharded into contiguous ranges.
+// The range decomposition depends only on the edge count and k.
 type SliceSource struct {
-	Edges []Edge
+	Edges   []Edge
+	Weights []float64 // nil, or len(Edges) weights
 }
 
-// Shards implements Source.
-func (s *SliceSource) Shards(k int) []Reader {
+// BlockShards cuts the edges into 1..k contiguous ranges, each read as
+// unnumbered blocks of up to sliceBlockEdges edges. Blocks are
+// sub-slices of Edges and Weights: nothing is copied.
+func (s *SliceSource) BlockShards(k int) []BlockReader {
 	bounds := sliceBounds(len(s.Edges), k)
-	out := make([]Reader, len(bounds))
+	backing := make([]sliceShard, len(bounds))
+	out := make([]BlockReader, len(bounds))
 	for i, b := range bounds {
-		out[i] = &SliceReader{edges: s.Edges[b[0]:b[1]]}
-	}
-	return out
-}
-
-// WeightedSliceSource is the memory-resident WeightedSource.
-type WeightedSliceSource struct {
-	Edges []WeightedEdge
-}
-
-// WeightedShards implements WeightedSource.
-func (s *WeightedSliceSource) WeightedShards(k int) []WeightedReader {
-	bounds := sliceBounds(len(s.Edges), k)
-	out := make([]WeightedReader, len(bounds))
-	for i, b := range bounds {
-		out[i] = &WeightedSliceReader{edges: s.Edges[b[0]:b[1]]}
+		backing[i].edges = s.Edges[b[0]:b[1]]
+		if s.Weights != nil {
+			backing[i].weights = s.Weights[b[0]:b[1]]
+		}
+		out[i] = &backing[i]
 	}
 	return out
 }
@@ -50,40 +43,32 @@ func sliceBounds(n, k int) [][2]int {
 	return out
 }
 
-// SliceReader is one resident shard's cursor.
-type SliceReader struct {
-	edges []Edge
-	pos   int
+// sliceBlockEdges is the most edges one resident block holds, so a scan
+// polls for cancellation as often over slices as over text.
+const sliceBlockEdges = 1024
+
+// sliceShard is one resident range, read in unnumbered blocks.
+type sliceShard struct {
+	edges   []Edge
+	weights []float64
+	pos     int
 }
 
-// Reset implements Reader.
-func (r *SliceReader) Reset() error { r.pos = 0; return nil }
+// Reset implements BlockReader.
+func (r *sliceShard) Reset() error { r.pos = 0; return nil }
 
-// Next implements Reader.
-func (r *SliceReader) Next() (Edge, error) {
+// Blocks implements BlockReader: resident blocks are unnumbered.
+func (r *sliceShard) Blocks() (lo, hi int) { return 0, Unnumbered }
+
+// Block implements BlockReader, handing out the next sub-slice.
+func (r *sliceShard) Block(int) ([]Edge, []float64, error) {
 	if r.pos >= len(r.edges) {
-		return Edge{}, io.EOF
+		return nil, nil, io.EOF
 	}
-	e := r.edges[r.pos]
-	r.pos++
-	return e, nil
-}
-
-// WeightedSliceReader is one resident weighted shard's cursor.
-type WeightedSliceReader struct {
-	edges []WeightedEdge
-	pos   int
-}
-
-// Reset implements WeightedReader.
-func (r *WeightedSliceReader) Reset() error { r.pos = 0; return nil }
-
-// Next implements WeightedReader.
-func (r *WeightedSliceReader) Next() (WeightedEdge, error) {
-	if r.pos >= len(r.edges) {
-		return WeightedEdge{}, io.EOF
+	lo, hi := r.pos, min(r.pos+sliceBlockEdges, len(r.edges))
+	r.pos = hi
+	if r.weights == nil {
+		return r.edges[lo:hi:hi], nil, nil
 	}
-	e := r.edges[r.pos]
-	r.pos++
-	return e, nil
+	return r.edges[lo:hi:hi], r.weights[lo:hi:hi], nil
 }

@@ -2,23 +2,22 @@ package edgeio
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"sort"
 )
 
 // Spill files are the MapReduce engine's overflow storage: when a
 // Dataset partition exceeds its memory budget it is written to disk and
-// read back through the same Reader interface the text shards serve.
-// Since PR 7 they use the binary columnar block format ("BSG1", see
-// binary.go) instead of fixed 8-byte records: the block index in the
-// footer keeps a spilled partition seekable by record number — the map
-// phase scans arbitrary record ranges without reading from the start —
-// while delta-varint blocks shrink the on-disk footprint of the sorted
-// runs the engine typically spills.
+// read back through the same BinaryShard that reads graph files. They
+// use the binary columnar block format ("BSG1", see binary.go): the
+// block index in the footer keeps a spilled partition seekable by
+// record number — the map phase scans arbitrary record ranges without
+// reading from the start — while delta-varint blocks shrink the
+// on-disk footprint of the sorted runs the engine typically spills.
 
 // spillBlockEdges keeps spill blocks small (8 KiB fixed-width): a
-// record-range scan decodes at most one extra block per seek.
+// record-range scan decodes at most one block it only partly needs at
+// each end.
 const spillBlockEdges = 1024
 
 // SpillWriter streams edges into a spill file. Errors are latched and
@@ -60,14 +59,14 @@ func (w *SpillWriter) Close() (*SpillFile, error) {
 		Path:    w.path,
 		Records: records,
 		Bytes:   st.Size(),
-		meta: &binaryMeta{
+		src: &BinaryFileSource{meta: &binaryMeta{
 			path:     w.path,
 			size:     st.Size(),
 			nodes:    int64(w.bw.maxID) + 1,
 			edges:    int64(records),
 			index:    index,
 			maxCount: maxBlockCount(index),
-		},
+		}},
 	}, nil
 }
 
@@ -88,7 +87,7 @@ type SpillFile struct {
 	Records int
 	Bytes   int64
 
-	meta *binaryMeta
+	src *BinaryFileSource // buffered reads
 }
 
 // OpenSpill rebuilds a SpillFile descriptor from a file on disk,
@@ -97,144 +96,46 @@ type SpillFile struct {
 // partition files by path alone, and the resumed run reopens them here
 // without the writer that produced them.
 func OpenSpill(path string) (*SpillFile, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("edgeio: %w", err)
-	}
-	defer f.Close()
-	meta, err := readBinaryMeta(f, path)
+	src, err := OpenBinaryFileSource(path)
 	if err != nil {
 		return nil, err
 	}
 	return &SpillFile{
 		Path:    path,
-		Records: int(meta.edges),
-		Bytes:   meta.size,
-		meta:    meta,
+		Records: int(src.meta.edges),
+		Bytes:   src.meta.size,
+		src:     src,
 	}, nil
 }
 
-// OpenReader opens a cursor over the file's records. Close it when the
-// scan is done; a SpillFile may have any number of concurrent readers.
-func (sp *SpillFile) OpenReader() (*SpillReader, error) {
-	f, err := os.Open(sp.Path)
-	if err != nil {
-		return nil, fmt.Errorf("edgeio: %w", err)
+// Each calls fn for records [lo, hi) of the file, in order: a binary
+// search of the block index finds lo's block, and one buffered
+// BinaryShard decodes from there. A SpillFile may serve any number of
+// concurrent Each calls.
+func (sp *SpillFile) Each(lo, hi int, fn func(Edge)) error {
+	if lo < 0 || hi > sp.Records || lo > hi {
+		return fmt.Errorf("edgeio: spill range [%d,%d) outside [0,%d]", lo, hi, sp.Records)
 	}
-	meta := sp.meta
-	if meta == nil {
-		// A descriptor rebuilt without its writer (e.g. after a restart)
-		// revalidates the file.
-		meta, err = readBinaryMeta(f, sp.Path)
+	index := sp.src.meta.index
+	// First block whose record range extends past lo.
+	b := sort.Search(len(index), func(i int) bool {
+		return index[i].first+int64(index[i].count) > int64(lo)
+	})
+	sh := BinaryShard{src: sp.src, lo: b, hi: len(index)}
+	defer sh.Close()
+	for rec := lo; rec < hi; b++ {
+		edges, _, err := sh.Block(b)
 		if err != nil {
-			f.Close()
-			return nil, err
+			return err
 		}
-		sp.meta = meta
+		first := int(index[b].first)
+		for _, e := range edges[rec-first : min(len(edges), hi-first)] {
+			fn(e)
+		}
+		rec = first + len(edges)
 	}
-	return &SpillReader{sp: sp, meta: meta, f: f}, nil
+	return nil
 }
 
 // Remove deletes the file from disk.
 func (sp *SpillFile) Remove() error { return os.Remove(sp.Path) }
-
-// SpillReader is a cursor over a spill file's records; it implements
-// Reader plus record-indexed seeking through the block index.
-type SpillReader struct {
-	sp   *SpillFile
-	meta *binaryMeta
-	f    *os.File
-
-	raw   []byte
-	edges []Edge
-
-	block int
-	pos   int
-	have  int
-	rec   int // record index of the next Next
-}
-
-// Reset implements Reader.
-func (r *SpillReader) Reset() error { return r.Seek(0) }
-
-// Seek positions the cursor at the given record index: a binary search
-// of the block index, one block decode, and an in-block skip.
-func (r *SpillReader) Seek(record int) error {
-	if r.f == nil {
-		return fmt.Errorf("edgeio: Seek on closed spill reader of %s", r.sp.Path)
-	}
-	if record < 0 || record > r.sp.Records {
-		return fmt.Errorf("edgeio: spill seek %d out of range [0,%d]", record, r.sp.Records)
-	}
-	r.rec = record
-	r.pos, r.have = 0, 0
-	if record == r.sp.Records {
-		r.block = len(r.meta.index)
-		return nil
-	}
-	// First block whose record range extends past the target.
-	i := sort.Search(len(r.meta.index), func(i int) bool {
-		b := r.meta.index[i]
-		return b.first+int64(b.count) > int64(record)
-	})
-	r.block = i
-	if err := r.fill(); err != nil {
-		return err
-	}
-	r.pos = record - int(r.meta.index[i].first)
-	return nil
-}
-
-// fill reads and decodes the next block.
-func (r *SpillReader) fill() error {
-	if r.block >= len(r.meta.index) {
-		return io.EOF
-	}
-	m := r.meta
-	i := r.block
-	size := int(m.blockEnd(i) - m.index[i].off)
-	if cap(r.raw) < size {
-		r.raw = make([]byte, size)
-	}
-	raw := r.raw[:size]
-	if _, err := r.f.ReadAt(raw, m.index[i].off); err != nil {
-		return fmt.Errorf("edgeio: reading %s: %w", r.sp.Path, err)
-	}
-	if cap(r.edges) < m.maxCount {
-		r.edges = make([]Edge, m.maxCount)
-	}
-	edges, _, err := m.decodeBlock(i, raw, r.edges, nil)
-	if err != nil {
-		return err
-	}
-	r.edges = edges
-	r.block++
-	r.pos, r.have = 0, len(edges)
-	return nil
-}
-
-// Next implements Reader.
-func (r *SpillReader) Next() (Edge, error) {
-	if r.rec >= r.sp.Records {
-		return Edge{}, io.EOF
-	}
-	for r.pos >= r.have {
-		if err := r.fill(); err != nil {
-			return Edge{}, err
-		}
-	}
-	e := r.edges[r.pos]
-	r.pos++
-	r.rec++
-	return e, nil
-}
-
-// Close releases the file handle. It is idempotent.
-func (r *SpillReader) Close() error {
-	if r.f == nil {
-		return nil
-	}
-	err := r.f.Close()
-	r.f = nil
-	return err
-}

@@ -68,7 +68,7 @@ func scanTextShards(path string, weighted bool, workers int) ([]*edgeTokens, err
 	if err != nil {
 		return nil, err
 	}
-	shards := src.FileShards(par.Clamp(workers))
+	shards := src.BlockShards(par.Clamp(workers), false)
 	return tokenizeShards(len(shards), workers, weighted, func(i int, t *edgeTokens) error {
 		sh := shards[i]
 		defer sh.Close()

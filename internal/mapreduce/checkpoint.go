@@ -177,21 +177,17 @@ func (c *checkpointer) resume() (*ckptManifest, *Dataset[int32, int32], error) {
 // checkNodeRange reports the first record of a restored partition
 // with an endpoint outside [0, nodes).
 func checkNodeRange(sp *edgeio.SpillFile, nodes int) error {
-	r, err := sp.OpenReader()
-	if err != nil {
+	var bad error
+	i := 0
+	if err := sp.Each(0, sp.Records, func(e edgeio.Edge) {
+		if bad == nil && (e.U < 0 || int(e.U) >= nodes || e.V < 0 || int(e.V) >= nodes) {
+			bad = fmt.Errorf("record %d (%d,%d) has a node id outside [0,%d)", i, e.U, e.V, nodes)
+		}
+		i++
+	}); err != nil {
 		return err
 	}
-	defer r.Close()
-	for i := 0; i < sp.Records; i++ {
-		e, err := r.Next()
-		if err != nil {
-			return err
-		}
-		if e.U < 0 || int(e.U) >= nodes || e.V < 0 || int(e.V) >= nodes {
-			return fmt.Errorf("record %d (%d,%d) has a node id outside [0,%d)", i, e.U, e.V, nodes)
-		}
-	}
-	return nil
+	return bad
 }
 
 // write persists the given completed round when it is due: partition

@@ -437,22 +437,7 @@ func eachSpilled[K comparable, V any](sp *edgeio.SpillFile, lo, hi int, fn func(
 	if !ok {
 		return fmt.Errorf("mapreduce: spill file attached to a non-edge dataset")
 	}
-	r, err := sp.OpenReader()
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	if err := r.Seek(lo); err != nil {
-		return err
-	}
-	for i := lo; i < hi; i++ {
-		e, err := r.Next()
-		if err != nil {
-			return err
-		}
-		emit(Pair[int32, int32]{Key: e.U, Value: e.V})
-	}
-	return nil
+	return sp.Each(lo, hi, func(e edgeio.Edge) { emit(Pair[int32, int32]{Key: e.U, Value: e.V}) })
 }
 
 // Each calls fn for every record in partition order, reading spilled

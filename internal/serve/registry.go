@@ -582,23 +582,21 @@ func ReadEdgeListFile(path string, weighted bool) ([]Edge, error) {
 	}
 	defer src.Close()
 	edges := make([]Edge, 0, src.NumEdges())
-	r := src.WeightedShards(1)[0]
-	if err := r.Reset(); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	for {
-		e, err := r.Next()
-		if err == io.EOF {
-			break
-		}
+	sh := src.BlockShards(1, weighted)[0]
+	defer sh.Close()
+	lo, hi := sh.Blocks()
+	for b := lo; b < hi; b++ {
+		blk, weights, err := sh.Block(b)
 		if err != nil {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
-		w := 1.0
-		if weighted {
-			w = e.Weight
+		for j, e := range blk {
+			w := 1.0
+			if weights != nil {
+				w = weights[j]
+			}
+			edges = append(edges, Edge{U: e.U, V: e.V, W: w})
 		}
-		edges = append(edges, Edge{U: e.U, V: e.V, W: w})
 	}
 	return edges, nil
 }

@@ -1,14 +1,14 @@
 package stream
 
 import (
-	"errors"
 	"testing"
 
+	"densestream/internal/edgeio"
 	"densestream/internal/gen"
 	"densestream/internal/par"
 )
 
-// countingBlocks is a ShardedStream whose shards expose numbered
+// countingBlocks is a Sharded stream whose shards expose numbered
 // blocks of a fixed edge list, as BSG1 shards do, and count the Block
 // calls each block receives.
 type countingBlocks struct {
@@ -18,7 +18,7 @@ type countingBlocks struct {
 }
 
 func newCountingBlocks(n int, edges []Edge, per int) *countingBlocks {
-	c := &countingBlocks{SliceStream: SliceStream{n: n, edges: edges}}
+	c := &countingBlocks{SliceStream: SliceStream{n: n, src: edgeio.SliceSource{Edges: edges}}}
 	for lo := 0; lo < len(edges); lo += per {
 		c.blocks = append(c.blocks, edges[lo:min(lo+per, len(edges))])
 	}
@@ -26,11 +26,11 @@ func newCountingBlocks(n int, edges []Edge, per int) *countingBlocks {
 	return c
 }
 
-// Shards implements ShardedStream with fresh shards on every call, so
+// BlockShards implements Sharded with fresh shards on every call, so
 // the scanner cannot rely on shard identity across passes.
-func (c *countingBlocks) Shards(k int) []EdgeStream {
+func (c *countingBlocks) BlockShards(k int) []edgeio.BlockReader {
 	k = max(min(k, len(c.blocks)), 1)
-	out := make([]EdgeStream, k)
+	out := make([]edgeio.BlockReader, k)
 	for i := range out {
 		out[i] = &countingShard{c: c, lo: len(c.blocks) * i / k, hi: len(c.blocks) * (i + 1) / k}
 	}
@@ -42,11 +42,7 @@ type countingShard struct {
 	lo, hi int
 }
 
-var errReadByBlock = errors.New("countingShard is read by block")
-
-func (s *countingShard) NumNodes() int        { return s.c.n }
 func (s *countingShard) Reset() error         { return nil }
-func (s *countingShard) Next() (Edge, error)  { return Edge{}, errReadByBlock }
 func (s *countingShard) Blocks() (lo, hi int) { return s.lo, s.hi }
 func (s *countingShard) Block(i int) ([]Edge, []float64, error) {
 	s.c.calls[i]++
@@ -65,7 +61,7 @@ func TestScannerSkipsDeadBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := g.NumNodes()
-	cb := newCountingBlocks(n, FromUndirected(g).edges, 64)
+	cb := newCountingBlocks(n, FromUndirected(g).src.Edges, 64)
 	for _, workers := range []int{1, 2, 3, 4} {
 		pool := par.Acquire(workers)
 		s := newScanner(cb, nil, streamScanLanes(n, pool.Workers()), nil, pool)

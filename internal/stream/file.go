@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"io"
 
 	"densestream/internal/edgeio"
 )
@@ -21,73 +22,88 @@ import (
 //     from the header — no discovery pass. The streaming scan reads
 //     such a file a decoded block at a time and skips dead blocks.
 //
-// FileStream implements ShardedStream: Shards(k) cuts the file into k
+// FileStream implements Sharded: BlockShards(k) cuts the file into k
 // ranges (byte ranges with line-boundary resync for text, block ranges
 // for binary), so the streaming scan reads disk inputs with the same
 // worker fan-out as in-memory streams. The shard set is memoized per k
 // and re-positioned by Reset each pass; Close releases every handle
-// (and unmaps a mapped file) and is idempotent.
+// (and unmaps a mapped file) and is idempotent. WeightedFileStream is
+// the same stream with the weight column.
 type FileStream struct {
 	path     string
 	n        int
 	bytesFn  func() int64
 	closeSrc func() error // binary sources only; nil for text
-	shardsFn func(k int) []edgeio.Reader
-	seq      edgeio.Reader
-	shards   []edgeio.Reader
-	wrap     []EdgeStream
+	shardsFn func(k int) []edgeio.BlockReader
+	seq      edgeio.BlockReader   // the whole file as one shard
+	shards   []edgeio.BlockReader // the current cut when k > 1
+	view     []edgeio.BlockReader // what BlockShards returns
 	shardK   int
 	closed   bool
+
+	// Next's cursor over seq: the next block and what is left of the
+	// current one.
+	b    int
+	blk  []Edge
+	blkW []float64
 }
 
 // OpenFileStream opens path, detecting text vs binary by magic bytes.
 // The returned stream is positioned before the first edge; call Reset
 // to begin each pass.
 func OpenFileStream(path string) (*FileStream, error) {
+	fs := &FileStream{}
+	if err := fs.open(path, false); err != nil {
+		return nil, err
+	}
+	return fs, nil
+}
+
+// open opens path for fs, reading the weight column when weights is
+// set, and positions the stream for the first pass.
+func (fs *FileStream) open(path string, weights bool) error {
+	fs.path = path
 	isBin, err := edgeio.DetectBinary(path)
 	if err != nil {
-		return nil, fmt.Errorf("stream: %w", err)
+		return fmt.Errorf("stream: %w", err)
 	}
 	if isBin {
 		bs, err := edgeio.OpenBinarySource(path)
 		if err != nil {
-			return nil, fmt.Errorf("stream: %w", err)
+			return fmt.Errorf("stream: %w", err)
 		}
-		fs := &FileStream{
-			path:     path,
-			n:        bs.Nodes(),
-			bytesFn:  bs.BytesScanned,
-			closeSrc: bs.Close,
-			shardsFn: bs.Shards,
-			seq:      bs.Shards(1)[0],
+		fs.n, fs.bytesFn, fs.closeSrc = bs.Nodes(), bs.BytesScanned, bs.Close
+		fs.shardsFn = func(k int) []edgeio.BlockReader { return blockReaders(bs.BlockShards(k, weights)) }
+		fs.seq = bs.BlockShards(1, weights)[0]
+	} else {
+		src, err := edgeio.OpenFileSource(path)
+		if err != nil {
+			return fmt.Errorf("stream: %w", err)
 		}
-		if err := fs.seq.Reset(); err != nil {
-			bs.Close()
-			return nil, fmt.Errorf("stream: %w", err)
+		fs.bytesFn = src.BytesScanned
+		fs.shardsFn = func(k int) []edgeio.BlockReader { return blockReaders(src.BlockShards(k, weights)) }
+		fs.seq = src.SequentialReader(weights)
+		maxID, err := edgeio.MaxNodeID(fs.seq)
+		if err != nil {
+			fs.Close()
+			return fmt.Errorf("stream: %w", err)
 		}
-		return fs, nil
+		fs.n = int(maxID + 1)
 	}
-	src, err := edgeio.OpenFileSource(path)
-	if err != nil {
-		return nil, fmt.Errorf("stream: %w", err)
+	if err := fs.Reset(); err != nil {
+		fs.Close()
+		return err
 	}
-	fs := &FileStream{
-		path:     path,
-		bytesFn:  src.BytesScanned,
-		shardsFn: src.Shards,
-		seq:      src.SequentialReader(),
+	return nil
+}
+
+// blockReaders widens a shard cut to the BlockReader contract.
+func blockReaders[S edgeio.BlockReader](shards []S) []edgeio.BlockReader {
+	out := make([]edgeio.BlockReader, len(shards))
+	for i, sh := range shards {
+		out[i] = sh
 	}
-	maxID, err := edgeio.MaxNodeID(fs.seq)
-	if err != nil {
-		closeReader(fs.seq)
-		return nil, fmt.Errorf("stream: %w", err)
-	}
-	fs.n = int(maxID + 1)
-	if err := fs.seq.Reset(); err != nil {
-		closeReader(fs.seq)
-		return nil, fmt.Errorf("stream: %w", err)
-	}
-	return fs, nil
+	return out
 }
 
 // NumNodes implements EdgeStream.
@@ -100,6 +116,8 @@ func (fs *FileStream) Reset() error {
 	if fs.closed {
 		return fmt.Errorf("stream: Reset on closed FileStream %s", fs.path)
 	}
+	fs.b, _ = fs.seq.Blocks()
+	fs.blk, fs.blkW = nil, nil
 	if err := fs.seq.Reset(); err != nil {
 		return fmt.Errorf("stream: %w", err)
 	}
@@ -107,41 +125,62 @@ func (fs *FileStream) Reset() error {
 }
 
 // Next implements EdgeStream.
-func (fs *FileStream) Next() (Edge, error) { return fs.seq.Next() }
+func (fs *FileStream) Next() (Edge, error) {
+	e, _, err := fs.next()
+	return e, err
+}
 
-// Shards implements ShardedStream: the file is cut into up to k ranges
+// next returns the sequential shard's next edge and its weight (1
+// without a weight column), reading the shard a block at a time.
+func (fs *FileStream) next() (Edge, float64, error) {
+	if fs.closed {
+		return Edge{}, 0, fmt.Errorf("stream: Next on closed FileStream %s", fs.path)
+	}
+	for len(fs.blk) == 0 {
+		if _, hi := fs.seq.Blocks(); fs.b >= hi {
+			return Edge{}, 0, io.EOF
+		}
+		edges, weights, err := fs.seq.Block(fs.b)
+		if err != nil {
+			return Edge{}, 0, err
+		}
+		fs.b++
+		fs.blk, fs.blkW = edges, weights
+	}
+	e, w := fs.blk[0], 1.0
+	fs.blk = fs.blk[1:]
+	if fs.blkW != nil {
+		w, fs.blkW = fs.blkW[0], fs.blkW[1:]
+	}
+	return e, w, nil
+}
+
+// BlockShards implements Sharded: the file is cut into up to k ranges
 // (byte ranges for text, block ranges for binary), each scanning
 // through its own cursor. The shard set is memoized per k, so the
 // per-pass calls of the scan reuse the same handles and decode
-// buffers; FileStream.Close closes them. One shard is the sequential
-// reader itself, which already covers the whole file.
-func (fs *FileStream) Shards(k int) []EdgeStream {
-	if k < 1 {
-		k = 1
-	}
+// buffers; Close closes them. One shard is the sequential shard
+// itself, which already covers the whole file. On a closed stream it
+// returns the closed sequential shard, whose Reset fails, so a scan
+// reports the misuse through its normal error path.
+func (fs *FileStream) BlockShards(k int) []edgeio.BlockReader {
 	if fs.closed {
-		// Keep the contract that shard errors surface from Reset.
-		return []EdgeStream{&errorStream{n: fs.n, err: fmt.Errorf("stream: Shards on closed FileStream %s", fs.path)}}
+		return []edgeio.BlockReader{fs.seq}
 	}
-	if fs.wrap == nil || fs.shardK != k {
+	k = max(k, 1)
+	if fs.view == nil || fs.shardK != k {
 		for _, sh := range fs.shards {
-			closeReader(sh)
+			closeShard(sh)
 		}
 		fs.shards = nil
-		readers := []edgeio.Reader{fs.seq}
+		fs.view = []edgeio.BlockReader{fs.seq}
 		if k > 1 {
 			fs.shards = fs.shardsFn(k)
-			readers = fs.shards
+			fs.view = fs.shards
 		}
 		fs.shardK = k
-		backing := make([]readerStream, len(readers))
-		fs.wrap = make([]EdgeStream, len(readers))
-		for i, sh := range readers {
-			backing[i] = readerStream{n: fs.n, r: sh}
-			fs.wrap[i] = &backing[i]
-		}
 	}
-	return fs.wrap
+	return fs.view
 }
 
 // BytesScanned reports the cumulative bytes this stream has read from
@@ -159,9 +198,10 @@ func (fs *FileStream) Close() error {
 		return nil
 	}
 	fs.closed = true
-	err := closeReader(fs.seq)
+	fs.blk, fs.blkW = nil, nil
+	err := closeShard(fs.seq)
 	for _, sh := range fs.shards {
-		if cerr := closeReader(sh); err == nil {
+		if cerr := closeShard(sh); err == nil {
 			err = cerr
 		}
 	}
@@ -173,35 +213,36 @@ func (fs *FileStream) Close() error {
 	return err
 }
 
-// readerStream adapts an edgeio.Reader shard to the EdgeStream shape
-// (the node count comes from the owning stream).
-type readerStream struct {
-	n int
-	r edgeio.Reader
+// closeShard closes a shard that holds file handles or buffers.
+func closeShard(sh edgeio.BlockReader) error {
+	if c, ok := sh.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
 }
 
-// NumNodes implements EdgeStream.
-func (s *readerStream) NumNodes() int { return s.n }
-
-// Reset implements EdgeStream.
-func (s *readerStream) Reset() error { return s.r.Reset() }
-
-// Next implements EdgeStream.
-func (s *readerStream) Next() (Edge, error) { return s.r.Next() }
-
-// errorStream is an EdgeStream that fails on Reset; it reports misuse
-// (scanning a closed stream's shards) through the scan's normal error
-// path.
-type errorStream struct {
-	n   int
-	err error
+// WeightedFileStream is a FileStream that reads the weight column: text
+// "u v w" edge lists (a missing third column defaults to weight 1, so
+// unweighted files work too; a present one must be finite and > 0) or
+// binary columnar files (an unweighted binary file serves weight 1 the
+// same way). Its shards carry the weight column, and its Next adds each
+// edge's weight.
+type WeightedFileStream struct {
+	FileStream
 }
 
-// NumNodes implements EdgeStream.
-func (s *errorStream) NumNodes() int { return s.n }
+// OpenWeightedFileStream opens path, detecting the format by magic
+// bytes, and positions the stream for the first pass.
+func OpenWeightedFileStream(path string) (*WeightedFileStream, error) {
+	ws := &WeightedFileStream{}
+	if err := ws.open(path, true); err != nil {
+		return nil, err
+	}
+	return ws, nil
+}
 
-// Reset implements EdgeStream.
-func (s *errorStream) Reset() error { return s.err }
-
-// Next implements EdgeStream.
-func (s *errorStream) Next() (Edge, error) { return Edge{}, s.err }
+// Next implements WeightedEdgeStream.
+func (ws *WeightedFileStream) Next() (WeightedEdge, error) {
+	e, w, err := ws.next()
+	return WeightedEdge{U: e.U, V: e.V, Weight: w}, err
+}

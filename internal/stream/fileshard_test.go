@@ -232,7 +232,7 @@ func TestWeightedParallelWorkerParity(t *testing.T) {
 }
 
 // TestFileStreamCloseIdempotent covers the Close/Reset contract: Close
-// twice is fine, Reset and Shards afterwards error instead of silently
+// twice is fine, Reset and BlockShards afterwards error instead of silently
 // reopening.
 func TestFileStreamCloseIdempotent(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "e.txt")
@@ -243,7 +243,7 @@ func TestFileStreamCloseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs.Shards(3)
+	fs.BlockShards(3)
 	if err := fs.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestFileStreamCloseIdempotent(t *testing.T) {
 	if err := fs.Reset(); err == nil {
 		t.Fatal("Reset after Close succeeded")
 	}
-	shards := fs.Shards(3)
+	shards := fs.BlockShards(3)
 	if len(shards) == 0 {
 		t.Fatal("no shards")
 	}
@@ -265,7 +265,7 @@ func TestFileStreamCloseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws.WeightedShards(2)
+	ws.BlockShards(2)
 	if err := ws.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -275,8 +275,8 @@ func TestFileStreamCloseIdempotent(t *testing.T) {
 	if err := ws.Reset(); err == nil {
 		t.Fatal("weighted Reset after Close succeeded")
 	}
-	wshards := ws.WeightedShards(2)
-	if err := wshards[0].Reset(); err == nil {
+	weightedShards := ws.BlockShards(2)
+	if err := weightedShards[0].Reset(); err == nil {
 		t.Fatal("weighted shard Reset after Close succeeded")
 	}
 }

@@ -2,10 +2,12 @@ package stream
 
 import (
 	"errors"
+	"io"
 	"reflect"
 	"testing"
 
 	"densestream/internal/core"
+	"densestream/internal/edgeio"
 	"densestream/internal/gen"
 	"densestream/internal/par"
 )
@@ -17,27 +19,28 @@ func TestSliceStreamShardsPartitionEdges(t *testing.T) {
 	}
 	s := FromUndirected(g)
 	for _, k := range []int{1, 3, 8, 1000} {
-		shards := s.Shards(k)
+		shards := s.BlockShards(k)
 		if len(shards) > k && k >= 1 {
-			t.Fatalf("Shards(%d) returned %d shards", k, len(shards))
+			t.Fatalf("BlockShards(%d) returned %d shards", k, len(shards))
 		}
 		var total int64
 		for _, sh := range shards {
-			if sh.NumNodes() != s.NumNodes() {
-				t.Fatalf("shard has %d nodes, want %d", sh.NumNodes(), s.NumNodes())
-			}
 			if err := sh.Reset(); err != nil {
 				t.Fatal(err)
 			}
 			for {
-				if _, err := sh.Next(); err != nil {
+				edges, _, err := sh.Block(0)
+				if err == io.EOF {
 					break
 				}
-				total++
+				if err != nil {
+					t.Fatal(err)
+				}
+				total += int64(len(edges))
 			}
 		}
 		if total != g.NumEdges() {
-			t.Fatalf("Shards(%d) yield %d edges, want %d", k, total, g.NumEdges())
+			t.Fatalf("BlockShards(%d) yield %d edges, want %d", k, total, g.NumEdges())
 		}
 	}
 }
@@ -174,7 +177,7 @@ func TestUndirectedParallelPropagatesShardErrors(t *testing.T) {
 	}
 }
 
-// faultShardedStream shards into sub-streams whose first shard fails
+// faultShardedStream shards into block readers whose first shard fails
 // after a fixed number of edges.
 type faultShardedStream struct {
 	inner     *SliceStream
@@ -185,8 +188,30 @@ func (f *faultShardedStream) NumNodes() int       { return f.inner.NumNodes() }
 func (f *faultShardedStream) Reset() error        { return f.inner.Reset() }
 func (f *faultShardedStream) Next() (Edge, error) { return f.inner.Next() }
 
-func (f *faultShardedStream) Shards(k int) []EdgeStream {
-	shards := f.inner.Shards(k)
-	shards[0] = &FaultStream{Inner: shards[0], FailAfter: f.failAfter}
+func (f *faultShardedStream) BlockShards(k int) []edgeio.BlockReader {
+	shards := append([]edgeio.BlockReader(nil), f.inner.BlockShards(k)...)
+	shards[0] = &faultBlocks{BlockReader: shards[0], failAfter: f.failAfter}
 	return shards
+}
+
+// faultBlocks serves at most failAfter edges of a shard (counted across
+// passes), then fails with ErrInjected.
+type faultBlocks struct {
+	edgeio.BlockReader
+	failAfter, served int
+}
+
+func (b *faultBlocks) Block(i int) ([]Edge, []float64, error) {
+	if b.served >= b.failAfter {
+		return nil, nil, ErrInjected
+	}
+	edges, weights, err := b.BlockReader.Block(i)
+	if n := b.failAfter - b.served; len(edges) > n {
+		edges = edges[:n]
+		if weights != nil {
+			weights = weights[:n]
+		}
+	}
+	b.served += len(edges)
+	return edges, weights, err
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 
 	"densestream/internal/core"
 	"densestream/internal/edgeio"
@@ -69,9 +70,9 @@ func SketchScanLanes(workers int) int { return min(par.Clamp(workers), maxScanLa
 // edges of the live subgraph, then drops the nodes at or below the
 // 2(1+ε)ρ(S) threshold (see core.ScanPeel for the trace and
 // interruption contract). The scan splits across o.Workers through the
-// stream's shards when it implements ShardedStream — slice and file
-// streams do — and the result is the same for every worker count and
-// identical to core.Undirected on the same graph.
+// stream's shards when it implements Sharded — slice and file streams
+// do — and the result is the same for every worker count and identical
+// to core.Undirected on the same graph. Self loops are skipped.
 func Undirected(es EdgeStream, eps float64, o core.Opts) (*core.Result, error) {
 	return peel(es, nil, core.ScanSpec{Eps: eps, Rule: core.CutRule}, o)
 }
@@ -118,23 +119,16 @@ func DirectedSweep(es EdgeStream, delta, eps float64, o core.Opts) (*core.SweepR
 
 // UndirectedWeighted runs the weighted Algorithm 1 against a weighted
 // edge stream with one float64 weighted degree per node. Streams that
-// implement ShardedWeightedStream scan a fixed float-lane
-// decomposition (see stripedCounter), so the result is the same for
-// every worker count; it matches core.UndirectedWeighted up to float
-// summation order.
+// implement Sharded scan a fixed float-lane decomposition (see
+// stripedCounter), so the result is the same for every worker count;
+// it matches core.UndirectedWeighted up to float summation order. Self
+// loops are skipped, and any other edge's weight must be finite and
+// > 0 (graph.ErrBadWeight).
 func UndirectedWeighted(es WeightedEdgeStream, eps float64, o core.Opts) (*core.Result, error) {
 	pool := par.Acquire(o.Workers)
 	defer pool.Release()
 	n := es.NumNodes()
-	s := &scanner{pool: pool, ctx: o.Ctx, n: n, lanes: weightedScanLanes(n)}
-	if ws, ok := es.(ShardedWeightedStream); ok {
-		s.wshards = ws.WeightedShards
-	} else {
-		one := []WeightedEdgeStream{es}
-		s.wshards = func(int) []WeightedEdgeStream { return one }
-		s.lanes = 1
-	}
-	s.task = func(i int) { s.slots[i] = s.scanWeighted(i) }
+	s := newScanner(es, nil, weightedScanLanes(n), o.Ctx, pool)
 	return core.ScanPeel(core.ScanSpec{Nodes: n, Eps: eps, Rule: core.WeightedRule, Initial: core.PassStat{Nodes: n}}, s, o)
 }
 
@@ -158,35 +152,32 @@ func peel(es EdgeStream, sketch StripedDegreeCounter, spec core.ScanSpec, o core
 // edge counts and weights in shard order; a context error wins over
 // shard errors. A stream that cannot shard runs as a single shard.
 //
-// Shards are read a block at a time: BSG1 shards hand over whole
-// decoded blocks, and every other shard goes through nextBlocks. A
-// BSG1 block seen without a live edge is dead: live sets only shrink
-// within a run (see core.ScanOracle), so it can hold no live edge
-// later, and the scanner never reads it again in that run. Deadness is
-// kept per block number, so it does not depend on the shard cut, and a
-// skipped block skips only additions that would never happen.
+// Shards are read a block at a time (see edgeio.BlockReader). A
+// numbered block (BSG1) seen without a live edge is dead: live sets
+// only shrink within a run (see core.ScanOracle), so it can hold no
+// live edge later, and the scanner never reads it again in that run.
+// Deadness is kept per block number, so it does not depend on the
+// shard cut, and a skipped block skips only additions that would never
+// happen.
 //
 // All scan state is built in the first pass, so a later pass allocates
-// nothing beyond what the stream's Shards call does (SliceStream and
-// the file streams memoize their shard sets, and readers keep their
+// nothing beyond what the stream's BlockShards call does (SliceStream
+// and the file streams memoize their shard sets, and shards keep their
 // decode buffers across passes).
 type scanner struct {
-	pool  *par.Pool
-	ctx   context.Context
-	n     int
-	lanes int
+	pool     *par.Pool
+	ctx      context.Context
+	n        int
+	lanes    int
+	weighted bool // a WeightedEdgeStream: scanWeighted sums weights
 
-	// Exactly one of shards and wshards is set.
-	shards  func(k int) []EdgeStream
-	wshards func(k int) []WeightedEdgeStream
+	shards  func(k int) []edgeio.BlockReader
 	counter stripedCounter
 	sketch  StripedDegreeCounter // non-nil: estimates replace counter
 
-	// The current pass: its shards as block readers, its live sets,
-	// whether an edge adds to its source's and its target's degree,
-	// and per-shard results.
-	views          []blockShard
-	adapters       []nextBlocks
+	// The current pass: its shards, its live sets, whether an edge adds
+	// to its source's and its target's degree, and per-shard results.
+	views          []edgeio.BlockReader
 	dead           []bool // per block number: seen without a live edge
 	aliveU, aliveV []bool
 	addU, addV     bool
@@ -194,14 +185,11 @@ type scanner struct {
 	task           func(i int)
 }
 
-// blockShard is one scan shard read a block at a time. A shard with
-// numbered blocks (a BSG1 shard) must hold the same edges under the
-// same number in every pass of a run; nextBlocks, which has none,
-// reports an open-ended range and ends with io.EOF.
-type blockShard interface {
+// rescannable is what the scanner needs of every stream it reads, an
+// EdgeStream or a WeightedEdgeStream, besides its shards.
+type rescannable interface {
+	NumNodes() int
 	Reset() error
-	Blocks() (lo, hi int)
-	Block(i int) ([]Edge, []float64, error)
 }
 
 // shardSlot is one shard's scan result.
@@ -211,18 +199,22 @@ type shardSlot struct {
 	err    error
 }
 
-// newScanner returns the scanner of an unweighted stream over the
-// given number of lanes.
-func newScanner(es EdgeStream, sketch StripedDegreeCounter, lanes int, ctx context.Context, pool *par.Pool) *scanner {
+// newScanner returns the scanner of es, an EdgeStream or a
+// WeightedEdgeStream, over the given number of lanes. A stream that
+// does not implement Sharded is read as one nextBlocks shard.
+func newScanner(es rescannable, sketch StripedDegreeCounter, lanes int, ctx context.Context, pool *par.Pool) *scanner {
 	s := &scanner{pool: pool, ctx: ctx, n: es.NumNodes(), lanes: lanes, sketch: sketch}
-	if ss, ok := es.(ShardedStream); ok {
-		s.shards = ss.Shards
+	if ss, ok := es.(Sharded); ok {
+		s.shards = ss.BlockShards
 	} else {
-		one := []EdgeStream{es}
-		s.shards = func(int) []EdgeStream { return one }
+		one := []edgeio.BlockReader{newNextBlocks(es)}
+		s.shards = func(int) []edgeio.BlockReader { return one }
 		s.lanes = 1
 	}
 	s.task = func(i int) { s.slots[i] = s.scanEdges(i) }
+	if _, s.weighted = es.(WeightedEdgeStream); s.weighted {
+		s.task = func(i int) { s.slots[i] = s.scanWeighted(i) }
+	}
 	return s
 }
 
@@ -267,79 +259,26 @@ func (s *scanner) Measure(pass int, aliveU, aliveV []bool, side byte) (int64, fl
 	} else {
 		s.counter.fold(s.pool, k)
 	}
-	if s.wshards == nil {
+	if !s.weighted {
 		weight = float64(edges)
 	}
 	return edges, weight, nil
 }
 
-// viewShards fetches the pass's shards and sets s.views to their block
-// readers, returning the shard count. A shard with block methods, or
-// the edgeio reader behind one, is read directly; any other goes
-// through a nextBlocks.
+// viewShards fetches the pass's shards into s.views, sizes the dead
+// flags for their numbered blocks, and returns the shard count.
 func (s *scanner) viewShards() int {
-	var cur []EdgeStream
-	var wcur []WeightedEdgeStream
-	if s.wshards != nil {
-		wcur = s.wshards(s.lanes)
-	} else {
-		cur = s.shards(s.lanes)
-	}
-	k := max(len(cur), len(wcur))
-	if cap(s.views) < k {
-		s.views = make([]blockShard, k)
-	}
-	s.views = s.views[:k]
+	s.views = s.shards(s.lanes)
 	blocks := 0
-	for i := range s.views {
-		var r any
-		if wcur != nil {
-			r = wcur[i]
-			if rs, ok := r.(*weightedReaderStream); ok {
-				r = rs.r
-			}
-		} else {
-			r = cur[i]
-			if rs, ok := r.(*readerStream); ok {
-				r = rs.r
-			}
-		}
-		b, numbered := r.(blockShard)
-		if numbered {
-			_, hi := b.Blocks()
+	for _, sh := range s.views {
+		if _, hi := sh.Blocks(); hi != edgeio.Unnumbered {
 			blocks = max(blocks, hi)
-		} else {
-			b = s.adapter(i, k, r)
 		}
-		s.views[i] = b
 	}
 	if len(s.dead) < blocks {
 		s.dead = make([]bool, blocks)
 	}
-	return k
-}
-
-// adapter returns the nextBlocks of shard i of k over r (an
-// edgeio.Reader or an edgeio.WeightedReader), with its buffers made on
-// first use.
-func (s *scanner) adapter(i, k int, r any) *nextBlocks {
-	if len(s.adapters) < k {
-		s.adapters = make([]nextBlocks, k)
-	}
-	a := &s.adapters[i]
-	if a.edges == nil {
-		a.edges = make([]Edge, 0, nextBlockEdges)
-	}
-	switch r := r.(type) {
-	case edgeio.Reader:
-		a.r, a.wr = r, nil
-	case edgeio.WeightedReader:
-		a.r, a.wr = nil, r
-		if a.weights == nil {
-			a.weights = make([]float64, 0, nextBlockEdges)
-		}
-	}
-	return a
+	return len(s.views)
 }
 
 // canceled polls the run's context.
@@ -378,7 +317,7 @@ func (s *scanner) eachBlock(i int, visit func(blk []Edge, weights []float64) (in
 	}
 	lo, hi := sh.Blocks()
 	var dead []bool
-	if _, adapted := sh.(*nextBlocks); !adapted {
+	if hi != edgeio.Unnumbered {
 		dead = s.dead[lo:hi]
 	}
 	var edges int64
@@ -408,9 +347,9 @@ func (s *scanner) eachBlock(i int, visit func(blk []Edge, weights []float64) (in
 	return edges, nil
 }
 
-// scanEdges scans unweighted shard i into lane i. The live test and
-// the count run inline: this loop is the whole cost of a pass over
-// decoded edges.
+// scanEdges scans unweighted shard i into lane i. The live and
+// self-loop tests and the count run inline: this loop is the whole
+// cost of a pass over decoded edges.
 func (s *scanner) scanEdges(i int) shardSlot {
 	var lane []float64
 	var dirty []bool
@@ -425,7 +364,7 @@ func (s *scanner) scanEdges(i int) shardSlot {
 			if uint(e.U) >= n || uint(e.V) >= n {
 				return 0, nodeRangeErr(e, s.n)
 			}
-			if !aliveU[e.U] || !aliveV[e.V] {
+			if !aliveU[e.U] || !aliveV[e.V] || e.U == e.V {
 				continue
 			}
 			live++
@@ -450,7 +389,9 @@ func (s *scanner) scanEdges(i int) shardSlot {
 
 // scanWeighted scans weighted shard i into lane i, summing the live
 // weight in stream order across its blocks. A block without a weight
-// column weighs 1 per edge.
+// column weighs 1 per edge. Every weight read, live or not, must be
+// finite and > 0, except a self loop's: self loops are skipped
+// unchecked, as the graph loader skips them.
 func (s *scanner) scanWeighted(i int) shardSlot {
 	s.counter.reset(i)
 	lane, dirty := s.counter.lane(i)
@@ -463,12 +404,17 @@ func (s *scanner) scanWeighted(i int) shardSlot {
 			if uint(e.U) >= n || uint(e.V) >= n {
 				return 0, nodeRangeErr(e, s.n)
 			}
-			if !alive[e.U] || !alive[e.V] {
+			if e.U == e.V {
 				continue
 			}
 			w := 1.0
 			if ws != nil {
-				w = ws[j]
+				if w = ws[j]; !(w > 0) || math.IsInf(w, 1) {
+					return 0, fmt.Errorf("%w: edge (%d,%d) has weight %v", graph.ErrBadWeight, e.U, e.V, w)
+				}
+			}
+			if !alive[e.U] || !alive[e.V] {
+				continue
 			}
 			live++
 			sum += w

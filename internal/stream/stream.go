@@ -8,18 +8,17 @@
 // weighted and sketched variants, the δ-sweep) is the core scan-peel
 // policy over one degree oracle: a scan that re-streams the edges once
 // per pass, split across workers through the stream's shards, into an
-// O(n) striped counter. Shards are read a block at a time, and a
-// binary file's blocks that an earlier pass found without a live edge
-// are not read again. A stream that does not implement ShardedStream
-// (or ShardedWeightedStream) is scanned as a single shard. Pass counts
-// are exactly the paper's pass complexity.
+// O(n) striped counter. Shards are edgeio.BlockReaders, read a block at
+// a time, and a binary file's blocks that an earlier pass found without
+// a live edge are not read again. A stream that does not implement
+// Sharded is scanned as a single shard through its own Reset and Next.
+// Pass counts are exactly the paper's pass complexity.
 package stream
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"densestream/internal/edgeio"
 	"densestream/internal/graph"
@@ -43,12 +42,29 @@ type EdgeStream interface {
 	Next() (Edge, error)
 }
 
-// SliceStream streams a fixed slice of edges. It implements EdgeStream.
+// Sharded is a stream (an EdgeStream or a WeightedEdgeStream) whose
+// edges can be partitioned into independent shards so one pass can be
+// scanned by several workers at once. BlockShards(k) returns between 1
+// and k shards that together yield exactly the edges of one full scan,
+// a block at a time and with the weight column on a weighted stream,
+// each safe to drive from its own goroutine. The decomposition must
+// depend only on the data and k — never on the worker count — because
+// the weighted scan folds per-shard float partials in shard order and
+// promises bit-identical results for every worker count. The streaming
+// scan uses it when available and reads a stream that does not
+// implement it as one shard.
+type Sharded interface {
+	NumNodes() int
+	BlockShards(k int) []edgeio.BlockReader
+}
+
+// SliceStream streams a fixed slice of edges. It implements EdgeStream
+// and Sharded.
 type SliceStream struct {
 	n      int
-	edges  []Edge
+	src    edgeio.SliceSource
 	pos    int
-	shards []EdgeStream // memoized per shardK; repositioned by Reset each pass
+	shards []edgeio.BlockReader // memoized per shardK; repositioned by Reset each pass
 	shardK int
 }
 
@@ -62,7 +78,7 @@ func NewSliceStream(n int, edges []Edge) (*SliceStream, error) {
 			return nil, fmt.Errorf("%w: node %d", graph.ErrSelfLoop, e.U)
 		}
 	}
-	return &SliceStream{n: n, edges: edges}, nil
+	return &SliceStream{n: n, src: edgeio.SliceSource{Edges: edges}}, nil
 }
 
 // NumNodes implements EdgeStream.
@@ -73,44 +89,23 @@ func (s *SliceStream) Reset() error { s.pos = 0; return nil }
 
 // Next implements EdgeStream.
 func (s *SliceStream) Next() (Edge, error) {
-	if s.pos >= len(s.edges) {
+	if s.pos >= len(s.src.Edges) {
 		return Edge{}, io.EOF
 	}
-	e := s.edges[s.pos]
+	e := s.src.Edges[s.pos]
 	s.pos++
 	return e, nil
 }
 
-// ShardedStream is an EdgeStream whose edges can be partitioned into
-// independent sub-streams so one pass can be scanned by several workers
-// at once. Shards(k) returns at most k streams that together yield
-// exactly the edges of one full scan, each safe to drive from its own
-// goroutine. The streaming scan uses it when available and reads a
-// stream that does not implement it as one shard.
-type ShardedStream interface {
-	EdgeStream
-	Shards(k int) []EdgeStream
-}
-
-// Shards implements ShardedStream: the edge slice is split into up to k
+// BlockShards implements Sharded: the edge slice is split into up to k
 // contiguous ranges through the edgeio resident source, so in-memory
 // and on-disk scans use one decomposition rule. The shard set is
 // memoized per k, so the per-pass calls of the scan reuse the same
 // cursors.
-func (s *SliceStream) Shards(k int) []EdgeStream {
-	if k < 1 {
-		k = 1
-	}
+func (s *SliceStream) BlockShards(k int) []edgeio.BlockReader {
+	k = max(k, 1)
 	if s.shards == nil || s.shardK != k {
-		src := edgeio.SliceSource{Edges: s.edges}
-		readers := src.Shards(k)
-		backing := make([]readerStream, len(readers))
-		s.shards = make([]EdgeStream, len(readers))
-		for i, r := range readers {
-			backing[i] = readerStream{n: s.n, r: r}
-			s.shards[i] = &backing[i]
-		}
-		s.shardK = k
+		s.shards, s.shardK = s.src.BlockShards(k), k
 	}
 	return s.shards
 }
@@ -123,7 +118,7 @@ func FromUndirected(g *graph.Undirected) *SliceStream {
 		edges = append(edges, Edge{U: u, V: v})
 		return true
 	})
-	return &SliceStream{n: g.NumNodes(), edges: edges}
+	return &SliceStream{n: g.NumNodes(), src: edgeio.SliceSource{Edges: edges}}
 }
 
 // FromDirected adapts a frozen directed graph into a stream of directed
@@ -134,7 +129,7 @@ func FromDirected(g *graph.Directed) *SliceStream {
 		edges = append(edges, Edge{U: u, V: v})
 		return true
 	})
-	return &SliceStream{n: g.NumNodes(), edges: edges}
+	return &SliceStream{n: g.NumNodes(), src: edgeio.SliceSource{Edges: edges}}
 }
 
 // ErrInjected is the failure produced by FaultStream, for tests that
@@ -167,51 +162,62 @@ func (f *FaultStream) Next() (Edge, error) {
 	return e, err
 }
 
-// nextBlockEdges is the block size nextBlocks reads a shard in.
+// nextBlockEdges is the block size nextBlocks reads a stream in.
 const nextBlockEdges = 1024
 
-// nextBlocks is the scanner's view of a shard without numbered blocks
-// (text files, slices, user streams): it reads the shard through Next,
-// nextBlockEdges edges per block, on one lane (r or wr). Its block
-// range is open-ended: Block returns io.EOF once the shard is drained,
-// and hands out the edges read before an error ahead of the error
-// itself, so a scan meets bad edges and errors in stream order.
+// nextBlocks is the one shard of a stream that does not implement
+// Sharded: it reads the stream through its own Reset and Next,
+// nextBlockEdges edges per unnumbered block, and keeps weights only for
+// a WeightedEdgeStream. Block returns io.EOF once the stream is
+// drained, and hands out the edges read before an error ahead of the
+// error itself, so a scan meets bad edges and errors in stream order.
 type nextBlocks struct {
-	r       edgeio.Reader
-	wr      edgeio.WeightedReader
+	reset   func() error
+	next    func() (Edge, float64, error)
 	edges   []Edge
-	weights []float64 // weighted lane only
+	weights []float64 // weighted streams only
 	err     error
 }
 
-// Reset rewinds the shard for a new pass.
-func (a *nextBlocks) Reset() error {
-	a.err = nil
-	if a.wr != nil {
-		return a.wr.Reset()
+// newNextBlocks returns the nextBlocks of es, an EdgeStream or a
+// WeightedEdgeStream.
+func newNextBlocks(es rescannable) *nextBlocks {
+	a := &nextBlocks{reset: es.Reset, edges: make([]Edge, 0, nextBlockEdges)}
+	switch es := es.(type) {
+	case EdgeStream:
+		a.next = func() (Edge, float64, error) {
+			e, err := es.Next()
+			return e, 1, err
+		}
+	case WeightedEdgeStream:
+		a.weights = make([]float64, 0, nextBlockEdges)
+		a.next = func() (Edge, float64, error) {
+			e, err := es.Next()
+			return Edge{U: e.U, V: e.V}, e.Weight, err
+		}
 	}
-	return a.r.Reset()
+	return a
 }
 
-// Blocks reports an open-ended range; the shard ends with io.EOF.
-func (a *nextBlocks) Blocks() (lo, hi int) { return 0, math.MaxInt }
+// Reset rewinds the stream for a new pass.
+func (a *nextBlocks) Reset() error {
+	a.err = nil
+	return a.reset()
+}
 
-// Block reads the shard's next block, whatever the number asked for.
+// Blocks reports an unnumbered range; the stream ends with io.EOF.
+func (a *nextBlocks) Blocks() (lo, hi int) { return 0, edgeio.Unnumbered }
+
+// Block reads the stream's next block, whatever the number asked for.
 func (a *nextBlocks) Block(int) ([]Edge, []float64, error) {
 	edges, weights := a.edges[:0], a.weights[:0]
-	if a.wr != nil {
-		for a.err == nil && len(edges) < cap(edges) {
-			var e WeightedEdge
-			if e, a.err = a.wr.Next(); a.err == nil {
-				edges = append(edges, Edge{U: e.U, V: e.V})
-				weights = append(weights, e.Weight)
-			}
-		}
-	} else {
-		for a.err == nil && len(edges) < cap(edges) {
-			var e Edge
-			if e, a.err = a.r.Next(); a.err == nil {
-				edges = append(edges, e)
+	for a.err == nil && len(edges) < cap(edges) {
+		var e Edge
+		var w float64
+		if e, w, a.err = a.next(); a.err == nil {
+			edges = append(edges, e)
+			if a.weights != nil {
+				weights = append(weights, w)
 			}
 		}
 	}

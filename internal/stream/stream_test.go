@@ -168,11 +168,11 @@ func sameSet(a, b []int32) bool {
 // shard, and several.
 var workerCounts = []int{1, 4}
 
-// seqStream hides a stream's Shards method, so the scan reads it as
-// one shard in stream order.
+// seqStream hides a stream's BlockShards method, so the scan reads it
+// as one shard in stream order.
 type seqStream struct{ EdgeStream }
 
-// seqWeightedStream hides WeightedShards the same way.
+// seqWeightedStream hides BlockShards the same way.
 type seqWeightedStream struct{ WeightedEdgeStream }
 
 // The streaming scan must agree exactly with the in-memory reference

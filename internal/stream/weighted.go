@@ -2,7 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"densestream/internal/edgeio"
@@ -23,14 +22,15 @@ type WeightedEdgeStream interface {
 	Next() (WeightedEdge, error)
 }
 
-// WeightedSliceStream streams a fixed slice of weighted edges.
+// WeightedSliceStream streams a fixed slice of weighted edges: a
+// SliceStream over a weighted resident source, whose Next adds each
+// edge's weight. It implements WeightedEdgeStream and Sharded.
 type WeightedSliceStream struct {
-	n     int
-	edges []WeightedEdge
-	pos   int
+	SliceStream
 }
 
-// NewWeightedSliceStream returns a stream over weighted edges on n nodes.
+// NewWeightedSliceStream returns a stream over weighted edges on n
+// nodes, holding its own copy of them.
 func NewWeightedSliceStream(n int, edges []WeightedEdge) (*WeightedSliceStream, error) {
 	for _, e := range edges {
 		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
@@ -43,56 +43,44 @@ func NewWeightedSliceStream(n int, edges []WeightedEdge) (*WeightedSliceStream, 
 			return nil, fmt.Errorf("%w: %v", graph.ErrBadWeight, e.Weight)
 		}
 	}
-	return &WeightedSliceStream{n: n, edges: edges}, nil
-}
-
-// ShardedWeightedStream is the weighted analogue of ShardedStream:
-// WeightedShards(k) returns at most k streams that together yield
-// exactly the edges of one full scan, each safe to drive from its own
-// goroutine. The decomposition must depend only on the data and k —
-// never on the worker count — because the weighted scan folds
-// per-shard float partials in shard order and promises bit-identical
-// results for every worker count.
-type ShardedWeightedStream interface {
-	WeightedEdgeStream
-	WeightedShards(k int) []WeightedEdgeStream
-}
-
-// NumNodes implements WeightedEdgeStream.
-func (s *WeightedSliceStream) NumNodes() int { return s.n }
-
-// WeightedShards implements ShardedWeightedStream via the edgeio
-// resident source.
-func (s *WeightedSliceStream) WeightedShards(k int) []WeightedEdgeStream {
-	src := edgeio.WeightedSliceSource{Edges: s.edges}
-	readers := src.WeightedShards(k)
-	out := make([]WeightedEdgeStream, len(readers))
-	for i, r := range readers {
-		out[i] = &weightedReaderStream{n: s.n, r: r}
+	s := newWeightedSliceStream(n, len(edges))
+	for _, e := range edges {
+		s.add(e.U, e.V, e.Weight)
 	}
-	return out
-}
-
-// Reset implements WeightedEdgeStream.
-func (s *WeightedSliceStream) Reset() error { s.pos = 0; return nil }
-
-// Next implements WeightedEdgeStream.
-func (s *WeightedSliceStream) Next() (WeightedEdge, error) {
-	if s.pos >= len(s.edges) {
-		return WeightedEdge{}, io.EOF
-	}
-	e := s.edges[s.pos]
-	s.pos++
-	return e, nil
+	return s, nil
 }
 
 // FromUndirectedWeighted adapts a frozen graph (weighted or not) into a
 // weighted edge stream.
 func FromUndirectedWeighted(g *graph.Undirected) *WeightedSliceStream {
-	edges := make([]WeightedEdge, 0, g.NumEdges())
+	s := newWeightedSliceStream(g.NumNodes(), int(g.NumEdges()))
 	g.Edges(func(u, v int32, w float64) bool {
-		edges = append(edges, WeightedEdge{U: u, V: v, Weight: w})
+		s.add(u, v, w)
 		return true
 	})
-	return &WeightedSliceStream{n: g.NumNodes(), edges: edges}
+	return s
+}
+
+// newWeightedSliceStream returns an empty stream on n nodes with room
+// for m edges.
+func newWeightedSliceStream(n, m int) *WeightedSliceStream {
+	return &WeightedSliceStream{SliceStream{n: n, src: edgeio.SliceSource{
+		Edges:   make([]Edge, 0, m),
+		Weights: make([]float64, 0, m),
+	}}}
+}
+
+// add appends one weighted edge.
+func (s *WeightedSliceStream) add(u, v int32, w float64) {
+	s.src.Edges = append(s.src.Edges, Edge{U: u, V: v})
+	s.src.Weights = append(s.src.Weights, w)
+}
+
+// Next implements WeightedEdgeStream.
+func (s *WeightedSliceStream) Next() (WeightedEdge, error) {
+	e, err := s.SliceStream.Next()
+	if err != nil {
+		return WeightedEdge{}, err
+	}
+	return WeightedEdge{U: e.U, V: e.V, Weight: s.src.Weights[s.pos-1]}, nil
 }

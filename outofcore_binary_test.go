@@ -7,13 +7,17 @@ package densestream_test
 // MapReduce backends.
 
 import (
+	"context"
+	"errors"
 	"io"
+	"math"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	ds "densestream"
 	"densestream/internal/edgeio"
+	"densestream/internal/graph"
 	"densestream/internal/stream"
 )
 
@@ -28,20 +32,21 @@ func writeBinaryEdgeFile(t *testing.T, g *ds.UndirectedGraph) string {
 	return path
 }
 
-// binSourceStream adapts a specific edgeio.BinarySource into a
-// ShardedStream, bypassing OpenBinarySource's reader selection so the
+// binSourceStream adapts a specific edgeio.BinarySource into a Sharded
+// EdgeStream, bypassing OpenBinarySource's reader selection so the
 // sweep can pin the mmap and buffered readers individually. Its shards
-// keep the readers' block methods, so the scan reads them a block at a
+// are the readers' block shards, so the scan reads them a block at a
 // time as it reads a file opened by Path.
 type binSourceStream struct {
-	src    edgeio.BinarySource
-	seq    edgeio.Reader
-	shards []stream.EdgeStream
-	shardK int
+	src     edgeio.BinarySource
+	weights bool
+	seq     *edgeio.BinaryShard
+	shards  []edgeio.BlockReader
+	shardK  int
 }
 
 func newBinSourceStream(src edgeio.BinarySource) *binSourceStream {
-	return &binSourceStream{src: src, seq: src.Shards(1)[0]}
+	return &binSourceStream{src: src, seq: src.BlockShards(1, false)[0]}
 }
 
 func (s *binSourceStream) NumNodes() int              { return s.src.Nodes() }
@@ -49,62 +54,31 @@ func (s *binSourceStream) Reset() error               { return s.seq.Reset() }
 func (s *binSourceStream) Next() (stream.Edge, error) { return s.seq.Next() }
 func (s *binSourceStream) BytesScanned() int64        { return s.src.BytesScanned() }
 
-func (s *binSourceStream) Shards(k int) []stream.EdgeStream {
+func (s *binSourceStream) BlockShards(k int) []edgeio.BlockReader {
 	if s.shards == nil || s.shardK != k {
-		shards := s.src.BlockShards(k, false)
-		s.shards = make([]stream.EdgeStream, len(shards))
+		shards := s.src.BlockShards(k, s.weights)
+		s.shards = make([]edgeio.BlockReader, len(shards))
 		for i, sh := range shards {
-			s.shards[i] = pinnedShard{n: s.src.Nodes(), BinaryShard: sh}
+			s.shards[i] = sh
 		}
 		s.shardK = k
 	}
 	return s.shards
 }
 
-type pinnedShard struct {
-	n int
-	*edgeio.BinaryShard
-}
-
-func (s pinnedShard) NumNodes() int { return s.n }
-
-// binSourceWeightedStream is binSourceStream on the weighted lane.
+// binSourceWeightedStream is binSourceStream with the weight column.
 type binSourceWeightedStream struct {
-	src    edgeio.BinarySource
-	seq    edgeio.WeightedReader
-	shards []stream.WeightedEdgeStream
-	shardK int
+	*binSourceStream
 }
 
-// blockWeightedReader is a weighted BSG1 shard with its block methods.
-type blockWeightedReader interface {
-	edgeio.WeightedReader
-	Blocks() (lo, hi int)
-	Block(i int) ([]edgeio.Edge, []float64, error)
+func newBinSourceWeightedStream(src edgeio.BinarySource) binSourceWeightedStream {
+	return binSourceWeightedStream{&binSourceStream{src: src, weights: true, seq: src.BlockShards(1, true)[0]}}
 }
 
-type pinnedWeightedShard struct {
-	n int
-	blockWeightedReader
-}
-
-func (s pinnedWeightedShard) NumNodes() int { return s.n }
-
-func (s *binSourceWeightedStream) NumNodes() int                      { return s.src.Nodes() }
-func (s *binSourceWeightedStream) Reset() error                       { return s.seq.Reset() }
-func (s *binSourceWeightedStream) Next() (stream.WeightedEdge, error) { return s.seq.Next() }
-func (s *binSourceWeightedStream) BytesScanned() int64                { return s.src.BytesScanned() }
-
-func (s *binSourceWeightedStream) WeightedShards(k int) []stream.WeightedEdgeStream {
-	if s.shards == nil || s.shardK != k {
-		readers := s.src.WeightedShards(k)
-		s.shards = make([]stream.WeightedEdgeStream, len(readers))
-		for i, r := range readers {
-			s.shards[i] = pinnedWeightedShard{n: s.src.Nodes(), blockWeightedReader: r.(blockWeightedReader)}
-		}
-		s.shardK = k
-	}
-	return s.shards
+// Next is never called: the weighted scan reads a Sharded stream by
+// block.
+func (s binSourceWeightedStream) Next() (stream.WeightedEdge, error) {
+	return stream.WeightedEdge{}, errors.New("binSourceWeightedStream is read by block")
 }
 
 // TestOutOfCoreBinaryStreamParity: `-algo stream` must produce the same
@@ -160,7 +134,7 @@ func TestOutOfCoreBinaryStreamParity(t *testing.T) {
 	}
 }
 
-// TestOutOfCoreBinaryWeightedParity is the weighted lane of the sweep:
+// TestOutOfCoreBinaryWeightedParity is the weighted half of the sweep:
 // dyadic weights survive the text and binary routes identically.
 func TestOutOfCoreBinaryWeightedParity(t *testing.T) {
 	g := outOfCoreGraphs(t)[0]
@@ -380,7 +354,7 @@ func TestOutOfCoreBinaryBlockSkipParity(t *testing.T) {
 					}
 					pp := tc.p
 					if pp.Objective == ds.ObjectiveWeighted {
-						pp.WeightedEdges = &binSourceWeightedStream{src: src, seq: src.WeightedShards(1)[0]}
+						pp.WeightedEdges = newBinSourceWeightedStream(src)
 					} else {
 						pp.Edges = newBinSourceStream(src)
 					}
@@ -389,5 +363,76 @@ func TestOutOfCoreBinaryBlockSkipParity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// selfLoopFile writes a triangle 0-1-2 with a pendant edge 2-3, whose
+// node 3 also carries three self loops, as a BSG1 file. BSG1 stores
+// edges verbatim, self loops included.
+func selfLoopFile(t *testing.T) string {
+	edges := [][2]int32{{0, 1}, {1, 2}, {2, 0}, {3, 3}, {3, 3}, {3, 3}, {2, 3}}
+	return writeBlockFile(t, false, func(yield func(u, v int32, w float64) bool) {
+		for _, e := range edges {
+			if !yield(e[0], e[1], 1) {
+				return
+			}
+		}
+	})
+}
+
+// TestOutOfCoreBinarySelfLoops: every stream objective skips a BSG1
+// file's self loops, as the in-memory loader does, so on a file with
+// self loops it returns BackendPeel's set (or pair) and density. A
+// scan that counted them would crown node 3 alone at density 3.
+func TestOutOfCoreBinarySelfLoops(t *testing.T) {
+	path := selfLoopFile(t)
+	sketch := ds.WithSketch(ds.SketchConfig{Tables: 5, Buckets: 256, Seed: 1})
+	for _, tc := range []struct {
+		p       ds.Problem
+		backend ds.Backend
+		opts    []ds.Option
+	}{
+		{p: ds.Problem{Objective: ds.ObjectiveUndirected}, backend: ds.BackendStream},
+		{p: ds.Problem{Objective: ds.ObjectiveUndirected}, backend: ds.BackendStreamSketched, opts: []ds.Option{sketch}},
+		{p: ds.Problem{Objective: ds.ObjectiveAtLeastK, K: 2}, backend: ds.BackendStream},
+		{p: ds.Problem{Objective: ds.ObjectiveWeighted}, backend: ds.BackendStream},
+		{p: ds.Problem{Objective: ds.ObjectiveDirected, C: 1}, backend: ds.BackendStream},
+		{p: ds.Problem{Objective: ds.ObjectiveDirectedSweep, Delta: 2}, backend: ds.BackendStream},
+	} {
+		p := tc.p
+		p.Eps, p.Path = 0.5, path
+		p.Backend = ds.BackendPeel
+		want := solveOK(t, p)
+		for _, workers := range []int{1, 3} {
+			p.Backend = tc.backend
+			got := solveOK(t, p, append(tc.opts, ds.WithWorkers(workers))...)
+			if got.Density != want.Density || !reflect.DeepEqual(got.Set, want.Set) ||
+				!reflect.DeepEqual(got.S, want.S) || !reflect.DeepEqual(got.T, want.T) {
+				t.Fatalf("%s/%s workers=%d: set %v S %v T %v density %v, want BackendPeel's %v %v %v %v",
+					p.Objective, p.Backend, workers, got.Set, got.S, got.T, got.Density, want.Set, want.S, want.T, want.Density)
+			}
+		}
+	}
+}
+
+// TestOutOfCoreBinaryBadWeights: the weighted stream scan refuses a
+// BSG1 weight that is not finite and > 0, as the in-memory loader and
+// NewWeightedSliceStream do, with an error that wraps
+// graph.ErrBadWeight.
+func TestOutOfCoreBinaryBadWeights(t *testing.T) {
+	for _, bad := range []float64{-1, 0, math.Inf(1), math.NaN()} {
+		path := writeBlockFile(t, true, func(yield func(u, v int32, w float64) bool) {
+			for _, e := range []edgeio.WeightedEdge{{U: 0, V: 1, Weight: 1}, {U: 1, V: 2, Weight: 2}, {U: 2, V: 0, Weight: 1}, {U: 2, V: 3, Weight: bad}} {
+				if !yield(e.U, e.V, e.Weight) {
+					return
+				}
+			}
+		})
+		for _, backend := range []ds.Backend{ds.BackendPeel, ds.BackendStream} {
+			_, err := ds.Solve(context.Background(), ds.Problem{Objective: ds.ObjectiveWeighted, Backend: backend, Eps: 0.5, Path: path})
+			if !errors.Is(err, graph.ErrBadWeight) {
+				t.Fatalf("weight %v on %s: got %v, want an error wrapping ErrBadWeight", bad, backend, err)
+			}
+		}
 	}
 }
