@@ -39,12 +39,15 @@ race:
 # parse, the two BSG1 readers must agree with each other and with the
 # reference block decoder, and the text shards' blocks must match the
 # reference line-by-line parse with and without weights, on arbitrary
-# bytes. Plain `go test` replays the checked-in seed corpora.
+# bytes. Freeze must match the sort-based reference build on arbitrary
+# node counts, edges and weights, and reject bad ones with an error.
+# Plain `go test` replays the checked-in seed corpora.
 # FuzzFileShard's corpus holds a line longer than the 64 KiB read
 # buffer; minimizing a mutant of it would take the default 60 s, so its
 # minimization is capped at 2 s to leave the run for fuzzing.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadUndirectedFile$$' -fuzztime 20s ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzFreeze$$' -fuzztime 20s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzBinarySource$$' -fuzztime 20s ./internal/edgeio
 	$(GO) test -run '^$$' -fuzz '^FuzzFileShard$$' -fuzztime 20s -fuzzminimizetime 2s ./internal/edgeio
 

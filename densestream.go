@@ -32,8 +32,9 @@ type LabelMap = graph.LabelMap
 type GraphStats = graph.Stats
 
 // NewBuilder returns a builder for an undirected graph on n nodes
-// (ids 0..n-1). Parallel edges are merged at Freeze; self loops are
-// rejected.
+// (ids 0..n-1). Parallel edges are merged at Freeze, and a merged edge's
+// weight is the sum of its copies' weights taken in insertion order;
+// self loops are rejected.
 func NewBuilder(n int) *GraphBuilder { return graph.NewBuilder(n) }
 
 // NewDirectedBuilder returns a builder for a directed graph on n nodes.

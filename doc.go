@@ -64,10 +64,10 @@
 // vertex-range lanes; weighted degrees use a pull-based
 // owner-computes scheme, since float accumulation is order
 // sensitive). Graph construction shares the engine: Builder.Freeze
-// sorts its edge list as fixed-size runs merged in a fixed tree,
-// concurrently. Because the decomposition depends only on the input
-// size, never on scheduling, every worker count produces bit-identical
-// results. WithWorkers(n) sets the worker count (default:
+// counts, scatters and sorts adjacency rows concurrently, with each
+// row's entries kept in insertion order until the row is sorted.
+// Because the decomposition depends only on the input size, never on
+// scheduling, every worker count produces bit-identical results. WithWorkers(n) sets the worker count (default:
 // runtime.GOMAXPROCS(0)); the densest CLI exposes it as -workers.
 //
 // BackendStream, BackendStreamSketched and BackendMapReduce run one

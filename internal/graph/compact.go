@@ -151,11 +151,12 @@ func (g *Undirected) CompactInto(keep []int32, s *CompactScratch) *Undirected {
 
 // CompactGrain is the original-row volume — adjacency entries plus one
 // per row — of one piece of the degree-ordered rebuild's two parallel
-// loops. Like sortRunSize it must stay constant: piece boundaries
-// depend on the graph and the keep set only, never on the worker
-// count. It is an exported variable only so the tests of this package
-// and of the peel engines can shrink it to force many-piece rebuilds on
-// small graphs; nothing else may change it.
+// loops and of Freeze's row sort; Freeze's scatter cuts at most one
+// piece per CompactGrain entries. Like par.ChunkSize it must stay
+// constant: piece boundaries depend on the graph and the keep set only,
+// never on the worker count. It is an exported variable only so the
+// tests of this package and of the peel engines can shrink it to force
+// many-piece rebuilds on small graphs; nothing else may change it.
 var CompactGrain int64 = 1 << 16
 
 // cutPieces fills s.cuts with the boundaries of consecutive runs of

@@ -4,17 +4,15 @@ package graph
 // natural checkpoint of an epoch — when a re-peel is due, the live graph
 // differs from the checkpoint by a (usually small) set of inserted and
 // deleted edges, and re-running Builder.Freeze over all m live edges
-// would pay the O(m log m) sort for a Δ-sized change. ApplyDelta merges
-// the delta into the checkpoint row by row in O(n + m + Δ) instead.
+// would count, scatter and sort every row again for a Δ-sized change.
+// ApplyDelta merges the delta into the checkpoint row by row in
+// O(n + m + Δ) instead.
 //
-// Bit-parity contract: Freeze fills each adjacency row by walking the
-// (U,V)-sorted merged edge list, so the row of node x receives first its
-// smaller neighbors in ascending U order (from edges (u,x) with u < x),
-// then its larger neighbors in ascending V order (the U == x block) —
-// every row is fully ascending. ApplyDelta produces exactly that layout
-// by an ordered merge, so the rebuilt graph is reflect.DeepEqual to
-// Builder.Freeze over the live edge list; the peel engines therefore
-// return bit-identical results from either construction.
+// Bit-parity contract: every row Freeze builds is ascending and
+// duplicate-free. ApplyDelta produces exactly that layout by an ordered
+// merge, so the rebuilt graph is reflect.DeepEqual to Builder.Freeze
+// over the live edge list; the peel engines therefore return
+// bit-identical results from either construction.
 
 import "fmt"
 
@@ -35,8 +33,8 @@ func (g *Undirected) ApplyDelta(add, del []Edge) (*Undirected, error) {
 		return nil, fmt.Errorf("graph: ApplyDelta del: %w", err)
 	}
 
-	// Per-node delta rows, cursor-filled from the sorted edge lists the
-	// same way Freeze fills adjacency — each row comes out ascending.
+	// Per-node delta rows, cursor-filled from the sorted edge lists, so
+	// each row comes out ascending like Freeze's.
 	addRows := deltaRows(g.n, add)
 	delRows := deltaRows(g.n, del)
 
@@ -127,8 +125,9 @@ func (d deltaAdj) row(u int) []int32 {
 	return d.adj[d.offsets[u]:d.offsets[u+1]]
 }
 
-// deltaRows cursor-fills the per-node rows of a (U,V)-sorted edge list,
-// reproducing the Freeze fill order so every row is ascending.
+// deltaRows cursor-fills the per-node rows of a (U,V)-sorted edge list:
+// the row of x receives its smaller neighbors in ascending U order, then
+// its larger ones in ascending V order, so every row is ascending.
 func deltaRows(n int, edges []Edge) deltaAdj {
 	if len(edges) == 0 {
 		return deltaAdj{}

@@ -28,7 +28,7 @@ func sortedDelta(keys map[[2]int32]bool) []Edge {
 	for k := range keys {
 		out = append(out, Edge{U: k[0], V: k[1], Weight: 1})
 	}
-	slices.SortFunc(out, compareEdges)
+	slices.SortFunc(out, compareUV)
 	return out
 }
 

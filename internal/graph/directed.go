@@ -3,6 +3,8 @@ package graph
 import (
 	"fmt"
 	"math"
+
+	"densestream/internal/par"
 )
 
 // Directed is a frozen directed graph with both out- and in-adjacency in
@@ -151,48 +153,20 @@ func (b *DirectedBuilder) AddEdge(u, v int32) error {
 	return nil
 }
 
-// Freeze sorts, dedups and returns the immutable directed graph.
+// Freeze drops parallel edges and returns the immutable directed graph,
+// its out- and in-rows ascending. Like Builder.Freeze it builds both
+// adjacencies on a pool of GOMAXPROCS workers, identically for every
+// worker count.
 func (b *DirectedBuilder) Freeze() (*Directed, error) {
 	if b.frozen {
 		return nil, fmt.Errorf("graph: Freeze called twice")
 	}
 	b.frozen = true
-	sortEdges(b.edges)
-	merged := b.edges[:0]
-	for _, e := range b.edges {
-		if k := len(merged); k > 0 && merged[k-1].U == e.U && merged[k-1].V == e.V {
-			continue
-		}
-		merged = append(merged, e)
-	}
-
-	g := &Directed{n: b.n, m: int64(len(merged))}
-	g.outOffsets = make([]int32, b.n+1)
-	g.inOffsets = make([]int32, b.n+1)
-	outDeg := make([]int32, b.n)
-	inDeg := make([]int32, b.n)
-	for _, e := range merged {
-		outDeg[e.U]++
-		inDeg[e.V]++
-	}
-	for i := 0; i < b.n; i++ {
-		g.outOffsets[i+1] = g.outOffsets[i] + outDeg[i]
-		g.inOffsets[i+1] = g.inOffsets[i] + inDeg[i]
-	}
-	g.outAdj = make([]int32, len(merged))
-	g.inAdj = make([]int32, len(merged))
-	outCur := make([]int32, b.n)
-	inCur := make([]int32, b.n)
-	copy(outCur, g.outOffsets[:b.n])
-	copy(inCur, g.inOffsets[:b.n])
-	for _, e := range merged {
-		g.outAdj[outCur[e.U]] = e.V
-		outCur[e.U]++
-		g.inAdj[inCur[e.V]] = e.U
-		inCur[e.V]++
-	}
+	edges := b.edges
 	b.edges = nil
-	return g, nil
+	pool := par.Acquire(0)
+	defer pool.Release()
+	return freezeDirected(pool, b.n, edges)
 }
 
 // FromDirectedEdges builds a directed graph on n nodes from edge pairs.

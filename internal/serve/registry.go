@@ -99,6 +99,9 @@ func (r *Registry) Register(name string, directed, weighted bool, edges []Edge, 
 	if directed && weighted {
 		return GraphInfo{}, fmt.Errorf("serve: directed graphs do not support weights")
 	}
+	if err := checkNodes(nodes); err != nil {
+		return GraphInfo{}, err
+	}
 	if err := checkEdges(edges, weighted); err != nil {
 		return GraphInfo{}, err
 	}
@@ -164,6 +167,9 @@ func (r *Registry) Append(name string, edges []Edge) (GraphInfo, error) {
 func (r *Registry) RegisterDynamic(name string, cfg ds.MaintainerConfig, edges []Edge) (GraphInfo, error) {
 	if name == "" {
 		return GraphInfo{}, fmt.Errorf("serve: graph name must not be empty")
+	}
+	if err := checkNodes(cfg.NumNodes); err != nil {
+		return GraphInfo{}, err
 	}
 	if n := int(maxNode(edges)) + 1; cfg.NumNodes < n {
 		cfg.NumNodes = n
@@ -456,6 +462,15 @@ func (r *Registry) entry(name string) (*graphEntry, error) {
 		return nil, fmt.Errorf("serve: graph %q is not registered", name)
 	}
 	return e, nil
+}
+
+// checkNodes rejects a declared node count that is negative or beyond
+// the int32 id space.
+func checkNodes(nodes int) error {
+	if nodes < 0 || nodes > math.MaxInt32 {
+		return fmt.Errorf("serve: nodes %d out of range [0, %d]", nodes, math.MaxInt32)
+	}
+	return nil
 }
 
 // checkEdges validates ids, weights, and self loops up front so errors

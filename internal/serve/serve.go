@@ -326,22 +326,8 @@ func (s *Server) decodeGraphBody(r *http.Request) (graphSpec, []Edge, error) {
 			edges, err := ReadEdgeListFile(spec.Path, spec.Weighted || spec.timestamped())
 			return spec, edges, err
 		case spec.Edges != nil:
-			edges := make([]Edge, len(spec.Edges))
-			for i, row := range spec.Edges {
-				if len(row) < 2 || len(row) > 3 {
-					return spec, nil, fmt.Errorf("serve: edge %d: need [u,v] or [u,v,w], got %d fields", i, len(row))
-				}
-				u, v := row[0], row[1]
-				if u != float64(int32(u)) || v != float64(int32(v)) {
-					return spec, nil, fmt.Errorf("serve: edge %d: node ids must be integers, got [%v,%v]", i, u, v)
-				}
-				e := Edge{U: int32(u), V: int32(v), W: 1}
-				if len(row) == 3 {
-					e.W = row[2]
-				}
-				edges[i] = e
-			}
-			return spec, edges, nil
+			edges, err := decodeEdgeRows(spec.Edges)
+			return spec, edges, err
 		default:
 			return spec, nil, fmt.Errorf("serve: graph spec needs a path or an edges array")
 		}
@@ -349,6 +335,26 @@ func (s *Server) decodeGraphBody(r *http.Request) (graphSpec, []Edge, error) {
 	// Any other content type: a raw SNAP-style edge list.
 	edges, err := ParseEdgeList(r.Body, spec.Weighted || spec.timestamped())
 	return spec, edges, err
+}
+
+// decodeEdgeRows converts the JSON edge rows of a registration or an
+// append: [u,v] or [u,v,w], with integer node ids.
+func decodeEdgeRows(rows [][]float64) ([]Edge, error) {
+	edges := make([]Edge, len(rows))
+	for i, row := range rows {
+		if len(row) < 2 || len(row) > 3 {
+			return nil, fmt.Errorf("serve: edge %d: need [u,v] or [u,v,w], got %d fields", i, len(row))
+		}
+		u, v := row[0], row[1]
+		if u != float64(int32(u)) || v != float64(int32(v)) {
+			return nil, fmt.Errorf("serve: edge %d: node ids must be integers, got [%v,%v]", i, u, v)
+		}
+		edges[i] = Edge{U: int32(u), V: int32(v), W: 1}
+		if len(row) == 3 {
+			edges[i].W = row[2]
+		}
+	}
+	return edges, nil
 }
 
 // timestamped reports whether the spec's edge rows carry a timestamp
@@ -402,16 +408,9 @@ func (s *Server) handleAppendEdges(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decoding edges: %w", err), nil)
 			return
 		}
-		for i, row := range spec.Edges {
-			if len(row) < 2 || len(row) > 3 {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("serve: edge %d: need [u,v] or [u,v,w]", i), nil)
-				return
-			}
-			e := Edge{U: int32(row[0]), V: int32(row[1]), W: 1}
-			if len(row) == 3 {
-				e.W = row[2]
-			}
-			edges = append(edges, e)
+		if edges, err = decodeEdgeRows(spec.Edges); err != nil {
+			writeError(w, http.StatusBadRequest, err, nil)
+			return
 		}
 	} else {
 		edges, err = ParseEdgeList(r.Body, info.Weighted || (info.Dynamic && info.Window > 0))

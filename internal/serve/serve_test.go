@@ -636,3 +636,82 @@ func TestMetricsMapReduceFaults(t *testing.T) {
 		t.Fatalf("clean server mapReduce block wrong: %s", mdataC)
 	}
 }
+
+// TestEdgeRowsRejectNonIntegerIDs checks that an append decodes its
+// JSON edge rows as registration does: a row with a non-integer node
+// id gets the registration's 400 and error text, on a static and on a
+// dynamic graph, and leaves the graph's version and edge count as they
+// were.
+func TestEdgeRowsRejectNonIntegerIDs(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2, SolveWorkers: 2})
+	seed := [][]float64{{0, 1}, {1, 2}, {2, 3}, {3, 4}}
+	for _, kind := range []struct {
+		name string
+		spec map[string]any
+	}{
+		{"static", map[string]any{"edges": seed}},
+		{"dynamic", map[string]any{"edges": seed, "dynamic": true, "eps": 0.5}},
+	} {
+		resp, data := doJSON(t, http.MethodPut, ts.URL+"/graphs/"+kind.name, kind.spec)
+		var before GraphInfo
+		if err := json.Unmarshal(data, &before); err != nil || resp.StatusCode != 200 {
+			t.Fatalf("%s: PUT: status=%d err=%v body=%s", kind.name, resp.StatusCode, err, data)
+		}
+		for _, row := range [][]float64{{1.5, 2}, {-0.5, 3}, {2, 3.9}, {0.7, 2.2}} {
+			rows := [][]float64{row}
+			putResp, putData := doJSON(t, http.MethodPut, ts.URL+"/graphs/reject", map[string]any{"edges": rows})
+			var putErr ErrorBody
+			if err := json.Unmarshal(putData, &putErr); err != nil || putResp.StatusCode != 400 ||
+				!strings.Contains(putErr.Error, "node ids must be integers") {
+				t.Fatalf("%v: PUT: status=%d body=%s", row, putResp.StatusCode, putData)
+			}
+			appResp, appData := doJSON(t, http.MethodPost, ts.URL+"/graphs/"+kind.name+"/edges", map[string]any{"edges": rows})
+			var appErr ErrorBody
+			if err := json.Unmarshal(appData, &appErr); err != nil || appResp.StatusCode != 400 || appErr.Error != putErr.Error {
+				t.Fatalf("%s %v: append: status=%d body=%s, want 400 with %q", kind.name, row, appResp.StatusCode, appData, putErr.Error)
+			}
+			_, infoData := doJSON(t, http.MethodGet, ts.URL+"/graphs/"+kind.name, nil)
+			var after GraphInfo
+			if err := json.Unmarshal(infoData, &after); err != nil {
+				t.Fatal(err)
+			}
+			if after.Version != before.Version || after.Edges != before.Edges {
+				t.Fatalf("%s %v: rejected append moved the graph from %+v to %+v", kind.name, row, before, after)
+			}
+		}
+	}
+}
+
+// TestRegisterRejectsNodesOutOfRange checks that a declared node count
+// outside [0, 2^31-1], from the query or the JSON body, on a static or
+// a dynamic registration, is a 400 naming the value instead of a count
+// wrapped through int32.
+func TestRegisterRejectsNodesOutOfRange(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2, SolveWorkers: 2})
+	edges := [][]float64{{0, 1}}
+	for _, tc := range []struct {
+		query string
+		spec  map[string]any
+		value string
+	}{
+		{"?nodes=4294967301", map[string]any{"edges": edges}, "4294967301"},
+		{"?nodes=3000000000", map[string]any{"edges": edges}, "3000000000"},
+		{"?nodes=-1", map[string]any{"edges": edges}, "-1"},
+		{"", map[string]any{"edges": edges, "nodes": 2147483648.0}, "2147483648"},
+		{"", map[string]any{"edges": edges, "nodes": -7}, "-7"},
+		{"?dynamic=1&nodes=3000000000", map[string]any{"edges": edges}, "3000000000"},
+		{"", map[string]any{"edges": edges, "dynamic": true, "nodes": 4294967301.0}, "4294967301"},
+	} {
+		resp, data := doJSON(t, http.MethodPut, ts.URL+"/graphs/n"+tc.query, tc.spec)
+		var body ErrorBody
+		if err := json.Unmarshal(data, &body); err != nil || resp.StatusCode != 400 || !strings.Contains(body.Error, tc.value) {
+			t.Errorf("%s %v: status=%d body=%s, want 400 naming %s", tc.query, tc.spec, resp.StatusCode, data, tc.value)
+		}
+	}
+	// The largest id space still registers.
+	resp, data := doJSON(t, http.MethodPut, ts.URL+"/graphs/n?nodes=2147483647", map[string]any{"edges": edges})
+	var info GraphInfo
+	if err := json.Unmarshal(data, &info); err != nil || resp.StatusCode != 200 || info.Nodes != 2147483647 {
+		t.Fatalf("nodes=2147483647: status=%d body=%s", resp.StatusCode, data)
+	}
+}
