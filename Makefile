@@ -45,11 +45,17 @@ race:
 # FuzzFileShard's corpus holds a line longer than the 64 KiB read
 # buffer; minimizing a mutant of it would take the default 60 s, so its
 # minimization is capped at 2 s to leave the run for fuzzing.
+# FuzzPeelParity holds the unweighted peel engines (push, pull, the
+# row-volume compaction rule) to the reference engines at workers 1-3
+# on generated graphs above the compaction floor. An input near ε = 0
+# peels one node per AtLeastK pass and takes seconds, so its
+# minimization is capped the same way.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadUndirectedFile$$' -fuzztime 20s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzFreeze$$' -fuzztime 20s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzBinarySource$$' -fuzztime 20s ./internal/edgeio
 	$(GO) test -run '^$$' -fuzz '^FuzzFileShard$$' -fuzztime 20s -fuzzminimizetime 2s ./internal/edgeio
+	$(GO) test -run '^$$' -fuzz '^FuzzPeelParity$$' -fuzztime 20s -fuzzminimizetime 2s ./internal/core
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .

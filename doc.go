@@ -110,21 +110,30 @@
 //     the same degree class at one fixed stride (long tails spill to
 //     an overflow lane), so the recount loop is branch-light and
 //     vectorizes.
-//   - Periodic CSR compaction, hub-first. Once the live set falls
-//     below a fixed fraction of the current CSR, the surviving
-//     subgraph is rebuilt into a dense CSR so later passes scan
-//     cache-resident adjacency instead of rows full of dead neighbors.
-//     The unweighted rebuild relabels degree-ordered — new id 0 is the
-//     highest-degree survivor (a deterministic counting sort, ties in
-//     ascending id order) — which packs the hubs' rows together and
-//     sorts the CSR into the degree classes RowBanks wants; results
-//     map back through the original ids, which never move. A pull pass
-//     and a due compaction fuse: one scan yields the new degrees and
-//     the new layout. The rebuild's two row scans — the live-degree
-//     count and the filtered copy — run on the solve's workers over
-//     pieces of fixed original-row volume; only the maximum degree
-//     crosses rows, so the rebuilt CSR is identical at every worker
-//     count.
+//   - Periodic CSR compaction, hub-first. The surviving subgraph is
+//     rebuilt into a dense CSR so later passes scan cache-resident
+//     adjacency instead of rows full of dead neighbors. In the
+//     unweighted peelers a pull pass fuses with the rebuild — one scan
+//     yields the new degrees and the new layout — once the survivors'
+//     rows hold at most a quarter of the current CSR's entries: a
+//     rebuilt entry costs about four pulled ones, so the rebuild then
+//     costs no more than one pull over the whole CSR. Before that the
+//     survivors are typically the hubs, whose rows still carry most of
+//     the adjacency; such a pull recounts their live degrees in place
+//     and keeps the CSR. The unweighted rebuild relabels
+//     degree-ordered — new id 0 is the highest-degree survivor (a
+//     deterministic counting sort, ties in ascending id order) — which
+//     packs the hubs' rows together and sorts the CSR into the degree
+//     classes RowBanks wants; results map back through the original
+//     ids, which never move. The weighted peeler rebuilds once the
+//     live set falls below a quarter of the CSR's nodes and at least
+//     half of its rows' entries are dead; the directed peeler, once
+//     its two live sides together cover at most half of its nodes.
+//     The rebuild's two row scans
+//     — the live-degree count and the filtered copy — run on the
+//     solve's workers over pieces of fixed original-row volume; only
+//     the maximum degree crosses rows, so the rebuilt CSR is identical
+//     at every worker count.
 //
 // Determinism survives all three because every choice is arithmetic on
 // deterministic integers, the hub-first permutation is itself a

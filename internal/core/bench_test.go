@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"densestream/internal/gen"
 	"densestream/internal/graph"
@@ -167,4 +168,63 @@ func BenchmarkCoreCompact(b *testing.B) {
 			})
 		}
 	})
+}
+
+// BenchmarkCoreRebuildVsPull measures, per adjacency entry walked, the
+// two ways a pull pass can bring the degrees up to date: the hub-first
+// rebuild (CompactIntoDegreeOrdered) and the plain pull recount over
+// the uncompacted CSR (pullRecount). Both walk the same survivors'
+// rows, so the ratio of their ns/entry is what compactVolDivisor is
+// derived from. The keep sets are the deg ≥ 4 survivors of
+// BenchmarkCoreCompact and the survivors of a first pass at ε=0.5
+// (deg > 3·|E|/|V|), the hub-heavy shape pass 1 decides on.
+func BenchmarkCoreRebuildVsPull(b *testing.B) {
+	g, err := coreBenchGraph()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cut := int(3 * g.NumEdges() / int64(g.NumNodes()))
+	for _, ks := range []struct {
+		name string
+		keep func(d int) bool
+	}{
+		{"keep=deg4", func(d int) bool { return d >= 4 }},
+		{"keep=pass1", func(d int) bool { return d > cut }},
+	} {
+		var keep []int32
+		var vol int64
+		for u := int32(0); u < int32(g.NumNodes()); u++ {
+			if d := g.Degree(u); ks.keep(d) {
+				keep = append(keep, u)
+				vol += int64(d)
+			}
+		}
+		for _, workers := range slices.Compact([]int{1, runtime.GOMAXPROCS(0)}) {
+			b.Run(fmt.Sprintf("%s/workers=%d", ks.name, workers), func(b *testing.B) {
+				st := newPeelState(g, Opts{Workers: workers}, false)
+				defer st.release()
+				st.alive.Zero()
+				for _, u := range keep {
+					st.alive.Set(u)
+				}
+				st.live = append(st.live[:0], keep...)
+				var s graph.CompactScratch
+				g.CompactIntoDegreeOrdered(st.pool, keep, &s) // warm the scratch
+				var rebuild, pull time.Duration
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					t0 := time.Now()
+					g.CompactIntoDegreeOrdered(st.pool, keep, &s)
+					t1 := time.Now()
+					st.pullRecount()
+					rebuild += t1.Sub(t0)
+					pull += time.Since(t1)
+				}
+				per := float64(b.N) * float64(vol)
+				b.ReportMetric(float64(rebuild.Nanoseconds())/per, "rebuild-ns/entry")
+				b.ReportMetric(float64(pull.Nanoseconds())/per, "pull-ns/entry")
+				b.ReportMetric(float64(rebuild)/float64(pull), "rebuild/pull")
+			})
+		}
+	}
 }

@@ -33,4 +33,7 @@ type Opts struct {
 	hooks peelHooks
 }
 
-func (o Opts) pool() *par.Pool { return par.New(o.Workers) }
+// pool acquires a worker pool for one solve; the engines hand it back
+// with Release when the solve ends, so back-to-back solves reuse one
+// parked crew instead of spawning a new one each.
+func (o Opts) pool() *par.Pool { return par.Acquire(o.Workers) }

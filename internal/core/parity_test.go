@@ -32,6 +32,7 @@ var parityGrains = []int64{graph.CompactGrain, 16}
 
 type parityCounters struct {
 	push, pull, compactions int
+	kept                    int // pulls on a compactable CSR that kept it
 	relabels, bankedPulls   int
 }
 
@@ -47,6 +48,7 @@ func (pc *parityCounters) opts(workers int) Opts {
 				}
 			},
 			compacted: func(_, _ int) { pc.compactions++ },
+			kept:      func(_ int) { pc.kept++ },
 			relabeled: func(_ int) { pc.relabels++ },
 			banked:    func(_, _ int) { pc.bankedPulls++ },
 		},
@@ -100,8 +102,8 @@ func TestLayoutParityUndirected(t *testing.T) {
 	if pc.push == 0 || pc.pull == 0 {
 		t.Fatalf("sweep exercised push=%d pull=%d passes; need both directions", pc.push, pc.pull)
 	}
-	if pc.compactions == 0 {
-		t.Fatal("sweep never compacted a CSR")
+	if pc.compactions == 0 || pc.kept == 0 {
+		t.Fatalf("sweep compacted %d times and kept the CSR on %d pulls; need both > 0", pc.compactions, pc.kept)
 	}
 	if pc.relabels != pc.compactions {
 		t.Fatalf("sweep compacted %d times but relabeled %d times; the unweighted compactor must always reorder", pc.compactions, pc.relabels)
@@ -246,8 +248,8 @@ func TestLayoutParityAtLeastK(t *testing.T) {
 	if pc.push == 0 {
 		t.Fatal("AtLeastK sweep never pushed")
 	}
-	if pc.compactions == 0 {
-		t.Fatal("AtLeastK sweep never compacted a CSR")
+	if pc.compactions == 0 || pc.kept == 0 {
+		t.Fatalf("AtLeastK sweep compacted %d times and kept the CSR on %d pulls; need both > 0", pc.compactions, pc.kept)
 	}
 	if pc.relabels != pc.compactions {
 		t.Fatalf("AtLeastK compacted %d times but relabeled %d times", pc.compactions, pc.relabels)

@@ -33,18 +33,23 @@ import (
 //     recounts every survivor's live degree directly from the CSR, the
 //     direction-optimizing trade of Beamer-style BFS, decided by graph
 //     shape alone so every worker count takes the same path;
-//   - periodic CSR compaction with a hub-first relabel: once the live
-//     fraction drops below 1/compactLiveDivisor, the surviving
-//     subgraph is rebuilt into a dense CSR ordered by surviving degree
+//   - periodic CSR compaction with a hub-first relabel: a pull pass of
+//     the unweighted engines rebuilds the surviving subgraph into a
+//     dense CSR ordered by surviving degree
 //     (graph.CompactIntoDegreeOrdered, whose two row scans run on the
-//     solve's pool over pieces of fixed original-row volume). Dense
-//     rows pack to the front, equal-length rows become fixed-stride
-//     banks the pull recount walks with counted branch-light loops,
-//     and the orig() mapping composes through the permutation so
-//     emitted Solutions are unchanged. The weighted engine keeps the
-//     order-preserving relabel: its float reductions are grouped by
-//     original-id chunks and depend on the frontier staying ascending
-//     in original order;
+//     solve's pool over pieces of fixed original-row volume) once the
+//     survivors' rows hold at most 1/compactVolDivisor of the current
+//     CSR's entries. Until then the survivors are typically the hubs,
+//     whose rows still carry most of the adjacency, so the rebuild's
+//     gather would walk nearly all of it; such a pull recounts in
+//     place and keeps the CSR. Dense rows pack to the front,
+//     equal-length rows become fixed-stride banks the pull recount
+//     walks with counted branch-light loops, and the orig() mapping
+//     composes through the permutation so emitted Solutions are
+//     unchanged. The weighted engine keeps the order-preserving
+//     relabel and its own node-count rule (maybeCompactWeighted): its
+//     float reductions are grouped by original-id chunks and depend on
+//     the frontier staying ascending in original order;
 //   - recycled scratch: every per-solve buffer, the compaction
 //     scratches included, lives in a peelState that statePool hands
 //     from one solve to the next, so a warm solve neither allocates
@@ -60,24 +65,41 @@ const (
 	// would dominate.
 	compactMinNodes = 1 << 10
 	// compactLiveDivisor: a compaction is "due" — and tilts the
-	// decrement direction toward pull — once the live set is at most
-	// 1/compactLiveDivisor of the current CSR's node count. Rebuilds
-	// are not limited to due passes: any cost-chosen pull pass also
-	// fuses a rebuild, but there the scan over the surviving rows was
-	// happening regardless (pushVol > liveRowVol), so the rebuild adds
-	// only the writes of a strictly smaller CSR. Either way total
-	// rebuild work stays O(n + m) over a run.
+	// decrement direction toward pull (see compactTilt) — once the live
+	// set is at most 1/compactLiveDivisor of the current CSR's node
+	// count. It steers only the direction: whether a pull pass, due or
+	// cost-chosen, fuses a rebuild is compactVolDivisor's test. The
+	// weighted engine's own rule (maybeCompactWeighted) starts from
+	// this node count.
 	compactLiveDivisor = 4
+	// compactVolDivisor (D): an unweighted pull pass fuses a rebuild
+	// only while the survivors' rows hold at most 1/D of the current
+	// CSR's adjacency entries (liveRowVol·D ≤ 2|E|); otherwise it
+	// recounts with pullRecount and keeps the CSR. D is the measured
+	// cost of a rebuilt entry over a pulled one, so the rule reads
+	// "rebuild only when it costs no more than one pull over the whole
+	// current CSR". A rebuild then leaves a CSR of at most 1/D of the
+	// previous one's entries, so total rebuild work is a geometric
+	// series within D/(D−1) full pulls of the input: O(n + m) per run.
+	// BenchmarkCoreRebuildVsPull on the 2M-edge RMAT graph (2-vCPU
+	// Xeon, GOMAXPROCS 2, 20 iterations × 3 runs): the rebuild cost
+	// 6.4–7.9 ns per entry against 1.4–1.8 for the pull at one worker,
+	// and 3.0–4.7 against 0.71–1.06 at two; the ratio ran 4.0–5.0 over
+	// both keep sets and worker counts, median 4.4. The same benchmark
+	// on a Chung–Lu 400K/2M graph (peel-mem's shape) gave 3.6–4.5.
+	// Rounded: 4.
+	compactVolDivisor = 4
 )
 
 // peelHooks are package-internal observation points for the layout
 // tests: the parity sweep uses them to assert that both decrement
-// modes, the compactor, the degree-ordered relabel, and the banked
-// pull path actually ran. Nil hooks are never called; all hooks fire
+// modes, the compactor, a pull that keeps the CSR, the degree-ordered
+// relabel, and the banked pull path actually ran. Nil hooks are never called; all hooks fire
 // on the driver goroutine.
 type peelHooks struct {
 	mode      func(pass int, pull bool)
 	compacted func(liveN, prevN int)
+	kept      func(liveN int)          // a pull pass on a compactable CSR kept it (row volume too large)
 	relabeled func(liveN int)          // a degree-ordered (hub-first) rebuild ran
 	banked    func(liveN, classes int) // a pull recount took the fixed-stride banks
 }
@@ -122,14 +144,17 @@ type peelState struct {
 	origBuf  [2][]int32
 	origTurn int
 
-	// compactTilt scales how far a due compaction may exceed the push
-	// cost before the engine still takes it (see decrement). A rebuild
-	// is an investment repaid by later passes, and the pass count grows
-	// as log_{1+ε} n: slow sweeps (ε < 1) amortize an expensive rebuild
+	// compactTilt scales how far the survivors' rows may exceed the
+	// push cost on a due pass before the engine still pulls (see
+	// decrement), hoping the pull fuses a rebuild. A rebuild is an
+	// investment repaid by later passes, and the pass count grows as
+	// log_{1+ε} n: slow sweeps (ε < 1) amortize an expensive rebuild
 	// over many passes and use 4; aggressive sweeps peel out in a
-	// handful of passes, so only a rebuild within 2× of the push cost
-	// can pay for itself. Direction choices are shape-only — the tilt
-	// never changes emitted Solutions, only wall-clock.
+	// handful of passes, so only a pull within 2× of the push cost can
+	// pay for itself. The tilt reads node counts only; a tilted pull
+	// whose rows fail compactVolDivisor recounts in place. Direction
+	// choices are shape-only — the tilt never changes emitted
+	// Solutions, only wall-clock.
 	compactTilt int64
 }
 
@@ -508,36 +533,43 @@ func pullRows(g *graph.Undirected, deg []int32, alive graph.Bitset, ids []int32)
 }
 
 // decrement applies one pass's removals to the degree state through
-// whichever direction is cheaper, compacts the CSR when the live set
-// has shrunk past the threshold, and returns the new surviving edge
-// count. When a pull pass and a compaction coincide — the huge-batch
-// case — the two fuse: compacting IS the pull (a survivor's row length
-// in the compacted CSR is exactly its live-neighbor count), so the
-// surviving adjacency is scanned once instead of twice. All paths
-// produce identical integer state; the choices are pure wall-clock
-// trades fixed by the graph shape.
+// whichever direction is cheaper and returns the new surviving edge
+// count. A pull pass on a compactable CSR fuses with a rebuild —
+// compacting IS the pull, since a survivor's row length in the
+// compacted CSR is exactly its live-neighbor count — when the
+// survivors' rows are at most 1/compactVolDivisor of the CSR's
+// entries. A pull whose survivors' rows are larger recounts in place
+// and keeps the CSR: the rebuild's gather would walk nearly the whole
+// adjacency, at about compactVolDivisor times a pull's cost per entry.
+// All paths produce identical integer state; the choices are pure
+// wall-clock trades fixed by the graph shape.
 func (st *peelState) decrement(o Opts, batch []int32, pass int, edges, pushVol, degSum int64) int64 {
 	canCompact := st.n >= compactMinNodes
 	// The direction is the per-pass cost minimum — push touches the
 	// batch's rows, pull the survivors' — except that a due compaction
 	// (live set under 1/compactLiveDivisor of the CSR) tilts the choice
-	// toward pull while the rebuild stays within compactTilt pushes:
-	// the same scan then also yields a dense, degree-ordered CSR for
-	// every later pass. Survivors whose rows dwarf even that — on
-	// skewed graphs the hubs carrying most of the adjacency volume —
-	// keep pushing until the ratio improves.
+	// toward pull while the survivors' rows stay within compactTilt
+	// pushes: the same scan may then also yield a dense, degree-ordered
+	// CSR for every later pass. Survivors whose rows dwarf even that —
+	// on skewed graphs the hubs carrying most of the adjacency volume —
+	// keep pushing until the ratio improves. The tilt reads node counts
+	// only; the row-volume test below decides whether a pull rebuilds.
 	due := canCompact && len(st.live)*compactLiveDivisor <= st.n
 	pull := pushVol > st.liveRowVol || (due && st.liveRowVol < st.compactTilt*pushVol)
 	if o.hooks.mode != nil {
 		o.hooks.mode(pass, pull)
 	}
+	// An emptied frontier skips the rebuild: the loop is about to exit,
+	// so compacting to a zero-node CSR would be pure waste.
+	compactable := pull && canCompact && len(st.live) > 0
 	switch {
-	case pull && canCompact && len(st.live) > 0:
-		// An emptied frontier skips the rebuild: the loop is about to
-		// exit, so compacting to a zero-node CSR would be pure waste.
+	case compactable && st.liveRowVol*compactVolDivisor <= 2*st.g.NumEdges():
 		st.compact(o)
 		return st.g.NumEdges()
 	case pull:
+		if compactable && o.hooks.kept != nil {
+			o.hooks.kept(len(st.live))
+		}
 		if o.hooks.banked != nil && st.g.RowBanks() != nil {
 			o.hooks.banked(len(st.live), st.g.RowBanks().Classes())
 		}

@@ -26,16 +26,18 @@ func NumLanes(n int) int {
 
 // Router scatters int32 indices from a chunked producer scan into
 // owned lanes. Buckets are retained across Begin calls, so a Router
-// reused pass after pass stops allocating once warm.
+// reused pass after pass stops allocating once warm. Each bucket sits
+// on its own cache line (idBuf), so producers on neighbouring chunks
+// routing into the same lane do not contend.
 type Router struct {
 	lanes  int
 	chunks int
-	bufs   [][][]int32 // [lane][producer chunk] -> routed indices
+	bufs   [][]idBuf // [lane][producer chunk] -> routed indices
 }
 
 // NewRouter returns a router over the index space [0, n).
 func NewRouter(n int) *Router {
-	return &Router{lanes: NumLanes(n), bufs: make([][][]int32, NumLanes(n))}
+	return &Router{lanes: NumLanes(n), bufs: make([][]idBuf, NumLanes(n))}
 }
 
 // Lanes returns the number of lanes.
@@ -47,12 +49,12 @@ func (r *Router) Begin(chunks int) {
 	r.chunks = chunks
 	for l := range r.bufs {
 		if len(r.bufs[l]) < chunks {
-			grown := make([][]int32, chunks)
+			grown := make([]idBuf, chunks)
 			copy(grown, r.bufs[l])
 			r.bufs[l] = grown
 		}
 		for c := 0; c < chunks; c++ {
-			r.bufs[l][c] = r.bufs[l][c][:0]
+			r.bufs[l][c].ids = r.bufs[l][c].ids[:0]
 		}
 	}
 }
@@ -60,8 +62,8 @@ func (r *Router) Begin(chunks int) {
 // Route records index v under the given producer chunk. Only the
 // goroutine running that chunk may call it; v's lane is v / LaneWidth.
 func (r *Router) Route(chunk int, v int32) {
-	l := int(v) / LaneWidth
-	r.bufs[l][chunk] = append(r.bufs[l][chunk], v)
+	b := &r.bufs[int(v)/LaneWidth][chunk]
+	b.ids = append(b.ids, v)
 }
 
 // Drain runs apply once per non-empty bucket, parallel across lanes
@@ -71,7 +73,7 @@ func (r *Router) Route(chunk int, v int32) {
 func (r *Router) Drain(pool *Pool, apply func(lane int, ids []int32)) {
 	pool.ForEach(r.lanes, func(l int) {
 		for c := 0; c < r.chunks; c++ {
-			if ids := r.bufs[l][c]; len(ids) > 0 {
+			if ids := r.bufs[l][c].ids; len(ids) > 0 {
 				apply(l, ids)
 			}
 		}

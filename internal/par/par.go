@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // ChunkSize is the number of indices per chunk. It is a compromise
@@ -423,38 +424,56 @@ func (p *Pool) SumFloat64(n int, fn func(chunk, lo, hi int) float64) float64 {
 	return total
 }
 
+// cacheLine is the cache-line size idBuf pads to.
+const cacheLine = 64
+
+// idBuf is one append buffer of a parallel loop, padded to a whole
+// cache line. Collector and Router keep one per chunk (per lane and
+// chunk for the Router), and workers on neighbouring chunks append at
+// the same time; unpadded, several 24-byte slice headers share one
+// line and every append bounces it between cores (false sharing).
+// Slots written once per chunk rather than once per element need no
+// padding.
+type idBuf struct {
+	ids []int32
+	_   [cacheLine - unsafe.Sizeof([]int32(nil))]byte
+}
+
 // Collector gathers int32 indices from a chunked scan and merges them
 // in chunk order, reproducing exactly the output order of a sequential
 // ascending scan. Chunk buffers are retained across Reset, so a
-// Collector reused pass after pass stops allocating once warm.
+// Collector reused pass after pass stops allocating once warm. Each
+// chunk's buffer sits on its own cache line, so workers appending
+// under neighbouring chunks do not contend.
 type Collector struct {
-	bufs [][]int32
+	bufs []idBuf
 }
 
 // NewCollector returns a collector for scans over [0, n).
 func NewCollector(n int) *Collector {
-	return &Collector{bufs: make([][]int32, NumChunks(n))}
+	return &Collector{bufs: make([]idBuf, NumChunks(n))}
 }
 
 // Grow extends the collector to cover scans over [0, n), keeping its
 // existing chunk buffers; a collector never shrinks.
 func (c *Collector) Grow(n int) {
 	if k := NumChunks(n); k > len(c.bufs) {
-		c.bufs = append(c.bufs, make([][]int32, k-len(c.bufs))...)
+		c.bufs = append(c.bufs, make([]idBuf, k-len(c.bufs))...)
 	}
 }
 
 // Reset clears all chunk buffers, keeping their capacity.
 func (c *Collector) Reset() {
 	for i := range c.bufs {
-		c.bufs[i] = c.bufs[i][:0]
+		c.bufs[i].ids = c.bufs[i].ids[:0]
 	}
 }
 
 // Append records u under the given chunk. Only the goroutine running
 // that chunk may call it.
 func (c *Collector) Append(chunk int, u int32) {
-	c.bufs[chunk] = append(c.bufs[chunk], u)
+	b := &c.bufs[chunk]
+	b.ids = append(b.ids, u)
 }
 
 // Merge appends every chunk buffer to dst in chunk order and returns
@@ -463,7 +482,7 @@ func (c *Collector) Append(chunk int, u int32) {
 // whenever Append was called with in-range indices.
 func (c *Collector) Merge(dst []int32) []int32 {
 	for _, b := range c.bufs {
-		dst = append(dst, b...)
+		dst = append(dst, b.ids...)
 	}
 	return dst
 }
@@ -472,7 +491,7 @@ func (c *Collector) Merge(dst []int32) []int32 {
 func (c *Collector) Len() int {
 	total := 0
 	for _, b := range c.bufs {
-		total += len(b)
+		total += len(b.ids)
 	}
 	return total
 }

@@ -391,7 +391,10 @@ func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 // maintainer in place (windowed graphs read the third column as the
 // timestamp), `?op=delete` removes edges instead, and the cache is left
 // alone — the bumped fingerprint already unkeys stale results while the
-// maintained solution keeps serving warm.
+// maintained solution keeps serving warm. A JSON body holds only
+// `edges`; a registration field is a 400 that names it. A body with no
+// edges changes nothing: the reply is the graph's current GraphInfo and
+// its cached results stay.
 func (s *Server) handleAppendEdges(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	info, err := s.registry.Info(name)
@@ -401,14 +404,16 @@ func (s *Server) handleAppendEdges(w http.ResponseWriter, r *http.Request) {
 	}
 	var edges []Edge
 	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "application/json") {
-		var spec graphSpec
+		var body struct {
+			Edges [][]float64 `json:"edges"`
+		}
 		dec := json.NewDecoder(r.Body)
 		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		if err := dec.Decode(&body); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decoding edges: %w", err), nil)
 			return
 		}
-		if edges, err = decodeEdgeRows(spec.Edges); err != nil {
+		if edges, err = decodeEdgeRows(body.Edges); err != nil {
 			writeError(w, http.StatusBadRequest, err, nil)
 			return
 		}
@@ -419,8 +424,14 @@ func (s *Server) handleAppendEdges(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	del := r.URL.Query().Get("op") == "delete"
+	// A delete on a static graph fails below whatever its body holds.
+	if len(edges) == 0 && (info.Dynamic || !del) {
+		writeJSON(w, http.StatusOK, info)
+		return
+	}
 	var newInfo GraphInfo
-	if r.URL.Query().Get("op") == "delete" {
+	if del {
 		newInfo, err = s.registry.DeleteEdges(name, edges)
 	} else {
 		newInfo, err = s.registry.Append(name, edges)

@@ -715,3 +715,91 @@ func TestRegisterRejectsNodesOutOfRange(t *testing.T) {
 		t.Fatalf("nodes=2147483647: status=%d body=%s", resp.StatusCode, data)
 	}
 }
+
+// TestAppendBodyIsEdgesOnly checks what an append body may hold. A
+// registration field in a JSON append is a 400 that names the field,
+// and a body with no edges (JSON or text, plain or ?op=delete) is a
+// no-op: 200 with the graph's GraphInfo unchanged and, on a static
+// graph, its cached results kept. A delete on a static graph stays a
+// 400 whatever its body.
+func TestAppendBodyIsEdgesOnly(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2, SolveWorkers: 2})
+	mustRegister(t, s, "static", false, testEdges(200, 800, 10, 3))
+	seed := [][]float64{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}}
+	if resp, data := doJSON(t, http.MethodPut, ts.URL+"/graphs/dynamic", map[string]any{"edges": seed, "dynamic": true, "eps": 0.5}); resp.StatusCode != 200 {
+		t.Fatalf("PUT dynamic: status=%d body=%s", resp.StatusCode, data)
+	}
+	info := func(name string) GraphInfo {
+		t.Helper()
+		_, data := doJSON(t, http.MethodGet, ts.URL+"/graphs/"+name, nil)
+		var gi GraphInfo
+		if err := json.Unmarshal(data, &gi); err != nil {
+			t.Fatal(err)
+		}
+		return gi
+	}
+	post := func(url, contentType, body string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Post(url, contentType, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, data
+	}
+	solve := map[string]any{"graph": "static", "objective": "Undirected", "backend": "Peel", "eps": 0.5}
+	doJSON(t, http.MethodPost, ts.URL+"/solve", solve) // warm the cache
+
+	for _, tc := range []struct {
+		query, contentType, body string
+		status                   int
+		want                     string // text the error must contain
+	}{
+		{"", "application/json", `{"path":"/nonexistent","nodes":5000000000}`, 400, `"path"`},
+		{"", "application/json", `{"edges":[[0,1]],"path":"/nonexistent"}`, 400, `"path"`},
+		{"", "application/json", `{"edges":[[0,1]],"nodes":5000000000}`, 400, `"nodes"`},
+		{"", "application/json", `{"edges":[[0,1]],"directed":true}`, 400, `"directed"`},
+		{"", "application/json", `{"edges":[[0,1]],"weighted":true}`, 400, `"weighted"`},
+		{"", "application/json", `{"edges":[[0,1]],"dynamic":true}`, 400, `"dynamic"`},
+		{"", "application/json", `{"edges":[]}`, 200, ""},
+		{"", "application/json", `{}`, 200, ""},
+		{"", "text/plain", "", 200, ""},
+		{"", "text/plain", "# nothing but a comment\n", 200, ""},
+		{"?op=delete", "application/json", `{"edges":[]}`, 200, ""},
+		{"?op=delete", "text/plain", "", 200, ""},
+	} {
+		for _, name := range []string{"static", "dynamic"} {
+			label := fmt.Sprintf("%s%s %s %q", name, tc.query, tc.contentType, tc.body)
+			before := info(name)
+			status, want := tc.status, tc.want
+			if name == "static" && tc.query == "?op=delete" {
+				status, want = 400, "not dynamic"
+			}
+			resp, data := post(ts.URL+"/graphs/"+name+"/edges"+tc.query, tc.contentType, tc.body)
+			if resp.StatusCode != status {
+				t.Fatalf("%s: status=%d body=%s, want %d", label, resp.StatusCode, data, status)
+			}
+			if status == 200 {
+				var got GraphInfo
+				if err := json.Unmarshal(data, &got); err != nil || got != before {
+					t.Fatalf("%s: reply %s, want the unchanged %+v", label, data, before)
+				}
+			} else {
+				var eb ErrorBody
+				if err := json.Unmarshal(data, &eb); err != nil || !strings.Contains(eb.Error, want) {
+					t.Fatalf("%s: body=%s, want an error naming %s", label, data, want)
+				}
+			}
+			if after := info(name); after != before {
+				t.Fatalf("%s: graph moved from %+v to %+v", label, before, after)
+			}
+		}
+		if resp, _ := doJSON(t, http.MethodPost, ts.URL+"/solve", solve); resp.Header.Get("X-Cache") != "hit" {
+			t.Fatalf("%s %q: the static graph's cached result was dropped", tc.query, tc.body)
+		}
+	}
+}
