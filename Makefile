@@ -112,8 +112,11 @@ fmt:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# perfbench is its own module, so ./... skips it; vet it on its own so
+# an API change that breaks the benchmark fails here.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C perfbench ./...
 
 # bench-trend mirrors CI's gate; refresh the committed baseline
 # deliberately with `make bench-json`.

@@ -1,9 +1,22 @@
-// Command selfcheck cross-validates every implementation of every
-// algorithm on randomized workloads: the in-memory, streaming, and
-// MapReduce realizations of Algorithms 1–3 must agree exactly, the
-// approximation guarantees must hold against the exact flow solver, and
-// both max-flow engines must agree. It is the repository's fuzz-style
-// acceptance gate — run it after any change to the peeling logic.
+// Command selfcheck cross-validates the Solve backends on randomized
+// workloads. It is the repository's fuzz-style acceptance gate — run it
+// after any change to the peeling logic. Each round runs seven checks:
+//
+//   - undirected models agree: Algorithm 1 on BackendPeel,
+//     BackendStream and BackendMapReduce returns the same density,
+//     pass count and set;
+//   - undirected guarantee vs exact: Algorithm 1 at ε ∈ {0, 0.5, 1.5}
+//     lies within [ρ*/(2+2ε), ρ*] of ObjectiveExact's optimum ρ*;
+//   - atleastk models agree: Algorithm 2 returns at least k nodes, and
+//     the same set and density on all three backends;
+//   - directed models agree: Algorithm 3 at c ∈ {0.5, 1, 2} returns the
+//     same (S, T) and density on all three backends;
+//   - directed guarantee vs brute force: the DirectedSweep density on a
+//     tiny graph is positive and at most |E|;
+//   - greedy is 2-approx: the greedy peel lies within [ρ*/2, ρ*], and
+//     the best k-core is no denser than ρ*;
+//   - weighted streaming agrees: weighted Algorithm 1 on BackendPeel and
+//     BackendStream returns the same density and pass count.
 //
 // Usage:
 //

@@ -38,7 +38,10 @@
 // with O(n) state; files on disk re-read per pass), BackendStreamSketched
 // (the §5.1 Count-Sketch degree oracle), and BackendMapReduce (the §5.2
 // realization on a simulated cluster). Every exact backend returns a
-// bit-identical Solution for the same Problem; the envelope additionally
+// bit-identical Solution for the same Problem, except for a Path input:
+// the stream backends read its integer ids as given, while the
+// in-memory backends renumber its labels as ReadUndirectedFile and
+// ReadDirectedFile do (see Problem.Path). The envelope additionally
 // carries backend-specific statistics (MapReduce round traces and
 // shuffle volumes, sketch memory, the sweep's per-c points).
 //

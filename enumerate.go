@@ -1,6 +1,7 @@
 package densestream
 
 import (
+	"context"
 	"fmt"
 
 	"densestream/internal/charikar"
@@ -59,13 +60,13 @@ func EnumerateDense(g *UndirectedGraph, maxSets int, eps, minDensity float64) ([
 		var density float64
 		var passes int
 		if eps > 0 {
-			r, err := core.Undirected(sub, eps)
+			r, err := core.Undirected(sub, eps, core.Opts{Workers: 1})
 			if err != nil {
 				return nil, err
 			}
 			set, density, passes = r.Set, r.Density, r.Passes
 		} else {
-			r, err := charikar.Densest(sub)
+			r, err := charikar.Densest(context.TODO(), sub)
 			if err != nil {
 				return nil, err
 			}

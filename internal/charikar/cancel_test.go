@@ -32,11 +32,11 @@ func TestDensestCtxCancelsMidPeel(t *testing.T) {
 		t.Fatal(err)
 	}
 	free := &countdownCtx{Context: context.Background(), limit: 1 << 62}
-	want, err := Densest(g)
+	want, err := Densest(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DensestCtx(free, g)
+	got, err := Densest(free, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestDensestCtxCancelsMidPeel(t *testing.T) {
 		t.Fatalf("full peel polled ctx %d times; the loop is not polling", polls)
 	}
 	mid := &countdownCtx{Context: context.Background(), limit: polls / 2}
-	if _, err := DensestCtx(mid, g); !errors.Is(err, context.Canceled) {
+	if _, err := Densest(mid, g); !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-peel cancellation: want context.Canceled, got %v", err)
 	}
 }
@@ -66,7 +66,7 @@ func TestDensestWeightedCtxCancelsMidPeel(t *testing.T) {
 		t.Fatal(err)
 	}
 	free := &countdownCtx{Context: context.Background(), limit: 1 << 62}
-	if _, err := DensestWeightedCtx(free, g); err != nil {
+	if _, err := DensestWeighted(free, g); err != nil {
 		t.Fatal(err)
 	}
 	polls := free.polls.Load()
@@ -74,7 +74,7 @@ func TestDensestWeightedCtxCancelsMidPeel(t *testing.T) {
 		t.Fatalf("weighted peel polled ctx %d times", polls)
 	}
 	mid := &countdownCtx{Context: context.Background(), limit: polls / 2}
-	if _, err := DensestWeightedCtx(mid, g); !errors.Is(err, context.Canceled) {
+	if _, err := DensestWeighted(mid, g); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }

@@ -24,24 +24,21 @@ type Result struct {
 	Peels   int // nodes removed before the best prefix was reached (n - |Set|)
 }
 
+// peelCheckMask throttles the context poll inside the greedy peel
+// loops: one Ctx.Err() load every peelCheckMask+1 removals.
+const peelCheckMask = 1<<12 - 1
+
 // Densest runs the greedy peel on an unweighted graph. For weighted
 // graphs use DensestWeighted.
 //
 // The bucket queue stores every remaining node in a doubly linked list
 // keyed by its exact current degree, so each pop is a true minimum-degree
 // node and the maintained edge counter is exact. Total work is O(n + m).
-func Densest(g *graph.Undirected) (*Result, error) {
-	return DensestCtx(nil, g)
-}
-
-// peelCheckMask throttles the context poll inside the greedy peel
-// loops: one Ctx.Err() load every peelCheckMask+1 removals.
-const peelCheckMask = 1<<12 - 1
-
-// DensestCtx is Densest with cooperative cancellation: ctx is polled
-// every peelCheckMask+1 peels, returning ctx.Err() mid-run instead of
-// finishing the peel. A nil ctx never cancels.
-func DensestCtx(ctx context.Context, g *graph.Undirected) (*Result, error) {
+//
+// Cancellation is cooperative: ctx is polled every peelCheckMask+1
+// peels, returning ctx.Err() mid-run instead of finishing the peel. A
+// nil ctx never cancels.
+func Densest(ctx context.Context, g *graph.Undirected) (*Result, error) {
 	n := g.NumNodes()
 	if n == 0 {
 		return nil, graph.ErrEmptyGraph
@@ -149,14 +146,9 @@ func DensestCtx(ctx context.Context, g *graph.Undirected) (*Result, error) {
 }
 
 // DensestWeighted runs the greedy peel minimizing current weighted degree.
-// It accepts unweighted graphs too (weights of 1), at heap cost.
-func DensestWeighted(g *graph.Undirected) (*Result, error) {
-	return DensestWeightedCtx(nil, g)
-}
-
-// DensestWeightedCtx is DensestWeighted with cooperative cancellation;
-// see DensestCtx.
-func DensestWeightedCtx(ctx context.Context, g *graph.Undirected) (*Result, error) {
+// It accepts unweighted graphs too (weights of 1), at heap cost. ctx
+// cancels as in Densest.
+func DensestWeighted(ctx context.Context, g *graph.Undirected) (*Result, error) {
 	n := g.NumNodes()
 	if n == 0 {
 		return nil, graph.ErrEmptyGraph

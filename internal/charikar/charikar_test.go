@@ -1,6 +1,7 @@
 package charikar
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,7 +14,7 @@ import (
 
 func TestDensestClique(t *testing.T) {
 	g, _ := gen.Clique(8)
-	r, err := Densest(g)
+	r, err := Densest(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestDensestCliquePlusTail(t *testing.T) {
 		_ = b.AddEdge(int32(i), int32(i+1))
 	}
 	g, _ := b.Freeze()
-	r, err := Densest(g)
+	r, err := Densest(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestDensestCliquePlusTail(t *testing.T) {
 
 func TestDensestStar(t *testing.T) {
 	g, _ := gen.Star(10)
-	r, err := Densest(g)
+	r, err := Densest(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +63,11 @@ func TestDensestStar(t *testing.T) {
 
 func TestDensestEdgeCases(t *testing.T) {
 	empty, _ := graph.NewBuilder(0).Freeze()
-	if _, err := Densest(empty); err == nil {
+	if _, err := Densest(context.Background(), empty); err == nil {
 		t.Fatal("empty graph accepted")
 	}
 	single, _ := graph.NewBuilder(1).Freeze()
-	r, err := Densest(single)
+	r, err := Densest(context.Background(), single)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestDensestEdgeCases(t *testing.T) {
 		t.Fatalf("single node: %+v", r)
 	}
 	edgeless, _ := graph.NewBuilder(5).Freeze()
-	r, err = Densest(edgeless)
+	r, err = Densest(context.Background(), edgeless)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestDensestEdgeCases(t *testing.T) {
 	wb := graph.NewBuilder(2)
 	_ = wb.AddWeightedEdge(0, 1, 2)
 	wg, _ := wb.Freeze()
-	if _, err := Densest(wg); err == nil {
+	if _, err := Densest(context.Background(), wg); err == nil {
 		t.Fatal("weighted graph accepted by unweighted Densest")
 	}
 }
@@ -102,11 +103,11 @@ func TestGreedyTwoApproxProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		exact, err := flow.ExactDensest(g)
+		exact, err := flow.ExactDensest(context.Background(), g)
 		if err != nil {
 			return false
 		}
-		greedy, err := Densest(g)
+		greedy, err := Densest(context.Background(), g)
 		if err != nil {
 			return false
 		}
@@ -133,7 +134,7 @@ func TestGreedySetDensityProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		r, err := Densest(g)
+		r, err := Densest(context.Background(), g)
 		if err != nil {
 			return false
 		}
@@ -157,15 +158,15 @@ func TestDensestWeightedMatchesUnweighted(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		exact, err := flow.ExactDensest(g)
+		exact, err := flow.ExactDensest(context.Background(), g)
 		if err != nil {
 			return false
 		}
-		u, err := Densest(g)
+		u, err := Densest(context.Background(), g)
 		if err != nil {
 			return false
 		}
-		w, err := DensestWeighted(g)
+		w, err := DensestWeighted(context.Background(), g)
 		if err != nil {
 			return false
 		}
@@ -189,7 +190,7 @@ func TestDensestWeightedPrefersHeavyClique(t *testing.T) {
 		}
 	}
 	g, _ := b.Freeze()
-	r, err := DensestWeighted(g)
+	r, err := DensestWeighted(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +207,11 @@ func TestDensestWeightedPrefersHeavyClique(t *testing.T) {
 
 func TestDensestWeightedEdgeCases(t *testing.T) {
 	empty, _ := graph.NewBuilder(0).Freeze()
-	if _, err := DensestWeighted(empty); err == nil {
+	if _, err := DensestWeighted(context.Background(), empty); err == nil {
 		t.Fatal("empty accepted")
 	}
 	single, _ := graph.NewBuilder(1).Freeze()
-	r, err := DensestWeighted(single)
+	r, err := DensestWeighted(context.Background(), single)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestGreedyOnPlantedRecoversCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Densest(g)
+	r, err := Densest(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}

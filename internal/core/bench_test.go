@@ -57,7 +57,7 @@ func BenchmarkCorePassThroughput(b *testing.B) {
 			b.ReportAllocs()
 			var passes int
 			for i := 0; i < b.N; i++ {
-				r, err := Undirected(g, eps)
+				r, err := Undirected(g, eps, Opts{Workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -87,7 +87,7 @@ func BenchmarkCorePushPull(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(g.NumEdges() * 8)
 			for i := 0; i < b.N; i++ {
-				if _, err := Undirected(g, bc.eps); err != nil {
+				if _, err := Undirected(g, bc.eps, Opts{Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -106,7 +106,7 @@ func BenchmarkCorePassThroughputWeighted(b *testing.B) {
 	b.ReportAllocs()
 	b.SetBytes(g.NumEdges() * 8)
 	for i := 0; i < b.N; i++ {
-		if _, err := UndirectedWeighted(g, 1); err != nil {
+		if _, err := UndirectedWeighted(g, 1, Opts{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -22,16 +22,12 @@ type DirectedResult struct {
 // symmetric B(T) otherwise, tracking the densest (S, T) seen. If c is
 // correct this is a (2+2ε)-approximation (Lemma 12) in O(log_{1+ε} n)
 // passes (Lemma 13).
-func Directed(g *graph.Directed, c, eps float64) (*DirectedResult, error) {
-	return DirectedOpts(g, c, eps, Opts{Workers: 1})
-}
-
-// DirectedOpts is Directed with an explicit execution configuration:
-// both side scans walk their live-vertex frontiers with per-chunk batch
-// buffers merged in index order, and the cross-degree updates run push-
-// or pull-directed with owned-lane merges (no atomics), so results are
-// bit-identical for every worker count.
-func DirectedOpts(g *graph.Directed, c, eps float64, o Opts) (*DirectedResult, error) {
+//
+// o sets the execution: both side scans walk their live-vertex
+// frontiers with per-chunk batch buffers merged in index order, and the
+// cross-degree updates run push- or pull-directed with owned-lane merges
+// (no atomics), so results are bit-identical for every worker count.
+func Directed(g *graph.Directed, c, eps float64, o Opts) (*DirectedResult, error) {
 	if err := checkEps(eps); err != nil {
 		return nil, err
 	}
@@ -137,17 +133,12 @@ type SweepResult struct {
 // DirectedSweep runs Algorithm 3 for c = δ^j covering [1/n, n] and keeps
 // the best result. Trying powers of δ instead of all n² ratios costs at
 // most a δ factor in the approximation (§6.4). δ must exceed 1.
-func DirectedSweep(g *graph.Directed, delta, eps float64) (*SweepResult, error) {
-	return DirectedSweepOpts(g, delta, eps, Opts{Workers: 1})
-}
-
-// DirectedSweepOpts is DirectedSweep with an explicit execution
-// configuration; each per-c run uses the sharded engine, while the
-// sweep itself iterates c values in order (the best-result tie-break
-// depends on it).
-func DirectedSweepOpts(g *graph.Directed, delta, eps float64, o Opts) (*SweepResult, error) {
+//
+// o sets the execution of each per-c run, while the sweep itself
+// iterates c values in order (the best-result tie-break depends on it).
+func DirectedSweep(g *graph.Directed, delta, eps float64, o Opts) (*SweepResult, error) {
 	return Sweep(g.NumNodes(), delta, func(c float64) (*DirectedResult, error) {
-		return DirectedOpts(g, c, eps, o)
+		return Directed(g, c, eps, o)
 	})
 }
 

@@ -33,7 +33,7 @@ func TestDirectedCompleteBipartite(t *testing.T) {
 	// 4 sources -> 9 targets, all edges present. Optimum S = sources,
 	// T = targets, ρ = 36/sqrt(36) = 6, at c = 4/9.
 	g := completeBipartiteDirected(t, 4, 9)
-	r, err := Directed(g, 4.0/9.0, 0.1)
+	r, err := Directed(g, 4.0/9.0, 0.1, Opts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,22 +52,22 @@ func TestDirectedCompleteBipartite(t *testing.T) {
 func TestDirectedValidation(t *testing.T) {
 	g := graph.MustFromDirectedEdges(2, [][2]int32{{0, 1}})
 	for _, c := range []float64{0, -1, math.NaN(), math.Inf(1)} {
-		if _, err := Directed(g, c, 0.5); err == nil {
+		if _, err := Directed(g, c, 0.5, Opts{Workers: 1}); err == nil {
 			t.Fatalf("c=%v accepted", c)
 		}
 	}
-	if _, err := Directed(g, 1, -0.5); err == nil {
+	if _, err := Directed(g, 1, -0.5, Opts{Workers: 1}); err == nil {
 		t.Fatal("negative eps accepted")
 	}
 	empty, _ := graph.NewDirectedBuilder(0).Freeze()
-	if _, err := Directed(empty, 1, 0.5); !errors.Is(err, graph.ErrEmptyGraph) {
+	if _, err := Directed(empty, 1, 0.5, Opts{Workers: 1}); !errors.Is(err, graph.ErrEmptyGraph) {
 		t.Fatalf("empty: %v", err)
 	}
 }
 
 func TestDirectedEdgeless(t *testing.T) {
 	g, _ := graph.NewDirectedBuilder(3).Freeze()
-	r, err := Directed(g, 1, 0.5)
+	r, err := Directed(g, 1, 0.5, Opts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestDirectedTraceConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Directed(g, 1, 1)
+	r, err := Directed(g, 1, 1, Opts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestDirectedPassBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, eps := range []float64{0.5, 1, 2} {
-		r, err := Directed(g, 1, eps)
+		r, err := Directed(g, 1, eps, Opts{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestDirectedApproxGuaranteeProperty(t *testing.T) {
 		}
 		c := float64(len(sOpt)) / float64(len(tOpt))
 		eps := 0.1 + float64(rng.Intn(10))/10
-		r, err := Directed(g, c, eps)
+		r, err := Directed(g, c, eps, Opts{Workers: 1})
 		if err != nil {
 			return false
 		}
@@ -182,7 +182,7 @@ func TestDirectedSweepFindsPlantedBlock(t *testing.T) {
 		}
 	}
 	g, _ := b.Freeze()
-	sweep, err := DirectedSweep(g, 2, 0.5)
+	sweep, err := DirectedSweep(g, 2, 0.5, Opts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,14 +207,14 @@ func TestDirectedSweepFindsPlantedBlock(t *testing.T) {
 
 func TestDirectedSweepValidation(t *testing.T) {
 	g := graph.MustFromDirectedEdges(2, [][2]int32{{0, 1}})
-	if _, err := DirectedSweep(g, 1, 0.5); err == nil {
+	if _, err := DirectedSweep(g, 1, 0.5, Opts{Workers: 1}); err == nil {
 		t.Fatal("delta=1 accepted")
 	}
-	if _, err := DirectedSweep(g, 0.5, 0.5); err == nil {
+	if _, err := DirectedSweep(g, 0.5, 0.5, Opts{Workers: 1}); err == nil {
 		t.Fatal("delta<1 accepted")
 	}
 	empty, _ := graph.NewDirectedBuilder(0).Freeze()
-	if _, err := DirectedSweep(empty, 2, 0.5); err == nil {
+	if _, err := DirectedSweep(empty, 2, 0.5, Opts{Workers: 1}); err == nil {
 		t.Fatal("empty accepted")
 	}
 }
@@ -226,7 +226,7 @@ func TestDirectedAlternatesSides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Directed(g, 1, 1)
+	r, err := Directed(g, 1, 1, Opts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

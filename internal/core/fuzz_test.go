@@ -10,8 +10,8 @@ import (
 	"densestream/internal/graph"
 )
 
-// FuzzPeelParity holds the unweighted layout engines (UndirectedOpts,
-// AtLeastKOpts) to the reference engines on generated graphs that are
+// FuzzPeelParity holds the unweighted layout engines (Undirected,
+// AtLeastK) to the reference engines on generated graphs that are
 // large enough for CSR compaction: every Result must be
 // reflect.DeepEqual to the reference at workers 1, 2 and 3. The inputs
 // choose the graph and the run:
@@ -63,9 +63,9 @@ func FuzzPeelParity(f *testing.F) {
 			}
 		}
 		for workers := 1; workers <= 3; workers++ {
-			got, err := UndirectedOpts(g, eps, Opts{Workers: workers})
+			got, err := Undirected(g, eps, Opts{Workers: workers})
 			check(fmt.Sprintf("Undirected n=%d m=%d eps=%v workers=%d", n, g.NumEdges(), eps, workers), got, err, want)
-			got, err = AtLeastKOpts(g, k, eps, Opts{Workers: workers})
+			got, err = AtLeastK(g, k, eps, Opts{Workers: workers})
 			check(fmt.Sprintf("AtLeastK n=%d m=%d k=%d eps=%v workers=%d", n, g.NumEdges(), k, eps, workers), got, err, wantK)
 		}
 	})

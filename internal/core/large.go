@@ -14,15 +14,12 @@ import (
 // (3+3ε)-approximation to ρ*≥k (Theorem 9), improving to (2+2ε) when the
 // optimal subgraph has more than k nodes (Lemma 10). The algorithm stops
 // early once fewer than k nodes remain (Lemma 11).
-func AtLeastK(g *graph.Undirected, k int, eps float64) (*Result, error) {
-	return AtLeastKOpts(g, k, eps, Opts{Workers: 1})
-}
-
-// AtLeastKOpts is AtLeastK with an explicit execution configuration: the
-// candidate scan walks the live-vertex frontier and the decrement pass
-// runs push- or pull-directed as in UndirectedOpts; the quota selection
-// sort stays sequential on the deterministically merged candidate list.
-func AtLeastKOpts(g *graph.Undirected, k int, eps float64, o Opts) (*Result, error) {
+//
+// o sets the execution: the candidate scan walks the live-vertex
+// frontier and the decrement pass runs push- or pull-directed as in
+// Undirected; the quota selection sort stays sequential on the
+// deterministically merged candidate list.
+func AtLeastK(g *graph.Undirected, k int, eps float64, o Opts) (*Result, error) {
 	if err := checkEps(eps); err != nil {
 		return nil, err
 	}
@@ -42,7 +39,7 @@ func AtLeastKOpts(g *graph.Undirected, k int, eps float64, o Opts) (*Result, err
 	st := newPeelState(g, o, false)
 	defer st.release()
 	if eps < 1 {
-		st.compactTilt = 4 // as in UndirectedOpts: slow sweeps repay early rebuilds
+		st.compactTilt = 4 // as in Undirected: slow sweeps repay early rebuilds
 	}
 	edges := g.NumEdges()
 	nodes := n

@@ -14,7 +14,7 @@ import (
 func TestAtLeastKReturnsLargeEnoughSet(t *testing.T) {
 	g, _ := gen.ChungLu(1000, 4000, 2.2, 5)
 	for _, k := range []int{1, 10, 100, 500} {
-		r, err := AtLeastK(g, k, 0.5)
+		r, err := AtLeastK(g, k, 0.5, Opts{Workers: 1})
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -33,30 +33,30 @@ func TestAtLeastKReturnsLargeEnoughSet(t *testing.T) {
 
 func TestAtLeastKValidation(t *testing.T) {
 	g, _ := gen.Clique(5)
-	if _, err := AtLeastK(g, 0, 0.5); err == nil {
+	if _, err := AtLeastK(g, 0, 0.5, Opts{Workers: 1}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := AtLeastK(g, 6, 0.5); err == nil {
+	if _, err := AtLeastK(g, 6, 0.5, Opts{Workers: 1}); err == nil {
 		t.Fatal("k > n accepted")
 	}
-	if _, err := AtLeastK(g, 2, -1); err == nil {
+	if _, err := AtLeastK(g, 2, -1, Opts{Workers: 1}); err == nil {
 		t.Fatal("bad eps accepted")
 	}
 	empty, _ := graph.NewBuilder(0).Freeze()
-	if _, err := AtLeastK(empty, 1, 0.5); err == nil {
+	if _, err := AtLeastK(empty, 1, 0.5, Opts{Workers: 1}); err == nil {
 		t.Fatal("empty graph accepted")
 	}
 	wb := graph.NewBuilder(2)
 	_ = wb.AddWeightedEdge(0, 1, 1)
 	wg, _ := wb.Freeze()
-	if _, err := AtLeastK(wg, 1, 0.5); err == nil {
+	if _, err := AtLeastK(wg, 1, 0.5, Opts{Workers: 1}); err == nil {
 		t.Fatal("weighted graph accepted")
 	}
 }
 
 func TestAtLeastKWholeGraph(t *testing.T) {
 	g, _ := gen.Clique(6)
-	r, err := AtLeastK(g, 6, 0.5)
+	r, err := AtLeastK(g, 6, 0.5, Opts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +68,11 @@ func TestAtLeastKWholeGraph(t *testing.T) {
 func TestAtLeastKStopsEarly(t *testing.T) {
 	// Lemma 11: the loop stops once |S| < k, so large k means few passes.
 	g, _ := gen.ChungLu(2000, 8000, 2.2, 6)
-	small, err := AtLeastK(g, 1, 0.5)
+	small, err := AtLeastK(g, 1, 0.5, Opts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := AtLeastK(g, 1500, 0.5)
+	large, err := AtLeastK(g, 1500, 0.5, Opts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestAtLeastKApproxGuaranteeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		r, err := AtLeastK(g, k, eps)
+		r, err := AtLeastK(g, k, eps, Opts{Workers: 1})
 		if err != nil {
 			return false
 		}
@@ -130,7 +130,7 @@ func TestAtLeastKPlantedLargeSubgraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := AtLeastK(g, 40, 0.5)
+	r, err := AtLeastK(g, 40, 0.5, Opts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

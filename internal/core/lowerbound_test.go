@@ -22,11 +22,11 @@ func TestDisjointnessSeparation(t *testing.T) {
 	}
 	// α = 2+2ε must be below the gap (q-1)/2 / (1-1/q) = q/2 for the
 	// distinction to be forced; ε=0.5 gives α=3 < 4.
-	yesR, err := Undirected(yes, 0.5)
+	yesR, err := Undirected(yes, 0.5, Opts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	noR, err := Undirected(no, 0.5)
+	noR, err := Undirected(no, 0.5, Opts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,12 +34,12 @@ func TestUndirectedOptsWorkerCountInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, eps := range []float64{0, 0.5, 1} {
-			ref, err := UndirectedOpts(g, eps, Opts{Workers: 1})
+			ref, err := Undirected(g, eps, Opts{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, w := range []int{2, 4, 8} {
-				got, err := UndirectedOpts(g, eps, Opts{Workers: w})
+				got, err := Undirected(g, eps, Opts{Workers: w})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -64,12 +64,12 @@ func TestUndirectedWeightedOptsWorkerCountInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := UndirectedWeightedOpts(g, 0.5, Opts{Workers: 1})
+	ref, err := UndirectedWeighted(g, 0.5, Opts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		got, err := UndirectedWeightedOpts(g, 0.5, Opts{Workers: workers})
+		got, err := UndirectedWeighted(g, 0.5, Opts{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,11 +83,11 @@ func TestAtLeastKOptsWorkerCountInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []int{1, 50, 1000} {
-		ref, err := AtLeastKOpts(g, k, 0.5, Opts{Workers: 1})
+		ref, err := AtLeastK(g, k, 0.5, Opts{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := AtLeastKOpts(g, k, 0.5, Opts{Workers: 8})
+		got, err := AtLeastK(g, k, 0.5, Opts{Workers: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,11 +101,11 @@ func TestDirectedOptsWorkerCountInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []float64{0.5, 1, 2} {
-		ref, err := DirectedOpts(g, c, 0.5, Opts{Workers: 1})
+		ref, err := Directed(g, c, 0.5, Opts{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DirectedOpts(g, c, 0.5, Opts{Workers: 8})
+		got, err := Directed(g, c, 0.5, Opts{Workers: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestUndirectedOptsMatchesLegacySemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Undirected(g, 0.5)
+	r, err := Undirected(g, 0.5, Opts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

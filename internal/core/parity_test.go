@@ -87,7 +87,7 @@ func TestLayoutParityUndirected(t *testing.T) {
 			for _, grain := range parityGrains {
 				graph.CompactGrain = grain
 				for workers := 1; workers <= 8; workers++ {
-					got, err := UndirectedOpts(g, eps, pc.opts(workers))
+					got, err := Undirected(g, eps, pc.opts(workers))
 					if err != nil {
 						t.Fatalf("%s eps=%g grain=%d workers=%d: %v", name, eps, grain, workers, err)
 					}
@@ -133,7 +133,7 @@ func TestLayoutParityWeighted(t *testing.T) {
 				t.Fatalf("%s eps=%g: reference: %v", name, eps, err)
 			}
 			for workers := 1; workers <= 8; workers++ {
-				got, err := UndirectedWeightedOpts(g, eps, pc.opts(workers))
+				got, err := UndirectedWeighted(g, eps, pc.opts(workers))
 				if err != nil {
 					t.Fatalf("%s eps=%g workers=%d: %v", name, eps, workers, err)
 				}
@@ -148,7 +148,7 @@ func TestLayoutParityWeighted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := UndirectedWeightedOpts(base, 0.5, pc.opts(4))
+		got, err := UndirectedWeighted(base, 0.5, pc.opts(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestLayoutParityWeighted(t *testing.T) {
 		t.Fatal(err)
 	}
 	for workers := 1; workers <= 8; workers++ {
-		got, err := UndirectedWeightedOpts(g, 0.1, pc.opts(workers))
+		got, err := UndirectedWeighted(g, 0.1, pc.opts(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +232,7 @@ func TestLayoutParityAtLeastK(t *testing.T) {
 				for _, grain := range parityGrains {
 					graph.CompactGrain = grain
 					for workers := 1; workers <= 8; workers++ {
-						got, err := AtLeastKOpts(g, k, eps, pc.opts(workers))
+						got, err := AtLeastK(g, k, eps, pc.opts(workers))
 						if err != nil {
 							t.Fatalf("%s k=%d eps=%g grain=%d workers=%d: %v", name, k, eps, grain, workers, err)
 						}
@@ -274,7 +274,7 @@ func TestLayoutParityDirected(t *testing.T) {
 					t.Fatalf("%s c=%g eps=%g: reference: %v", name, c, eps, err)
 				}
 				for workers := 1; workers <= 8; workers++ {
-					got, err := DirectedOpts(g, c, eps, pc.opts(workers))
+					got, err := Directed(g, c, eps, pc.opts(workers))
 					if err != nil {
 						t.Fatalf("%s c=%g eps=%g workers=%d: %v", name, c, eps, workers, err)
 					}
@@ -326,7 +326,7 @@ func TestLayoutParityBankedPull(t *testing.T) {
 		t.Fatal(err)
 	}
 	for workers := 1; workers <= 8; workers++ {
-		got, err := UndirectedOpts(g, 0, pc.opts(workers))
+		got, err := Undirected(g, 0, pc.opts(workers))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -30,11 +30,11 @@ func TestSolvesReuseOneCrew(t *testing.T) {
 		var err error
 		switch i % 3 {
 		case 0:
-			_, err = UndirectedOpts(g, 0.5, o)
+			_, err = Undirected(g, 0.5, o)
 		case 1:
-			_, err = AtLeastKOpts(g, 100, 0.5, o)
+			_, err = AtLeastK(g, 100, 0.5, o)
 		default:
-			_, err = DirectedOpts(dg, 1, 0.5, o)
+			_, err = Directed(dg, 1, 0.5, o)
 		}
 		if err != nil {
 			t.Fatal(err)

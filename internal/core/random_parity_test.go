@@ -53,14 +53,14 @@ func TestRandomGraphPeelParity(t *testing.T) {
 			t.Fatalf("n=%d: reference AtLeastK: %v", n, err)
 		}
 		for workers := 1; workers <= 8; workers++ {
-			got, err := UndirectedOpts(g, eps, Opts{Workers: workers})
+			got, err := Undirected(g, eps, Opts{Workers: workers})
 			if err != nil {
 				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("n=%d eps=%g workers=%d: random-graph divergence", n, eps, workers)
 			}
-			gotK, err := AtLeastKOpts(g, k, eps+0.1, Opts{Workers: workers})
+			gotK, err := AtLeastK(g, k, eps+0.1, Opts{Workers: workers})
 			if err != nil {
 				t.Fatalf("n=%d k=%d workers=%d: %v", n, k, workers, err)
 			}
@@ -98,7 +98,7 @@ func TestRandomGraphDirectedParity(t *testing.T) {
 				t.Fatalf("n=%d c=%g: reference: %v", n, c, err)
 			}
 			for workers := 1; workers <= 8; workers++ {
-				got, err := DirectedOpts(g, c, 0.2, Opts{Workers: workers})
+				got, err := Directed(g, c, 0.2, Opts{Workers: workers})
 				if err != nil {
 					t.Fatalf("n=%d c=%g workers=%d: %v", n, c, workers, err)
 				}

@@ -95,11 +95,11 @@ type reuseRun struct {
 func (r reuseRun) solve(o Opts) (*Result, error) {
 	switch r.kind {
 	case "undirected":
-		return UndirectedOpts(r.g, 0.1, o)
+		return Undirected(r.g, 0.1, o)
 	case "atleastk":
-		return AtLeastKOpts(r.g, r.g.NumNodes()/8, 0.5, o)
+		return AtLeastK(r.g, r.g.NumNodes()/8, 0.5, o)
 	default:
-		return UndirectedWeightedOpts(r.g, 0.3, o)
+		return UndirectedWeighted(r.g, 0.3, o)
 	}
 }
 

@@ -23,16 +23,13 @@ type Result struct {
 // ε = 0 is allowed: the threshold 2ρ(S) is at least the minimum degree
 // (min ≤ avg = 2ρ), so at least one node is removed per pass and the
 // algorithm still terminates, in up to n passes.
-func Undirected(g *graph.Undirected, eps float64) (*Result, error) {
-	return UndirectedOpts(g, eps, Opts{Workers: 1})
-}
-
-// UndirectedOpts is Undirected with an explicit execution configuration.
-// The candidate scan walks the live-vertex frontier in fixed chunks with
-// per-chunk batch buffers merged in index order; degree updates run
-// push- or pull-directed with owned-lane merges (see peel.go), so the
-// result is bit-identical to the sequential run for every worker count.
-func UndirectedOpts(g *graph.Undirected, eps float64, o Opts) (*Result, error) {
+//
+// o sets the execution: the candidate scan walks the live-vertex
+// frontier in fixed chunks with per-chunk batch buffers merged in index
+// order; degree updates run push- or pull-directed with owned-lane
+// merges (see peel.go), so the result is bit-identical to the
+// sequential run for every worker count.
+func Undirected(g *graph.Undirected, eps float64, o Opts) (*Result, error) {
 	if err := checkEps(eps); err != nil {
 		return nil, err
 	}
@@ -101,17 +98,13 @@ func UndirectedOpts(g *graph.Undirected, eps float64, o Opts) (*Result, error) {
 // UndirectedWeighted is Algorithm 1 over weighted degrees: the removal
 // rule becomes wdeg_S(i) ≤ 2(1+ε)·ρ_w(S) with ρ_w(S) the total remaining
 // weight over |S|. Unweighted graphs are accepted (unit weights).
-func UndirectedWeighted(g *graph.Undirected, eps float64) (*Result, error) {
-	return UndirectedWeightedOpts(g, eps, Opts{Workers: 1})
-}
-
-// UndirectedWeightedOpts is UndirectedWeighted with an explicit
-// execution configuration. Because float accumulation is order
-// sensitive, the decrement pass is always pull-based and its partials
-// are grouped by fixed chunks of the original vertex space (see
+//
+// o sets the execution. Because float accumulation is order sensitive,
+// the decrement pass is always pull-based and its partials are grouped
+// by fixed chunks of the original vertex space (see
 // peelState.weightedPull) — deterministic for every worker count, and
 // stable across CSR compactions.
-func UndirectedWeightedOpts(g *graph.Undirected, eps float64, o Opts) (*Result, error) {
+func UndirectedWeighted(g *graph.Undirected, eps float64, o Opts) (*Result, error) {
 	if err := checkEps(eps); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -15,7 +16,7 @@ import (
 func TestUndirectedClique(t *testing.T) {
 	g, _ := gen.Clique(8)
 	for _, eps := range []float64{0, 0.1, 0.5, 1, 2} {
-		r, err := Undirected(g, eps)
+		r, err := Undirected(g, eps, Opts{Workers: 1})
 		if err != nil {
 			t.Fatalf("eps=%v: %v", eps, err)
 		}
@@ -40,7 +41,7 @@ func TestUndirectedCliquePlusTail(t *testing.T) {
 		_ = b.AddEdge(int32(i), int32(i+1))
 	}
 	g, _ := b.Freeze()
-	r, err := Undirected(g, 0.5)
+	r, err := Undirected(g, 0.5, Opts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,25 +54,25 @@ func TestUndirectedCliquePlusTail(t *testing.T) {
 func TestUndirectedInputValidation(t *testing.T) {
 	g, _ := gen.Clique(3)
 	for _, eps := range []float64{-0.1, math.NaN(), math.Inf(1)} {
-		if _, err := Undirected(g, eps); err == nil {
+		if _, err := Undirected(g, eps, Opts{Workers: 1}); err == nil {
 			t.Fatalf("eps=%v accepted", eps)
 		}
 	}
 	empty, _ := graph.NewBuilder(0).Freeze()
-	if _, err := Undirected(empty, 0.5); !errors.Is(err, graph.ErrEmptyGraph) {
+	if _, err := Undirected(empty, 0.5, Opts{Workers: 1}); !errors.Is(err, graph.ErrEmptyGraph) {
 		t.Fatalf("empty: %v", err)
 	}
 	wb := graph.NewBuilder(2)
 	_ = wb.AddWeightedEdge(0, 1, 2)
 	wg, _ := wb.Freeze()
-	if _, err := Undirected(wg, 0.5); err == nil {
+	if _, err := Undirected(wg, 0.5, Opts{Workers: 1}); err == nil {
 		t.Fatal("weighted graph accepted")
 	}
 }
 
 func TestUndirectedEdgelessGraph(t *testing.T) {
 	g, _ := graph.NewBuilder(4).Freeze()
-	r, err := Undirected(g, 0.5)
+	r, err := Undirected(g, 0.5, Opts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestUndirectedEdgelessGraph(t *testing.T) {
 
 func TestUndirectedTraceConsistency(t *testing.T) {
 	g, _ := gen.ChungLu(2000, 8000, 2.1, 3)
-	r, err := Undirected(g, 1)
+	r, err := Undirected(g, 1, Opts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestUndirectedPassBound(t *testing.T) {
 	// Lemma 4: passes <= log_{1+eps}(n) + O(1).
 	g, _ := gen.ChungLu(5000, 20000, 2.2, 4)
 	for _, eps := range []float64{0.5, 1, 2} {
-		r, err := Undirected(g, eps)
+		r, err := Undirected(g, eps, Opts{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,12 +148,12 @@ func TestUndirectedApproxGuaranteeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		exact, err := flow.ExactDensest(g)
+		exact, err := flow.ExactDensest(context.Background(), g)
 		if err != nil {
 			return false
 		}
 		eps := float64(rng.Intn(20)) / 10 // 0 .. 1.9
-		r, err := Undirected(g, eps)
+		r, err := Undirected(g, eps, Opts{Workers: 1})
 		if err != nil {
 			return false
 		}
@@ -179,7 +180,7 @@ func TestUndirectedSetDensityProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		r, err := Undirected(g, 0.7)
+		r, err := Undirected(g, 0.7, Opts{Workers: 1})
 		if err != nil {
 			return false
 		}
@@ -200,13 +201,13 @@ func TestUndirectedWeightedMatchesUnweightedOnUnitWeights(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		a, err := Undirected(g, 0.5)
+		a, err := Undirected(g, 0.5, Opts{Workers: 1})
 		if err != nil {
 			return false
 		}
 		// Same graph through the weighted code path (weights all 1):
 		// identical thresholds, identical batches, identical result.
-		b, err := UndirectedWeighted(g, 0.5)
+		b, err := UndirectedWeighted(g, 0.5, Opts{Workers: 1})
 		if err != nil {
 			return false
 		}
@@ -230,7 +231,7 @@ func TestUndirectedWeightedHeavyCore(t *testing.T) {
 	_ = b.AddWeightedEdge(2, 4, 10)
 	_ = b.AddWeightedEdge(0, 4, 10)
 	g, _ := b.Freeze()
-	r, err := UndirectedWeighted(g, 0.3)
+	r, err := UndirectedWeighted(g, 0.3, Opts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,11 +244,11 @@ func TestUndirectedWeightedHeavyCore(t *testing.T) {
 
 func TestUndirectedWeightedValidation(t *testing.T) {
 	empty, _ := graph.NewBuilder(0).Freeze()
-	if _, err := UndirectedWeighted(empty, 0.5); !errors.Is(err, graph.ErrEmptyGraph) {
+	if _, err := UndirectedWeighted(empty, 0.5, Opts{Workers: 1}); !errors.Is(err, graph.ErrEmptyGraph) {
 		t.Fatalf("empty: %v", err)
 	}
 	g, _ := gen.Clique(3)
-	if _, err := UndirectedWeighted(g, -1); err == nil {
+	if _, err := UndirectedWeighted(g, -1, Opts{Workers: 1}); err == nil {
 		t.Fatal("negative eps accepted")
 	}
 }
@@ -259,7 +260,7 @@ func TestUndirectedLowerBoundInstanceNeedsManyPasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Undirected(g, 0.01)
+	r, err := Undirected(g, 0.01, Opts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -425,7 +425,7 @@ func (m *Maintainer) repeelLocked() error {
 	if err != nil {
 		return fmt.Errorf("dynamic: rebuilding live graph: %w", err)
 	}
-	r, err := core.UndirectedOpts(live, m.cfg.Eps, core.Opts{Workers: m.cfg.Workers})
+	r, err := core.Undirected(live, m.cfg.Eps, core.Opts{Workers: m.cfg.Workers})
 	if err != nil {
 		return fmt.Errorf("dynamic: re-peel: %w", err)
 	}

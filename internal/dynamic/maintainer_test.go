@@ -24,7 +24,7 @@ func peelOf(t *testing.T, n int, edges []graph.Edge, eps float64, workers int) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := core.UndirectedOpts(g, eps, core.Opts{Workers: workers})
+	r, err := core.Undirected(g, eps, core.Opts{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}

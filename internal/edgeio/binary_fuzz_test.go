@@ -25,7 +25,7 @@ type scanResult struct {
 
 // scanSource drains k shards of src in shard order through Next and
 // through Block with weights, stopping each at its first error.
-func scanSource(src BinarySource, k int) scanResult {
+func scanSource(src *BinaryFileSource, k int) scanResult {
 	var res scanResult
 	res.scanned = true
 	for _, sh := range src.Shards(k) {

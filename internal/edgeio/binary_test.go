@@ -480,7 +480,7 @@ func TestBinaryConcurrentShards(t *testing.T) {
 		edges = append(edges, WeightedEdge{U: int32(i % 111), V: int32(i % 97), Weight: 1})
 	}
 	path := writeBinaryFile(t, dir, "conc.bsg", edges, false, 64)
-	srcs := []BinarySource{}
+	srcs := []*BinaryFileSource{}
 	if fs, err := OpenBinaryFileSource(path); err == nil {
 		srcs = append(srcs, fs)
 	} else {

@@ -8,38 +8,11 @@ import (
 	"sync/atomic"
 )
 
-// BinarySource is the common surface of the binary-file readers: a
-// sharded, re-scannable edge source that knows its node and edge
-// counts from the header — no discovery pass — and releases its
-// resources on Close.
-type BinarySource interface {
-	// Shards returns BlockShards(k, false) as edge-at-a-time Readers.
-	Shards(k int) []Reader
-	// Nodes is the header's node count (max id + 1 over the edges).
-	Nodes() int
-	// NumEdges is the trailer's total edge count.
-	NumEdges() int64
-	// Weighted reports whether the file carries a weight column.
-	Weighted() bool
-	// Path returns the file path.
-	Path() string
-	// BlockShards cuts the file into 1..k contiguous block ranges for
-	// block-at-a-time reads. weights selects whether Block returns a
-	// weighted file's weight column.
-	BlockShards(k int, weights bool) []*BinaryShard
-	// BytesScanned returns the cumulative bytes of the blocks decoded
-	// across all shards and passes. A block never read is not counted.
-	BytesScanned() int64
-	// Close releases file handles or mappings. Shards must not be used
-	// after Close.
-	Close() error
-}
-
 // OpenBinarySource opens the binary graph file at path through the
 // fastest available reader: the mmap-backed source where the platform
 // supports it, falling back to the buffered file source when mapping
 // is unavailable or fails.
-func OpenBinarySource(path string) (BinarySource, error) {
+func OpenBinarySource(path string) (*BinaryFileSource, error) {
 	if src, err := OpenMmapSource(path); err == nil {
 		return src, nil
 	} else if _, ok := err.(*formatError); ok {
@@ -57,11 +30,13 @@ type formatError struct{ err error }
 func (e *formatError) Error() string { return e.err.Error() }
 func (e *formatError) Unwrap() error { return e.err }
 
-// BinaryFileSource is an open binary columnar graph file. Its shards
-// get block bytes from one of two places: straight out of a read-only
-// memory mapping (OpenMmapSource), or through ReadAt into a pooled
-// buffer (OpenBinaryFileSource). Either way one shard type and one
-// decoder turn them into edges. Shards cover contiguous block ranges
+// BinaryFileSource is an open binary columnar graph file: a sharded,
+// re-scannable edge source that knows its node and edge counts from the
+// header, with no discovery pass. Its shards get block bytes from one
+// of two places: straight out of a read-only memory mapping
+// (OpenMmapSource), or through ReadAt into a pooled buffer
+// (OpenBinaryFileSource). Either way one shard type and one decoder
+// turn them into edges. Shards cover contiguous block ranges
 // (a function of the block count and k only) and reuse their decode
 // buffers across blocks and passes, so a steady-state scan performs no
 // allocations.
@@ -94,25 +69,27 @@ func OpenBinaryFileSource(path string) (*BinaryFileSource, error) {
 	return &BinaryFileSource{meta: meta}, nil
 }
 
-// Nodes implements BinarySource.
+// Nodes is the header's node count (max id + 1 over the edges).
 func (s *BinaryFileSource) Nodes() int { return int(s.meta.nodes) }
 
-// NumEdges implements BinarySource.
+// NumEdges is the trailer's total edge count.
 func (s *BinaryFileSource) NumEdges() int64 { return s.meta.edges }
 
-// Weighted implements BinarySource.
+// Weighted reports whether the file carries a weight column.
 func (s *BinaryFileSource) Weighted() bool { return s.meta.weighted }
 
-// Path implements BinarySource.
+// Path returns the file path.
 func (s *BinaryFileSource) Path() string { return s.meta.path }
 
-// BytesScanned implements BinarySource. For a mapped file a block is
-// scanned when it is decoded out of the mapping.
+// BytesScanned returns the cumulative bytes of the blocks decoded
+// across all shards and passes. A block never read is not counted; for
+// a mapped file a block is scanned when it is decoded out of the
+// mapping.
 func (s *BinaryFileSource) BytesScanned() int64 { return s.bytes.Load() }
 
-// Close implements BinarySource: it unmaps a mapped file, and it is
-// idempotent. Buffered shards own their file handles, released by
-// their own Close.
+// Close unmaps a mapped file, and it is idempotent. Shards must not be
+// used after Close. Buffered shards own their file handles, released
+// by their own Close.
 func (s *BinaryFileSource) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -127,7 +104,9 @@ func (s *BinaryFileSource) Close() error {
 	return nil
 }
 
-// BlockShards implements BinarySource.
+// BlockShards cuts the file into 1..k contiguous block ranges for
+// block-at-a-time reads. weights selects whether Block returns a
+// weighted file's weight column.
 func (s *BinaryFileSource) BlockShards(k int, weights bool) []*BinaryShard {
 	ranges := blockRanges(len(s.meta.index), k)
 	backing := make([]BinaryShard, len(ranges))
@@ -139,7 +118,7 @@ func (s *BinaryFileSource) BlockShards(k int, weights bool) []*BinaryShard {
 	return shards
 }
 
-// Shards implements BinarySource.
+// Shards returns BlockShards(k, false) as edge-at-a-time Readers.
 func (s *BinaryFileSource) Shards(k int) []Reader {
 	bs := s.BlockShards(k, false)
 	out := make([]Reader, len(bs))

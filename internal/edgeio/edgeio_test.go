@@ -97,7 +97,7 @@ func TestFileShardSweep(t *testing.T) {
 	}
 	for ci, content := range contents {
 		src := writeFile(t, content)
-		want := drainReader(t, src.SequentialReader(false))
+		want := drainReader(t, src.BlockShards(1, false)[0])
 		for k := 1; k <= 9; k++ {
 			var got []Edge
 			for _, sh := range src.BlockShards(k, false) {
@@ -118,7 +118,7 @@ func TestFileShardSweep(t *testing.T) {
 func TestFileShardEverySplitPoint(t *testing.T) {
 	content := "0 1\n# c\n1 2\r\n\n22 33\n3 4"
 	src := writeFile(t, content)
-	want := drainReader(t, src.SequentialReader(false))
+	want := drainReader(t, src.BlockShards(1, false)[0])
 	size := src.Size()
 	for b := int64(0); b <= size; b++ {
 		left := &FileShard{src: src, lo: 0, hi: b}
@@ -169,7 +169,7 @@ func TestFileShardParseErrors(t *testing.T) {
 	cases := []string{"0 x\n", "onlyone\n", "0 -1\n", "99999999999999999999 1\n"}
 	for _, content := range cases {
 		src := writeFile(t, content)
-		r := src.SequentialReader(false)
+		r := src.BlockShards(1, false)[0]
 		if err := r.Reset(); err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +214,7 @@ func TestWeightedFileShards(t *testing.T) {
 func TestBytesScanned(t *testing.T) {
 	content := "0 1\n# comment\n1 2\n"
 	src := writeFile(t, content)
-	drainReader(t, src.SequentialReader(false))
+	drainReader(t, src.BlockShards(1, false)[0])
 	if got := src.BytesScanned(); got != int64(len(content)) {
 		t.Fatalf("BytesScanned = %d, want %d", got, len(content))
 	}
@@ -347,7 +347,7 @@ func TestFileShardGeneratedSweep(t *testing.T) {
 		}
 	}
 	src := writeFile(t, content)
-	want := drainReader(t, src.SequentialReader(false))
+	want := drainReader(t, src.BlockShards(1, false)[0])
 	for _, k := range []int{2, 3, 5, 8, 13, 32, 100} {
 		var got []Edge
 		for _, sh := range src.BlockShards(k, false) {

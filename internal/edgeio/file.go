@@ -121,13 +121,6 @@ func (s *FileSource) Shards(k int) []Reader {
 	return out
 }
 
-// SequentialReader returns one shard covering the whole file — the
-// sequential cut used for node-count discovery and single-worker
-// scans.
-func (s *FileSource) SequentialReader(weights bool) *FileShard {
-	return &FileShard{src: s, lo: 0, hi: s.size, weights: weights}
-}
-
 // FileShard reads the lines of one byte range [lo, hi) of the file,
 // owning exactly the lines whose first byte is in (lo, hi] — except the
 // first shard (lo == 0), which also owns the line at offset 0. A shard

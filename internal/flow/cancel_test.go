@@ -32,11 +32,11 @@ func TestExactDensestCtxCancelsMidFlow(t *testing.T) {
 	}
 	// Unlimited polls: the run completes and matches the plain solver.
 	free := &countdownCtx{Context: context.Background(), limit: 1 << 62}
-	want, err := ExactDensest(g)
+	want, err := ExactDensest(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ExactDensestCtx(free, g)
+	got, err := ExactDensest(free, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestExactDensestCtxCancelsMidFlow(t *testing.T) {
 	// Cancel roughly mid-run (by poll count): the solver must abort
 	// with context.Canceled instead of finishing.
 	mid := &countdownCtx{Context: context.Background(), limit: totalPolls / 2}
-	if _, err := ExactDensestCtx(mid, g); !errors.Is(err, context.Canceled) {
+	if _, err := ExactDensest(mid, g); !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-run cancellation: want context.Canceled, got %v", err)
 	}
 }
@@ -65,7 +65,7 @@ func TestMaxFlowCtxPreCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := nw.MaxFlowCtx(ctx, 0, 2); !errors.Is(err, context.Canceled) {
+	if _, err := nw.MaxFlow(ctx, 0, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }

@@ -34,15 +34,12 @@ const maxDinkelbachRounds = 200
 // therefore < m·n·b exactly when some subgraph has density > a/b, and the
 // source side of the min cut is the maximizer. Iterating with the best
 // achieved density converges to ρ*(G) after finitely many flows.
-func ExactDensest(g *graph.Undirected) (*Result, error) {
-	return ExactDensestCtx(nil, g)
-}
-
-// ExactDensestCtx is ExactDensest with cooperative cancellation: ctx is
-// polled between Dinkelbach rounds and inside each max-flow computation
-// (per phase and per augmentation batch), so even one long flow call
-// aborts promptly with ctx.Err(). A nil ctx never cancels.
-func ExactDensestCtx(ctx context.Context, g *graph.Undirected) (*Result, error) {
+//
+// Cancellation is cooperative: ctx is polled between Dinkelbach rounds
+// and inside each max-flow computation (per phase and per augmentation
+// batch), so even one long flow call aborts promptly with ctx.Err(). A
+// nil ctx never cancels.
+func ExactDensest(ctx context.Context, g *graph.Undirected) (*Result, error) {
 	n := g.NumNodes()
 	if n == 0 {
 		return nil, graph.ErrEmptyGraph
@@ -130,7 +127,7 @@ func denserThan(ctx context.Context, g *graph.Undirected, a, b int64) ([]int32, 
 		return nil, 0, false, addErr
 	}
 
-	maxFlow, err := nw.MaxFlowCtx(ctx, s, t)
+	maxFlow, err := nw.MaxFlow(ctx, s, t)
 	if err != nil {
 		return nil, 0, false, err
 	}

@@ -90,23 +90,20 @@ func (nw *Network) pushArc(u, v int32, cap_ int64) {
 	nw.first[u] = idx
 }
 
-// MaxFlow computes the maximum s-t flow with Dinic's algorithm. The
-// network's residual capacities are consumed; call once per build.
-func (nw *Network) MaxFlow(s, t int32) (int64, error) {
-	return nw.MaxFlowCtx(nil, s, t)
-}
-
 // maxFlowCheckMask throttles the context poll inside the augmentation
 // loop: one Ctx.Err() load every maxFlowCheckMask+1 augmenting paths.
 // Each Dinic phase additionally polls once before its BFS, so even a
 // single long phase notices cancellation.
 const maxFlowCheckMask = 1<<10 - 1
 
-// MaxFlowCtx is MaxFlow with cooperative cancellation: ctx is polled
-// once per phase and once every maxFlowCheckMask+1 augmenting paths,
-// returning ctx.Err() mid-computation instead of running the flow to
-// completion. A nil ctx never cancels.
-func (nw *Network) MaxFlowCtx(ctx context.Context, s, t int32) (int64, error) {
+// MaxFlow computes the maximum s-t flow with Dinic's algorithm. The
+// network's residual capacities are consumed; call once per build.
+//
+// Cancellation is cooperative: ctx is polled once per phase and once
+// every maxFlowCheckMask+1 augmenting paths, returning ctx.Err()
+// mid-computation instead of running the flow to completion. A nil ctx
+// never cancels.
+func (nw *Network) MaxFlow(ctx context.Context, s, t int32) (int64, error) {
 	if s < 0 || int(s) >= nw.n || t < 0 || int(t) >= nw.n || s == t {
 		return 0, fmt.Errorf("flow: bad terminals s=%d t=%d n=%d", s, t, nw.n)
 	}

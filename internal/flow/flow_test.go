@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -24,7 +25,7 @@ func TestMaxFlowTiny(t *testing.T) {
 	mustArc(1, 3, 2)
 	mustArc(0, 2, 3)
 	mustArc(2, 3, 3)
-	f, err := nw.MaxFlow(0, 3)
+	f, err := nw.MaxFlow(context.Background(), 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestMaxFlowBottleneck(t *testing.T) {
 	_ = nw.AddArc(1, 2, 1)
 	_ = nw.AddArc(1, 3, 4)
 	_ = nw.AddArc(2, 3, 9)
-	f, err := nw.MaxFlow(0, 3)
+	f, err := nw.MaxFlow(context.Background(), 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,10 +65,10 @@ func TestMaxFlowErrors(t *testing.T) {
 	if err := nw.AddArcPair(0, 1, -2); err == nil {
 		t.Fatal("negative pair capacity accepted")
 	}
-	if _, err := nw.MaxFlow(0, 0); err == nil {
+	if _, err := nw.MaxFlow(context.Background(), 0, 0); err == nil {
 		t.Fatal("s == t accepted")
 	}
-	if _, err := nw.MaxFlow(0, 7); err == nil {
+	if _, err := nw.MaxFlow(context.Background(), 0, 7); err == nil {
 		t.Fatal("t out of range accepted")
 	}
 }
@@ -77,7 +78,7 @@ func TestMinCutSource(t *testing.T) {
 	nw := NewNetwork(3, 2)
 	_ = nw.AddArc(0, 1, 5)
 	_ = nw.AddArc(1, 2, 1)
-	if _, err := nw.MaxFlow(0, 2); err != nil {
+	if _, err := nw.MaxFlow(context.Background(), 0, 2); err != nil {
 		t.Fatal(err)
 	}
 	side := nw.MinCutSource(0)
@@ -88,7 +89,7 @@ func TestMinCutSource(t *testing.T) {
 
 func TestExactDensestClique(t *testing.T) {
 	g, _ := gen.Clique(6)
-	r, err := ExactDensest(g)
+	r, err := ExactDensest(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestExactDensestCliquePlusTail(t *testing.T) {
 		_ = b.AddEdge(int32(i), int32(i+1))
 	}
 	g, _ := b.Freeze()
-	r, err := ExactDensest(g)
+	r, err := ExactDensest(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestExactDensestCliquePlusTail(t *testing.T) {
 
 func TestExactDensestStar(t *testing.T) {
 	g, _ := gen.Star(10)
-	r, err := ExactDensest(g)
+	r, err := ExactDensest(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +143,11 @@ func TestExactDensestStar(t *testing.T) {
 
 func TestExactDensestEdgeCases(t *testing.T) {
 	empty, _ := graph.NewBuilder(0).Freeze()
-	if _, err := ExactDensest(empty); !errors.Is(err, graph.ErrEmptyGraph) {
+	if _, err := ExactDensest(context.Background(), empty); !errors.Is(err, graph.ErrEmptyGraph) {
 		t.Fatalf("empty: %v", err)
 	}
 	isolated, _ := graph.NewBuilder(3).Freeze()
-	r, err := ExactDensest(isolated)
+	r, err := ExactDensest(context.Background(), isolated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestExactDensestEdgeCases(t *testing.T) {
 	wb := graph.NewBuilder(2)
 	_ = wb.AddWeightedEdge(0, 1, 2.0)
 	wg, _ := wb.Freeze()
-	if _, err := ExactDensest(wg); err == nil {
+	if _, err := ExactDensest(context.Background(), wg); err == nil {
 		t.Fatal("weighted graph accepted by exact solver")
 	}
 }
@@ -171,7 +172,7 @@ func TestExactMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		exact, err := ExactDensest(g)
+		exact, err := ExactDensest(context.Background(), g)
 		if err != nil {
 			return false
 		}
@@ -191,7 +192,7 @@ func TestExactOnPlanted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := ExactDensest(g)
+	r, err := ExactDensest(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestExactWitnessProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		r, err := ExactDensest(g)
+		r, err := ExactDensest(context.Background(), g)
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -84,7 +85,7 @@ func randomNetwork(seed int64) (a, b *Network, s, t int32) {
 func TestPushRelabelMatchesDinicProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		a, b, s, tt := randomNetwork(seed)
-		fa, err := a.MaxFlow(s, tt)
+		fa, err := a.MaxFlow(context.Background(), s, tt)
 		if err != nil {
 			return false
 		}

@@ -14,13 +14,6 @@ import (
 // size controlled by the scale parameter (scale=1 is the default used by
 // the experiment harness; larger scales grow |V| and |E| linearly).
 
-// DatasetSpec names a generated stand-in and records its provenance.
-type DatasetSpec struct {
-	Name     string // e.g. "flickr-like"
-	PaperRef string // the graph it stands in for, with the paper's |V|,|E|
-	Directed bool
-}
-
 // FlickrLike is an undirected Chung–Lu power-law graph with a planted
 // dense core, standing in for the flickr graph (976K nodes, 7.6M edges).
 func FlickrLike(scale int, seed int64) (*graph.Undirected, error) {

@@ -34,7 +34,7 @@ func readBinary(path string, weighted bool, workers int) ([]*edgeTokens, error) 
 	return parts, err
 }
 
-func decodeBinary(src edgeio.BinarySource, weighted bool, workers int) ([]*edgeTokens, error) {
+func decodeBinary(src *edgeio.BinaryFileSource, weighted bool, workers int) ([]*edgeTokens, error) {
 	shards := src.BlockShards(par.Clamp(workers), weighted)
 	return tokenizeShards(len(shards), workers, weighted, func(s int, t *edgeTokens) error {
 		sh := shards[s]

@@ -98,7 +98,7 @@ func tokenizeShards(shards, workers int, weighted bool, scan func(i int, t *edge
 	errs := make([]error, shards)
 	pool := par.Acquire(workers)
 	defer pool.Release()
-	pool.RunTasks(shards, func(i int) {
+	pool.ForEach(shards, func(i int) {
 		parts[i] = &edgeTokens{weighted: weighted}
 		errs[i] = scan(i, parts[i])
 	})

@@ -17,11 +17,11 @@ func TestMRAtLeastKMatchesCore(t *testing.T) {
 			return false
 		}
 		for _, k := range []int{1, 10, 25} {
-			ref, err := core.AtLeastK(g, k, 0.5)
+			ref, err := core.AtLeastK(g, k, 0.5, core.Opts{Workers: 1})
 			if err != nil {
 				return false
 			}
-			mr, err := AtLeastK(g, k, 0.5, Config{Mappers: 4, Reducers: 3})
+			mr, err := AtLeastK(g, k, 0.5, Config{Mappers: 4, Reducers: 3}, core.Opts{})
 			if err != nil {
 				return false
 			}
@@ -41,26 +41,26 @@ func TestMRAtLeastKMatchesCore(t *testing.T) {
 
 func TestMRAtLeastKValidation(t *testing.T) {
 	g, _ := gen.Clique(5)
-	if _, err := AtLeastK(g, 0, 0.5, DefaultConfig); err == nil {
+	if _, err := AtLeastK(g, 0, 0.5, DefaultConfig, core.Opts{}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := AtLeastK(g, 6, 0.5, DefaultConfig); err == nil {
+	if _, err := AtLeastK(g, 6, 0.5, DefaultConfig, core.Opts{}); err == nil {
 		t.Fatal("k>n accepted")
 	}
-	if _, err := AtLeastK(g, 2, -1, DefaultConfig); err == nil {
+	if _, err := AtLeastK(g, 2, -1, DefaultConfig, core.Opts{}); err == nil {
 		t.Fatal("bad eps accepted")
 	}
-	if _, err := AtLeastK(g, 2, 0.5, Config{Mappers: -1}); err == nil {
+	if _, err := AtLeastK(g, 2, 0.5, Config{Mappers: -1}, core.Opts{}); err == nil {
 		t.Fatal("negative config accepted")
 	}
 	empty, _ := graph.NewBuilder(0).Freeze()
-	if _, err := AtLeastK(empty, 1, 0.5, DefaultConfig); err == nil {
+	if _, err := AtLeastK(empty, 1, 0.5, DefaultConfig, core.Opts{}); err == nil {
 		t.Fatal("empty accepted")
 	}
 	wb := graph.NewBuilder(2)
 	_ = wb.AddWeightedEdge(0, 1, 1)
 	wg, _ := wb.Freeze()
-	if _, err := AtLeastK(wg, 1, 0.5, DefaultConfig); err == nil {
+	if _, err := AtLeastK(wg, 1, 0.5, DefaultConfig, core.Opts{}); err == nil {
 		t.Fatal("weighted accepted")
 	}
 }
@@ -70,7 +70,7 @@ func TestMRAtLeastKSizeGuarantee(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := AtLeastK(g, 100, 0.5, DefaultConfig)
+	r, err := AtLeastK(g, 100, 0.5, DefaultConfig, core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"densestream/internal/core"
 	"densestream/internal/edgeio"
 	"densestream/internal/gen"
 )
@@ -50,7 +51,7 @@ func TestCheckpointResumeUndirected(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := Config{Mappers: 4, Reducers: 4}
-	want, err := Undirected(g, 0.5, base)
+	want, err := Undirected(g, 0.5, base, core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestCheckpointResumeUndirected(t *testing.T) {
 	}
 
 	ckdir := t.TempDir()
-	_, err = Undirected(g, 0.5, crashCfg(base, ckdir, 2))
+	_, err = Undirected(g, 0.5, crashCfg(base, ckdir, 2), core.Opts{})
 	if !errors.Is(err, ErrSimulatedCrash) {
 		t.Fatalf("crashing run returned %v, want ErrSimulatedCrash", err)
 	}
@@ -67,7 +68,7 @@ func TestCheckpointResumeUndirected(t *testing.T) {
 		t.Fatalf("no manifest after crash: %v", err)
 	}
 
-	got, err := Undirected(g, 0.5, resumeCfg(base, ckdir))
+	got, err := Undirected(g, 0.5, resumeCfg(base, ckdir), core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestCheckpointResumeMachinesChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Undirected(g, 0.5, Config{Mappers: 4, Reducers: 4})
+	want, err := Undirected(g, 0.5, Config{Mappers: 4, Reducers: 4}, core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,13 +101,13 @@ func TestCheckpointResumeMachinesChange(t *testing.T) {
 	ckdir := t.TempDir()
 	spill := t.TempDir()
 	small := Config{Mappers: 2, Reducers: 2, Machines: 2, SpillBytes: 1, SpillDir: spill}
-	_, err = Undirected(g, 0.5, crashCfg(small, ckdir, 2))
+	_, err = Undirected(g, 0.5, crashCfg(small, ckdir, 2), core.Opts{})
 	if !errors.Is(err, ErrSimulatedCrash) {
 		t.Fatalf("crashing run returned %v, want ErrSimulatedCrash", err)
 	}
 
 	big := Config{Mappers: 8, Reducers: 8, Machines: 4}
-	got, err := Undirected(g, 0.5, resumeCfg(big, ckdir))
+	got, err := Undirected(g, 0.5, resumeCfg(big, ckdir), core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestCheckpointResumeAtLeastK(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := Config{Mappers: 4, Reducers: 4}
-	want, err := AtLeastK(g, 30, 0.5, base)
+	want, err := AtLeastK(g, 30, 0.5, base, core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +135,11 @@ func TestCheckpointResumeAtLeastK(t *testing.T) {
 	}
 
 	ckdir := t.TempDir()
-	_, err = AtLeastK(g, 30, 0.5, crashCfg(base, ckdir, 2))
+	_, err = AtLeastK(g, 30, 0.5, crashCfg(base, ckdir, 2), core.Opts{})
 	if !errors.Is(err, ErrSimulatedCrash) {
 		t.Fatalf("crashing run returned %v, want ErrSimulatedCrash", err)
 	}
-	got, err := AtLeastK(g, 30, 0.5, resumeCfg(base, ckdir))
+	got, err := AtLeastK(g, 30, 0.5, resumeCfg(base, ckdir), core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestCheckpointResumeDirected(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := Config{Mappers: 4, Reducers: 4}
-	want, err := Directed(g, 1, 0.5, base)
+	want, err := Directed(g, 1, 0.5, base, core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +167,11 @@ func TestCheckpointResumeDirected(t *testing.T) {
 	}
 
 	ckdir := t.TempDir()
-	_, err = Directed(g, 1, 0.5, crashCfg(base, ckdir, 2))
+	_, err = Directed(g, 1, 0.5, crashCfg(base, ckdir, 2), core.Opts{})
 	if !errors.Is(err, ErrSimulatedCrash) {
 		t.Fatalf("crashing run returned %v, want ErrSimulatedCrash", err)
 	}
-	got, err := Directed(g, 1, 0.5, resumeCfg(Config{Mappers: 2, Reducers: 8, Machines: 3}, ckdir))
+	got, err := Directed(g, 1, 0.5, resumeCfg(Config{Mappers: 2, Reducers: 8, Machines: 3}, ckdir), core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestCheckpointEveryN(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := Config{Mappers: 4, Reducers: 4}
-	want, err := Undirected(g, 0.1, base)
+	want, err := Undirected(g, 0.1, base, core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,13 +207,13 @@ func TestCheckpointEveryN(t *testing.T) {
 	ckdir := t.TempDir()
 	cfg := crashCfg(base, ckdir, 3)
 	cfg.CheckpointEvery = 2
-	_, err = Undirected(g, 0.1, cfg)
+	_, err = Undirected(g, 0.1, cfg, core.Opts{})
 	if !errors.Is(err, ErrSimulatedCrash) {
 		t.Fatalf("crashing run returned %v, want ErrSimulatedCrash", err)
 	}
 	re := resumeCfg(base, ckdir)
 	re.CheckpointEvery = 2
-	got, err := Undirected(g, 0.1, re)
+	got, err := Undirected(g, 0.1, re, core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,16 +235,16 @@ func TestCheckpointJobMismatch(t *testing.T) {
 	}
 	base := Config{Mappers: 4, Reducers: 4}
 	ckdir := t.TempDir()
-	if _, err := Undirected(g, 0.5, crashCfg(base, ckdir, 2)); !errors.Is(err, ErrSimulatedCrash) {
+	if _, err := Undirected(g, 0.5, crashCfg(base, ckdir, 2), core.Opts{}); !errors.Is(err, ErrSimulatedCrash) {
 		t.Fatalf("crashing run returned %v, want ErrSimulatedCrash", err)
 	}
-	if _, err := Undirected(g, 0.25, resumeCfg(base, ckdir)); err == nil {
+	if _, err := Undirected(g, 0.25, resumeCfg(base, ckdir), core.Opts{}); err == nil {
 		t.Fatal("resume with a different epsilon accepted the checkpoint")
 	}
-	if _, err := AtLeastK(g, 30, 0.5, resumeCfg(base, ckdir)); err == nil {
+	if _, err := AtLeastK(g, 30, 0.5, resumeCfg(base, ckdir), core.Opts{}); err == nil {
 		t.Fatal("AtLeastK resumed an undirected checkpoint")
 	}
-	if _, err := Undirected(g, 0.5, resumeCfg(base, ckdir)); err != nil {
+	if _, err := Undirected(g, 0.5, resumeCfg(base, ckdir), core.Opts{}); err != nil {
 		t.Fatalf("matching resume rejected: %v", err)
 	}
 }
@@ -265,8 +266,8 @@ func TestCheckpointResumeRejectsBadNodeIDs(t *testing.T) {
 		name string
 		run  func(Config) error
 	}{
-		{"undirected", func(cfg Config) error { _, err := Undirected(g, 0.5, cfg); return err }},
-		{"directed", func(cfg Config) error { _, err := Directed(dg, 1, 0.5, cfg); return err }},
+		{"undirected", func(cfg Config) error { _, err := Undirected(g, 0.5, cfg, core.Opts{}); return err }},
+		{"directed", func(cfg Config) error { _, err := Directed(dg, 1, 0.5, cfg, core.Opts{}); return err }},
 	}
 	base := Config{Mappers: 4, Reducers: 4}
 	for _, d := range drivers {

@@ -12,11 +12,8 @@ func TestRunCombinedValidation(t *testing.T) {
 	id := func(k int32, v int32, emit func(int32, int32)) { emit(k, v) }
 	comb := func(k int32, vs []int32) int32 { return int32(len(vs)) }
 	red := func(k int32, vs []int32, emit func(int32, int32)) { emit(k, 0) }
-	if _, _, err := RunCombined(Config{Reducers: -2}, nil, id, comb, red, PartitionInt32); err == nil {
+	if _, _, err := Run(Config{Reducers: -2}, nil, id, comb, red, PartitionInt32); err == nil {
 		t.Fatal("negative config accepted")
-	}
-	if _, _, err := RunCombined[int32, int32, int32, int32, int32](DefaultConfig, nil, id, nil, red, PartitionInt32); err == nil {
-		t.Fatal("nil combiner accepted")
 	}
 }
 

@@ -84,16 +84,12 @@ func edgeDataset(e *Engine, g *graph.Undirected) (*Dataset[int32, int32], error)
 // The driver itself keeps only O(n) state (the live set), playing the
 // role of the cluster coordinator. The result matches core.Undirected
 // and stream.Undirected exactly.
-func Undirected(g *graph.Undirected, eps float64, cfg Config) (*MRResult, error) {
-	return UndirectedOpts(g, eps, cfg, core.Opts{})
-}
-
-// UndirectedOpts is Undirected with an execution configuration: o.Ctx
-// and o.Progress interrupt the driver between rounds with a
+//
+// o.Ctx and o.Progress interrupt the driver between rounds with a
 // core.PartialError whose Trace carries the completed rounds (projected
 // onto PassStat). o.Workers is ignored — cluster parallelism comes from
 // cfg.
-func UndirectedOpts(g *graph.Undirected, eps float64, cfg Config, o core.Opts) (*MRResult, error) {
+func Undirected(g *graph.Undirected, eps float64, cfg Config, o core.Opts) (*MRResult, error) {
 	return peelUndirected(g, "undirected", core.ScanSpec{Eps: eps, Rule: core.CutRule}, cfg, o)
 }
 
@@ -101,14 +97,8 @@ func UndirectedOpts(g *graph.Undirected, eps float64, cfg Config, o core.Opts) (
 // MapReduce rounds: one degree job per pass, then the driver selects the
 // ⌊ε/(1+ε)·|S|⌋ lowest-degree below-threshold nodes and removes them
 // with the two marker-join filter jobs. Results match core.AtLeastK
-// exactly.
-func AtLeastK(g *graph.Undirected, k int, eps float64, cfg Config) (*MRResult, error) {
-	return AtLeastKOpts(g, k, eps, cfg, core.Opts{})
-}
-
-// AtLeastKOpts is AtLeastK with an execution configuration; see
-// UndirectedOpts for the cancellation semantics.
-func AtLeastKOpts(g *graph.Undirected, k int, eps float64, cfg Config, o core.Opts) (*MRResult, error) {
+// exactly. See Undirected for how o interrupts the run.
+func AtLeastK(g *graph.Undirected, k int, eps float64, cfg Config, o core.Opts) (*MRResult, error) {
 	return peelUndirected(g, "atleastk", core.ScanSpec{Eps: eps, Rule: core.QuotaRule, K: k}, cfg, o)
 }
 

@@ -66,15 +66,9 @@ func directedRoundTrace(rounds []DirectedRoundStat) []core.DirectedPassStat {
 // (peeling S) or in-degrees (peeling T, keying by the destination in the
 // map phase instead of re-orienting the dataset), and one marker-join
 // filter deletes the removed side's edges. The result matches
-// core.Directed exactly.
-func Directed(g *graph.Directed, c, eps float64, cfg Config) (*MRDirectedResult, error) {
-	return DirectedOpts(g, c, eps, cfg, core.Opts{})
-}
-
-// DirectedOpts is Directed with an execution configuration; see
-// UndirectedOpts for the cancellation semantics (the partial trace is
-// carried in DirectedTrace).
-func DirectedOpts(g *graph.Directed, c, eps float64, cfg Config, o core.Opts) (*MRDirectedResult, error) {
+// core.Directed exactly. See Undirected for how o interrupts the run;
+// the partial trace is carried in DirectedTrace.
+func Directed(g *graph.Directed, c, eps float64, cfg Config, o core.Opts) (*MRDirectedResult, error) {
 	e, err := NewEngine(cfg)
 	if err != nil {
 		return nil, err

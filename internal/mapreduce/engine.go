@@ -323,12 +323,12 @@ func partIndex[K comparable](partition func(K) uint64, k K) int {
 	return int(partition(k) % NumPartitions)
 }
 
-// stragglerShard resolves the FirstSpilledShard fault target: the map
+// firstSpilledShard resolves the FirstSpilledShard fault target: the map
 // shard whose input range covers the first record of the first spilled
 // partition of in, if any. total is the job's full input length
 // (dataset plus extra records). Any other shard is targetable directly
 // by index through Fault.Target.
-func stragglerShard[K comparable, V any](in *Dataset[K, V], total int) (int, bool) {
+func firstSpilledShard[K comparable, V any](in *Dataset[K, V], total int) (int, bool) {
 	if in == nil || in.spills == nil || total == 0 {
 		return 0, false
 	}
@@ -781,7 +781,7 @@ func RunJob[K1 comparable, V1 any, K2 cmp.Ordered, V2 any, V3 any](
 		if down := plan.machinesDown(rd.index); len(down) > 0 {
 			e.faults.machineFailures.Add(int64(len(down)))
 		}
-		resolve := func() (int, bool) { return stragglerShard(in, n) }
+		resolve := func() (int, bool) { return firstSpilledShard(in, n) }
 		for _, s := range plan.mapTargets(rd.index, job, e.machines, resolve) {
 			if lo, hi := shardBounds(s, n); lo >= hi {
 				continue // empty split: nothing was lost
@@ -885,36 +885,13 @@ func RunJob[K1 comparable, V1 any, K2 cmp.Ordered, V2 any, V3 any](
 
 // Run executes one MapReduce job over a flat record slice on a fresh
 // single-job engine — the convenience entry point for standalone jobs
-// and tests. The peeling drivers use Engine/Shard/RunJob directly so
-// their edge dataset stays resident across rounds.
+// and tests. combineFn may be nil (no combiner); a per-shard combiner
+// folds each key's values before the shuffle, cutting ShuffleRecords
+// for aggregation jobs (like degree counting) from O(records) to
+// O(distinct keys per shard). The peeling drivers use
+// Engine/Shard/RunJob directly so their edge dataset stays resident
+// across rounds.
 func Run[K1 comparable, V1 any, K2 cmp.Ordered, V2 any, V3 any](
-	cfg Config,
-	input []Pair[K1, V1],
-	mapFn Mapper[K1, V1, K2, V2],
-	reduceFn Reducer[K2, V2, V3],
-	partition func(K2) uint64,
-) ([]Pair[K2, V3], Stats, error) {
-	return runFlat(cfg, input, mapFn, nil, reduceFn, partition)
-}
-
-// RunCombined is Run with a per-shard combiner applied before the
-// shuffle, cutting ShuffleRecords for aggregation jobs (like degree
-// counting) from O(records) to O(distinct keys per shard).
-func RunCombined[K1 comparable, V1 any, K2 cmp.Ordered, V2 any, V3 any](
-	cfg Config,
-	input []Pair[K1, V1],
-	mapFn Mapper[K1, V1, K2, V2],
-	combineFn Combiner[K2, V2],
-	reduceFn Reducer[K2, V2, V3],
-	partition func(K2) uint64,
-) ([]Pair[K2, V3], Stats, error) {
-	if combineFn == nil {
-		return nil, Stats{}, fmt.Errorf("mapreduce: nil combine function")
-	}
-	return runFlat(cfg, input, mapFn, combineFn, reduceFn, partition)
-}
-
-func runFlat[K1 comparable, V1 any, K2 cmp.Ordered, V2 any, V3 any](
 	cfg Config,
 	input []Pair[K1, V1],
 	mapFn Mapper[K1, V1, K2, V2],

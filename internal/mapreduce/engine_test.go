@@ -26,7 +26,7 @@ func sumJob(cfg Config, recs []Pair[int32, int32]) ([]Pair[int32, int64], Stats,
 		}
 		emit(k, total)
 	}
-	return Run(cfg, recs, mapFn, reduceFn, PartitionInt32)
+	return Run(cfg, recs, mapFn, nil, reduceFn, PartitionInt32)
 }
 
 // Regression for the old engine's nondeterministic reducer emit order

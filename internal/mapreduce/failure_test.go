@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"densestream/internal/core"
 	"densestream/internal/gen"
 )
 
@@ -67,14 +68,14 @@ func TestFailureParityUndirected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Undirected(g, 0.5, Config{Mappers: 4, Reducers: 4})
+	want, err := Undirected(g, 0.5, Config{Mappers: 4, Reducers: 4}, core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for pi, plan := range faultPlans() {
 		for ci, cfg := range failureConfigs(t) {
 			cfg.Failures = plan
-			got, err := Undirected(g, 0.5, cfg)
+			got, err := Undirected(g, 0.5, cfg, core.Opts{})
 			if err != nil {
 				t.Fatalf("plan %d cfg %d: %v", pi, ci, err)
 			}
@@ -91,14 +92,14 @@ func TestFailureParityAtLeastK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := AtLeastK(g, 30, 0.5, Config{Mappers: 4, Reducers: 4})
+	want, err := AtLeastK(g, 30, 0.5, Config{Mappers: 4, Reducers: 4}, core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for pi, plan := range faultPlans() {
 		for ci, cfg := range failureConfigs(t) {
 			cfg.Failures = plan
-			got, err := AtLeastK(g, 30, 0.5, cfg)
+			got, err := AtLeastK(g, 30, 0.5, cfg, core.Opts{})
 			if err != nil {
 				t.Fatalf("plan %d cfg %d: %v", pi, ci, err)
 			}
@@ -115,14 +116,14 @@ func TestFailureParityDirected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Directed(g, 1, 0.5, Config{Mappers: 4, Reducers: 4})
+	want, err := Directed(g, 1, 0.5, Config{Mappers: 4, Reducers: 4}, core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for pi, plan := range faultPlans() {
 		for ci, cfg := range failureConfigs(t) {
 			cfg.Failures = plan
-			got, err := Directed(g, 1, 0.5, cfg)
+			got, err := Directed(g, 1, 0.5, cfg, core.Opts{})
 			if err != nil {
 				t.Fatalf("plan %d cfg %d: %v", pi, ci, err)
 			}
@@ -146,11 +147,11 @@ func TestSpeculativeRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Undirected(g, 0.5, Config{Mappers: 4, Reducers: 4})
+	want, err := Undirected(g, 0.5, Config{Mappers: 4, Reducers: 4}, core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Undirected(g, 0.5, cfg)
+	got, err := Undirected(g, 0.5, cfg, core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +164,11 @@ func TestSpeculativeRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dwant, err := Directed(dg, 1, 0.5, Config{Mappers: 4, Reducers: 4})
+	dwant, err := Directed(dg, 1, 0.5, Config{Mappers: 4, Reducers: 4}, core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dgot, err := Directed(dg, 1, 0.5, cfg)
+	dgot, err := Directed(dg, 1, 0.5, cfg, core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestRunWordCount(t *testing.T) {
 		}
 		return h
 	}
-	out, stats, err := Run(DefaultConfig, docs, mapFn, reduceFn, partition)
+	out, stats, err := Run(DefaultConfig, docs, mapFn, nil, reduceFn, partition)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,19 +64,19 @@ func TestRunWordCount(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	id := func(k int32, v int32, emit func(int32, int32)) { emit(k, v) }
 	red := func(k int32, vs []int32, emit func(int32, int32)) { emit(k, 0) }
-	if _, _, err := Run(Config{Mappers: -1, Reducers: 1}, nil, id, red, PartitionInt32); err == nil {
+	if _, _, err := Run(Config{Mappers: -1, Reducers: 1}, nil, id, nil, red, PartitionInt32); err == nil {
 		t.Fatal("negative mappers accepted")
 	}
-	if _, _, err := Run(Config{Mappers: 1, Reducers: -1}, nil, id, red, PartitionInt32); err == nil {
+	if _, _, err := Run(Config{Mappers: 1, Reducers: -1}, nil, id, nil, red, PartitionInt32); err == nil {
 		t.Fatal("negative reducers accepted")
 	}
-	if _, _, err := Run[int32, int32, int32, int32, int32](DefaultConfig, nil, nil, red, PartitionInt32); err == nil {
+	if _, _, err := Run[int32, int32, int32, int32, int32](DefaultConfig, nil, nil, nil, red, PartitionInt32); err == nil {
 		t.Fatal("nil mapper accepted")
 	}
-	if _, _, err := Run[int32, int32, int32, int32, int32](DefaultConfig, nil, id, nil, PartitionInt32); err == nil {
+	if _, _, err := Run[int32, int32, int32, int32, int32](DefaultConfig, nil, id, nil, nil, PartitionInt32); err == nil {
 		t.Fatal("nil reducer accepted")
 	}
-	if _, _, err := Run(DefaultConfig, nil, id, red, nil); err == nil {
+	if _, _, err := Run(DefaultConfig, nil, id, nil, red, nil); err == nil {
 		t.Fatal("nil partitioner accepted")
 	}
 }
@@ -84,7 +84,7 @@ func TestRunValidation(t *testing.T) {
 func TestRunEmptyInput(t *testing.T) {
 	id := func(k int32, v int32, emit func(int32, int32)) { emit(k, v) }
 	red := func(k int32, vs []int32, emit func(int32, int32)) { emit(k, int32(len(vs))) }
-	out, stats, err := Run(DefaultConfig, nil, id, red, PartitionInt32)
+	out, stats, err := Run(DefaultConfig, nil, id, nil, red, PartitionInt32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestMRUndirectedMatchesStreaming(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			mr, err := Undirected(g, eps, Config{Mappers: 4, Reducers: 3})
+			mr, err := Undirected(g, eps, Config{Mappers: 4, Reducers: 3}, core.Opts{})
 			if err != nil {
 				return false
 			}
@@ -226,11 +226,11 @@ func TestMRDirectedMatchesCore(t *testing.T) {
 			return false
 		}
 		for _, c := range []float64{0.5, 1, 2} {
-			ref, err := core.Directed(g, c, 0.5)
+			ref, err := core.Directed(g, c, 0.5, core.Opts{Workers: 1})
 			if err != nil {
 				return false
 			}
-			mr, err := Directed(g, c, 0.5, Config{Mappers: 4, Reducers: 3})
+			mr, err := Directed(g, c, 0.5, Config{Mappers: 4, Reducers: 3}, core.Opts{})
 			if err != nil {
 				return false
 			}
@@ -250,40 +250,40 @@ func TestMRDirectedMatchesCore(t *testing.T) {
 
 func TestMRUndirectedValidation(t *testing.T) {
 	g, _ := gen.Clique(4)
-	if _, err := Undirected(g, -1, DefaultConfig); err == nil {
+	if _, err := Undirected(g, -1, DefaultConfig, core.Opts{}); err == nil {
 		t.Fatal("negative eps accepted")
 	}
-	if _, err := Undirected(g, 1, Config{Machines: -1}); err == nil {
+	if _, err := Undirected(g, 1, Config{Machines: -1}, core.Opts{}); err == nil {
 		t.Fatal("negative config accepted")
 	}
-	if _, err := Undirected(g, 1, Config{}); err != nil {
+	if _, err := Undirected(g, 1, Config{}, core.Opts{}); err != nil {
 		t.Fatalf("zero config should normalize to the defaults: %v", err)
 	}
 	empty, _ := graph.NewBuilder(0).Freeze()
-	if _, err := Undirected(empty, 1, DefaultConfig); err == nil {
+	if _, err := Undirected(empty, 1, DefaultConfig, core.Opts{}); err == nil {
 		t.Fatal("empty graph accepted")
 	}
 	wb := graph.NewBuilder(2)
 	_ = wb.AddWeightedEdge(0, 1, 2)
 	wg, _ := wb.Freeze()
-	if _, err := Undirected(wg, 1, DefaultConfig); err == nil {
+	if _, err := Undirected(wg, 1, DefaultConfig, core.Opts{}); err == nil {
 		t.Fatal("weighted graph accepted")
 	}
 }
 
 func TestMRDirectedValidation(t *testing.T) {
 	g := graph.MustFromDirectedEdges(2, [][2]int32{{0, 1}})
-	if _, err := Directed(g, 0, 1, DefaultConfig); err == nil {
+	if _, err := Directed(g, 0, 1, DefaultConfig, core.Opts{}); err == nil {
 		t.Fatal("c=0 accepted")
 	}
-	if _, err := Directed(g, 1, -1, DefaultConfig); err == nil {
+	if _, err := Directed(g, 1, -1, DefaultConfig, core.Opts{}); err == nil {
 		t.Fatal("negative eps accepted")
 	}
-	if _, err := Directed(g, 1, 1, Config{Mappers: -1, Reducers: 2}); err == nil {
+	if _, err := Directed(g, 1, 1, Config{Mappers: -1, Reducers: 2}, core.Opts{}); err == nil {
 		t.Fatal("bad config accepted")
 	}
 	empty, _ := graph.NewDirectedBuilder(0).Freeze()
-	if _, err := Directed(empty, 1, 1, DefaultConfig); err == nil {
+	if _, err := Directed(empty, 1, 1, DefaultConfig, core.Opts{}); err == nil {
 		t.Fatal("empty accepted")
 	}
 }
@@ -295,7 +295,7 @@ func TestMRRoundStatsShapeFigure67(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mr, err := Undirected(g, 1, Config{Mappers: 4, Reducers: 4})
+	mr, err := Undirected(g, 1, Config{Mappers: 4, Reducers: 4}, core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"densestream/internal/core"
 	"densestream/internal/gen"
 )
 
@@ -47,7 +48,7 @@ func TestSpillParityUndirected(t *testing.T) {
 	}
 	var want *MRResult
 	for i, cfg := range spillConfigs(t) {
-		r, err := Undirected(g, 0.5, cfg)
+		r, err := Undirected(g, 0.5, cfg, core.Opts{})
 		if err != nil {
 			t.Fatalf("cfg %d: %v", i, err)
 		}
@@ -76,7 +77,7 @@ func TestSpillParityAtLeastK(t *testing.T) {
 	}
 	var want *MRResult
 	for i, cfg := range spillConfigs(t) {
-		r, err := AtLeastK(g, 30, 0.5, cfg)
+		r, err := AtLeastK(g, 30, 0.5, cfg, core.Opts{})
 		if err != nil {
 			t.Fatalf("cfg %d: %v", i, err)
 		}
@@ -104,7 +105,7 @@ func TestSpillParityDirected(t *testing.T) {
 	}
 	var want *key
 	for i, cfg := range spillConfigs(t) {
-		r, err := Directed(g, 1, 0.5, cfg)
+		r, err := Directed(g, 1, 0.5, cfg, core.Opts{})
 		if err != nil {
 			t.Fatalf("cfg %d: %v", i, err)
 		}
@@ -127,7 +128,7 @@ func TestSpillCleanup(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	r, err := Undirected(g, 0.5, Config{Mappers: 2, Reducers: 2, SpillBytes: 1, SpillDir: dir})
+	r, err := Undirected(g, 0.5, Config{Mappers: 2, Reducers: 2, SpillBytes: 1, SpillDir: dir}, core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

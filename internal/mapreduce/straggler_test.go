@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"densestream/internal/core"
 	"densestream/internal/gen"
 )
 
@@ -37,7 +38,7 @@ func TestStragglerRecoveryUndirected(t *testing.T) {
 	// Budget 1 spills every partition, so every job's input lives in
 	// spill files and the dropped task re-reads one to recover.
 	base := Config{Mappers: 4, Reducers: 4, SpillBytes: 1, SpillDir: dir}
-	want, err := Undirected(g, 0.5, base)
+	want, err := Undirected(g, 0.5, base, core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestStragglerRecoveryUndirected(t *testing.T) {
 		t.Fatalf("undisturbed run reports %d map task reruns", want.Faults.MapTaskReruns)
 	}
 
-	got, err := Undirected(g, 0.5, withSpilledShardFault(base))
+	got, err := Undirected(g, 0.5, withSpilledShardFault(base), core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +70,11 @@ func TestStragglerRecoveryAtLeastK(t *testing.T) {
 	}
 	dir := t.TempDir()
 	base := Config{Mappers: 2, Reducers: 8, Machines: 3, SpillBytes: 1, SpillDir: dir}
-	want, err := AtLeastK(g, 30, 0.5, base)
+	want, err := AtLeastK(g, 30, 0.5, base, core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AtLeastK(g, 30, 0.5, withSpilledShardFault(base))
+	got, err := AtLeastK(g, 30, 0.5, withSpilledShardFault(base), core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +93,11 @@ func TestStragglerRecoveryDirected(t *testing.T) {
 	}
 	dir := t.TempDir()
 	base := Config{Mappers: 4, Reducers: 4, SpillBytes: 1, SpillDir: dir}
-	want, err := Directed(g, 1, 0.5, base)
+	want, err := Directed(g, 1, 0.5, base, core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Directed(g, 1, 0.5, withSpilledShardFault(base))
+	got, err := Directed(g, 1, 0.5, withSpilledShardFault(base), core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +119,11 @@ func TestStragglerNoSpill(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := Config{Mappers: 4, Reducers: 4}
-	want, err := Undirected(g, 0.5, base)
+	want, err := Undirected(g, 0.5, base, core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Undirected(g, 0.5, withSpilledShardFault(base))
+	got, err := Undirected(g, 0.5, withSpilledShardFault(base), core.Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

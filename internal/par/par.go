@@ -150,7 +150,7 @@ func (p *Pool) ensureCrew() {
 	}
 	p.chunkBody = func() {
 		chunks, n, fn, ctx := p.rChunks, p.rN, p.rFn, p.rCtx
-		for ctx == nil || ctx.Err() == nil {
+		for active(ctx) {
 			c := int(p.cursor.Add(1)) - 1
 			if c >= chunks {
 				return
@@ -216,151 +216,69 @@ func (p *Pool) Workers() int { return p.workers }
 // use atomics); ForChunks establishes a happens-before edge between
 // everything done inside fn and its own return.
 func (p *Pool) ForChunks(n int, fn func(chunk, lo, hi int)) {
-	chunks := NumChunks(n)
-	if chunks == 0 {
-		return
-	}
-	if p.workers == 1 || chunks == 1 {
-		for c := 0; c < chunks; c++ {
-			lo, hi := ChunkBounds(c, n)
-			fn(c, lo, hi)
-		}
-		return
-	}
-	workers := p.workers
-	if workers > chunks {
-		workers = chunks
-	}
-	if p.mu.TryLock() {
-		p.chunkRound(workers, chunks, n, nil, fn)
-		p.mu.Unlock()
-		return
-	}
-	// A round is already running (nested or concurrent use): spawn
-	// one-shot goroutines for this call instead of waiting on the crew.
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(cursor.Add(1)) - 1
-				if c >= chunks {
-					return
-				}
-				lo, hi := ChunkBounds(c, n)
-				fn(c, lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
+	p.ForChunksCtx(nil, n, fn)
 }
 
 // ForChunksCtx is ForChunks with cooperative cancellation: once ctx is
 // done, workers stop claiming new chunks (chunks already claimed run to
 // completion, preserving the no-torn-chunk invariant) and the call
 // reports ctx.Err(). A nil ctx means no cancellation. On a non-nil
-// error the chunk coverage is incomplete, so callers must discard any
-// partial reduction state.
+// error the chunk coverage may be incomplete, so callers must discard
+// any partial reduction state.
 func (p *Pool) ForChunksCtx(ctx context.Context, n int, fn func(chunk, lo, hi int)) error {
-	if ctx == nil {
-		p.ForChunks(n, fn)
-		return nil
-	}
 	chunks := NumChunks(n)
-	if chunks == 0 {
-		return ctx.Err()
-	}
-	if p.workers == 1 || chunks == 1 {
-		for c := 0; c < chunks; c++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+	workers := min(p.workers, chunks)
+	switch {
+	case chunks == 0:
+	case workers == 1:
+		for c := 0; c < chunks && active(ctx); c++ {
 			lo, hi := ChunkBounds(c, n)
 			fn(c, lo, hi)
 		}
-		return nil
-	}
-	workers := p.workers
-	if workers > chunks {
-		workers = chunks
-	}
-	if p.mu.TryLock() {
+	case p.mu.TryLock():
 		p.chunkRound(workers, chunks, n, ctx, fn)
 		p.mu.Unlock()
-		return ctx.Err()
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				c := int(cursor.Add(1)) - 1
-				if c >= chunks {
-					return
+	default:
+		// A round is already running (nested or concurrent use): spawn
+		// one-shot goroutines for this call instead of waiting on the
+		// crew.
+		var cursor atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				for active(ctx) {
+					c := int(cursor.Add(1)) - 1
+					if c >= chunks {
+						return
+					}
+					lo, hi := ChunkBounds(c, n)
+					fn(c, lo, hi)
 				}
-				lo, hi := ChunkBounds(c, n)
-				fn(c, lo, hi)
-			}
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+	if ctx == nil {
+		return nil
+	}
 	return ctx.Err()
 }
 
-// RunTasks invokes fn(i) for i in [0, k) and waits. With one worker (or
-// one task) the tasks run inline in order; otherwise up to Workers()
-// runners claim task indices dynamically, so tasks may share a
-// goroutine but never run twice. Tasks must be independent of each
-// other (none may block waiting for another task to run) — which is
-// what per-worker lanes and per-shard scans are.
-func (p *Pool) RunTasks(k int, fn func(i int)) {
-	if k <= 0 {
-		return
-	}
-	if p.workers == 1 || k == 1 {
-		for i := 0; i < k; i++ {
-			fn(i)
-		}
-		return
-	}
-	runners := p.workers
-	if runners > k {
-		runners = k
-	}
-	if p.mu.TryLock() {
-		p.taskRound(runners, k, fn)
-		p.mu.Unlock()
-		return
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(runners)
-	for w := 0; w < runners; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= k {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
+// active reports whether a loop under ctx may claim another chunk: a
+// nil ctx never cancels.
+func active(ctx context.Context) bool { return ctx == nil || ctx.Err() == nil }
 
 // ForEach invokes fn(i) once for every i in [0, n). With one worker
 // (or one index) the indices run inline in increasing order; otherwise
-// workers claim indices dynamically from an atomic cursor. Unlike
-// RunTasks, n may far exceed the worker count — this is the primitive
-// for task lists whose grain is already fixed by the problem (shuffle
-// partitions, sort runs), where chunking would be too coarse. fn must
-// only write to i-indexed slots or use atomics.
+// up to Workers() runners claim indices dynamically from an atomic
+// cursor, so calls may share a goroutine but never run twice. This is
+// the primitive for task lists whose grain is already fixed by the
+// problem (per-shard scans, shuffle partitions, sort runs), where
+// chunking would be too coarse. Calls must be independent of each
+// other (none may block waiting for another to run), and fn must only
+// write to i-indexed slots or use atomics.
 func (p *Pool) ForEach(n int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -405,19 +323,6 @@ func (p *Pool) SumInt64(n int, fn func(chunk, lo, hi int) int64) int64 {
 	slots := make([]int64, NumChunks(n))
 	p.ForChunks(n, func(c, lo, hi int) { slots[c] = fn(c, lo, hi) })
 	var total int64
-	for _, s := range slots {
-		total += s
-	}
-	return total
-}
-
-// SumFloat64 is SumInt64 for float64 partials. Because the grouping is
-// fixed by the chunk decomposition, the result is bit-identical across
-// worker counts (though not necessarily to a flat left-to-right sum).
-func (p *Pool) SumFloat64(n int, fn func(chunk, lo, hi int) float64) float64 {
-	slots := make([]float64, NumChunks(n))
-	p.ForChunks(n, func(c, lo, hi int) { slots[c] = fn(c, lo, hi) })
-	var total float64
 	for _, s := range slots {
 		total += s
 	}

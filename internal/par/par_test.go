@@ -2,7 +2,6 @@ package par
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -64,26 +63,6 @@ func TestForChunksVisitsEveryIndexOnce(t *testing.T) {
 
 func TestSumDeterministicAcrossWorkerCounts(t *testing.T) {
 	n := 7*ChunkSize + 5
-	vals := make([]float64, n)
-	rng := rand.New(rand.NewSource(42))
-	for i := range vals {
-		vals[i] = rng.Float64()*2 - 1
-	}
-	sum := func(workers int) float64 {
-		return New(workers).SumFloat64(n, func(_, lo, hi int) float64 {
-			var s float64
-			for i := lo; i < hi; i++ {
-				s += vals[i]
-			}
-			return s
-		})
-	}
-	want := sum(1)
-	for _, w := range []int{2, 3, 8, 16} {
-		if got := sum(w); got != want {
-			t.Fatalf("workers=%d: sum %v != workers=1 sum %v", w, got, want)
-		}
-	}
 	ints := func(workers int) int64 {
 		return New(workers).SumInt64(n, func(_, lo, hi int) int64 { return int64(hi - lo) })
 	}

@@ -120,7 +120,7 @@ func TestSketchedPeelingQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := core.Undirected(g, 0.5)
+	exact, err := core.Undirected(g, 0.5, core.Opts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

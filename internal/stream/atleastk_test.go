@@ -19,7 +19,7 @@ func TestStreamingAtLeastKMatchesInMemory(t *testing.T) {
 		}
 		for _, k := range []int{1, 10, 25} {
 			for _, eps := range []float64{0.3, 1} {
-				ref, err := core.AtLeastK(g, k, eps)
+				ref, err := core.AtLeastK(g, k, eps, core.Opts{Workers: 1})
 				if err != nil {
 					return false
 				}

@@ -82,7 +82,7 @@ func (fs *FileStream) open(path string, weights bool) error {
 		}
 		fs.bytesFn = src.BytesScanned
 		fs.shardsFn = func(k int) []edgeio.BlockReader { return blockReaders(src.BlockShards(k, weights)) }
-		fs.seq = src.SequentialReader(weights)
+		fs.seq = src.BlockShards(1, weights)[0]
 		maxID, err := edgeio.MaxNodeID(fs.seq)
 		if err != nil {
 			fs.Close()

@@ -111,7 +111,7 @@ func TestUndirectedParallelMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, eps := range []float64{0, 0.5, 1} {
-			ref, err := core.Undirected(g, eps)
+			ref, err := core.Undirected(g, eps, core.Opts{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +141,7 @@ func TestDirectedParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []float64{0.5, 1, 2} {
-		ref, err := core.Directed(g, c, 0.5)
+		ref, err := core.Directed(g, c, 0.5, core.Opts{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

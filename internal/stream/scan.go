@@ -109,7 +109,7 @@ func Directed(es EdgeStream, c, eps float64, o core.Opts) (*core.DirectedResult,
 }
 
 // DirectedSweep runs Directed for every c = δ^j covering [1/n, n] and
-// keeps the densest pair, matching core.DirectedSweepOpts point for
+// keeps the densest pair, matching core.DirectedSweep point for
 // point. A sweep costs the sum of the per-c pass counts in scans.
 func DirectedSweep(es EdgeStream, delta, eps float64, o core.Opts) (*core.SweepResult, error) {
 	return core.Sweep(es.NumNodes(), delta, func(c float64) (*core.DirectedResult, error) {
@@ -241,7 +241,7 @@ func (s *scanner) Measure(pass int, aliveU, aliveV []bool, side byte) (int64, fl
 	if s.sketch != nil {
 		s.sketch.Reset()
 	}
-	s.pool.RunTasks(k, s.task)
+	s.pool.ForEach(k, s.task)
 	if err := s.canceled(); err != nil {
 		return 0, 0, err
 	}

@@ -184,7 +184,7 @@ func TestStreamingMatchesInMemoryUndirected(t *testing.T) {
 			return false
 		}
 		for _, eps := range []float64{0, 0.5, 1.5} {
-			ref, err := core.Undirected(g, eps)
+			ref, err := core.Undirected(g, eps, core.Opts{Workers: 1})
 			if err != nil {
 				return false
 			}
@@ -212,7 +212,7 @@ func TestStreamingMatchesInMemoryDirected(t *testing.T) {
 			return false
 		}
 		for _, c := range []float64{0.5, 1, 2} {
-			ref, err := core.Directed(g, c, 0.5)
+			ref, err := core.Directed(g, c, 0.5, core.Opts{Workers: 1})
 			if err != nil {
 				return false
 			}
@@ -252,7 +252,7 @@ func TestStreamingUndirectedFromFile(t *testing.T) {
 	}
 	f.Close()
 
-	ref, err := core.Undirected(g, 1)
+	ref, err := core.Undirected(g, 1, core.Opts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func TestStreamingWeightedMatchesInMemory(t *testing.T) {
 			return false
 		}
 		for _, eps := range []float64{0, 0.5, 1.5} {
-			ref, err := core.UndirectedWeighted(wg, eps)
+			ref, err := core.UndirectedWeighted(wg, eps, core.Opts{Workers: 1})
 			if err != nil {
 				return false
 			}

@@ -98,7 +98,7 @@ func TestWeightedFileStreamPeelMatchesInMemory(t *testing.T) {
 	}
 	f.Close()
 
-	ref, err := core.UndirectedWeighted(g, 0.5)
+	ref, err := core.UndirectedWeighted(g, 0.5, core.Opts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,18 +73,17 @@ func TestMapReduceShapeDeterminismUndirected(t *testing.T) {
 	}
 }
 
-// WithOptions replaces the whole Options struct; a caller that never
-// sets the MapReduce field must still get the default cluster, not a
-// validation error.
+// A zero MapReduce config means the default cluster, not a validation
+// error.
 func TestWithOptionsZeroMRConfigFallsBack(t *testing.T) {
 	g, err := gen.ChungLu(500, 2000, 2.1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendMapReduce, Eps: 1, Graph: g}
-	r, err := ds.Solve(context.Background(), p, ds.WithOptions(ds.Options{Workers: 4}))
+	r, err := ds.Solve(context.Background(), p, ds.WithWorkers(4), ds.WithMapReduceConfig(ds.MRConfig{}))
 	if err != nil {
-		t.Fatalf("WithOptions without a MapReduce config: %v", err)
+		t.Fatalf("zero MapReduce config: %v", err)
 	}
 	ref := solveMR(t, p)
 	if !reflect.DeepEqual(normalizeMR(r), ref) {

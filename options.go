@@ -96,13 +96,6 @@ func WithProgress(fn func(PassStat) bool) Option {
 	return func(o *Options) { o.Progress = fn }
 }
 
-// WithOptions replaces the whole option set at once; later options
-// still apply on top. A zero MapReduce config means "use the default
-// cluster" (see MRConfig.Normalize).
-func WithOptions(set Options) Option {
-	return func(o *Options) { *o = set }
-}
-
 func applyOptions(opts []Option) Options {
 	o := DefaultOptions()
 	for _, fn := range opts {

@@ -32,20 +32,20 @@ func writeBinaryEdgeFile(t *testing.T, g *ds.UndirectedGraph) string {
 	return path
 }
 
-// binSourceStream adapts a specific edgeio.BinarySource into a Sharded
+// binSourceStream adapts one opened BSG1 source into a Sharded
 // EdgeStream, bypassing OpenBinarySource's reader selection so the
 // sweep can pin the mmap and buffered readers individually. Its shards
 // are the readers' block shards, so the scan reads them a block at a
 // time as it reads a file opened by Path.
 type binSourceStream struct {
-	src     edgeio.BinarySource
+	src     *edgeio.BinaryFileSource
 	weights bool
 	seq     *edgeio.BinaryShard
 	shards  []edgeio.BlockReader
 	shardK  int
 }
 
-func newBinSourceStream(src edgeio.BinarySource) *binSourceStream {
+func newBinSourceStream(src *edgeio.BinaryFileSource) *binSourceStream {
 	return &binSourceStream{src: src, seq: src.BlockShards(1, false)[0]}
 }
 
@@ -71,7 +71,7 @@ type binSourceWeightedStream struct {
 	*binSourceStream
 }
 
-func newBinSourceWeightedStream(src edgeio.BinarySource) binSourceWeightedStream {
+func newBinSourceWeightedStream(src *edgeio.BinaryFileSource) binSourceWeightedStream {
 	return binSourceWeightedStream{&binSourceStream{src: src, weights: true, seq: src.BlockShards(1, true)[0]}}
 }
 
@@ -343,10 +343,10 @@ func TestOutOfCoreBinaryBlockSkipParity(t *testing.T) {
 				check("path", workers, solveOK(t, pb, opts...))
 				for _, pinned := range []struct {
 					name string
-					open func(string) (edgeio.BinarySource, error)
+					open func(string) (*edgeio.BinaryFileSource, error)
 				}{
-					{"buffered", func(p string) (edgeio.BinarySource, error) { return edgeio.OpenBinaryFileSource(p) }},
-					{"mmap", func(p string) (edgeio.BinarySource, error) { return edgeio.OpenMmapSource(p) }},
+					{"buffered", edgeio.OpenBinaryFileSource},
+					{"mmap", edgeio.OpenMmapSource},
 				} {
 					src, err := pinned.open(tc.files.bin)
 					if err != nil {

@@ -113,6 +113,37 @@ func TestOutOfCoreFileStreamParity(t *testing.T) {
 	}
 }
 
+// TestOutOfCorePathNodeIDsByBackend pins the node-id rule of a Path
+// input (see Problem.Path): BackendPeel solves the graph that
+// ReadUndirectedFile loads, with labels renumbered in first-seen order,
+// while BackendStream reads the file's ids as given, so on this file
+// the two return different sets.
+func TestOutOfCorePathNodeIDsByBackend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.txt")
+	if err := os.WriteFile(path, []byte("5 6\n6 7\n5 7\n0 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g, _, err := ds.ReadUndirectedFile(path, false, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := solveOK(t, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendPeel, Eps: 0.5, Graph: g})
+	peel := solveOK(t, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendPeel, Eps: 0.5, Path: path})
+	if !reflect.DeepEqual(peel, want) {
+		t.Fatalf("Peel on the path = %+v, want Peel on ReadUndirectedFile's graph %+v", peel, want)
+	}
+	mr := solveOK(t, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendMapReduce, Eps: 0.5, Path: path})
+	for _, sol := range []*ds.Solution{peel, mr} {
+		if !reflect.DeepEqual(sol.Set, []int32{0, 1, 2, 3, 4}) || sol.Density != 0.8 {
+			t.Fatalf("%s on the path: Set %v at density %v, want [0 1 2 3 4] at 0.8", sol.Backend, sol.Set, sol.Density)
+		}
+	}
+	st := solveOK(t, ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendStream, Eps: 0.5, Path: path})
+	if !reflect.DeepEqual(st.Set, []int32{5, 6, 7}) || st.Density != 1 {
+		t.Fatalf("Stream on the path: Set %v at density %v, want [5 6 7] at 1", st.Set, st.Density)
+	}
+}
+
 // TestOutOfCoreAtLeastKFileParity is the sharded AtLeastK disk sweep.
 func TestOutOfCoreAtLeastKFileParity(t *testing.T) {
 	g := outOfCoreGraphs(t)[0]

@@ -95,7 +95,8 @@ func (o *Objective) UnmarshalText(text []byte) error {
 // backend computes the same answer for the same Problem (bit-identical
 // Set/Density/Passes; only the backend-specific Solution stats differ),
 // except BackendStreamSketched, which trades exactness for sublinear
-// counter memory.
+// counter memory, and except for a Path input, whose node ids depend on
+// the backend (see Problem.Path).
 type Backend int
 
 const (
@@ -207,6 +208,16 @@ type Problem struct {
 	// pass (true external-memory streaming; requires dense integer
 	// ids), while in-memory backends load it once with the sharded
 	// ReadUndirectedFile/ReadDirectedFile (arbitrary labels).
+	//
+	// The two routes number nodes differently, so backends need not
+	// agree on a Path. A stream backend's nodes are the file's ids
+	// 0..max id, isolated ids included. An in-memory backend's Set (or
+	// S and T) holds the ids that ReadUndirectedFile or ReadDirectedFile
+	// assigns: labels interned in first-seen order, with no isolated
+	// ids; that loader's LabelMap maps them back to labels. On the file
+	// "5 6\n6 7\n5 7\n0 1\n" at Eps 0.5, BackendPeel and
+	// BackendMapReduce return Set [0 1 2 3 4] at density 0.8, while
+	// BackendStream returns [5 6 7] at density 1.
 	Path string `json:"path,omitempty"`
 }
 

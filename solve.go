@@ -17,7 +17,9 @@ import (
 // Solution is the uniform result envelope of Solve. The first block is
 // filled for every request; the remaining fields are backend- or
 // objective-specific and documented per field. For the same Problem,
-// every exact backend fills the common block bit-identically.
+// every exact backend fills the common block bit-identically, except
+// for a Path input, whose node ids depend on the backend (see
+// Problem.Path).
 //
 // The JSON tags are the stable wire contract: the densestd daemon
 // returns exactly json.Marshal(Solution), so an HTTP solve is
@@ -174,13 +176,13 @@ func solveUndirected(sol *Solution, p Problem, o Options, ex core.Opts) error {
 	if p.Backend == BackendMapReduce {
 		switch p.Objective {
 		case ObjectiveUndirected:
-			r, err := mapreduce.UndirectedOpts(p.Graph, p.Eps, o.MapReduce, ex)
+			r, err := mapreduce.Undirected(p.Graph, p.Eps, o.MapReduce, ex)
 			if err != nil {
 				return err
 			}
 			sol.fillMR(r)
 		case ObjectiveAtLeastK:
-			r, err := mapreduce.AtLeastKOpts(p.Graph, p.K, p.Eps, o.MapReduce, ex)
+			r, err := mapreduce.AtLeastK(p.Graph, p.K, p.Eps, o.MapReduce, ex)
 			if err != nil {
 				return err
 			}
@@ -190,19 +192,19 @@ func solveUndirected(sol *Solution, p Problem, o Options, ex core.Opts) error {
 	}
 	switch p.Objective {
 	case ObjectiveUndirected:
-		r, err := core.UndirectedOpts(p.Graph, p.Eps, ex)
+		r, err := core.Undirected(p.Graph, p.Eps, ex)
 		if err != nil {
 			return err
 		}
 		sol.fillResult(r)
 	case ObjectiveWeighted:
-		r, err := core.UndirectedWeightedOpts(p.Graph, p.Eps, ex)
+		r, err := core.UndirectedWeighted(p.Graph, p.Eps, ex)
 		if err != nil {
 			return err
 		}
 		sol.fillResult(r)
 	case ObjectiveAtLeastK:
-		r, err := core.AtLeastKOpts(p.Graph, p.K, p.Eps, ex)
+		r, err := core.AtLeastK(p.Graph, p.K, p.Eps, ex)
 		if err != nil {
 			return err
 		}
@@ -211,7 +213,7 @@ func solveUndirected(sol *Solution, p Problem, o Options, ex core.Opts) error {
 		if err := ex.Begin(); err != nil {
 			return err
 		}
-		r, err := flow.ExactDensestCtx(ex.Ctx, p.Graph)
+		r, err := flow.ExactDensest(ex.Ctx, p.Graph)
 		if err != nil {
 			return wrapCtxErr(err, ex)
 		}
@@ -224,9 +226,9 @@ func solveUndirected(sol *Solution, p Problem, o Options, ex core.Opts) error {
 		var r *charikar.Result
 		var err error
 		if p.Graph.Weighted() {
-			r, err = charikar.DensestWeightedCtx(ex.Ctx, p.Graph)
+			r, err = charikar.DensestWeighted(ex.Ctx, p.Graph)
 		} else {
-			r, err = charikar.DensestCtx(ex.Ctx, p.Graph)
+			r, err = charikar.Densest(ex.Ctx, p.Graph)
 		}
 		if err != nil {
 			return wrapCtxErr(err, ex)
@@ -252,7 +254,7 @@ func wrapCtxErr(err error, ex core.Opts) error {
 // backends.
 func solveDirected(sol *Solution, p Problem, o Options, ex core.Opts) error {
 	if p.Backend == BackendMapReduce {
-		r, err := mapreduce.DirectedOpts(p.Directed, p.C, p.Eps, o.MapReduce, ex)
+		r, err := mapreduce.Directed(p.Directed, p.C, p.Eps, o.MapReduce, ex)
 		if err != nil {
 			return err
 		}
@@ -268,13 +270,13 @@ func solveDirected(sol *Solution, p Problem, o Options, ex core.Opts) error {
 	}
 	switch p.Objective {
 	case ObjectiveDirected:
-		r, err := core.DirectedOpts(p.Directed, p.C, p.Eps, ex)
+		r, err := core.Directed(p.Directed, p.C, p.Eps, ex)
 		if err != nil {
 			return err
 		}
 		sol.fillDirected(r)
 	case ObjectiveDirectedSweep:
-		sw, err := core.DirectedSweepOpts(p.Directed, p.Delta, p.Eps, ex)
+		sw, err := core.DirectedSweep(p.Directed, p.Delta, p.Eps, ex)
 		if err != nil {
 			return err
 		}

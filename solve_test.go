@@ -148,7 +148,7 @@ func TestSolveParityExactAndGreedy(t *testing.T) {
 		t.Fatal(err)
 	}
 	sol := solveOK(t, ds.Problem{Objective: ds.ObjectiveExact, Graph: g})
-	ex, err := flow.ExactDensest(g)
+	ex, err := flow.ExactDensest(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestSolveParityExactAndGreedy(t *testing.T) {
 	}
 
 	sol = solveOK(t, ds.Problem{Objective: ds.ObjectiveGreedy, Graph: g})
-	gr, err := charikar.Densest(g)
+	gr, err := charikar.Densest(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestSolveParityExactAndGreedy(t *testing.T) {
 		t.Fatal(err)
 	}
 	sol = solveOK(t, ds.Problem{Objective: ds.ObjectiveGreedy, Graph: wg})
-	gw, err := charikar.DensestWeighted(wg)
+	gw, err := charikar.DensestWeighted(context.Background(), wg)
 	if err != nil {
 		t.Fatal(err)
 	}
