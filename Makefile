@@ -36,10 +36,10 @@ race:
 
 # Fuzz the untrusted-input parsers for a short while each: the text
 # edge-list loader must match the sequential reader and the reference
-# parse, the two BSG1 readers must agree with each other and with the
-# reference block decoder, and the text shards' blocks must match the
-# reference line-by-line parse with and without weights, on arbitrary
-# bytes. Freeze must match the sort-based reference build on arbitrary
+# parse, the BSG1 source's scans must agree across shard counts and
+# every block must match the reference block decoder, and the text
+# shards' blocks must match the reference line-by-line parse with and
+# without weights, on arbitrary bytes. Freeze must match the sort-based reference build on arbitrary
 # node counts, edges and weights, and reject bad ones with an error.
 # Plain `go test` replays the checked-in seed corpora.
 # FuzzFileShard's corpus holds a line longer than the 64 KiB read
@@ -113,9 +113,12 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # perfbench is its own module, so ./... skips it; vet it on its own so
-# an API change that breaks the benchmark fails here.
+# an API change that breaks the benchmark fails here. The Windows vet
+# compiles the tree for a non-Unix platform, which no other step
+# builds.
 vet:
 	$(GO) vet ./...
+	GOOS=windows $(GO) vet ./...
 	$(GO) vet -C perfbench ./...
 
 # bench-trend mirrors CI's gate; refresh the committed baseline

@@ -24,7 +24,10 @@ type SweepResult = core.SweepResult
 type SweepPoint = core.SweepPoint
 
 // BestCore returns the densest d-core of the graph (a 2-approximation
-// closely related to ObjectiveGreedy) together with its density.
+// closely related to ObjectiveGreedy) together with its density. Cores
+// are defined by degree counts, so BestCore ignores edge weights: the
+// density it maximizes and returns is edges over nodes, on a weighted
+// graph too.
 func BestCore(g *UndirectedGraph) ([]int32, float64, error) {
 	return kcore.BestCore(g)
 }

@@ -364,9 +364,8 @@ type binaryBenchState struct {
 }
 
 // BenchmarkBinaryStreamPeel is BenchmarkFileStreamPeel on the binary
-// columnar format: the same solve, but the per-pass scan decodes
-// column blocks (through the mmap reader where available) instead of
-// parsing text. The x-resident metric is this run's ns/op over a
+// columnar format: the same solve, but the per-pass scan reads and
+// decodes column blocks instead of parsing text. The x-resident metric is this run's ns/op over a
 // single-worker resident solve of the same graph — the price of going
 // out-of-core in this format.
 func BenchmarkBinaryStreamPeel(b *testing.B) {

@@ -106,7 +106,9 @@ func runServe(addr string, cfg serve.Config, preloads []string) error {
 	}
 }
 
-// preloadGraph registers one -graph flag value: name=path[:directed][:weighted].
+// preloadGraph registers one -graph flag value:
+// name=path[:directed][:weighted], where path is a text edge list or a
+// BSG1 file, read as a {"path"} registration reads it.
 func preloadGraph(s *serve.Server, spec string) (serve.GraphInfo, error) {
 	name, rest, ok := strings.Cut(spec, "=")
 	if !ok || name == "" || rest == "" {
@@ -121,14 +123,9 @@ func preloadGraph(s *serve.Server, spec string) (serve.GraphInfo, error) {
 		case strings.HasSuffix(path, ":weighted"):
 			path, weighted = strings.TrimSuffix(path, ":weighted"), true
 		default:
-			f, err := os.Open(path)
+			edges, err := serve.ReadEdgeListFile(path, weighted)
 			if err != nil {
-				return serve.GraphInfo{}, fmt.Errorf("opening graph %q: %w", path, err)
-			}
-			defer f.Close()
-			edges, err := serve.ParseEdgeList(f, weighted)
-			if err != nil {
-				return serve.GraphInfo{}, fmt.Errorf("parsing %q: %w", path, err)
+				return serve.GraphInfo{}, fmt.Errorf("loading graph %q: %w", path, err)
 			}
 			return s.Registry().Register(name, directed, weighted, edges, 0)
 		}

@@ -2,9 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"densestream/internal/edgeio"
 	"densestream/internal/serve"
 )
 
@@ -35,6 +39,9 @@ func TestSelfdrive(t *testing.T) {
 	}
 }
 
+// TestPreloadGraphSpecParsing checks -graph values: a malformed spec
+// or a missing file fails, and a BSG1 file loads with the fingerprint
+// of the same edges preloaded from text.
 func TestPreloadGraphSpecParsing(t *testing.T) {
 	s := serve.New(serve.Config{Workers: 1})
 	defer s.Close()
@@ -43,5 +50,33 @@ func TestPreloadGraphSpecParsing(t *testing.T) {
 	}
 	if _, err := preloadGraph(s, "g=/definitely/missing.txt"); err == nil {
 		t.Fatalf("missing graph file should fail")
+	}
+	dir := t.TempDir()
+	txt, bin := filepath.Join(dir, "g.txt"), filepath.Join(dir, "g.bsg")
+	w, err := edgeio.CreateBinary(bin, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	for _, e := range []edgeio.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 2, V: 3}} {
+		buf = fmt.Appendf(buf, "%d %d\n", e.U, e.V)
+		w.Append(e)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(txt, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ti, err := preloadGraph(s, "text="+txt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bi, err := preloadGraph(s, "g="+bin)
+	if err != nil {
+		t.Fatalf("-graph g=%s: %v", bin, err)
+	}
+	if bi.Fingerprint != ti.Fingerprint || bi.Nodes != 4 || bi.Edges != 4 {
+		t.Fatalf("BSG1 preload %+v, text preload %+v; want the same 4-node, 4-edge content", bi, ti)
 	}
 }

@@ -11,8 +11,10 @@
 //     the same set and density on all three backends;
 //   - directed models agree: Algorithm 3 at c ∈ {0.5, 1, 2} returns the
 //     same (S, T) and density on all three backends;
-//   - directed guarantee vs brute force: the DirectedSweep density on a
-//     tiny graph is positive and at most |E|;
+//   - directed guarantee vs brute force: on a tiny graph, Algorithm 3 at
+//     ε = 0.5 and the optimal pair's ratio c = |S*|/|T*| lies within
+//     [ρ*/(2+2ε), ρ*] of the brute-force optimum ρ*, and the
+//     DirectedSweep density is at most ρ*;
 //   - greedy is 2-approx: the greedy peel lies within [ρ*/2, ρ*], and
 //     the best k-core is no denser than ρ*;
 //   - weighted streaming agrees: weighted Algorithm 1 on BackendPeel and
@@ -36,6 +38,7 @@ import (
 	"sort"
 
 	ds "densestream"
+	"densestream/internal/flow"
 )
 
 // solve routes every check through the unified front door — selfcheck
@@ -239,14 +242,25 @@ func checkDirectedGuarantee(seed int64, _ int) error {
 	if g.NumEdges() == 0 {
 		return nil
 	}
-	sw, err := solve(ds.Problem{Objective: ds.ObjectiveDirectedSweep, Eps: 0.5, Delta: 1.5, Directed: g})
+	sOpt, tOpt, opt, err := flow.BruteForceDirectedDensest(g)
 	if err != nil {
 		return err
 	}
-	// The sweep's best must be positive and no better than the trivial
-	// upper bound |E| (ρ(S,T) ≤ |E|/1).
-	if sw.Density <= 0 || sw.Density > float64(g.NumEdges())+1e-9 {
-		return fmt.Errorf("sweep density %v out of range", sw.Density)
+	const eps = 0.5
+	c := float64(len(sOpt)) / float64(len(tOpt))
+	dir, err := solve(ds.Problem{Objective: ds.ObjectiveDirected, Eps: eps, C: c, Directed: g})
+	if err != nil {
+		return err
+	}
+	if lo := opt / (2 + 2*eps); dir.Density < lo-1e-9 || dir.Density > opt+1e-9 {
+		return fmt.Errorf("directed c=%v: density %v outside [ρ*/(2+2ε), ρ*] = [%v, %v]", c, dir.Density, lo, opt)
+	}
+	sw, err := solve(ds.Problem{Objective: ds.ObjectiveDirectedSweep, Eps: eps, Delta: 1.5, Directed: g})
+	if err != nil {
+		return err
+	}
+	if sw.Density > opt+1e-9 {
+		return fmt.Errorf("sweep density %v beats the optimum %v", sw.Density, opt)
 	}
 	return nil
 }

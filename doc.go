@@ -231,10 +231,11 @@
 // The per-block index is what makes the format shardable: Shards(k)
 // splits the blocks into k contiguous record ranges, each reader
 // seeking straight to its first block — no resync scan, no parsing.
-// Scans decode whole blocks into reused Edge buffers, so the
-// steady-state read path allocates nothing and a pass runs at disk
-// (or page-cache) bandwidth; on Unix the file is mmapped and decoded
-// in place, with a transparent fallback to buffered pread elsewhere.
+// Scans read each block whole with one pread into a reused buffer and
+// decode it into reused Edge buffers, so the steady-state read path
+// allocates nothing and a pass runs at disk (or page-cache) bandwidth,
+// the same way on every platform. A file truncated under a scan fails
+// the scan with an error naming the block, never a crash.
 // The varint decoder checks a block's one-byte src deltas with one OR
 // and reads short dsts from one word load, and decodes anything else
 // value by value. Readers validate magic, version, flags, the

@@ -28,17 +28,17 @@ import (
 // fold), and each dst as an absolute uvarint. Weights are always
 // fixed-width float64 bits.
 //
-// Decoding: decodeBlock is the one decoder of both readers, the
-// MapReduce spill reader and the graph loader. It accepts every
-// uvarint binary.Uvarint accepts (up to 10 bytes, canonical or not)
-// and takes two fast paths for the shapes sorted writers produce: a
-// src column whose deltas all fit one byte is checked with one OR and
-// widened by a running sum, and dsts of up to 4 bytes are read two per
-// 8-byte load. Anything else, malformed input included, is decoded
-// value by value, so every error names the same payload byte. No
-// decoder read leaves the block. An index entry must claim at most one
-// edge per 2 payload bytes (10 on weighted files), so a reader never
-// sizes a buffer from a count its block cannot hold.
+// Decoding: decodeBlock is the one decoder of the BSG1 source, which
+// reads graph files and the MapReduce engine's spill runs alike. It
+// accepts every uvarint binary.Uvarint accepts (up to 10 bytes,
+// canonical or not) and takes two fast paths for the shapes sorted
+// writers produce: a src column whose deltas all fit one byte is
+// checked with one OR and widened by a running sum, and dsts of up to
+// 4 bytes are read two per 8-byte load. Anything else, malformed input
+// included, is decoded value by value, so every error names the same
+// payload byte. No decoder read leaves the block. An index entry must
+// claim at most one edge per 2 payload bytes (10 on weighted files), so
+// a reader never sizes a buffer from a count its block cannot hold.
 //
 // nodes in the header is maxID+1 over the written edges (0 for an empty
 // file), so readers need no discovery pass; the index in the footer
@@ -64,8 +64,8 @@ const (
 	blockVarint = 1
 
 	// DefaultBlockEdges is the writer's default edges-per-block. 8192
-	// edges keep a fixed-width unweighted block at 64 KiB — one buffered
-	// read — while the index stays tiny (12 bytes per block).
+	// edges keep a fixed-width unweighted block at 64 KiB — one read —
+	// while the index stays tiny (12 bytes per block).
 	DefaultBlockEdges = 8192
 )
 
@@ -100,7 +100,10 @@ type binaryMeta struct {
 	nodes    int64
 	edges    int64
 	index    []blockRef
-	maxCount int // largest block edge count, for sizing decode buffers
+	// The largest block edge count and byte extent, which size the
+	// readers' decode and raw buffers once per shard.
+	maxCount  int
+	maxExtent int
 }
 
 // BinaryWriter streams edges into a binary columnar file. Errors are
@@ -402,9 +405,6 @@ func readBinaryMeta(f *os.File, path string) (*binaryMeta, error) {
 				return nil, fmt.Errorf("edgeio: %s: index entry %d at offset %d: empty block", path, i, indexOff+int64(i)*binaryIndexEntry)
 			}
 			m.index[i] = blockRef{off: off, count: int(count), first: total}
-			if int(count) > m.maxCount {
-				m.maxCount = int(count)
-			}
 			total += count
 			prevEnd = off + binaryBlockHdr
 		}
@@ -426,7 +426,17 @@ func readBinaryMeta(f *os.File, path string) (*binaryMeta, error) {
 	} else if m.edges != 0 {
 		return nil, fmt.Errorf("edgeio: %s: trailer says %d edges but 0 blocks", path, m.edges)
 	}
+	m.sizeBuffers()
 	return m, nil
+}
+
+// sizeBuffers records the largest block edge count and byte extent of
+// a validated index.
+func (m *binaryMeta) sizeBuffers() {
+	for i, b := range m.index {
+		m.maxCount = max(m.maxCount, b.count)
+		m.maxExtent = max(m.maxExtent, int(m.blockEnd(i)-b.off))
+	}
 }
 
 // blockEnd returns the file offset one past block i's payload (the next

@@ -1,7 +1,6 @@
 package edgeio
 
 import (
-	"errors"
 	"io"
 	"math"
 	"os"
@@ -15,19 +14,17 @@ import (
 // shard order, and the first error of each. Weights are compared as
 // bits, so a NaN in the file compares equal.
 type scanResult struct {
-	edges   []Edge
-	wedges  []Edge
-	wbits   []uint64
-	err     string
-	werr    string
-	scanned bool
+	edges  []Edge
+	wedges []Edge
+	wbits  []uint64
+	err    string
+	werr   string
 }
 
 // scanSource drains k shards of src in shard order through Next and
 // through Block with weights, stopping each at its first error.
 func scanSource(src *BinaryFileSource, k int) scanResult {
 	var res scanResult
-	res.scanned = true
 	for _, sh := range src.Shards(k) {
 		err := drainTo(sh, &res.edges)
 		closeIf(sh)
@@ -91,14 +88,13 @@ func newBlockResult(edges []Edge, weights []float64, err error) blockResult {
 	return res
 }
 
-// FuzzBinarySource feeds arbitrary bytes to both BSG1 readers. They
-// must agree: both refuse to open the file with the same error, or
-// both scan it, at 1 and 3 shards, to the same edges and weights or
-// the same error. Every block must decode exactly as the reference
-// decoder decodes it, and nothing may panic. The checked-in corpus
-// under testdata/fuzz/FuzzBinarySource holds fixed, varint and
-// weighted files, truncations, and an index whose edge count cannot
-// fit its block.
+// FuzzBinarySource feeds arbitrary bytes to the BSG1 source. It must
+// refuse to open the file or scan it, at 1 and 3 shards, to the same
+// edges and weights or the same error. Every block must decode exactly
+// as the reference decoder decodes it, and nothing may panic. The
+// checked-in corpus under testdata/fuzz/FuzzBinarySource holds fixed,
+// varint and weighted files, truncations, and an index whose edge
+// count cannot fit its block.
 func FuzzBinarySource(f *testing.F) {
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -106,62 +102,27 @@ func FuzzBinarySource(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		fs, ferr := OpenBinaryFileSource(path)
-		ms, merr := OpenMmapSource(path)
-		var fe *formatError
-		if merr != nil && !errors.As(merr, &fe) && ferr == nil {
-			ms = nil // the platform cannot map this file; nothing to compare
-			merr = nil
-		}
-		switch {
-		case ferr != nil && merr != nil:
-			if ferr.Error() != merr.Error() {
-				t.Fatalf("open errors differ:\nbuffered: %v\nmmap:     %v", ferr, merr)
-			}
+		src, err := OpenBinarySource(path)
+		if err != nil {
 			return
-		case ferr != nil:
-			ms.Close()
-			t.Fatalf("buffered open failed but mmap opened: %v", ferr)
-		case merr != nil:
-			t.Fatalf("mmap open failed but buffered opened: %v", merr)
 		}
-		if ms != nil {
-			defer ms.Close()
+		first := scanSource(src, 1)
+		if got := scanSource(src, 3); !reflect.DeepEqual(got, first) {
+			t.Fatalf("scan at 3 shards differs from 1 shard:\n%+v\n%+v", got, first)
 		}
-		var first scanResult
-		for _, k := range []int{1, 3} {
-			got := scanSource(fs, k)
-			if !first.scanned {
-				first = got
-			} else if !reflect.DeepEqual(got, first) {
-				t.Fatalf("buffered scan at %d shards differs from 1 shard:\n%+v\n%+v", k, got, first)
-			}
-			if ms != nil {
-				if mgot := scanSource(ms, k); !reflect.DeepEqual(mgot, got) {
-					t.Fatalf("mmap and buffered scans differ at %d shards:\nmmap:     %+v\nbuffered: %+v", k, mgot, got)
-				}
-			}
-		}
-		m := fs.meta
+		m := src.meta
 		var weights []float64
 		if m.weighted {
 			weights = make([]float64, m.maxCount)
 		}
-		shards := []*BinaryShard{fs.BlockShards(1, true)[0]}
-		if ms != nil {
-			shards = append(shards, ms.BlockShards(1, true)[0])
-		}
+		sh := src.BlockShards(1, true)[0]
+		defer sh.Close()
 		for i, ref := range m.index {
 			raw := data[ref.off:m.blockEnd(i)]
 			want := newBlockResult(m.refDecodeBlock(i, raw, make([]Edge, m.maxCount), weights))
-			for _, sh := range shards {
-				if got := newBlockResult(sh.Block(i)); !reflect.DeepEqual(got, want) {
-					t.Fatalf("block %d (mapped=%v) differs from the reference decoder:\ngot  %+v\nwant %+v", i, sh.src.mapped, got, want)
-				}
+			if got := newBlockResult(sh.Block(i)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("block %d differs from the reference decoder:\ngot  %+v\nwant %+v", i, got, want)
 			}
-		}
-		for _, sh := range shards {
-			sh.Close()
 		}
 	})
 }

@@ -110,7 +110,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 			if err != nil || !isBin {
 				t.Fatalf("DetectBinary = %v, %v", isBin, err)
 			}
-			src, err := OpenBinaryFileSource(path)
+			src, err := OpenBinarySource(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -196,7 +196,7 @@ func TestBinaryEncodingSelection(t *testing.T) {
 		if got := data[binaryHeaderSize+8]; got != tc.enc {
 			t.Errorf("%s: encoding byte %d, want %d", tc.name, got, tc.enc)
 		}
-		src, err := OpenBinaryFileSource(path)
+		src, err := OpenBinarySource(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func TestBinaryTruncation(t *testing.T) {
 		if err := os.WriteFile(trunc, data[:size], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenBinaryFileSource(trunc); err == nil {
+		if _, err := OpenBinarySource(trunc); err == nil {
 			t.Fatalf("size %d of %d: truncated file opened without error", size, len(data))
 		}
 	}
@@ -236,9 +236,42 @@ func TestBinaryTruncation(t *testing.T) {
 	if err := os.WriteFile(trunc, data[:len(data)-4], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = OpenBinaryFileSource(trunc)
+	_, err = OpenBinarySource(trunc)
 	if err == nil || !strings.Contains(err.Error(), "offset") {
 		t.Fatalf("truncation error does not name an offset: %v", err)
+	}
+}
+
+// TestBinaryTornInput truncates a BSG1 file to 4 KiB under an open
+// source: every block read must then fail with an error naming the
+// block and its offset. A reader that touched the file's bytes past its
+// new end without a read, as a memory mapping does, dies of SIGBUS
+// instead.
+func TestBinaryTornInput(t *testing.T) {
+	dir := t.TempDir()
+	var edges []WeightedEdge
+	for i := 0; i < 3*DefaultBlockEdges; i++ {
+		edges = append(edges, WeightedEdge{U: int32(i % 1000), V: int32(i % 997), Weight: 1})
+	}
+	path := writeBinaryFile(t, dir, "torn.bsg", edges, false, 0)
+	src, err := OpenBinarySource(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, 4096); err != nil {
+		t.Fatal(err)
+	}
+	sh := src.BlockShards(1, false)[0]
+	defer sh.Close()
+	lo, hi := sh.Blocks()
+	if hi-lo != 3 {
+		t.Fatalf("%d blocks, want 3", hi-lo)
+	}
+	for i := lo; i < hi; i++ {
+		want := fmt.Sprintf("reading block %d at offset %d: EOF", i, src.meta.index[i].off)
+		if _, _, err := sh.Block(i); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("block %d of the torn file: %v, want an error containing %q", i, err, want)
+		}
 	}
 }
 
@@ -263,7 +296,7 @@ func TestBinaryCorruption(t *testing.T) {
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		src, err := OpenBinaryFileSource(p)
+		src, err := OpenBinarySource(p)
 		if err == nil && scan {
 			sh := src.Shards(1)[0]
 			if err = sh.Reset(); err == nil {
@@ -334,11 +367,8 @@ func TestBinaryOversizedIndexCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := fmt.Sprintf("index entry 0 at offset 27: %d edges cannot fit the block's 2 payload bytes", 1<<28)
-	if _, err := OpenBinaryFileSource(path); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("buffered open: %v, want an error containing %q", err, want)
-	}
-	if _, err := OpenMmapSource(path); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("mmap open: %v, want an error containing %q", err, want)
+	if _, err := OpenBinarySource(path); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("open: %v, want an error containing %q", err, want)
 	}
 	// The weighted minimum is 10 bytes per edge: one edge in 9 payload
 	// bytes is refused, in 10 it opens.
@@ -350,7 +380,7 @@ func TestBinaryOversizedIndexCount(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenBinaryFileSource(path); (err == nil) != tc.ok {
+		if _, err := OpenBinarySource(path); (err == nil) != tc.ok {
 			t.Fatalf("weighted edge in %d payload bytes: open error %v", tc.payload, err)
 		}
 	}
@@ -367,11 +397,8 @@ func TestBinaryNotAFile(t *testing.T) {
 	if isBin, err := DetectBinary(txt); err != nil || isBin {
 		t.Fatalf("DetectBinary on text = %v, %v", isBin, err)
 	}
-	if _, err := OpenBinaryFileSource(txt); err == nil {
-		t.Fatal("text file opened as binary")
-	}
 	if _, err := OpenBinarySource(txt); err == nil {
-		t.Fatal("text file opened as binary via OpenBinarySource")
+		t.Fatal("text file opened as binary")
 	}
 	if _, err := DetectBinary(filepath.Join(dir, "missing")); err == nil {
 		t.Fatal("missing file not reported")
@@ -407,72 +434,9 @@ func TestBinaryWriterMisuse(t *testing.T) {
 	}
 }
 
-// TestMmapParity scans the same file through the mapped and buffered
-// sources and requires identical edges, then checks Close semantics.
-func TestMmapParity(t *testing.T) {
-	dir := t.TempDir()
-	for _, tc := range binaryCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			path := writeBinaryFile(t, dir, tc.name+".bsg", tc.edges, tc.weighted, tc.blockEdges)
-			ms, err := OpenMmapSource(path)
-			if err != nil {
-				t.Skipf("mmap unavailable: %v", err)
-			}
-			defer ms.Close()
-			fs, err := OpenBinaryFileSource(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ms.Nodes() != fs.Nodes() || ms.NumEdges() != fs.NumEdges() || ms.Weighted() != fs.Weighted() {
-				t.Fatalf("meta mismatch: mmap %d/%d/%v vs file %d/%d/%v",
-					ms.Nodes(), ms.NumEdges(), ms.Weighted(), fs.Nodes(), fs.NumEdges(), fs.Weighted())
-			}
-			for k := 1; k <= 4; k++ {
-				var a, b []WeightedEdge
-				for _, sh := range ms.BlockShards(k, true) {
-					a = append(a, drainBinaryWeighted(t, sh)...)
-				}
-				for _, sh := range fs.BlockShards(k, true) {
-					b = append(b, drainBinaryWeighted(t, sh)...)
-				}
-				if len(a) != len(b) {
-					t.Fatalf("k=%d: mmap %d edges vs file %d", k, len(a), len(b))
-				}
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("k=%d edge %d: mmap %+v vs file %+v", k, i, a[i], b[i])
-					}
-				}
-			}
-		})
-	}
-}
-
-func TestMmapCloseIdempotent(t *testing.T) {
-	dir := t.TempDir()
-	path := writeBinaryFile(t, dir, "c.bsg", []WeightedEdge{{U: 0, V: 1, Weight: 1}}, false, 0)
-	ms, err := OpenMmapSource(path)
-	if err != nil {
-		t.Skipf("mmap unavailable: %v", err)
-	}
-	sh := ms.Shards(1)[0]
-	if err := ms.Close(); err != nil {
-		t.Fatalf("first Close: %v", err)
-	}
-	if err := ms.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
-	if err := sh.Reset(); err == nil {
-		t.Fatal("Reset after Close succeeded")
-	}
-	if _, err := sh.Next(); err == nil || err == io.EOF {
-		t.Fatalf("Next after Close: %v", err)
-	}
-}
-
 // TestBinaryConcurrentShards scans disjoint shards from concurrent
-// goroutines over several passes — the -race smoke for both binary
-// sources.
+// goroutines over several passes — the -race smoke for the shards'
+// shared file handle.
 func TestBinaryConcurrentShards(t *testing.T) {
 	dir := t.TempDir()
 	var edges []WeightedEdge
@@ -480,51 +444,46 @@ func TestBinaryConcurrentShards(t *testing.T) {
 		edges = append(edges, WeightedEdge{U: int32(i % 111), V: int32(i % 97), Weight: 1})
 	}
 	path := writeBinaryFile(t, dir, "conc.bsg", edges, false, 64)
-	srcs := []*BinaryFileSource{}
-	if fs, err := OpenBinaryFileSource(path); err == nil {
-		srcs = append(srcs, fs)
-	} else {
+	src, err := OpenBinarySource(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if ms, err := OpenMmapSource(path); err == nil {
-		srcs = append(srcs, ms)
-		defer ms.Close()
-	}
-	for _, src := range srcs {
-		shards := src.Shards(8)
-		for pass := 0; pass < 3; pass++ {
-			var wg sync.WaitGroup
-			counts := make([]int64, len(shards))
-			for i, sh := range shards {
-				wg.Add(1)
-				go func(i int, sh Reader) {
-					defer wg.Done()
-					if err := sh.Reset(); err != nil {
+	shards := src.Shards(8)
+	for pass := 0; pass < 3; pass++ {
+		var wg sync.WaitGroup
+		counts := make([]int64, len(shards))
+		for i, sh := range shards {
+			wg.Add(1)
+			go func(i int, sh Reader) {
+				defer wg.Done()
+				if err := sh.Reset(); err != nil {
+					t.Errorf("shard %d: %v", i, err)
+					return
+				}
+				for {
+					_, err := sh.Next()
+					if err == io.EOF {
+						return
+					}
+					if err != nil {
 						t.Errorf("shard %d: %v", i, err)
 						return
 					}
-					for {
-						_, err := sh.Next()
-						if err == io.EOF {
-							return
-						}
-						if err != nil {
-							t.Errorf("shard %d: %v", i, err)
-							return
-						}
-						counts[i]++
-					}
-				}(i, sh)
-			}
-			wg.Wait()
-			var total int64
-			for _, c := range counts {
-				total += c
-			}
-			if total != int64(len(edges)) {
-				t.Fatalf("%T pass %d: %d edges, want %d", src, pass, total, len(edges))
-			}
+					counts[i]++
+				}
+			}(i, sh)
 		}
+		wg.Wait()
+		var total int64
+		for _, c := range counts {
+			total += c
+		}
+		if total != int64(len(edges)) {
+			t.Fatalf("pass %d: %d edges, want %d", pass, total, len(edges))
+		}
+	}
+	for _, sh := range shards {
+		sh.(io.Closer).Close()
 	}
 }
 
@@ -557,10 +516,10 @@ func TestBlockRanges(t *testing.T) {
 	}
 }
 
-// TestBinaryScanAllocs verifies the zero-alloc steady state on both
-// readers: after the first pass warms the buffers, further passes
-// allocate nothing, whether they pull edges through Next or decode
-// whole blocks through Block (with weights, weight column included).
+// TestBinaryScanAllocs verifies the zero-alloc steady state: after the
+// first pass warms the buffers, further passes allocate nothing,
+// whether they pull edges through Next or decode whole blocks through
+// Block (with weights, weight column included).
 func TestBinaryScanAllocs(t *testing.T) {
 	dir := t.TempDir()
 	var edges []WeightedEdge
@@ -568,64 +527,88 @@ func TestBinaryScanAllocs(t *testing.T) {
 		edges = append(edges, WeightedEdge{U: int32(i / 5), V: int32(i % 4000), Weight: 1 + float64(i%3)})
 	}
 	path := writeBinaryFile(t, dir, "a.bsg", edges, true, 4096)
-	for _, open := range []func(string) (*BinaryFileSource, error){OpenBinaryFileSource, OpenMmapSource} {
-		src, err := open(path)
-		if err != nil {
+	src, err := OpenBinarySource(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := src.Shards(1)[0]
+	drainBinary(t, sh) // warm buffers
+	n := testing.AllocsPerRun(3, func() {
+		if err := sh.Reset(); err != nil {
 			t.Fatal(err)
 		}
-		sh := src.Shards(1)[0]
-		drainBinary(t, sh) // warm buffers
-		n := testing.AllocsPerRun(3, func() {
-			if err := sh.Reset(); err != nil {
-				t.Fatal(err)
-			}
-			for {
-				if _, err := sh.Next(); err != nil {
-					if err != io.EOF {
-						t.Fatal(err)
-					}
-					return
+		for {
+			if _, err := sh.Next(); err != nil {
+				if err != io.EOF {
+					t.Fatal(err)
 				}
-			}
-		})
-		if n > 0 {
-			t.Fatalf("mapped=%v: steady-state Next pass allocates %v times", src.mapped, n)
-		}
-		shards := src.BlockShards(2, true)
-		pass := func() {
-			for _, sh := range shards {
-				lo, hi := sh.Blocks()
-				for i := lo; i < hi; i++ {
-					if _, w, err := sh.Block(i); err != nil || len(w) == 0 {
-						t.Fatalf("block %d: %d weights, error %v", i, len(w), err)
-					}
-				}
+				return
 			}
 		}
-		pass() // warm buffers
-		if n := testing.AllocsPerRun(3, pass); n > 0 {
-			t.Fatalf("mapped=%v: steady-state Block pass allocates %v times", src.mapped, n)
-		}
-		for _, sh := range shards {
-			sh.Close()
-		}
-		sh.(io.Closer).Close()
-		src.Close()
+	})
+	if n > 0 {
+		t.Fatalf("steady-state Next pass allocates %v times", n)
 	}
+	shards := src.BlockShards(2, true)
+	pass := func() {
+		for _, sh := range shards {
+			lo, hi := sh.Blocks()
+			for i := lo; i < hi; i++ {
+				if _, w, err := sh.Block(i); err != nil || len(w) == 0 {
+					t.Fatalf("block %d: %d weights, error %v", i, len(w), err)
+				}
+			}
+		}
+	}
+	pass() // warm buffers
+	if n := testing.AllocsPerRun(3, pass); n > 0 {
+		t.Fatalf("steady-state Block pass allocates %v times", n)
+	}
+	for _, sh := range shards {
+		sh.Close()
+	}
+	sh.(io.Closer).Close()
 }
 
-// TestOpenBinarySourceKind documents which reader the automatic opener
-// picks (informational; the fallback path is exercised directly above).
+// TestOpenBinarySourceKind pins the one reader OpenBinarySource
+// returns: its shards share one file handle, opened by the first shard
+// to read and closed by the last shard's Close, and a later read opens
+// it again.
 func TestOpenBinarySourceKind(t *testing.T) {
 	dir := t.TempDir()
-	path := writeBinaryFile(t, dir, "k.bsg", []WeightedEdge{{U: 0, V: 1, Weight: 1}}, false, 0)
+	var edges []WeightedEdge
+	for i := 0; i < 1000; i++ {
+		edges = append(edges, WeightedEdge{U: int32(i / 3), V: int32(i % 7), Weight: 1})
+	}
+	path := writeBinaryFile(t, dir, "k.bsg", edges, false, 64)
 	src, err := OpenBinarySource(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	t.Logf("OpenBinarySource picked %T", src)
-	if fmt.Sprintf("%T", src) == "" {
-		t.Fatal("unreachable")
+	shards := src.BlockShards(4, false)
+	if len(shards) != 4 || src.file.f != nil {
+		t.Fatalf("%d shards, handle %v before any read; want 4 and none", len(shards), src.file.f)
+	}
+	for i, sh := range shards {
+		if _, _, err := sh.Block(sh.lo); err != nil {
+			t.Fatal(err)
+		}
+		if sh.f != shards[0].f || src.file.refs != i+1 {
+			t.Fatalf("shard %d: handle %p, refs %d; want shard 0's handle %p and %d refs", i, sh.f, src.file.refs, shards[0].f, i+1)
+		}
+	}
+	for _, sh := range shards {
+		if err := sh.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if src.file.f != nil || src.file.refs != 0 {
+		t.Fatalf("after every Close: handle %v, refs %d; want none", src.file.f, src.file.refs)
+	}
+	again := src.BlockShards(1, false)[0]
+	defer again.Close()
+	if got := drainBinary(t, again); len(got) != len(edges) {
+		t.Fatalf("reopened scan: %d edges, want %d", len(got), len(edges))
 	}
 }

@@ -8,55 +8,11 @@ import (
 	"sync/atomic"
 )
 
-// OpenBinarySource opens the binary graph file at path through the
-// fastest available reader: the mmap-backed source where the platform
-// supports it, falling back to the buffered file source when mapping
-// is unavailable or fails.
+// OpenBinarySource opens the binary graph file at path and validates
+// its header, trailer and block index. The returned source reads block
+// bytes through ReadAt, and the decoder checks each block again as it
+// is read.
 func OpenBinarySource(path string) (*BinaryFileSource, error) {
-	if src, err := OpenMmapSource(path); err == nil {
-		return src, nil
-	} else if _, ok := err.(*formatError); ok {
-		// A malformed file fails the same way on both readers; don't
-		// mask the descriptive error with a fallback attempt.
-		return nil, err
-	}
-	return OpenBinaryFileSource(path)
-}
-
-// formatError marks meta-validation failures so OpenBinarySource can
-// distinguish "bad file" from "mmap unavailable".
-type formatError struct{ err error }
-
-func (e *formatError) Error() string { return e.err.Error() }
-func (e *formatError) Unwrap() error { return e.err }
-
-// BinaryFileSource is an open binary columnar graph file: a sharded,
-// re-scannable edge source that knows its node and edge counts from the
-// header, with no discovery pass. Its shards get block bytes from one
-// of two places: straight out of a read-only memory mapping
-// (OpenMmapSource), or through ReadAt into a pooled buffer
-// (OpenBinaryFileSource). Either way one shard type and one decoder
-// turn them into edges. Shards cover contiguous block ranges
-// (a function of the block count and k only) and reuse their decode
-// buffers across blocks and passes, so a steady-state scan performs no
-// allocations.
-//
-// Close unmaps a mapped file and is idempotent; it must not race a
-// running scan (the owning stream closes shards and source together).
-// Every block read from the mapping is bounds-checked, so a file that
-// shrank after opening surfaces as an error, not a fault.
-type BinaryFileSource struct {
-	meta  *binaryMeta
-	bytes atomic.Int64
-
-	mu     sync.Mutex
-	mapped bool
-	data   []byte // the mapping; nil for buffered reads and after Close
-}
-
-// OpenBinaryFileSource opens and validates the binary file at path for
-// buffered reads: each shard opens its own handle.
-func OpenBinaryFileSource(path string) (*BinaryFileSource, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("edgeio: %w", err)
@@ -67,6 +23,25 @@ func OpenBinaryFileSource(path string) (*BinaryFileSource, error) {
 		return nil, err
 	}
 	return &BinaryFileSource{meta: meta}, nil
+}
+
+// BinaryFileSource is an open binary columnar graph file: a sharded,
+// re-scannable edge source that knows its node and edge counts from the
+// header, with no discovery pass. Its shards share one file handle,
+// opened by the first shard to read and closed by the last shard's
+// Close. A shard reads a block's bytes with one ReadAt into a pooled
+// buffer, sized once to the file's largest block, and one decoder turns
+// them into edges. Shards cover contiguous block ranges (a function of
+// the block count and k only) and reuse their buffers across blocks and
+// passes, so a steady-state scan performs no allocations.
+//
+// A block is read whole before any of its bytes is decoded, so a file
+// that shrank after opening surfaces as an error naming the block and
+// its offset, not a fault.
+type BinaryFileSource struct {
+	meta  *binaryMeta
+	bytes atomic.Int64
+	file  sharedFile
 }
 
 // Nodes is the header's node count (max id + 1 over the edges).
@@ -81,28 +56,14 @@ func (s *BinaryFileSource) Weighted() bool { return s.meta.weighted }
 // Path returns the file path.
 func (s *BinaryFileSource) Path() string { return s.meta.path }
 
-// BytesScanned returns the cumulative bytes of the blocks decoded
-// across all shards and passes. A block never read is not counted; for
-// a mapped file a block is scanned when it is decoded out of the
-// mapping.
+// BytesScanned returns the cumulative bytes of the blocks read and
+// decoded across all shards and passes. A block never read is not
+// counted.
 func (s *BinaryFileSource) BytesScanned() int64 { return s.bytes.Load() }
 
-// Close unmaps a mapped file, and it is idempotent. Shards must not be
-// used after Close. Buffered shards own their file handles, released
-// by their own Close.
-func (s *BinaryFileSource) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	data := s.data
-	s.data = nil
-	if data == nil {
-		return nil
-	}
-	if err := munmapFile(data); err != nil {
-		return fmt.Errorf("edgeio: munmap %s: %w", s.meta.path, err)
-	}
-	return nil
-}
+// Close returns nil: the source itself holds nothing open. The shards
+// hold the file handle, and the last shard's Close closes it.
+func (s *BinaryFileSource) Close() error { return nil }
 
 // BlockShards cuts the file into 1..k contiguous block ranges for
 // block-at-a-time reads. weights selects whether Block returns a
@@ -151,8 +112,8 @@ func blockRanges(nblocks, k int) [][2]int {
 // BinaryShard scans one block range of a binary file, a whole decoded
 // block at a time (Blocks, Block) or an edge at a time (Reset, Next,
 // a cursor over the current block). It implements BlockReader, with
-// numbered blocks, and Reader. A buffered shard opens
-// its own file handle on first use. The raw, edge and weight buffers
+// numbered blocks, and Reader. It takes a reference on the source's
+// shared file handle on first use. The raw, edge and weight buffers
 // come out of the package pools on first use, are reused for every
 // later block and pass, and go back on Close, after which the shard
 // refuses every call.
@@ -161,7 +122,7 @@ type BinaryShard struct {
 	lo, hi  int  // block range [lo, hi)
 	weights bool // decode the weight column
 
-	f         *os.File // buffered reads only
+	f         *os.File // the source's shared handle; non-nil holds a reference
 	rawBox    *[]byte
 	edgeBox   *[]Edge
 	weightBox *[]float64
@@ -178,8 +139,7 @@ type BinaryShard struct {
 func (sh *BinaryShard) Blocks() (lo, hi int) { return sh.lo, sh.hi }
 
 // Reset implements BlockReader and Reader, (re)positioning the shard at
-// its first block and opening a buffered shard's file handle on first
-// use.
+// its first block.
 func (sh *BinaryShard) Reset() error {
 	if err := sh.ready(); err != nil {
 		return err
@@ -189,21 +149,16 @@ func (sh *BinaryShard) Reset() error {
 	return nil
 }
 
-// ready checks the shard and its source are open, opening a buffered
-// shard's file handle on first use.
+// ready checks the shard is open and takes its reference on the
+// source's shared file handle on first use.
 func (sh *BinaryShard) ready() error {
-	path := sh.src.meta.path
-	switch {
-	case sh.closed:
-		return fmt.Errorf("edgeio: read from a closed shard of %s", path)
-	case sh.src.mapped:
-		if sh.src.data == nil {
-			return fmt.Errorf("edgeio: read from the closed mmap source %s", path)
-		}
-	case sh.f == nil:
-		f, err := os.Open(path)
+	if sh.closed {
+		return fmt.Errorf("edgeio: read from a closed shard of %s", sh.src.meta.path)
+	}
+	if sh.f == nil {
+		f, err := sh.src.file.acquire(sh.src.meta.path)
 		if err != nil {
-			return fmt.Errorf("edgeio: %w", err)
+			return err
 		}
 		sh.f = f
 	}
@@ -225,18 +180,9 @@ func (sh *BinaryShard) Block(i int) ([]Edge, []float64, error) {
 		return nil, nil, fmt.Errorf("edgeio: %s: block %d outside the shard's range [%d,%d)", m.path, i, sh.lo, sh.hi)
 	}
 	off, end := m.index[i].off, m.blockEnd(i)
-	var raw []byte
-	if sh.src.mapped {
-		data := sh.src.data
-		if off < 0 || end > int64(len(data)) || off > end {
-			return nil, nil, fmt.Errorf("edgeio: %s: block %d extent [%d,%d) outside the %d-byte mapping", m.path, i, off, end, len(data))
-		}
-		raw = data[off:end]
-	} else {
-		raw = pooled(&sh.rawBox, &rawPool, int(end-off))
-		if _, err := sh.f.ReadAt(raw, off); err != nil {
-			return nil, nil, fmt.Errorf("edgeio: %s: reading block %d at offset %d: %w", m.path, i, off, err)
-		}
+	raw := pooled(&sh.rawBox, &rawPool, m.maxExtent)[:end-off]
+	if _, err := sh.f.ReadAt(raw, off); err != nil {
+		return nil, nil, fmt.Errorf("edgeio: %s: reading block %d at offset %d: %w", m.path, i, off, err)
 	}
 	edges := pooled(&sh.edgeBox, &edgePool, m.maxCount)
 	var weights []float64
@@ -283,8 +229,9 @@ func (sh *BinaryShard) Next() (Edge, error) {
 	return e, nil
 }
 
-// Close releases the shard's file handle and returns its decode
-// buffers to the pools. It is idempotent.
+// Close returns the shard's buffers to the pools and drops its
+// reference on the source's shared file handle (the last shard to close
+// releases the file). It is idempotent.
 func (sh *BinaryShard) Close() error {
 	if sh.closed {
 		return nil
@@ -297,7 +244,8 @@ func (sh *BinaryShard) Close() error {
 	if sh.f == nil {
 		return nil
 	}
-	return sh.f.Close()
+	sh.f = nil
+	return sh.src.file.release()
 }
 
 // release puts a box taken by pooled back into its pool.

@@ -11,9 +11,9 @@ import (
 
 // BenchmarkDecodeBlock decodes every block of a delta-varint file
 // shaped like the stream-disk workload's (a Chung–Lu graph, n=200K,
-// about 0.93M edges, written in CSR order) out of a memory mapping, so
-// no I/O is timed. It reports ns/edge for the shard's decoder and for
-// the reference decoder it replaced.
+// about 0.93M edges, written in CSR order) out of the file's bytes in
+// memory, so no I/O is timed. It reports ns/edge for the source's
+// decoder and for the reference decoder it replaced.
 func BenchmarkDecodeBlock(b *testing.B) {
 	g, err := gen.ChungLu(200_000, 1_000_000, 2.2, 1)
 	if err != nil {
@@ -23,30 +23,23 @@ func BenchmarkDecodeBlock(b *testing.B) {
 	if err := graph.WriteUndirectedBinary(path, g); err != nil {
 		b.Fatal(err)
 	}
-	src, err := edgeio.OpenMmapSource(path)
-	if err != nil {
-		b.Skipf("mmap unavailable: %v", err)
-	}
-	defer src.Close()
 	for _, dec := range []struct {
-		name  string
-		block func(sh *edgeio.BinaryShard, i int) ([]edgeio.Edge, []float64, error)
-	}{
-		{"decoder=shard", (*edgeio.BinaryShard).Block},
-		{"decoder=reference", edgeio.RefBlock},
-	} {
+		name string
+		ref  bool
+	}{{"decoder=shard", false}, {"decoder=reference", true}} {
 		b.Run(dec.name, func(b *testing.B) {
-			sh := src.BlockShards(1, false)[0]
-			defer sh.Close()
-			lo, hi := sh.Blocks()
+			decode, blocks, err := edgeio.BlockDecoder(path, dec.ref)
+			if err != nil {
+				b.Fatal(err)
+			}
 			edges := 0
 			for b.Loop() {
-				for i := lo; i < hi; i++ {
-					blk, _, err := dec.block(sh, i)
+				for i := 0; i < blocks; i++ {
+					n, err := decode(i)
 					if err != nil {
 						b.Fatal(err)
 					}
-					edges += len(blk)
+					edges += n
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(edges), "ns/edge")

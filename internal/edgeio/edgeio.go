@@ -74,15 +74,9 @@ type BlockReader interface {
 	Block(i int) ([]Edge, []float64, error)
 }
 
-// parseEdgeLine parses one raw text line of the "u v [w]" edge-list
-// format and returns the edge and its weight. skip is true for lines
-// that carry no edge: blank lines, '#'/'%' comments, and self loops
-// (ignored by the density model, as in every parser of this
-// repository). Without weights any field past the second is ignored
-// and the weight is 1; with weights a third column must be finite and
-// > 0 — checked before the self-loop skip — and a missing one means 1.
-// The line may end in '\r' (CRLF input); TrimSpace removes it.
-func parseEdgeLine(text string, weights bool) (e Edge, w float64, skip bool, err error) {
+// parseEdgeFields is ParseEdgeLine's string fallback, built on
+// strings.Fields and strconv: the reference its fast path must match.
+func parseEdgeFields(text string, weights bool) (e Edge, w float64, skip bool, err error) {
 	text = strings.TrimSpace(text)
 	if text == "" || strings.HasPrefix(text, "#") || strings.HasPrefix(text, "%") {
 		return Edge{}, 0, true, nil
@@ -150,31 +144,40 @@ func parseNodeID(b []byte, i int) (id int32, end int, ok bool) {
 	return int32(n), i, true
 }
 
-// parseEdgeLineBytes is parseEdgeLine over a byte slice: the hot path
-// of the text file shards. The fast path handles the common
-// "digits space digits [weight]" shape without allocating (the weight
-// still goes through strconv.ParseFloat for exact parsing semantics;
-// its argument does not escape, so the conversion stays off the heap
-// for ordinary weight tokens). Anything unusual — signs, overflow,
-// malformed fields, exotic whitespace, a rejected weight — falls back
-// to the string parser so semantics and error text stay identical.
-func parseEdgeLineBytes(b []byte, weights bool) (e Edge, w float64, skip bool, err error) {
+// ParseEdgeLine parses one raw text line of the "u v [w]" edge-list
+// format, the one grammar of every dense-id text input: the file
+// shards and densestd's text bodies and files. It returns the edge and
+// its weight. skip is true for lines that carry no edge: blank lines,
+// '#'/'%' comments, and self loops (ignored by the density model, as
+// in every parser of this repository). Without weights any field past
+// the second is ignored and the weight is 1; with weights a third
+// column must be finite and > 0 — checked before the self-loop skip —
+// and a missing one means 1. The line may end in '\r' (CRLF input).
+//
+// The fast path handles the common "digits space digits [weight]"
+// shape without allocating (the weight still goes through
+// strconv.ParseFloat for exact parsing semantics; its argument does not
+// escape, so the conversion stays off the heap for ordinary weight
+// tokens). Anything unusual — signs, overflow, malformed fields, exotic
+// whitespace, a rejected weight — falls back to parseEdgeFields so
+// semantics and error text stay identical.
+func ParseEdgeLine(b []byte, weights bool) (e Edge, w float64, skip bool, err error) {
 	i := skipASCIISpace(b, 0)
 	if i == len(b) || b[i] == '#' || b[i] == '%' {
 		return Edge{}, 0, true, nil
 	}
 	u, i, ok := parseNodeID(b, i)
 	if !ok {
-		return parseEdgeLine(string(b), weights)
+		return parseEdgeFields(string(b), weights)
 	}
 	j := skipASCIISpace(b, i)
 	if j == i || j == len(b) {
 		// No separator after the first field, or only one field.
-		return parseEdgeLine(string(b), weights)
+		return parseEdgeFields(string(b), weights)
 	}
 	v, j, ok := parseNodeID(b, j)
 	if !ok || (j < len(b) && !isASCIISpace(b[j])) {
-		return parseEdgeLine(string(b), weights)
+		return parseEdgeFields(string(b), weights)
 	}
 	// Without weights any further fields are ignored, as
 	// strings.Fields-based parsing ignores them.
@@ -186,7 +189,7 @@ func parseEdgeLineBytes(b []byte, weights bool) (e Edge, w float64, skip bool, e
 		}
 		var werr error
 		if w, werr = strconv.ParseFloat(string(b[k:end]), 64); werr != nil || w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return parseEdgeLine(string(b), weights)
+			return parseEdgeFields(string(b), weights)
 		}
 	}
 	if u == v {

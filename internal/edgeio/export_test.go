@@ -1,19 +1,29 @@
 package edgeio
 
-import "fmt"
+import "os"
 
-// RefBlock is Block through the reference decoder, for
-// BenchmarkDecodeBlock: it decodes block i of a mapped file's shard
-// into the shard's buffers.
-func RefBlock(sh *BinaryShard, i int) ([]Edge, []float64, error) {
-	if !sh.src.mapped || sh.src.data == nil {
-		return nil, nil, fmt.Errorf("edgeio: RefBlock needs an open mapped source")
+// BlockDecoder returns a decoder of the blocks of the BSG1 file at path,
+// read into memory first, and the file's block count. The decoder runs
+// the source's decoder or, with ref, the reference decoder, into one
+// reused buffer and returns the block's edge count, so
+// BenchmarkDecodeBlock times decoding without I/O.
+func BlockDecoder(path string, ref bool) (func(i int) (int, error), int, error) {
+	src, err := OpenBinarySource(path)
+	if err != nil {
+		return nil, 0, err
 	}
-	m := sh.src.meta
-	edges := pooled(&sh.edgeBox, &edgePool, m.maxCount)
-	var weights []float64
-	if sh.weights {
-		weights = pooled(&sh.weightBox, &weightPool, m.maxCount)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, 0, err
 	}
-	return m.refDecodeBlock(i, sh.src.data[m.index[i].off:m.blockEnd(i)], edges, weights)
+	m := src.meta
+	decode := m.decodeBlock
+	if ref {
+		decode = m.refDecodeBlock
+	}
+	edges := make([]Edge, m.maxCount)
+	return func(i int) (int, error) {
+		out, _, err := decode(i, data[m.index[i].off:m.blockEnd(i)], edges, nil)
+		return len(out), err
+	}, len(m.index), nil
 }

@@ -12,11 +12,9 @@ import (
 // FileSource is an edge-list file on disk, shardable into byte ranges
 // with line-boundary resync. Every shard parses "u v" lines, or
 // "u v [w]" lines when it was made to read weights. All shards read
-// through one shared file handle, opened lazily on the first shard
-// Reset and refcounted away on the last shard Close; each shard keeps
-// its own cursor (an io.SectionReader over the handle), so concurrent
-// shard scans never contend and a k-way scan costs one open instead of
-// k.
+// through one sharedFile handle, opened on the first shard Reset and
+// closed by the last shard Close; each shard keeps its own cursor (an
+// io.SectionReader over the handle).
 type FileSource struct {
 	path string
 	size int64
@@ -26,10 +24,7 @@ type FileSource struct {
 	// at EOF, Reset and Close, so the line loop touches no shared cache
 	// line; during a pass the total lags by the in-flight shards' counts.
 	bytes atomic.Int64
-
-	mu   sync.Mutex
-	f    *os.File
-	refs int
+	file  sharedFile
 }
 
 // OpenFileSource stats path and returns a source over it. The shared
@@ -56,33 +51,44 @@ func (s *FileSource) Size() int64 { return s.size }
 // its last EOF, Reset or Close.
 func (s *FileSource) BytesScanned() int64 { return s.bytes.Load() }
 
-// acquire hands out the shared file handle, opening it on first use.
-// Every successful acquire must be paired with one release.
-func (s *FileSource) acquire() (*os.File, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		f, err := os.Open(s.path)
+// sharedFile is one read-only file handle shared by the shards of a
+// source. The first acquire opens it and the release of the last
+// reference closes it, so a k-way scan costs one open instead of k; a
+// later acquire reopens the file. Shards read through it with ReadAt,
+// which moves no shared offset, so concurrent shard scans never contend.
+type sharedFile struct {
+	mu   sync.Mutex
+	f    *os.File
+	refs int
+}
+
+// acquire hands out the handle on path, opening it on first use. Every
+// successful acquire must be paired with one release.
+func (h *sharedFile) acquire(path string) (*os.File, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.f == nil {
+		f, err := os.Open(path)
 		if err != nil {
 			return nil, fmt.Errorf("edgeio: %w", err)
 		}
-		s.f = f
+		h.f = f
 	}
-	s.refs++
-	return s.f, nil
+	h.refs++
+	return h.f, nil
 }
 
-// release drops one reference to the shared handle, closing it when the
-// last holder lets go. A later acquire reopens the file.
-func (s *FileSource) release() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.refs--
-	if s.refs > 0 || s.f == nil {
+// release drops one reference, closing the handle when the last holder
+// lets go.
+func (h *sharedFile) release() error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.refs--
+	if h.refs > 0 || h.f == nil {
 		return nil
 	}
-	f := s.f
-	s.f = nil
+	f := h.f
+	h.f = nil
 	return f.Close()
 }
 
@@ -172,7 +178,7 @@ func (sh *FileShard) Reset() error {
 	sh.publish()
 	sh.err = nil
 	if sh.sr == nil {
-		f, err := sh.src.acquire()
+		f, err := sh.src.file.acquire(sh.src.path)
 		if err != nil {
 			return err
 		}
@@ -270,7 +276,7 @@ func (sh *FileShard) next() (Edge, float64, error) {
 		if err != nil {
 			return Edge{}, 0, err
 		}
-		e, w, skip, perr := parseEdgeLineBytes(line, sh.weights)
+		e, w, skip, perr := ParseEdgeLine(line, sh.weights)
 		if perr != nil {
 			return Edge{}, 0, fmt.Errorf("edgeio: %s offset %d: %w", sh.src.path, start, perr)
 		}
@@ -340,5 +346,5 @@ func (sh *FileShard) Close() error {
 		return nil
 	}
 	sh.sr = nil
-	return sh.src.release()
+	return sh.src.file.release()
 }

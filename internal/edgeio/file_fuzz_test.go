@@ -46,7 +46,7 @@ func splitLines(data []byte) []textLine {
 func refParse(path string, lines []textLine, weights bool) parseResult {
 	var res parseResult
 	for _, ln := range lines {
-		e, w, skip, err := parseEdgeLine(string(ln.text), weights)
+		e, w, skip, err := parseEdgeFields(string(ln.text), weights)
 		if err != nil {
 			res.err = fmt.Sprintf("edgeio: %s offset %d: %v", path, ln.off, err)
 			break
@@ -113,8 +113,8 @@ func FuzzFileShard(f *testing.F) {
 				}
 			}
 			for _, ln := range lines {
-				e, w, skip, err := parseEdgeLineBytes(ln.text, weights)
-				re, rw, rskip, rerr := parseEdgeLine(string(ln.text), weights)
+				e, w, skip, err := ParseEdgeLine(ln.text, weights)
+				re, rw, rskip, rerr := parseEdgeFields(string(ln.text), weights)
 				if e != re || math.Float64bits(w) != math.Float64bits(rw) || skip != rskip || fmt.Sprint(err) != fmt.Sprint(rerr) {
 					t.Fatalf("weights=%v line %q: bytes parser (%v, %v, %v, %v), string parser (%v, %v, %v, %v)",
 						weights, ln.text, e, w, skip, err, re, rw, rskip, rerr)

@@ -55,29 +55,20 @@ func (w *SpillWriter) Close() (*SpillFile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("edgeio: %w", err)
 	}
+	meta := &binaryMeta{
+		path:  w.path,
+		size:  st.Size(),
+		nodes: int64(w.bw.maxID) + 1,
+		edges: int64(records),
+		index: index,
+	}
+	meta.sizeBuffers()
 	return &SpillFile{
 		Path:    w.path,
 		Records: records,
 		Bytes:   st.Size(),
-		src: &BinaryFileSource{meta: &binaryMeta{
-			path:     w.path,
-			size:     st.Size(),
-			nodes:    int64(w.bw.maxID) + 1,
-			edges:    int64(records),
-			index:    index,
-			maxCount: maxBlockCount(index),
-		}},
+		src:     &BinaryFileSource{meta: meta},
 	}, nil
-}
-
-func maxBlockCount(index []blockRef) int {
-	m := 0
-	for _, b := range index {
-		if b.count > m {
-			m = b.count
-		}
-	}
-	return m
 }
 
 // SpillFile describes one completed spill file on disk. Bytes is the
@@ -87,7 +78,7 @@ type SpillFile struct {
 	Records int
 	Bytes   int64
 
-	src *BinaryFileSource // buffered reads
+	src *BinaryFileSource
 }
 
 // OpenSpill rebuilds a SpillFile descriptor from a file on disk,
@@ -96,7 +87,7 @@ type SpillFile struct {
 // partition files by path alone, and the resumed run reopens them here
 // without the writer that produced them.
 func OpenSpill(path string) (*SpillFile, error) {
-	src, err := OpenBinaryFileSource(path)
+	src, err := OpenBinarySource(path)
 	if err != nil {
 		return nil, err
 	}
@@ -109,9 +100,9 @@ func OpenSpill(path string) (*SpillFile, error) {
 }
 
 // Each calls fn for records [lo, hi) of the file, in order: a binary
-// search of the block index finds lo's block, and one buffered
-// BinaryShard decodes from there. A SpillFile may serve any number of
-// concurrent Each calls.
+// search of the block index finds lo's block, and one BinaryShard
+// decodes from there. A SpillFile may serve any number of concurrent
+// Each calls.
 func (sp *SpillFile) Each(lo, hi int, fn func(Edge)) error {
 	if lo < 0 || hi > sp.Records || lo > hi {
 		return fmt.Errorf("edgeio: spill range [%d,%d) outside [0,%d]", lo, hi, sp.Records)

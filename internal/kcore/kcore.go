@@ -104,6 +104,8 @@ func (d *Decomposition) Degeneracy() int32 { return d.MaxCore }
 // BestCore returns the densest suffix of the peeling order — equivalently
 // the densest of the subgraphs visited by Charikar's greedy peel — along
 // with its density. It is a 2-approximation to the densest subgraph.
+// Cores are defined by degree counts, so every density it compares and
+// returns is unweighted (edges over nodes), on a weighted graph too.
 func BestCore(g *graph.Undirected) ([]int32, float64, error) {
 	d, err := Decompose(g)
 	if err != nil {
@@ -118,7 +120,7 @@ func BestCore(g *graph.Undirected) ([]int32, float64, error) {
 		inSuffix[i] = true
 	}
 	edges := g.NumEdges()
-	bestDensity := g.Density()
+	bestDensity := float64(edges) / float64(n)
 	bestLen := n
 	for i := 0; i < n-1; i++ {
 		u := d.Order[i]

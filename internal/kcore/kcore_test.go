@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -119,6 +120,39 @@ func TestBestCoreErrors(t *testing.T) {
 	g, _ := graph.NewBuilder(0).Freeze()
 	if _, _, err := BestCore(g); err == nil {
 		t.Fatal("empty graph accepted")
+	}
+}
+
+// TestBestCoreIgnoresWeights: K4 with weight-10 edges plus a two-edge
+// weight-1 tail has its densest core in the K4, at 6/4 edges per node,
+// exactly as the unweighted copy does. A total-weight start (62/6)
+// would beat every unweighted suffix and return all six nodes.
+func TestBestCoreIgnoresWeights(t *testing.T) {
+	edges := [][2]int32{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}, {3, 4}, {4, 5}}
+	b := graph.NewBuilder(6)
+	for i, e := range edges {
+		w := 10.0
+		if i >= 6 {
+			w = 1
+		}
+		if err := b.AddWeightedEdge(e[0], e[1], w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	weighted, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*graph.Undirected{weighted, graph.MustFromEdges(6, edges)} {
+		set, density, err := BestCore(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sorted := append([]int32(nil), set...)
+		slices.Sort(sorted)
+		if !slices.Equal(sorted, []int32{0, 1, 2, 3}) || density != 1.5 {
+			t.Fatalf("weighted=%v: BestCore = %v at %v, want the K4 [0 1 2 3] at 1.5", g.Weighted(), set, density)
+		}
 	}
 }
 

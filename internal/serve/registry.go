@@ -9,8 +9,6 @@ import (
 	"math"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	ds "densestream"
@@ -531,10 +529,12 @@ func fingerprint(info GraphInfo, edges []Edge) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// ParseEdgeList reads a SNAP-style edge list — "u v" or "u v w" per
-// line, '#'/'%' comments, blank lines ignored — into registry edges.
-// Node ids must be dense non-negative integers (the same contract as
-// the file-stream inputs). Errors carry the 1-based line number.
+// ParseEdgeList reads a SNAP-style edge list into registry edges, each
+// line through edgeio.ParseEdgeLine, the grammar the file streams read:
+// "u v" or "u v w", '#'/'%' comments, blank lines and self loops
+// skipped. Node ids must be dense non-negative integers, and a weight
+// (read only when weighted) must be finite and > 0. Errors carry the
+// 1-based line number.
 func ParseEdgeList(r io.Reader, weighted bool) ([]Edge, error) {
 	var edges []Edge
 	sc := bufio.NewScanner(r)
@@ -542,30 +542,13 @@ func ParseEdgeList(r io.Reader, weighted bool) ([]Edge, error) {
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || text[0] == '#' || text[0] == '%' {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("serve: line %d: need at least two fields, got %q", line, text)
-		}
-		u, err := strconv.ParseInt(fields[0], 10, 32)
+		e, w, skip, err := edgeio.ParseEdgeLine(sc.Bytes(), weighted)
 		if err != nil {
-			return nil, fmt.Errorf("serve: line %d: bad node id %q", line, fields[0])
+			return nil, fmt.Errorf("serve: line %d: %w", line, err)
 		}
-		v, err := strconv.ParseInt(fields[1], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("serve: line %d: bad node id %q", line, fields[1])
+		if !skip {
+			edges = append(edges, Edge{U: e.U, V: e.V, W: w})
 		}
-		w := 1.0
-		if weighted && len(fields) >= 3 {
-			w, err = strconv.ParseFloat(fields[2], 64)
-			if err != nil {
-				return nil, fmt.Errorf("serve: line %d: bad weight %q", line, fields[2])
-			}
-		}
-		edges = append(edges, Edge{U: int32(u), V: int32(v), W: w})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("serve: reading edge list: %w", err)
@@ -575,9 +558,9 @@ func ParseEdgeList(r io.Reader, weighted bool) ([]Edge, error) {
 
 // ReadEdgeListFile reads a graph file into registry edges, sniffing
 // the format from the magic bytes: binary columnar files decode
-// directly, anything else parses as a text edge list. Both routes
-// yield the same edges for the same graph, so a text file and its
-// binary conversion register with identical fingerprints.
+// directly, anything else parses as a text edge list. Both routes skip
+// self loops and yield the same edges for the same graph, so a text
+// file and its binary conversion register with identical fingerprints.
 func ReadEdgeListFile(path string, weighted bool) ([]Edge, error) {
 	isBin, err := edgeio.DetectBinary(path)
 	if err != nil {
@@ -606,6 +589,9 @@ func ReadEdgeListFile(path string, weighted bool) ([]Edge, error) {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
 		for j, e := range blk {
+			if e.U == e.V {
+				continue // self loop: ignored by the density model
+			}
 			w := 1.0
 			if weights != nil {
 				w = weights[j]

@@ -16,18 +16,17 @@ import (
 //     and a missing trailing newline are accepted. The node count costs
 //     one discovery scan (max id + 1).
 //   - Binary columnar ("BSG1", written by WriteUndirectedBinary or the
-//     genGraph converter): block-decoded with no per-edge parsing, read
-//     through an mmap-backed source where the platform supports it (with
-//     a transparent fallback to buffered reads). The node count comes
-//     from the header — no discovery pass. The streaming scan reads
-//     such a file a decoded block at a time and skips dead blocks.
+//     genGraph converter): block-decoded with no per-edge parsing, each
+//     block read whole with one ReadAt. The node count comes from the
+//     header — no discovery pass. The streaming scan reads such a file
+//     a decoded block at a time and skips dead blocks.
 //
 // FileStream implements Sharded: BlockShards(k) cuts the file into k
 // ranges (byte ranges with line-boundary resync for text, block ranges
 // for binary), so the streaming scan reads disk inputs with the same
 // worker fan-out as in-memory streams. The shard set is memoized per k
-// and re-positioned by Reset each pass; Close releases every handle
-// (and unmaps a mapped file) and is idempotent. WeightedFileStream is
+// and re-positioned by Reset each pass; Close releases every handle and
+// is idempotent. WeightedFileStream is
 // the same stream with the weight column.
 type FileStream struct {
 	path     string
@@ -185,14 +184,12 @@ func (fs *FileStream) BlockShards(k int) []edgeio.BlockReader {
 
 // BytesScanned reports the cumulative bytes this stream has read from
 // disk — for text files the discovery scan plus every pass of every
-// shard; for binary files every block decoded (including through the
-// mmap path, where "read" means decoded out of the mapping). A block
-// the scan skips as dead is not read, so it is not counted.
+// shard; for binary files every block read and decoded. A block the
+// scan skips as dead is not read, so it is not counted.
 func (fs *FileStream) BytesScanned() int64 { return fs.bytesFn() }
 
-// Close releases every handle held by the stream and its shards, and
-// unmaps a mapped binary source. It is idempotent: second and later
-// calls return nil.
+// Close releases every handle held by the stream and its shards. It is
+// idempotent: second and later calls return nil.
 func (fs *FileStream) Close() error {
 	if fs.closed {
 		return nil

@@ -2,17 +2,19 @@ package densestream_test
 
 // Binary-format acceptance sweep: every Solve configuration must return
 // bit-identical Solutions whether the input is the text edge list, its
-// binary columnar conversion, the mmap-backed binary reader, or the
-// buffered binary reader — across worker counts and both the stream and
-// MapReduce backends.
+// binary columnar conversion opened by Path, or an open BSG1 source
+// handed to Solve as a stream — across worker counts and both the
+// stream and MapReduce backends.
 
 import (
 	"context"
 	"errors"
 	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	ds "densestream"
@@ -33,10 +35,9 @@ func writeBinaryEdgeFile(t *testing.T, g *ds.UndirectedGraph) string {
 }
 
 // binSourceStream adapts one opened BSG1 source into a Sharded
-// EdgeStream, bypassing OpenBinarySource's reader selection so the
-// sweep can pin the mmap and buffered readers individually. Its shards
-// are the readers' block shards, so the scan reads them a block at a
-// time as it reads a file opened by Path.
+// EdgeStream, so the sweep can hand Solve the source itself beside the
+// Path route. Its shards are the source's block shards, so the scan
+// reads them a block at a time as it reads a file opened by Path.
 type binSourceStream struct {
 	src     *edgeio.BinaryFileSource
 	weights bool
@@ -82,9 +83,8 @@ func (s binSourceWeightedStream) Next() (stream.WeightedEdge, error) {
 }
 
 // TestOutOfCoreBinaryStreamParity: `-algo stream` must produce the same
-// Solution from the resident graph, the text file, the binary file
-// (whatever reader OpenBinarySource picks), and the pinned mmap and
-// buffered binary readers, at every worker count.
+// Solution from the resident graph, the text file, the binary file by
+// Path, and the binary source as a stream, at every worker count.
 func TestOutOfCoreBinaryStreamParity(t *testing.T) {
 	for gi, g := range outOfCoreGraphs(t) {
 		txt := writeEdgeFile(t, g)
@@ -111,19 +111,13 @@ func TestOutOfCoreBinaryStreamParity(t *testing.T) {
 			}
 			check("binary", bsol)
 
-			fs, err := edgeio.OpenBinaryFileSource(bin)
+			src, err := edgeio.OpenBinarySource(bin)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pf := p
-			pf.Edges = newBinSourceStream(fs)
-			check("binary-buffered", solveOK(t, pf, ds.WithWorkers(workers)))
-			if ms, err := edgeio.OpenMmapSource(bin); err == nil {
-				pm := p
-				pm.Edges = newBinSourceStream(ms)
-				check("binary-mmap", solveOK(t, pm, ds.WithWorkers(workers)))
-				ms.Close()
-			}
+			ps := p
+			ps.Edges = newBinSourceStream(src)
+			check("binary-source", solveOK(t, ps, ds.WithWorkers(workers)))
 		}
 		// The resident graph keeps isolated nodes the file routes drop,
 		// so compare the algorithmic outcome rather than the whole
@@ -245,7 +239,7 @@ func writeBlockFile(t *testing.T, weighted bool, edges func(yield func(u, v int3
 // pass that skips nothing scans.
 func blockBytes(t *testing.T, path string) int64 {
 	t.Helper()
-	src, err := edgeio.OpenBinaryFileSource(path)
+	src, err := edgeio.OpenBinarySource(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,8 +260,8 @@ func blockBytes(t *testing.T, path string) int64 {
 // TestOutOfCoreBinaryBlockSkipParity: on multi-block BSG1 files every
 // streaming objective (Undirected, AtLeastK, Directed at three ratios,
 // weighted and sketched) must return the text route's Solution through
-// the Path route and through the pinned buffered and mmap readers, at
-// every worker count, while the scan skips blocks left without a live
+// the Path route and through the BSG1 source handed over as a stream,
+// at every worker count, while the scan skips blocks left without a live
 // edge. The skip depends on block numbers alone, so BytesScanned is
 // the same at every worker count and on every route, and it stays
 // below passes × the file's block bytes.
@@ -341,26 +335,17 @@ func TestOutOfCoreBinaryBlockSkipParity(t *testing.T) {
 				pb := tc.p
 				pb.Path = tc.files.bin
 				check("path", workers, solveOK(t, pb, opts...))
-				for _, pinned := range []struct {
-					name string
-					open func(string) (*edgeio.BinaryFileSource, error)
-				}{
-					{"buffered", edgeio.OpenBinaryFileSource},
-					{"mmap", edgeio.OpenMmapSource},
-				} {
-					src, err := pinned.open(tc.files.bin)
-					if err != nil {
-						t.Fatal(err)
-					}
-					pp := tc.p
-					if pp.Objective == ds.ObjectiveWeighted {
-						pp.WeightedEdges = newBinSourceWeightedStream(src)
-					} else {
-						pp.Edges = newBinSourceStream(src)
-					}
-					check(pinned.name, workers, solveOK(t, pp, opts...))
-					src.Close()
+				src, err := edgeio.OpenBinarySource(tc.files.bin)
+				if err != nil {
+					t.Fatal(err)
 				}
+				ps := tc.p
+				if ps.Objective == ds.ObjectiveWeighted {
+					ps.WeightedEdges = newBinSourceWeightedStream(src)
+				} else {
+					ps.Edges = newBinSourceStream(src)
+				}
+				check("source", workers, solveOK(t, ps, opts...))
 			}
 		})
 	}
@@ -411,6 +396,35 @@ func TestOutOfCoreBinarySelfLoops(t *testing.T) {
 				t.Fatalf("%s/%s workers=%d: set %v S %v T %v density %v, want BackendPeel's %v %v %v %v",
 					p.Objective, p.Backend, workers, got.Set, got.S, got.T, got.Density, want.Set, want.S, want.T, want.Density)
 			}
+		}
+	}
+}
+
+// TestOutOfCoreBinaryTornInput: a BSG1 file truncated to 4 KiB after
+// the first pass of a stream solve ends the solve with an error and no
+// Solution, at one worker and at several: the second pass's block reads
+// come up short. A reader that touched the file's bytes past its new
+// end without a read, as a memory mapping does, dies of SIGBUS instead.
+func TestOutOfCoreBinaryTornInput(t *testing.T) {
+	g := outOfCoreGraphs(t)[0]
+	for _, workers := range []int{1, 4} {
+		path := writeBinaryEdgeFile(t, g)
+		if st, err := os.Stat(path); err != nil || st.Size() <= 4096 {
+			t.Fatalf("test file: %v, %v; want more than 4 KiB", st, err)
+		}
+		calls := 0
+		truncate := ds.WithProgress(func(ds.PassStat) bool {
+			if calls++; calls == 2 {
+				if err := os.Truncate(path, 4096); err != nil {
+					t.Error(err)
+				}
+			}
+			return true
+		})
+		p := ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendStream, Eps: 0.5, Path: path}
+		sol, err := ds.Solve(context.Background(), p, truncate, ds.WithWorkers(workers))
+		if err == nil || sol != nil || calls < 2 || !strings.Contains(err.Error(), "reading block 0 at offset 16") {
+			t.Fatalf("workers=%d: Solve after %d passes = %v, %v; want a short read of block 0 and no Solution", workers, calls, sol, err)
 		}
 	}
 }
