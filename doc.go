@@ -130,9 +130,11 @@
 //     classes RowBanks wants; results map back through the original
 //     ids, which never move. The weighted peeler rebuilds once the
 //     live set falls below a quarter of the CSR's nodes and at least
-//     half of its rows' entries are dead; the directed peeler, once
-//     its two live sides together cover at most half of its nodes.
-//     The rebuild's two row scans
+//     half of its rows' entries are dead. The directed peeler never
+//     rebuilds: it peels its input CSR to the end and picks push or
+//     pull each pass by row volume alone, which measured 1.5–4× faster
+//     than rebuilding on power-law directed inputs. The unweighted
+//     rebuild's two row scans
 //     — the live-degree count and the filtered copy — run on the
 //     solve's workers over pieces of fixed original-row volume; only
 //     the maximum degree crosses rows, so the rebuilt CSR is identical

@@ -15,7 +15,8 @@ import (
 
 // Microbenchmarks of the peel hot path (the `make bench-core` suite):
 // pass throughput on the 2M-edge RMAT sweep the layout work targets,
-// and the push vs pull decrement directions in isolation.
+// the push vs pull decrement directions in isolation, and the directed
+// peel on the same RMAT graph before symmetrization.
 
 // rmatUndirected symmetrizes a directed RMAT graph: highly skewed
 // degrees, the adversarial layout case for the peel loops.
@@ -24,6 +25,11 @@ func rmatUndirected(scale int, m int64, seed int64) (*graph.Undirected, error) {
 	if err != nil {
 		return nil, err
 	}
+	return symmetrize(dg)
+}
+
+// symmetrize freezes the undirected graph on dg's edges.
+func symmetrize(dg *graph.Directed) (*graph.Undirected, error) {
 	b := graph.NewBuilder(dg.NumNodes())
 	var ferr error
 	dg.Edges(func(u, v int32) bool {
@@ -36,10 +42,19 @@ func rmatUndirected(scale int, m int64, seed int64) (*graph.Undirected, error) {
 	return b.Freeze()
 }
 
-// coreBenchGraph lazily builds the ~2M-edge RMAT graph shared by the
-// core benchmarks, so runs that skip them pay nothing.
+// coreBenchDirected lazily builds the ~2M-edge directed RMAT graph
+// behind the core benchmarks; coreBenchGraph is its symmetrization.
+// Runs that skip them pay nothing.
+var coreBenchDirected = sync.OnceValues(func() (*graph.Directed, error) {
+	return gen.RMAT(18, 2<<20, gen.DefaultRMAT, 7)
+})
+
 var coreBenchGraph = sync.OnceValues(func() (*graph.Undirected, error) {
-	return rmatUndirected(18, 2<<20, 7)
+	dg, err := coreBenchDirected()
+	if err != nil {
+		return nil, err
+	}
+	return symmetrize(dg)
 })
 
 // BenchmarkCorePassThroughput measures whole-run peel throughput on the
@@ -109,6 +124,32 @@ func BenchmarkCorePassThroughputWeighted(b *testing.B) {
 		if _, err := UndirectedWeighted(g, 1, Opts{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCoreDirected is Algorithm 3 at c=1 on the directed RMAT
+// graph that coreBenchGraph symmetrizes, at ε=0.05 (many passes, small
+// batches) and the paper's ε=1. Bytes/op counts 8 bytes per edge per
+// pass.
+func BenchmarkCoreDirected(b *testing.B) {
+	g, err := coreBenchDirected()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, eps := range []float64{0.05, 1} {
+		b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
+			b.ReportAllocs()
+			var passes int
+			for i := 0; i < b.N; i++ {
+				r, err := Directed(g, 1, eps, Opts{Workers: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				passes = r.Passes
+			}
+			b.SetBytes(int64(passes) * g.NumEdges() * 8)
+			b.ReportMetric(float64(passes), "passes")
+		})
 	}
 }
 

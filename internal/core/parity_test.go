@@ -289,12 +289,6 @@ func TestLayoutParityDirected(t *testing.T) {
 	if pc.push == 0 || pc.pull == 0 {
 		t.Fatalf("directed sweep exercised push=%d pull=%d; need both", pc.push, pc.pull)
 	}
-	if pc.compactions == 0 {
-		t.Fatal("directed sweep never compacted a CSR")
-	}
-	if pc.relabels != pc.compactions {
-		t.Fatalf("directed sweep compacted %d times but relabeled %d times", pc.compactions, pc.relabels)
-	}
 }
 
 // TestLayoutParityBankedPull drives the shape that exercises the

@@ -6,24 +6,19 @@ import (
 )
 
 // directedState is the peelState analogue for Algorithm 3: two live
-// frontiers (S and T) over one shared, possibly compacted, directed
-// CSR. The same two-space id discipline applies — per-pass state is
-// current-space, removal passes are recorded in original space — and
-// side membership lives in packed bitsets so the pull recount's
-// membership gathers stay cache-resident. Compaction relabels
-// hub-first by total surviving cross degree, composing origOf through
-// the permutation; all directed per-pass state is integral, so the
-// reordering never reaches the emitted Solutions.
+// frontiers (S and T) over the input directed CSR. A run peels that CSR
+// to the end and never rebuilds it (on power-law directed inputs a
+// rebuild measured 1.5–4× slower than none), so there is one id space,
+// the input's. Side membership lives in packed bitsets so the pull
+// recount's membership gathers stay cache-resident.
 type directedState struct {
-	pool  *par.Pool
-	g     *graph.Directed
-	n     int
-	origN int
+	pool *par.Pool
+	g    *graph.Directed
+	n    int
 
-	origOf                 []int32
-	aliveS, aliveT         graph.Bitset // current space; bit set = alive on that side
-	removedAtS, removedAtT []int32      // original space; 0 = never removed
-	liveS, liveT           []int32      // ascending current ids per side
+	aliveS, aliveT         graph.Bitset // bit set = alive on that side
+	removedAtS, removedAtT []int32      // 0 = never removed
+	liveS, liveT           []int32      // ascending ids per side
 	outdeg, indeg          []int32      // |E(u, T)| and |E(S, v)|
 	outRowVolS             int64        // Σ out-row length over liveS
 	inRowVolT              int64        // Σ in-row length over liveT
@@ -34,15 +29,12 @@ type directedState struct {
 	sweep    par.Sweeper
 	volSlots []int64
 	degSlots []int64
-	cs       [2]graph.DirectedCompactScratch
-	csTurn   int
-	union    []int32
 }
 
 func newDirectedState(g *graph.Directed, pool *par.Pool) *directedState {
 	n := g.NumNodes()
 	st := &directedState{
-		pool: pool, g: g, n: n, origN: n,
+		pool: pool, g: g, n: n,
 		aliveS:     graph.NewBitset(n),
 		aliveT:     graph.NewBitset(n),
 		removedAtS: make([]int32, n),
@@ -70,24 +62,16 @@ func newDirectedState(g *graph.Directed, pool *par.Pool) *directedState {
 	return st
 }
 
-func (st *directedState) orig(u int32) int32 {
-	if st.origOf == nil {
-		return u
-	}
-	return st.origOf[u]
-}
-
 // scanSideRemove is the fused per-pass sweep for one side: one batched
 // walk collects the below-cut vertices (ascending, chunk-merged),
-// records their removal pass in original space, filters them out of
-// the side's frontier in place, and accumulates the batch's cross row
-// volume (the push cost) and live-degree sum (exactly the E(S, T)
-// edges the pass removes, since a cross degree counts only opposite-
-// side-alive targets). Side bit stamps apply after the sweep, on the
-// driver goroutine — bitset words are shared between neighboring ids.
+// records their removal pass, filters them out of the side's frontier
+// in place, and accumulates the batch's cross row volume (the push
+// cost) and live-degree sum (exactly the E(S, T) edges the pass
+// removes, since a cross degree counts only opposite-side-alive
+// targets). Side bit stamps apply after the sweep, on the driver
+// goroutine — bitset words are shared between neighboring ids.
 func (st *directedState) scanSideRemove(o Opts, pass int, live, deg []int32, rowLen func(int32) int, alive graph.Bitset, removedAt []int32, cut float64) ([]int32, int64, int64, error) {
 	st.col.Reset()
-	origOf := st.origOf
 	p32 := int32(pass)
 	icut := cutToInt(cut)
 	chunks := par.NumChunks(len(live))
@@ -101,11 +85,7 @@ func (st *directedState) scanSideRemove(o Opts, pass int, live, deg []int32, row
 				continue
 			}
 			st.col.Append(c, u)
-			ou := u
-			if origOf != nil {
-				ou = origOf[u]
-			}
-			removedAt[ou] = p32
+			removedAt[u] = p32
 			vol += int64(rowLen(u))
 			ds += int64(deg[u])
 		}
@@ -151,23 +131,17 @@ func (st *directedState) scanRemoveT(o Opts, pass int, cut float64) (pushVol, de
 }
 
 // peelS applies the already-scanned S batch to the T side's degrees
-// and returns the new E(S, T) count. Direction choice as in
-// peelState.decrement: push scatters along the batch's out-rows, pull
+// and returns the new E(S, T) count. The direction is chosen by row
+// volume alone: push scatters along the batch's out-rows unless they
+// hold more entries than the live T side's in-rows, in which case pull
 // recounts every live T vertex's surviving in-degree with the
 // branch-free S-alive bit gather. The push count needs no loop at all:
 // the batch's live-degree sum IS the removed edge count.
 func (st *directedState) peelS(o Opts, pass int, edges, pushVol, degSum int64) int64 {
 	g := st.g
-	if pull := st.compactReady() || pushVol > st.inRowVolT; pull {
+	if pushVol > st.inRowVolT {
 		if o.hooks.mode != nil {
 			o.hooks.mode(pass, true)
-		}
-		if st.compactReady() {
-			// Fused pull+compact: the compacted in-row lengths ARE the
-			// surviving in-degrees (see compact). A due compaction also
-			// forces pull — the rebuild scans the surviving rows anyway.
-			st.compact(o)
-			return st.g.NumEdges()
 		}
 		aliveS, indeg, liveT := st.aliveS, st.indeg, st.liveT
 		return st.pool.SumInt64(len(liveT), func(_, lo, hi int) int64 {
@@ -193,13 +167,9 @@ func (st *directedState) peelS(o Opts, pass int, edges, pushVol, degSum int64) i
 // peelT is the mirror image of peelS.
 func (st *directedState) peelT(o Opts, pass int, edges, pushVol, degSum int64) int64 {
 	g := st.g
-	if pull := st.compactReady() || pushVol > st.outRowVolS; pull {
+	if pushVol > st.outRowVolS {
 		if o.hooks.mode != nil {
 			o.hooks.mode(pass, true)
-		}
-		if st.compactReady() {
-			st.compact(o)
-			return st.g.NumEdges()
 		}
 		aliveT, outdeg, liveS := st.aliveT, st.outdeg, st.liveS
 		return st.pool.SumInt64(len(liveS), func(_, lo, hi int) int64 {
@@ -238,7 +208,7 @@ func (st *directedState) pushSide(batch []int32, degOther []int32, rows func(int
 		return
 	}
 	if st.router == nil {
-		st.router = par.NewRouter(st.origN)
+		st.router = par.NewRouter(st.n)
 	}
 	st.router.Begin(par.NumChunks(len(batch)))
 	st.pool.ForChunks(len(batch), func(c, lo, hi int) {
@@ -253,88 +223,4 @@ func (st *directedState) pushSide(batch []int32, degOther []int32, rows func(int
 			degOther[v]--
 		}
 	})
-}
-
-// compactReady reports whether the two live sides have shrunk enough
-// to rebuild the directed CSR: together they cover at most half the
-// current vertex space. An emptied side means the run is about to
-// end, so no rebuild can pay off.
-func (st *directedState) compactReady() bool {
-	return st.n >= compactMinNodes && len(st.liveS) > 0 && len(st.liveT) > 0 &&
-		len(st.liveS)+len(st.liveT) <= st.n/2
-}
-
-// compact rebuilds the directed CSR around the union of the two live
-// sides through the degree-ordered relabel (total surviving cross
-// degree, hub-first). Both degree arrays are read off the compacted
-// row lengths — an out-row holds exactly the surviving T
-// out-neighbors, an in-row the surviving S in-neighbors — which is
-// what lets the pull pass fuse into the rebuild. The side frontiers
-// and bitsets are rebuilt in the new id space from the returned
-// permutation.
-func (st *directedState) compact(o Opts) {
-	prevN := st.n
-	// Union of two ascending frontiers, ascending.
-	st.union = st.union[:0]
-	i, j := 0, 0
-	for i < len(st.liveS) || j < len(st.liveT) {
-		switch {
-		case j >= len(st.liveT) || (i < len(st.liveS) && st.liveS[i] < st.liveT[j]):
-			st.union = append(st.union, st.liveS[i])
-			i++
-		case i >= len(st.liveS) || st.liveS[i] > st.liveT[j]:
-			st.union = append(st.union, st.liveT[j])
-			j++
-		default:
-			st.union = append(st.union, st.liveS[i])
-			i++
-			j++
-		}
-	}
-	keep := st.union
-	ng, order := st.g.CompactInto(keep, st.aliveS, st.aliveT, &st.cs[st.csTurn])
-	st.csTurn ^= 1
-
-	nn := len(keep)
-	origOf := make([]int32, nn)
-	outdeg := make([]int32, nn)
-	indeg := make([]int32, nn)
-	liveS, liveT := st.liveS[:0], st.liveT[:0]
-	for r := 0; r < nn; r++ {
-		u := order[r]
-		origOf[r] = st.orig(u)
-		outdeg[r] = int32(ng.OutDegree(int32(r)))
-		indeg[r] = int32(ng.InDegree(int32(r)))
-		if st.aliveS.Test(u) {
-			liveS = append(liveS, int32(r))
-		}
-		if st.aliveT.Test(u) {
-			liveT = append(liveT, int32(r))
-		}
-	}
-	// The old-space bits are fully consumed above; rewrite both sets
-	// for the new space.
-	st.aliveS.Zero()
-	st.aliveT.Zero()
-	for _, u := range liveS {
-		st.aliveS.Set(u)
-	}
-	for _, u := range liveT {
-		st.aliveT.Set(u)
-	}
-	st.g = ng
-	st.n = nn
-	st.origOf = origOf
-	st.outdeg, st.indeg = outdeg, indeg
-	st.liveS, st.liveT = liveS, liveT
-	// Compacted rows hold exactly the surviving cross edges on both
-	// views, so both live row volumes equal the compacted edge count.
-	st.outRowVolS = ng.NumEdges()
-	st.inRowVolT = ng.NumEdges()
-	if o.hooks.compacted != nil {
-		o.hooks.compacted(nn, prevN)
-	}
-	if o.hooks.relabeled != nil {
-		o.hooks.relabeled(nn)
-	}
 }

@@ -5,8 +5,10 @@ import "densestream/internal/par"
 // Compaction support for the peeling hot loops: once most vertices of a
 // frozen CSR are dead, every remaining pass still walks adjacency rows
 // full of removed neighbors scattered across the original layout. The
-// peel engines periodically rebuild a dense CSR of the surviving
-// subgraph so later passes scan compact, cache-resident adjacency.
+// undirected peel engines periodically rebuild a dense CSR of the
+// surviving subgraph so later passes scan compact, cache-resident
+// adjacency. (The directed peeler never rebuilds: on power-law
+// directed inputs a rebuild measured 1.5–4× slower than none.)
 //
 // Two relabels are offered:
 //
@@ -24,14 +26,14 @@ import "densestream/internal/par"
 //     vertices share cache lines. The permutation is returned so
 //     callers can compose their current→original id maps through it;
 //     the integer peel engines do exactly that and stay bit-identical
-//     to the id-ordered layout at every worker count. Its two row
-//     scans run on a par.Pool over pieces of about CompactGrain
-//     original-row volume, cut by graph shape alone, so the rebuilt
-//     CSR does not depend on the worker count either.
+//     to the id-ordered layout at every worker count. It takes
+//     unweighted graphs only. Its two row scans run on a par.Pool over
+//     pieces of about CompactGrain original-row volume, cut by graph
+//     shape alone, so the rebuilt CSR does not depend on the worker
+//     count either.
 //
-// CompactInto and the directed CompactInto stay sequential: the
-// former's weighted total is one float sum in row order, and the
-// latter is off the undirected peel's hot path.
+// CompactInto stays sequential: its weighted total is one float sum in
+// row order.
 
 // CompactScratch holds the reusable buffers behind CompactInto and
 // CompactIntoDegreeOrdered, so a peel run that compacts several times
@@ -189,14 +191,17 @@ func (s *CompactScratch) cutPieces(g *Undirected, ids []int32) []int32 {
 // adjacency keeps g's relative neighbor order; row contents are the
 // relabeled ids. The returned graph, banks, and order all alias s.
 //
+// g must be unweighted: only the unweighted peel engines call it, and
+// it copies no weight column (the weighted engine compacts with
+// CompactInto).
+//
 // The two O(row volume) loops — the surviving-degree count in keep
 // order and the filtered row copy in rank order — run on pool over
 // pieces of about CompactGrain original-row volume. Both are per-row
 // integer work whose only cross-row reduction is the max degree, so
 // the output is identical for every worker count and every piece cut.
 // The counting sort, the offsets prefix sum and the RowBanks classes
-// stay sequential O(live), as does the weighted total, which is summed
-// in rank-major order.
+// stay sequential O(live).
 func (g *Undirected) CompactIntoDegreeOrdered(pool *par.Pool, keep []int32, s *CompactScratch) (*Undirected, []int32) {
 	n := len(keep)
 	bits := s.keepBits(g.n, keep)
@@ -263,29 +268,9 @@ func (g *Undirected) CompactIntoDegreeOrdered(pool *par.Pool, keep []int32, s *C
 	total := int(offsets[n])
 	s.adj = grow(s.adj, total)
 	adj := s.adj
-	weighted := g.weights != nil
-	var weights []float64
-	if weighted {
-		s.weights = grow(s.weights, total)
-		weights = s.weights
-	}
 	cuts = s.cutPieces(g, order[:nz])
 	pool.ForEach(len(cuts)-1, func(p int) {
 		lo, hi := cuts[p], cuts[p+1]
-		if weighted {
-			for r := lo; r < hi; r++ {
-				cur := offsets[r]
-				ws := g.NeighborWeights(order[r])
-				for j, v := range g.Neighbors(order[r]) {
-					if bits.Test(v) {
-						adj[cur] = newID[v]
-						weights[cur] = ws[j]
-						cur++
-					}
-				}
-			}
-			return
-		}
 		// Branch-free filter-copy: kept/dropped neighbors interleave
 		// unpredictably in a decayed row, so a membership branch
 		// mispredicts constantly; writing unconditionally and advancing
@@ -311,17 +296,6 @@ func (g *Undirected) CompactIntoDegreeOrdered(pool *par.Pool, keep []int32, s *C
 		}
 	})
 	m := int64(total) / 2
-	totalW := float64(m)
-	if weighted {
-		totalW = 0
-		for r := 0; r < nz; r++ {
-			for j := offsets[r]; j < offsets[r+1]; j++ {
-				if adj[j] > int32(r) {
-					totalW += weights[j]
-				}
-			}
-		}
-	}
 
 	// Degree classes over the ranked layout: runs of equal row length,
 	// descending; over-stride hubs form the spill prefix.
@@ -344,151 +318,6 @@ func (g *Undirected) CompactIntoDegreeOrdered(pool *par.Pool, keep []int32, s *C
 	}
 	b.starts = append(b.starts, int32(n))
 
-	ng := &Undirected{n: n, offsets: offsets, adj: adj, weights: weights, m: m, totalW: totalW, banks: b}
-	return ng, order
-}
-
-// DirectedCompactScratch is the directed analogue of CompactScratch.
-type DirectedCompactScratch struct {
-	outOffsets []int32
-	outAdj     []int32
-	inOffsets  []int32
-	inAdj      []int32
-	newID      []int32
-
-	bits   Bitset
-	outCnt []int32
-	inCnt  []int32
-	rout   []int32
-	rin    []int32
-	bucket []int32
-	order  []int32
-}
-
-func (s *DirectedCompactScratch) keepBits(n int, keep []int32) Bitset {
-	s.bits = grow(s.bits, (n+63)>>6)
-	s.bits.Zero()
-	for _, u := range keep {
-		s.bits.Set(u)
-	}
-	return s.bits
-}
-
-// CompactInto builds the surviving directed subgraph induced by keep
-// (ascending, duplicate-free; typically the union of the live S and T
-// sides of Algorithm 3) into the scratch buffers. Because out-rows are
-// only ever scanned for vertices still alive in S and in-rows for
-// vertices still alive in T, rows of dead-side vertices compact to
-// empty and surviving rows keep only the cross-alive edges: the
-// out-row of u is its T-alive out-neighbors when aliveS(u), the in-row
-// of v its S-alive in-neighbors when aliveT(v). Both views then
-// describe exactly E(S, T), adjacency order preserved within a row.
-//
-// The relabel is degree-ordered: vertices rank by total surviving
-// cross degree (out + in), descending, ties in ascending keep order —
-// hub rows of both families pack toward the front. (Unlike the
-// undirected layout there is no fixed-stride bank view: the two row
-// families have independent lengths, and one permutation cannot make
-// both contiguous-by-length at once.) The permutation order is
-// returned alongside the graph, order[r] being the keep-space id of
-// new vertex r; both alias s.
-func (g *Directed) CompactInto(keep []int32, aliveS, aliveT Bitset, s *DirectedCompactScratch) (*Directed, []int32) {
-	n := len(keep)
-	bits := s.keepBits(g.n, keep)
-
-	s.outCnt = grow(s.outCnt, n)
-	s.inCnt = grow(s.inCnt, n)
-	outCnt, inCnt := s.outCnt, s.inCnt
-	maxd := int32(0)
-	for i, u := range keep {
-		oc, ic := int32(0), int32(0)
-		if aliveS.Test(u) {
-			for _, v := range g.OutNeighbors(u) {
-				if bits.Test(v) && aliveT.Test(v) {
-					oc++
-				}
-			}
-		}
-		if aliveT.Test(u) {
-			for _, v := range g.InNeighbors(u) {
-				if bits.Test(v) && aliveS.Test(v) {
-					ic++
-				}
-			}
-		}
-		outCnt[i], inCnt[i] = oc, ic
-		if d := oc + ic; d > maxd {
-			maxd = d
-		}
-	}
-	s.bucket = grow(s.bucket, int(maxd)+1)
-	bucket := s.bucket
-	for d := range bucket {
-		bucket[d] = 0
-	}
-	for i := 0; i < n; i++ {
-		bucket[outCnt[i]+inCnt[i]]++
-	}
-	pos := int32(0)
-	for d := int(maxd); d >= 0; d-- {
-		b := bucket[d]
-		bucket[d] = pos
-		pos += b
-	}
-	s.order = grow(s.order, n)
-	s.rout = grow(s.rout, n)
-	s.rin = grow(s.rin, n)
-	s.newID = grow(s.newID, g.n) // dead entries stale; bits guards every read
-	order, rout, rin, newID := s.order, s.rout, s.rin, s.newID
-	for i, u := range keep {
-		d := outCnt[i] + inCnt[i]
-		r := bucket[d]
-		bucket[d] = r + 1
-		order[r] = u
-		rout[r] = outCnt[i]
-		rin[r] = inCnt[i]
-		newID[u] = r
-	}
-
-	s.outOffsets = grow(s.outOffsets, n+1)
-	s.inOffsets = grow(s.inOffsets, n+1)
-	outOffsets, inOffsets := s.outOffsets, s.inOffsets
-	outOffsets[0], inOffsets[0] = 0, 0
-	for r := 0; r < n; r++ {
-		outOffsets[r+1] = outOffsets[r] + rout[r]
-		inOffsets[r+1] = inOffsets[r] + rin[r]
-	}
-	s.outAdj = grow(s.outAdj, int(outOffsets[n]))
-	s.inAdj = grow(s.inAdj, int(inOffsets[n]))
-	outAdj, inAdj := s.outAdj, s.inAdj
-	for r := 0; r < n; r++ {
-		u := order[r]
-		if aliveS.Test(u) {
-			cur := outOffsets[r]
-			for _, v := range g.OutNeighbors(u) {
-				if bits.Test(v) && aliveT.Test(v) {
-					outAdj[cur] = newID[v]
-					cur++
-				}
-			}
-		}
-		if aliveT.Test(u) {
-			cur := inOffsets[r]
-			for _, v := range g.InNeighbors(u) {
-				if bits.Test(v) && aliveS.Test(v) {
-					inAdj[cur] = newID[v]
-					cur++
-				}
-			}
-		}
-	}
-	ng := &Directed{
-		n:          n,
-		outOffsets: outOffsets,
-		outAdj:     outAdj,
-		inOffsets:  inOffsets,
-		inAdj:      inAdj,
-		m:          int64(outOffsets[n]),
-	}
+	ng := &Undirected{n: n, offsets: offsets, adj: adj, m: m, totalW: float64(m), banks: b}
 	return ng, order
 }

@@ -24,8 +24,7 @@ import (
 // their inputs with internal/gen.
 
 // pieceGraphs returns the sweep inputs: a Chung–Lu power-law graph, a
-// symmetrized RMAT graph, and the hub-and-leaves shape both unweighted
-// and weighted (the weighted rebuild copies rows on the pool too).
+// symmetrized RMAT graph, and the hub-and-leaves shape.
 func pieceGraphs(t *testing.T) map[string]*graph.Undirected {
 	t.Helper()
 	cl, err := gen.ChungLu(3000, 15000, 2.2, 41)
@@ -49,37 +48,30 @@ func pieceGraphs(t *testing.T) map[string]*graph.Undirected {
 		t.Fatal(err)
 	}
 	return map[string]*graph.Undirected{
-		"chunglu":       cl,
-		"rmat":          rm,
-		"hubs":          hubsAndLeaves(t, false),
-		"hubs-weighted": hubsAndLeaves(t, true),
+		"chunglu": cl,
+		"rmat":    rm,
+		"hubs":    hubsAndLeaves(t),
 	}
 }
 
 // hubsAndLeaves builds 64 hubs in a 16-regular circulant core, each
 // carrying 48 leaves with larger ids, so a hub's row ends in its
 // leaves.
-func hubsAndLeaves(t *testing.T, weighted bool) *graph.Undirected {
+func hubsAndLeaves(t *testing.T) *graph.Undirected {
 	t.Helper()
 	const hubs, leaves = 64, 48
 	b := graph.NewBuilder(hubs * (1 + leaves))
-	add := func(u, v int32, w float64) {
-		var err error
-		if weighted {
-			err = b.AddWeightedEdge(u, v, w)
-		} else {
-			err = b.AddEdge(u, v)
-		}
-		if err != nil {
+	add := func(u, v int32) {
+		if err := b.AddEdge(u, v); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for h := 0; h < hubs; h++ {
 		for s := 1; s <= 8; s++ {
-			add(int32(h), int32((h+s)%hubs), 2+float64((h+s)%5))
+			add(int32(h), int32((h+s)%hubs))
 		}
 		for l := 0; l < leaves; l++ {
-			add(int32(h), int32(hubs+h*leaves+l), 0.5+float64(l%3))
+			add(int32(h), int32(hubs+h*leaves+l))
 		}
 	}
 	g, err := b.Freeze()

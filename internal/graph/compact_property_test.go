@@ -8,27 +8,20 @@ import (
 	"densestream/internal/par"
 )
 
-// The relabel property sweep: over random graphs and random keep-sets,
-// the degree-ordered compactor and the order-preserving one must
-// describe the same subgraph — identical de-relabeled edge sets with
-// identical weights — while the degree-ordered layout additionally
+// The relabel property sweep: over random unweighted graphs and random
+// keep-sets, the degree-ordered compactor and the order-preserving one
+// must describe the same subgraph — identical de-relabeled edge sets —
+// while the degree-ordered layout additionally
 // keeps its rank invariant (row lengths non-increasing) and a RowBanks
 // view that agrees with the CSR row by row.
 
-// buildRandom freezes a random simple graph on n nodes with roughly m
-// distinct edges (duplicates merge, so weighted graphs get summed
-// small-integer weights — exact in float64).
-func buildRandom(t *testing.T, n, m int, weighted bool, seed int64) *Undirected {
+// buildRandom freezes a random simple unweighted graph on n nodes with
+// roughly m distinct edges (duplicates merge).
+func buildRandom(t *testing.T, n, m int, seed int64) *Undirected {
 	t.Helper()
 	b := NewBuilder(n)
 	for _, e := range randomEdges(n, m, seed) {
-		var err error
-		if weighted {
-			err = b.AddWeightedEdge(e.U, e.V, e.Weight)
-		} else {
-			err = b.AddEdge(e.U, e.V)
-		}
-		if err != nil {
+		if err := b.AddEdge(e.U, e.V); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -138,8 +131,7 @@ func TestCompactDegreeOrderedProperty(t *testing.T) {
 		pool := par.New(1 + trial%4)
 		n := 2 + rng.Intn(500)
 		m := rng.Intn(4*n) + 1
-		weighted := trial%3 == 0
-		g := buildRandom(t, n, m, weighted, int64(1000+trial))
+		g := buildRandom(t, n, m, int64(1000+trial))
 		keep := randomKeep(rng, n)
 
 		got, order := g.CompactIntoDegreeOrdered(pool, keep, &sOrd)

@@ -90,73 +90,3 @@ func TestCompactIntoScratchReuse(t *testing.T) {
 		t.Fatalf("generation 3: n=%d m=%d, want 2/1", g3.NumNodes(), g3.NumEdges())
 	}
 }
-
-func TestCompactIntoDirected(t *testing.T) {
-	g := MustFromDirectedEdges(6, [][2]int32{
-		{0, 1}, {1, 2}, {2, 0}, {3, 1}, {4, 2}, {2, 5}, {5, 0},
-	})
-	full := func(n int) Bitset {
-		b := NewBitset(n)
-		b.Fill(n)
-		return b
-	}
-	var s DirectedCompactScratch
-
-	// Everybody alive on both sides: induced subgraph up to the
-	// degree-ordered relabel.
-	keep := []int32{0, 1, 2, 5}
-	got, order := g.CompactInto(keep, full(6), full(6), &s)
-	if err := got.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != len(keep) {
-		t.Fatalf("order has %d entries, want %d", len(order), len(keep))
-	}
-	// De-relabel the compacted edges back to the old id space and
-	// compare as a set against the surviving edges.
-	deEdges := map[[2]int32]bool{}
-	got.Edges(func(u, v int32) bool {
-		deEdges[[2]int32{order[u], order[v]}] = true
-		return true
-	})
-	want := map[[2]int32]bool{
-		{0, 1}: true, {1, 2}: true, {2, 0}: true, {2, 5}: true, {5, 0}: true,
-	}
-	if !reflect.DeepEqual(deEdges, want) {
-		t.Fatalf("de-relabeled edges %v, want %v", deEdges, want)
-	}
-	// The relabel is hub-first by total surviving cross degree.
-	for r := 1; r < got.NumNodes(); r++ {
-		prev := got.OutDegree(int32(r-1)) + got.InDegree(int32(r-1))
-		cur := got.OutDegree(int32(r)) + got.InDegree(int32(r))
-		if cur > prev {
-			t.Fatalf("rank %d has degree %d > rank %d's %d", r, cur, r-1, prev)
-		}
-	}
-
-	// Node 2 dead on the S side: its out-row must compact away while
-	// its in-row (as a T member) survives.
-	aliveS := full(6)
-	aliveS.Clear(2)
-	got, order = g.CompactInto(keep, aliveS, full(6), &s)
-	rankOf := make(map[int32]int32, len(order))
-	for r, u := range order {
-		rankOf[u] = int32(r)
-	}
-	if d := got.OutDegree(rankOf[2]); d != 0 {
-		t.Fatalf("dead-S node kept %d out-neighbors", d)
-	}
-	// In-edges of node 2: from 1 (kept, alive in S) and 4 (not kept).
-	if in := got.InNeighbors(rankOf[2]); len(in) != 1 || order[in[0]] != 1 {
-		t.Fatalf("in-neighbors of kept node 2: %v (order %v), want {1}", in, order)
-	}
-	// Edge count must match on both views.
-	var out, in int64
-	for u := int32(0); int(u) < got.NumNodes(); u++ {
-		out += int64(got.OutDegree(u))
-		in += int64(got.InDegree(u))
-	}
-	if out != in || out != got.NumEdges() {
-		t.Fatalf("views disagree: out=%d in=%d m=%d", out, in, got.NumEdges())
-	}
-}

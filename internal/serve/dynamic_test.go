@@ -118,6 +118,41 @@ func TestDynamicGraphHTTP(t *testing.T) {
 	appendTwin(t, s, "twin", batch)
 	checkParity("append")
 
+	// At a version with no memoized snapshot, POST /jobs with the
+	// maintainer's own Problem is born done from the fast path: its
+	// fingerprint is the graph's, and no snapshot gets built for it.
+	snapBuilt := func() bool {
+		t.Helper()
+		e, err := s.Registry().entry("dyn")
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return e.snap != nil
+	}
+	if snapBuilt() {
+		t.Fatal("append left a memoized snapshot of the dynamic graph")
+	}
+	respJob, dataJob := doJSON(t, http.MethodPost, ts.URL+"/jobs", map[string]any{
+		"graph": "dyn", "objective": "Undirected", "backend": "Peel", "eps": 0.3,
+	})
+	var jv JobView
+	if err := json.Unmarshal(dataJob, &jv); err != nil || respJob.StatusCode != 200 || jv.State != JobDone {
+		t.Fatalf("fast-path job: status=%d err=%v body=%s", respJob.StatusCode, err, dataJob)
+	}
+	respInfo, dataInfo := doJSON(t, http.MethodGet, ts.URL+"/graphs/dyn", nil)
+	var cur GraphInfo
+	if err := json.Unmarshal(dataInfo, &cur); err != nil || respInfo.StatusCode != 200 {
+		t.Fatalf("GET graph: status=%d err=%v body=%s", respInfo.StatusCode, err, dataInfo)
+	}
+	if jv.Fingerprint != cur.Fingerprint {
+		t.Fatalf("fast-path job fingerprint %q, want the graph's %q", jv.Fingerprint, cur.Fingerprint)
+	}
+	if snapBuilt() {
+		t.Fatal("a fast-path POST /jobs built a snapshot of the dynamic graph")
+	}
+
 	// Delete the batch again (?op=delete) and re-check parity.
 	respDel, data := doJSON(t, http.MethodPost, ts.URL+"/graphs/dyn/edges?op=delete", map[string]any{"edges": batch})
 	if respDel.StatusCode != 200 {

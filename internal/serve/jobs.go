@@ -32,13 +32,13 @@ const (
 // synchronous /solve path (which waits on done) and the async /jobs
 // path (which polls it by id).
 type job struct {
-	id      string
-	graph   string
-	problem ds.Problem // input fields injected from the registry snapshot
-	wire    ds.Problem // the wire-visible request (no in-process inputs)
-	snap    *Snapshot
-	key     string // cache key; "" when caching is bypassed
-	noCache bool
+	id          string
+	graph       string
+	problem     ds.Problem // input fields injected from the registry snapshot
+	wire        ds.Problem // the wire-visible request (no in-process inputs)
+	fingerprint string     // of the graph version the job answers
+	key         string     // cache key; "" when caching is bypassed
+	noCache     bool
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -135,7 +135,7 @@ func (j *job) view() JobView {
 		ID:          j.id,
 		State:       j.state,
 		Graph:       j.graph,
-		Fingerprint: j.snap.Info.Fingerprint,
+		Fingerprint: j.fingerprint,
 		Problem:     j.wire,
 		CacheHit:    j.cacheHit,
 		Progress:    append([]ds.PassStat(nil), j.progress...),

@@ -266,19 +266,20 @@ func feedMaintainer(m *ds.Maintainer, cfg ds.MaintainerConfig, edges []Edge, del
 	return nil
 }
 
-// DynamicConfig returns the maintainer configuration of a dynamic
-// graph, reporting ok=false for static (or unknown) names.
-func (r *Registry) DynamicConfig(name string) (ds.MaintainerConfig, bool) {
+// DynamicConfig returns the maintainer configuration and the current
+// descriptor of a dynamic graph, reporting ok=false for static (or
+// unknown) names.
+func (r *Registry) DynamicConfig(name string) (ds.MaintainerConfig, GraphInfo, bool) {
 	e, err := r.entry(name)
 	if err != nil {
-		return ds.MaintainerConfig{}, false
+		return ds.MaintainerConfig{}, GraphInfo{}, false
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.dyn == nil {
-		return ds.MaintainerConfig{}, false
+		return ds.MaintainerConfig{}, GraphInfo{}, false
 	}
-	return e.dynCfg, true
+	return e.dynCfg, e.info, true
 }
 
 // DynamicCurrent returns the maintained solution of a dynamic graph,

@@ -471,41 +471,42 @@ func (s *Server) handleGraphCurrent(w http.ResponseWriter, r *http.Request) {
 
 // --- solve paths ---
 
-// prepare resolves and validates a request into a ready-to-queue job
-// (or a cache hit). It does not enqueue.
-func (s *Server) prepare(req SolveRequest) (*job, []byte, *httpError) {
+// prepare resolves and validates a request into a ready-to-queue job,
+// or into a cache hit: the cached Solution JSON and the fingerprint of
+// the graph version it answers. It does not enqueue.
+func (s *Server) prepare(req SolveRequest) (j *job, cached []byte, fp string, herr *httpError) {
 	if s.closed.Load() {
-		return nil, nil, &httpError{http.StatusServiceUnavailable, "serve: server is shutting down"}
+		return nil, nil, "", &httpError{http.StatusServiceUnavailable, "serve: server is shutting down"}
 	}
 	if req.Path != "" {
-		return nil, nil, &httpError{http.StatusBadRequest, "serve: Problem.Path is not served; register the graph under PUT /graphs/{name} and reference it by name"}
+		return nil, nil, "", &httpError{http.StatusBadRequest, "serve: Problem.Path is not served; register the graph under PUT /graphs/{name} and reference it by name"}
 	}
 	if req.Graph == "" {
-		return nil, nil, &httpError{http.StatusBadRequest, "serve: request must name a registered graph (\"graph\" field)"}
+		return nil, nil, "", &httpError{http.StatusBadRequest, "serve: request must name a registered graph (\"graph\" field)"}
 	}
 	// Dynamic fast path: a request matching the maintainer's own
 	// configuration is served from the maintained solution — no snapshot
 	// build, no queue, no cache, and bit-identical to the cold solve by
 	// the maintainer's epoch-parity contract. Any other objective,
 	// backend, or eps falls through and solves the live edge set.
-	if dc, ok := s.registry.DynamicConfig(req.Graph); ok &&
+	if dc, info, ok := s.registry.DynamicConfig(req.Graph); ok &&
 		req.Problem.Objective == ds.ObjectiveUndirected &&
 		req.Problem.Backend == ds.BackendPeel &&
 		req.Problem.Eps == dc.Eps {
 		sol, err := s.registry.DynamicCurrent(req.Graph)
 		if err != nil {
-			return nil, nil, &httpError{http.StatusInternalServerError, err.Error()}
+			return nil, nil, "", &httpError{http.StatusInternalServerError, err.Error()}
 		}
 		data, err := json.Marshal(sol)
 		if err != nil {
-			return nil, nil, &httpError{http.StatusInternalServerError, err.Error()}
+			return nil, nil, "", &httpError{http.StatusInternalServerError, err.Error()}
 		}
 		s.dynServed.Add(1)
-		return nil, data, nil
+		return nil, data, info.Fingerprint, nil
 	}
 	snap, err := s.registry.Snapshot(req.Graph)
 	if err != nil {
-		return nil, nil, &httpError{http.StatusNotFound, err.Error()}
+		return nil, nil, "", &httpError{http.StatusNotFound, err.Error()}
 	}
 	p := req.Problem
 	directed := p.Objective == ds.ObjectiveDirected || p.Objective == ds.ObjectiveDirectedSweep
@@ -514,7 +515,7 @@ func (s *Server) prepare(req SolveRequest) (*job, []byte, *httpError) {
 		if directed {
 			kind = "a directed"
 		}
-		return nil, nil, &httpError{http.StatusBadRequest,
+		return nil, nil, "", &httpError{http.StatusBadRequest,
 			fmt.Sprintf("serve: objective %s needs %s graph, but %q is registered with directed=%v", p.Objective, kind, req.Graph, snap.Info.Directed)}
 	}
 	if directed {
@@ -523,13 +524,13 @@ func (s *Server) prepare(req SolveRequest) (*job, []byte, *httpError) {
 		p.Graph = snap.Graph
 	}
 	if err := p.Validate(); err != nil {
-		return nil, nil, &httpError{http.StatusBadRequest, err.Error()}
+		return nil, nil, "", &httpError{http.StatusBadRequest, err.Error()}
 	}
 
 	key := cacheKey(req.Graph, snap.Info.Fingerprint, req.Problem)
 	if !req.NoCache && key != "" {
 		if data, ok := s.cache.get(key); ok {
-			return nil, data, nil
+			return nil, data, snap.Info.Fingerprint, nil
 		}
 	}
 
@@ -541,20 +542,20 @@ func (s *Server) prepare(req SolveRequest) (*job, []byte, *httpError) {
 	if timeout > 0 {
 		ctx, cancel = context.WithTimeout(s.base, timeout)
 	}
-	j := &job{
-		graph:    req.Graph,
-		problem:  p,
-		wire:     req.Problem,
-		snap:     snap,
-		key:      key,
-		noCache:  req.NoCache,
-		ctx:      ctx,
-		cancel:   cancel,
-		done:     make(chan struct{}),
-		state:    JobQueued,
-		enqueued: time.Now(),
+	j = &job{
+		graph:       req.Graph,
+		problem:     p,
+		wire:        req.Problem,
+		fingerprint: snap.Info.Fingerprint,
+		key:         key,
+		noCache:     req.NoCache,
+		ctx:         ctx,
+		cancel:      cancel,
+		done:        make(chan struct{}),
+		state:       JobQueued,
+		enqueued:    time.Now(),
 	}
-	return j, nil, nil
+	return j, nil, "", nil
 }
 
 // enqueue places a prepared job on the bounded queue, registering it in
@@ -563,6 +564,13 @@ func (s *Server) enqueue(j *job) *httpError {
 	s.jobs.add(j)
 	select {
 	case s.queue <- j:
+		// A request that passed prepare before Close can land here after
+		// Close drained the queue, which no worker reads any more: settle
+		// the job as Close settles the jobs it drains.
+		if s.closed.Load() {
+			j.cancelNow()
+			return &httpError{http.StatusServiceUnavailable, "serve: server is shutting down"}
+		}
 		return nil
 	default:
 		j.finish(JobFailed, nil, http.StatusServiceUnavailable, fmt.Errorf("serve: job queue full (%d queued)", s.cfg.QueueDepth), nil)
@@ -588,7 +596,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err, nil)
 		return
 	}
-	j, cached, herr := s.prepare(req)
+	j, cached, _, herr := s.prepare(req)
 	if herr != nil {
 		writeError(w, herr.status, herr, nil)
 		return
@@ -632,7 +640,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err, nil)
 		return
 	}
-	j, cached, herr := s.prepare(req)
+	j, cached, fp, herr := s.prepare(req)
 	if herr != nil {
 		writeError(w, herr.status, herr, nil)
 		return
@@ -640,9 +648,8 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	if cached != nil {
 		// A cache hit still materializes a job so the client can GET
 		// it by id; it is born done.
-		snap, _ := s.registry.Snapshot(req.Graph)
 		j = &job{
-			graph: req.Graph, wire: req.Problem, snap: snap,
+			graph: req.Graph, wire: req.Problem, fingerprint: fp,
 			ctx: s.base, cancel: func() {}, done: make(chan struct{}),
 			state: JobQueued, enqueued: time.Now(), cacheHit: true,
 		}

@@ -355,7 +355,7 @@ func TestDeadlineExpiryReturnsPartialTrace(t *testing.T) {
 
 func TestAsyncJobLifecycle(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
-	mustRegister(t, s, "g", false, testEdges(400, 2000, 15, 4))
+	info := mustRegister(t, s, "g", false, testEdges(400, 2000, 15, 4))
 
 	// Submit, then poll to completion.
 	resp, data := doJSON(t, http.MethodPost, ts.URL+"/jobs", map[string]any{
@@ -385,6 +385,9 @@ func TestAsyncJobLifecycle(t *testing.T) {
 	if jv.State != JobDone || jv.Solution == nil {
 		t.Fatalf("job did not succeed: %+v", jv)
 	}
+	if jv.Fingerprint != info.Fingerprint {
+		t.Fatalf("job fingerprint %q, want the graph's %q", jv.Fingerprint, info.Fingerprint)
+	}
 	if len(jv.Progress) == 0 {
 		t.Fatalf("job carries no per-pass progress")
 	}
@@ -410,6 +413,9 @@ func TestAsyncJobLifecycle(t *testing.T) {
 	}
 	if hit.State != JobDone || !hit.CacheHit {
 		t.Fatalf("expected a born-done cache-hit job, got %+v", hit)
+	}
+	if hit.Fingerprint != info.Fingerprint {
+		t.Fatalf("cache-hit job fingerprint %q, want the graph's %q", hit.Fingerprint, info.Fingerprint)
 	}
 
 	// Unknown job id.
@@ -482,6 +488,37 @@ func TestQueueFullRejects(t *testing.T) {
 	resp3, data := doJSON(t, http.MethodDelete, ts.URL+"/jobs/j1", nil)
 	if err := json.Unmarshal(data, &jv); err != nil || resp3.StatusCode != 200 || jv.State != JobCanceled {
 		t.Fatalf("canceling a queued job: status=%d err=%v view=%+v", resp3.StatusCode, err, jv)
+	}
+}
+
+// TestEnqueueAfterClose: a request that passed prepare before Close and
+// reaches enqueue after Close drained the queue lands in a queue no
+// worker reads. enqueue must settle it as Close settles the jobs it
+// drains — canceled, 503 — instead of leaving it queued forever.
+func TestEnqueueAfterClose(t *testing.T) {
+	s := New(Config{Workers: 1})
+	mustRegister(t, s, "g", false, testEdges(50, 200, 5, 5))
+	j, cached, _, herr := s.prepare(SolveRequest{
+		Graph:   "g",
+		Problem: ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendPeel, Eps: 0.5},
+	})
+	if herr != nil || j == nil || cached != nil {
+		t.Fatalf("prepare: job=%v cached=%d herr=%v", j != nil, len(cached), herr)
+	}
+	s.Close()
+	if herr := s.enqueue(j); herr == nil || herr.status != http.StatusServiceUnavailable {
+		t.Fatalf("enqueue after Close: %v, want a 503", herr)
+	}
+	select {
+	case <-j.done:
+	case <-time.After(time.Second):
+		t.Fatal("job enqueued after Close never finished")
+	}
+	j.mu.Lock()
+	state, status := j.state, j.status
+	j.mu.Unlock()
+	if state != JobCanceled || status != http.StatusServiceUnavailable {
+		t.Fatalf("job enqueued after Close: state=%s status=%d, want canceled/503", state, status)
 	}
 }
 
