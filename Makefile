@@ -45,11 +45,11 @@ race:
 # FuzzFileShard's corpus holds a line longer than the 64 KiB read
 # buffer; minimizing a mutant of it would take the default 60 s, so its
 # minimization is capped at 2 s to leave the run for fuzzing.
-# FuzzPeelParity holds the unweighted peel engines (push, pull, the
-# row-volume compaction rule) to the reference engines at workers 1-3
-# on generated graphs above the compaction floor. An input near ε = 0
-# peels one node per AtLeastK pass and takes seconds, so its
-# minimization is capped the same way.
+# FuzzPeelParity holds the peel engines (Undirected and AtLeastK with
+# their push/pull choice, UndirectedWeighted with its CSR compaction)
+# to the reference engines at workers 1-3 on generated graphs above the
+# compaction floor. An input near ε = 0 peels one node per AtLeastK
+# pass and takes seconds, so its minimization is capped the same way.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadUndirectedFile$$' -fuzztime 20s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzFreeze$$' -fuzztime 20s ./internal/graph
@@ -61,7 +61,9 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 
 # The peel-core microbenchmarks: pass throughput on the 2M-edge RMAT
-# sweep and the push vs pull decrement directions in isolation.
+# sweep, whole runs at ε=0 and ε=4 with their push and pull pass
+# counts, and the per-entry cost of each decrement direction in
+# isolation (BenchmarkCorePushVsPull).
 bench-core:
 	$(GO) test -bench='BenchmarkCore' -benchtime=1x -run='^$$' ./internal/core
 

@@ -100,62 +100,44 @@
 //     walk itself is a batched sweep (par.Sweeper): fixed-size blocks
 //     are filtered in place and the kept runs squashed together in
 //     block order, one primitive shared by every peeler.
-//   - Adaptive push/pull decrements over fixed-stride rows. A small
-//     removed batch pushes decrements along its own adjacency rows —
-//     routed through fixed vertex-range lanes so concurrent workers
-//     never touch the same counter (no atomics, no cache-line
-//     ping-pong). When the batch's rows outweigh the survivors' (huge
-//     removal batches at large ε), the pass flips to a pull: each
-//     survivor recounts its live neighbors — the direction-optimizing
-//     trade of Beamer-style BFS search, with the crossover fixed by
-//     the two row volumes, both functions of the data. The pull reads
-//     RowBanks, a banked view of the compacted CSR that stores rows of
-//     the same degree class at one fixed stride (long tails spill to
-//     an overflow lane), so the recount loop is branch-light and
-//     vectorizes.
-//   - Periodic CSR compaction, hub-first. The surviving subgraph is
-//     rebuilt into a dense CSR so later passes scan cache-resident
-//     adjacency instead of rows full of dead neighbors. In the
-//     unweighted peelers a pull pass fuses with the rebuild — one scan
-//     yields the new degrees and the new layout — once the survivors'
-//     rows hold at most a quarter of the current CSR's entries: a
-//     rebuilt entry costs about four pulled ones, so the rebuild then
-//     costs no more than one pull over the whole CSR. Before that the
-//     survivors are typically the hubs, whose rows still carry most of
-//     the adjacency; such a pull recounts their live degrees in place
-//     and keeps the CSR. The unweighted rebuild relabels
-//     degree-ordered — new id 0 is the highest-degree survivor (a
-//     deterministic counting sort, ties in ascending id order) — which
-//     packs the hubs' rows together and sorts the CSR into the degree
-//     classes RowBanks wants; results map back through the original
-//     ids, which never move. The weighted peeler rebuilds once the
-//     live set falls below a quarter of the CSR's nodes and at least
-//     half of its rows' entries are dead. The directed peeler never
-//     rebuilds: it peels its input CSR to the end and picks push or
-//     pull each pass by row volume alone, which measured 1.5–4× faster
-//     than rebuilding on power-law directed inputs. The unweighted
-//     rebuild's two row scans
-//     — the live-degree count and the filtered copy — run on the
-//     solve's workers over pieces of fixed original-row volume; only
-//     the maximum degree crosses rows, so the rebuilt CSR is identical
-//     at every worker count.
+//   - Push or pull by one measured cost. A pass either pushes
+//     decrements along the removed batch's adjacency rows — routed
+//     through fixed vertex-range lanes so concurrent workers never
+//     touch the same counter (no atomics, no cache-line ping-pong) —
+//     or pulls: each survivor recounts its live neighbors with a
+//     branch-free bit gather, the direction-optimizing trade of
+//     Beamer-style BFS search. A pushed entry measured about four
+//     times the cost of a pulled one, so the unweighted engines pull
+//     exactly when the survivors' rows hold fewer than four times the
+//     batch's entries (the directed peeler compares the two volumes
+//     directly). Both row volumes are functions of the data. The
+//     unweighted and directed peelers never rebuild their CSR: they
+//     finish in O(log_{1+ε} n) passes, on which a rebuild did not
+//     measurably pay for itself, and every vertex keeps its input id
+//     for the whole run.
+//   - A weighted-only rebuild. The weighted peeler's decrement is
+//     always a pull over the survivors' whole rows, so dead entries
+//     cost it on every later pass. Once the live set falls below a
+//     quarter of the CSR's nodes and at least half of its rows'
+//     entries are dead, it rebuilds the surviving subgraph into a
+//     dense CSR with an order-preserving relabel, and maps the new ids
+//     back to the input's through one id map composed in place.
 //
 // Determinism survives all three because every choice is arithmetic on
-// deterministic integers, the hub-first permutation is itself a
-// function of the degrees alone, and the one float-sensitive path —
-// the weighted peeler's decrement — keeps its subtractions grouped by
+// deterministic integers, and the one float-sensitive path — the
+// weighted peeler's decrement — keeps its subtractions grouped by
 // fixed chunks of the original vertex space, in ascending original
 // order, regardless of worker count or compaction epoch (the weighted
-// engine keeps the order-preserving relabel for exactly this reason).
-// The layout parity sweep in internal/core asserts reflect.DeepEqual
-// against the pre-layout reference engines across graphs, objectives,
-// ε values, and workers 1–8.
+// rebuild preserves id order for exactly this reason). The layout
+// parity sweep in internal/core asserts reflect.DeepEqual against the
+// pre-layout reference engines across graphs, objectives, ε values,
+// and workers 1–8.
 //
 // The undirected engines recycle their peel scratch — frontier,
-// bitsets, degree arrays, batch buffers and both compaction scratches
-// — across solves through a sync.Pool, so a warm solve allocates
-// little beyond its Solution. The GC drops idle scratch, so a
-// long-running process does not keep its largest graph's buffers
+// bitsets, degree arrays, batch buffers and the weighted compaction
+// scratches — across solves through a sync.Pool, so a warm solve
+// allocates little beyond its Solution. The GC drops idle scratch, so
+// a long-running process does not keep its largest graph's buffers
 // forever.
 //
 // # The out-of-core model

@@ -10,7 +10,6 @@ import (
 
 	"densestream/internal/gen"
 	"densestream/internal/graph"
-	"densestream/internal/par"
 )
 
 // Microbenchmarks of the peel hot path (the `make bench-core` suite):
@@ -58,9 +57,9 @@ var coreBenchGraph = sync.OnceValues(func() (*graph.Undirected, error) {
 })
 
 // BenchmarkCorePassThroughput measures whole-run peel throughput on the
-// 2M-edge RMAT graph across ε: ε=0.05 maximizes passes (tiny batches —
-// the frontier and compaction case), ε=1 is the paper's default (huge
-// batches — the pull case). Bytes/op counts 8 bytes per edge per pass,
+// 2M-edge RMAT graph across ε: ε=0.05 maximizes passes (small batches —
+// the frontier case), ε=1 is the paper's default (huge batches — the
+// pull case). Bytes/op counts 8 bytes per edge per pass,
 // so MB/s is true pass throughput.
 func BenchmarkCorePassThroughput(b *testing.B) {
 	g, err := coreBenchGraph()
@@ -84,11 +83,12 @@ func BenchmarkCorePassThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkCorePushPull pins each decrement direction of one full run:
-// ε=0 forces minimum-size batches (every decrement pass takes the push
-// direction), a large ε forces one near-total batch (the pull
-// direction). The adaptive engine picks per pass; these bounds bracket
-// it.
+// BenchmarkCorePushPull times two whole runs of Algorithm 1: ε=0
+// (small batches, many passes) and ε=4 (one near-total batch first).
+// Neither pins a decrement direction — the engine picks push or pull
+// each pass, and both runs take both — so each reports how many of its
+// passes pushed and pulled. BenchmarkCorePushVsPull isolates the two
+// directions.
 func BenchmarkCorePushPull(b *testing.B) {
 	g, err := coreBenchGraph()
 	if err != nil {
@@ -101,11 +101,22 @@ func BenchmarkCorePushPull(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(g.NumEdges() * 8)
+			var push, pull int
+			o := Opts{Workers: 1, hooks: peelHooks{mode: func(_ int, p bool) {
+				if p {
+					pull++
+				} else {
+					push++
+				}
+			}}}
 			for i := 0; i < b.N; i++ {
-				if _, err := Undirected(g, bc.eps, Opts{Workers: 1}); err != nil {
+				push, pull = 0, 0
+				if _, err := Undirected(g, bc.eps, o); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(push), "push-passes")
+			b.ReportMetric(float64(pull), "pull-passes")
 		})
 	}
 }
@@ -153,10 +164,9 @@ func BenchmarkCoreDirected(b *testing.B) {
 	}
 }
 
-// BenchmarkCoreCompact isolates the CSR rebuild the peel engines pay at
-// each compaction epoch, comparing the order-preserving relabel against
-// the hub-first (degree-ordered) relabel that also builds the RowBanks
-// pull layout. The keep set is the deg ≥ 4 survivors of the RMAT
+// BenchmarkCoreCompact isolates the CSR rebuild the weighted peel
+// engine pays at each compaction epoch (the order-preserving
+// CompactInto). The keep set is the deg ≥ 4 survivors of the RMAT
 // graph — the hub-heavy shape a mid-peel compaction actually sees.
 // Bytes/op counts the two adjacency sweeps each rebuild performs.
 func BenchmarkCoreCompact(b *testing.B) {
@@ -172,10 +182,10 @@ func BenchmarkCoreCompact(b *testing.B) {
 			degSum += int64(d)
 		}
 	}
-	// Each sub-benchmark warms its scratch with one untimed rebuild so a
-	// -benchtime=1x run measures the steady-state compaction the peel
-	// loop actually repeats, not the first-epoch scratch growth (whose
-	// heap expansion can drag a GC cycle into the single timed pass).
+	// The scratch is warmed with one untimed rebuild so a -benchtime=1x
+	// run measures the steady-state compaction the peel loop actually
+	// repeats, not the first-epoch scratch growth (whose heap expansion
+	// can drag a GC cycle into the single timed pass).
 	b.Run("id-ordered", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(degSum * 4 * 2)
@@ -189,82 +199,61 @@ func BenchmarkCoreCompact(b *testing.B) {
 			}
 		}
 	})
-	// The degree-ordered rebuild runs on a pool; workers=1 against
-	// workers=GOMAXPROCS shows its parallel speedup.
-	b.Run("degree-ordered", func(b *testing.B) {
-		for _, workers := range slices.Compact([]int{1, runtime.GOMAXPROCS(0)}) {
-			b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-				b.ReportAllocs()
-				b.SetBytes(degSum * 4 * 2)
-				pool := par.New(workers)
-				var s graph.CompactScratch
-				g.CompactIntoDegreeOrdered(pool, keep, &s)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sub, order := g.CompactIntoDegreeOrdered(pool, keep, &s)
-					if sub.NumNodes() != len(keep) || len(order) != len(keep) {
-						b.Fatalf("compacted to %d nodes (order %d), want %d", sub.NumNodes(), len(order), len(keep))
-					}
-				}
-			})
-		}
-	})
 }
 
-// BenchmarkCoreRebuildVsPull measures, per adjacency entry walked, the
-// two ways a pull pass can bring the degrees up to date: the hub-first
-// rebuild (CompactIntoDegreeOrdered) and the plain pull recount over
-// the uncompacted CSR (pullRecount). Both walk the same survivors'
-// rows, so the ratio of their ns/entry is what compactVolDivisor is
-// derived from. The keep sets are the deg ≥ 4 survivors of
-// BenchmarkCoreCompact and the survivors of a first pass at ε=0.5
-// (deg > 3·|E|/|V|), the hub-heavy shape pass 1 decides on.
-func BenchmarkCoreRebuildVsPull(b *testing.B) {
+// BenchmarkCorePushVsPull measures, per adjacency entry walked, the two
+// directions decrement chooses between: pushDecrement over a removed
+// batch's rows and pullRecount over the survivors' rows. The batch is
+// every node of degree at most c × the average degree, for c ∈ {1, 3}
+// (the low-degree bulk an early pass removes), and the survivors are
+// the rest. The one-worker ratio of push to pull ns/entry at c = 3 is
+// what pushPullCost is derived from.
+func BenchmarkCorePushVsPull(b *testing.B) {
 	g, err := coreBenchGraph()
 	if err != nil {
 		b.Fatal(err)
 	}
-	cut := int(3 * g.NumEdges() / int64(g.NumNodes()))
-	for _, ks := range []struct {
-		name string
-		keep func(d int) bool
-	}{
-		{"keep=deg4", func(d int) bool { return d >= 4 }},
-		{"keep=pass1", func(d int) bool { return d > cut }},
-	} {
-		var keep []int32
-		var vol int64
+	avg := 2 * float64(g.NumEdges()) / float64(g.NumNodes())
+	for _, c := range []float64{1, 3} {
+		var batch, survivors []int32
+		var pushVol, pullVol int64
 		for u := int32(0); u < int32(g.NumNodes()); u++ {
-			if d := g.Degree(u); ks.keep(d) {
-				keep = append(keep, u)
-				vol += int64(d)
+			if d := g.Degree(u); float64(d) <= c*avg {
+				batch = append(batch, u)
+				pushVol += int64(d)
+			} else {
+				survivors = append(survivors, u)
+				pullVol += int64(d)
 			}
 		}
 		for _, workers := range slices.Compact([]int{1, runtime.GOMAXPROCS(0)}) {
-			b.Run(fmt.Sprintf("%s/workers=%d", ks.name, workers), func(b *testing.B) {
+			b.Run(fmt.Sprintf("cut=%gx-avg/workers=%d", c, workers), func(b *testing.B) {
 				st := newPeelState(g, Opts{Workers: workers}, false)
 				defer st.release()
 				st.alive.Zero()
-				for _, u := range keep {
+				for _, u := range survivors {
 					st.alive.Set(u)
 				}
-				st.live = append(st.live[:0], keep...)
-				var s graph.CompactScratch
-				g.CompactIntoDegreeOrdered(st.pool, keep, &s) // warm the scratch
-				var rebuild, pull time.Duration
+				for _, u := range batch {
+					st.inBatch.Set(u)
+				}
+				st.live = append(st.live[:0], survivors...)
+				st.pushDecrement(batch, 0) // warm the router
+				var push, pull time.Duration
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					t0 := time.Now()
-					g.CompactIntoDegreeOrdered(st.pool, keep, &s)
+					st.pushDecrement(batch, 0)
 					t1 := time.Now()
 					st.pullRecount()
-					rebuild += t1.Sub(t0)
+					push += t1.Sub(t0)
 					pull += time.Since(t1)
 				}
-				per := float64(b.N) * float64(vol)
-				b.ReportMetric(float64(rebuild.Nanoseconds())/per, "rebuild-ns/entry")
-				b.ReportMetric(float64(pull.Nanoseconds())/per, "pull-ns/entry")
-				b.ReportMetric(float64(rebuild)/float64(pull), "rebuild/pull")
+				pushNs := float64(push.Nanoseconds()) / (float64(b.N) * float64(pushVol))
+				pullNs := float64(pull.Nanoseconds()) / (float64(b.N) * float64(pullVol))
+				b.ReportMetric(pushNs, "push-ns/entry")
+				b.ReportMetric(pullNs, "pull-ns/entry")
+				b.ReportMetric(pushNs/pullNs, "push/pull")
 			})
 		}
 	}

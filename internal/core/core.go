@@ -28,8 +28,8 @@ type Opts struct {
 	Progress func(PassStat) bool
 
 	// hooks are package-internal observation points on the layout
-	// machinery (push/pull choice, CSR compaction); only the in-package
-	// parity tests set them.
+	// machinery (push/pull choice, the weighted engine's CSR
+	// compaction); only the in-package tests set them.
 	hooks peelHooks
 }
 

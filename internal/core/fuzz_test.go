@@ -10,16 +10,16 @@ import (
 	"densestream/internal/graph"
 )
 
-// FuzzPeelParity holds the unweighted layout engines (Undirected,
-// AtLeastK) to the reference engines on generated graphs that are
-// large enough for CSR compaction: every Result must be
-// reflect.DeepEqual to the reference at workers 1, 2 and 3. The inputs
-// choose the graph and the run:
+// FuzzPeelParity holds the layout engines (Undirected, AtLeastK, and
+// UndirectedWeighted on the same graph with withWeights' id-derived
+// weights) to the reference engines on generated graphs that are large
+// enough for the weighted engine's CSR compaction: every Result must
+// be reflect.DeepEqual to the reference at workers 1, 2 and 3. The
+// inputs choose the graph and the run:
 //
-//   - shape: bit 0 picks G(n,m) over Chung–Lu, bit 1 the 16-entry
-//     rebuild grain over graph.CompactGrain (restored after each
-//     input), and the upper six bits the Chung–Lu exponent in
-//     [1.8, 3.0];
+//   - shape: bit 0 picks G(n,m) over Chung–Lu and the upper six bits
+//     the Chung–Lu exponent in [1.8, 3.0]; bit 1 is unused, though the
+//     checked-in corpus sets it;
 //   - nSel: n in [compactMinNodes, 4·compactMinNodes];
 //   - mSel: m/n in [1, 12] (before the generator's dedup);
 //   - seed: the generator seed;
@@ -28,18 +28,16 @@ import (
 //   - extra: up to 64 extra edges, two little-endian uint16 ids each
 //     (mod n; self-loops are skipped).
 //
-// The checked-in corpus holds inputs where the row-volume rule
-// compacts and inputs where a pull keeps the CSR.
+// The checked-in corpus holds slow and fast peels of both shapes, with
+// and without extra edges; each of its inputs compacts the weighted
+// CSR.
 func FuzzPeelParity(f *testing.F) {
 	f.Fuzz(func(t *testing.T, shape uint8, nSel uint16, mSel uint8, seed int64, epsSel uint16, kSel uint32, extra []byte) {
 		g, err := fuzzPeelGraph(shape, nSel, mSel, seed, extra)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer func(grain int64) { graph.CompactGrain = grain }(graph.CompactGrain)
-		if shape&2 != 0 {
-			graph.CompactGrain = 16
-		}
+		wg := withWeights(t, g)
 		n := g.NumNodes()
 		eps := 4 * float64(epsSel) / 65535
 		k := 1 + int(kSel%uint32(n))
@@ -50,6 +48,10 @@ func FuzzPeelParity(f *testing.F) {
 			t.Fatal(err)
 		}
 		wantK, err := referenceAtLeastK(g, k, eps, Opts{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantW, err := referenceUndirectedWeighted(wg, eps, Opts{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,6 +69,8 @@ func FuzzPeelParity(f *testing.F) {
 			check(fmt.Sprintf("Undirected n=%d m=%d eps=%v workers=%d", n, g.NumEdges(), eps, workers), got, err, want)
 			got, err = AtLeastK(g, k, eps, Opts{Workers: workers})
 			check(fmt.Sprintf("AtLeastK n=%d m=%d k=%d eps=%v workers=%d", n, g.NumEdges(), k, eps, workers), got, err, wantK)
+			got, err = UndirectedWeighted(wg, eps, Opts{Workers: workers})
+			check(fmt.Sprintf("UndirectedWeighted n=%d m=%d eps=%v workers=%d", n, g.NumEdges(), eps, workers), got, err, wantW)
 		}
 	})
 }

@@ -38,9 +38,6 @@ func AtLeastK(g *graph.Undirected, k int, eps float64, o Opts) (*Result, error) 
 	}
 	st := newPeelState(g, o, false)
 	defer st.release()
-	if eps < 1 {
-		st.compactTilt = 4 // as in Undirected: slow sweeps repay early rebuilds
-	}
 	edges := g.NumEdges()
 	nodes := n
 
@@ -70,10 +67,9 @@ func AtLeastK(g *graph.Undirected, k int, eps float64, o Opts) (*Result, error) 
 			return nil, fmt.Errorf("core: pass %d found no candidates (ρ=%v)", pass, rho)
 		}
 		// Remove the ⌊ε/(1+ε)·|S|⌋ lowest-degree candidates, at least one.
-		// Ties break on ORIGINAL vertex id: the unweighted compactor
-		// relabels hub-first, so current-id order is not stable across
-		// epochs, but the original ids never move — the selected set
-		// matches the uncompacted run at any epoch and worker count.
+		// Ties break on vertex id: the engine never relabels, so these are
+		// the input's ids and the selected set is the same at every
+		// worker count.
 		quota := int(frac * float64(nodes))
 		if quota < 1 {
 			quota = 1
@@ -86,7 +82,7 @@ func AtLeastK(g *graph.Undirected, k int, eps float64, o Opts) (*Result, error) 
 			if deg[candidates[i]] != deg[candidates[j]] {
 				return deg[candidates[i]] < deg[candidates[j]]
 			}
-			return st.orig(candidates[i]) < st.orig(candidates[j])
+			return candidates[i] < candidates[j]
 		})
 		batch := candidates[:quota]
 		pushVol, degSum := st.markRemoved(batch, pass)

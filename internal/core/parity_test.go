@@ -10,30 +10,21 @@ import (
 )
 
 // The layout parity sweep: the cache-blocked engines (live-vertex
-// frontier, adaptive push/pull, CSR compaction) must be
-// reflect.DeepEqual to the preserved pre-layout reference
+// frontier, adaptive push/pull, the weighted engine's CSR compaction)
+// must be reflect.DeepEqual to the preserved pre-layout reference
 // implementations — set, density, passes, and full trace — across
-// Chung-Lu and RMAT graphs, all four objectives, workers 1–8, ε
-// values forcing both tiny (push) and huge (pull) removal batches,
-// and (for the hub-first rebuild) one-piece and many-piece rebuilds. The
+// Chung-Lu and RMAT graphs, all four objectives, workers 1–8, and ε
+// values forcing both tiny (push) and huge (pull) removal batches. The
 // hooks additionally prove that each decrement direction and the
-// compactor actually ran somewhere in the sweep, so the equality is
-// over the interesting paths, not around them.
+// weighted compactor actually ran somewhere in the sweep, so the
+// equality is over the interesting paths, not around them.
 
 // parityEps spans tiny batches (0: minimum removals, many passes),
 // moderate, and huge batches (3: near-total removals).
 var parityEps = []float64{0, 0.3, 3}
 
-// parityGrains are the hub-first rebuild's piece grains the unweighted
-// sweeps run at: the production graph.CompactGrain, at which these
-// small graphs rebuild in one piece, and a tiny one that cuts every
-// rebuild into many pieces copied in parallel.
-var parityGrains = []int64{graph.CompactGrain, 16}
-
 type parityCounters struct {
 	push, pull, compactions int
-	kept                    int // pulls on a compactable CSR that kept it
-	relabels, bankedPulls   int
 }
 
 func (pc *parityCounters) opts(workers int) Opts {
@@ -48,16 +39,13 @@ func (pc *parityCounters) opts(workers int) Opts {
 				}
 			},
 			compacted: func(_, _ int) { pc.compactions++ },
-			kept:      func(_ int) { pc.kept++ },
-			relabeled: func(_ int) { pc.relabels++ },
-			banked:    func(_, _ int) { pc.bankedPulls++ },
 		},
 	}
 }
 
 // parityGraphs returns the undirected sweep inputs: a Chung-Lu
 // power-law graph and a symmetrized RMAT graph, both comfortably above
-// the compaction floor.
+// the weighted engine's compaction floor.
 func parityGraphs(t *testing.T) map[string]*graph.Undirected {
 	t.Helper()
 	cl, err := gen.ChungLu(3000, 15000, 2.2, 41)
@@ -76,7 +64,6 @@ func rmatUndirectedT(scale int, m int64, seed int64) (*graph.Undirected, error) 
 }
 
 func TestLayoutParityUndirected(t *testing.T) {
-	defer func(grain int64) { graph.CompactGrain = grain }(graph.CompactGrain)
 	var pc parityCounters
 	for name, g := range parityGraphs(t) {
 		for _, eps := range parityEps {
@@ -84,29 +71,20 @@ func TestLayoutParityUndirected(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s eps=%g: reference: %v", name, eps, err)
 			}
-			for _, grain := range parityGrains {
-				graph.CompactGrain = grain
-				for workers := 1; workers <= 8; workers++ {
-					got, err := Undirected(g, eps, pc.opts(workers))
-					if err != nil {
-						t.Fatalf("%s eps=%g grain=%d workers=%d: %v", name, eps, grain, workers, err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s eps=%g grain=%d workers=%d: layout engine diverged from reference\ngot  %+v\nwant %+v",
-							name, eps, grain, workers, summarize(got), summarize(want))
-					}
+			for workers := 1; workers <= 8; workers++ {
+				got, err := Undirected(g, eps, pc.opts(workers))
+				if err != nil {
+					t.Fatalf("%s eps=%g workers=%d: %v", name, eps, workers, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s eps=%g workers=%d: layout engine diverged from reference\ngot  %+v\nwant %+v",
+						name, eps, workers, summarize(got), summarize(want))
 				}
 			}
 		}
 	}
 	if pc.push == 0 || pc.pull == 0 {
 		t.Fatalf("sweep exercised push=%d pull=%d passes; need both directions", pc.push, pc.pull)
-	}
-	if pc.compactions == 0 || pc.kept == 0 {
-		t.Fatalf("sweep compacted %d times and kept the CSR on %d pulls; need both > 0", pc.compactions, pc.kept)
-	}
-	if pc.relabels != pc.compactions {
-		t.Fatalf("sweep compacted %d times but relabeled %d times; the unweighted compactor must always reorder", pc.compactions, pc.relabels)
 	}
 }
 
@@ -179,9 +157,6 @@ func TestLayoutParityWeighted(t *testing.T) {
 	if pc.compactions == 0 {
 		t.Fatal("weighted sweep never compacted a CSR")
 	}
-	if pc.relabels != 0 {
-		t.Fatalf("weighted sweep relabeled %d times; the weighted compactor must stay id-ordered", pc.relabels)
-	}
 }
 
 // starHeavyWeighted builds the hub-and-leaves shape whose first pass
@@ -216,7 +191,6 @@ func starHeavyWeighted(t *testing.T) *graph.Undirected {
 }
 
 func TestLayoutParityAtLeastK(t *testing.T) {
-	defer func(grain int64) { graph.CompactGrain = grain }(graph.CompactGrain)
 	var pc parityCounters
 	for name, g := range parityGraphs(t) {
 		// ε=0 means a one-node quota per pass — thousands of O(n)
@@ -229,17 +203,14 @@ func TestLayoutParityAtLeastK(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s k=%d eps=%g: reference: %v", name, k, eps, err)
 				}
-				for _, grain := range parityGrains {
-					graph.CompactGrain = grain
-					for workers := 1; workers <= 8; workers++ {
-						got, err := AtLeastK(g, k, eps, pc.opts(workers))
-						if err != nil {
-							t.Fatalf("%s k=%d eps=%g grain=%d workers=%d: %v", name, k, eps, grain, workers, err)
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s k=%d eps=%g grain=%d workers=%d: AtLeastK layout engine diverged",
-								name, k, eps, grain, workers)
-						}
+				for workers := 1; workers <= 8; workers++ {
+					got, err := AtLeastK(g, k, eps, pc.opts(workers))
+					if err != nil {
+						t.Fatalf("%s k=%d eps=%g workers=%d: %v", name, k, eps, workers, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s k=%d eps=%g workers=%d: AtLeastK layout engine diverged",
+							name, k, eps, workers)
 					}
 				}
 			}
@@ -247,12 +218,6 @@ func TestLayoutParityAtLeastK(t *testing.T) {
 	}
 	if pc.push == 0 {
 		t.Fatal("AtLeastK sweep never pushed")
-	}
-	if pc.compactions == 0 || pc.kept == 0 {
-		t.Fatalf("AtLeastK sweep compacted %d times and kept the CSR on %d pulls; need both > 0", pc.compactions, pc.kept)
-	}
-	if pc.relabels != pc.compactions {
-		t.Fatalf("AtLeastK compacted %d times but relabeled %d times", pc.compactions, pc.relabels)
 	}
 }
 
@@ -291,16 +256,11 @@ func TestLayoutParityDirected(t *testing.T) {
 	}
 }
 
-// TestLayoutParityBankedPull drives the shape that exercises the
-// fixed-stride row banks: a graph whose post-compaction survivors keep
-// peeling slowly, so later passes pull over a banked CSR outside the
-// fused rebuild. The banked gather must match the reference engine
-// bit-for-bit at every worker count, and the sweep must prove the
-// banks actually engaged.
-func TestLayoutParityBankedPull(t *testing.T) {
-	// A circulant core with long reach peels gradually at eps=0: a few
-	// nodes per pass for hundreds of passes, with many pull passes
-	// after the first compaction.
+// TestLayoutParityCirculant drives a slow peel: a circulant core with
+// long reach peels gradually at eps=0, a few nodes per pass for about
+// 160 passes, nearly all of which push. The result must match the
+// reference engine bit-for-bit at every worker count.
+func TestLayoutParityCirculant(t *testing.T) {
 	const n = 4096
 	b := graph.NewBuilder(n)
 	for u := 0; u < n; u++ {
@@ -314,23 +274,19 @@ func TestLayoutParityBankedPull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pc parityCounters
 	want, err := referenceUndirected(g, 0, Opts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for workers := 1; workers <= 8; workers++ {
-		got, err := Undirected(g, 0, pc.opts(workers))
+		got, err := Undirected(g, 0, Opts{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: banked engine diverged from reference\ngot  %+v\nwant %+v",
+			t.Fatalf("workers=%d: engine diverged from reference\ngot  %+v\nwant %+v",
 				workers, summarize(got), summarize(want))
 		}
-	}
-	if pc.compactions == 0 || pc.bankedPulls == 0 {
-		t.Fatalf("banked sweep: compactions=%d bankedPulls=%d; need both > 0", pc.compactions, pc.bankedPulls)
 	}
 }
 

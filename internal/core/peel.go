@@ -25,31 +25,28 @@ import (
 //     gathers of the pull recount and the weighted decrement stay
 //     L1/L2-resident instead of missing on a 4-byte-per-vertex stamp
 //     array;
-//   - adaptive push/pull decrements: a small removed batch pushes
-//     decrements along its own adjacency — blind scatter decrements
-//     with no aliveness gather at all; a dead vertex's degree slot is
-//     stale by construction and never read again — while a batch whose
-//     adjacency outweighs the survivors' flips to a pull pass that
-//     recounts every survivor's live degree directly from the CSR, the
-//     direction-optimizing trade of Beamer-style BFS, decided by graph
-//     shape alone so every worker count takes the same path;
-//   - periodic CSR compaction with a hub-first relabel: a pull pass of
-//     the unweighted engines rebuilds the surviving subgraph into a
-//     dense CSR ordered by surviving degree
-//     (graph.CompactIntoDegreeOrdered, whose two row scans run on the
-//     solve's pool over pieces of fixed original-row volume) once the
-//     survivors' rows hold at most 1/compactVolDivisor of the current
-//     CSR's entries. Until then the survivors are typically the hubs,
-//     whose rows still carry most of the adjacency, so the rebuild's
-//     gather would walk nearly all of it; such a pull recounts in
-//     place and keeps the CSR. Dense rows pack to the front,
-//     equal-length rows become fixed-stride banks the pull recount
-//     walks with counted branch-light loops, and the orig() mapping
-//     composes through the permutation so emitted Solutions are
-//     unchanged. The weighted engine keeps the order-preserving
-//     relabel and its own node-count rule (maybeCompactWeighted): its
-//     float reductions are grouped by original-id chunks and depend on
-//     the frontier staying ascending in original order;
+//   - push or pull by one measured cost: a pass of the unweighted
+//     engines either pushes decrements along the removed batch's rows —
+//     blind scatter decrements with no aliveness gather; a dead
+//     vertex's degree slot is stale by construction and never read
+//     again — or pulls, recounting every survivor's live degree
+//     directly from the CSR. A pushed entry costs about pushPullCost
+//     pulled ones, so a pass pulls when the survivors' rows hold fewer
+//     than pushPullCost times the batch's entries: the
+//     direction-optimizing trade of Beamer-style BFS, decided by row
+//     volumes alone so every worker count takes the same path. The
+//     unweighted engines peel their input CSR to the end and never
+//     relabel a vertex: they finish in O(log_{1+ε} n) passes, and on
+//     the measured shapes, up to a 2,522-pass peel at ε=0, a rebuild
+//     did not measurably pay for itself;
+//   - a weighted-only rebuild: the weighted decrement always pulls (a
+//     push would reorder its float subtractions), so every pass walks
+//     the survivors' whole rows, dead entries included. Once those rows
+//     have decayed (maybeCompactWeighted), it rebuilds the surviving
+//     subgraph with the order-preserving graph.CompactInto and maps ids
+//     back through origOf, so ascending current order stays ascending
+//     original order — the invariant its chunk-grouped float
+//     reductions need;
 //   - recycled scratch: every per-solve buffer, the compaction
 //     scratches included, lives in a peelState that statePool hands
 //     from one solve to the next, so a warm solve neither allocates
@@ -60,59 +57,43 @@ import (
 // of the worker count — which preserves the engines' bit-identical
 // determinism contract (see internal/par).
 const (
-	// compactMinNodes: CSRs smaller than this are never compacted —
-	// they are already cache resident and the rebuild bookkeeping
-	// would dominate.
+	// pushPullCost is the cost of a pushed adjacency entry in pulled
+	// ones: decrement pulls when liveRowVol < pushPullCost·pushVol.
+	// BenchmarkCorePushVsPull times pushDecrement over a batch and
+	// pullRecount over its survivors on the 2M-edge RMAT graph, the
+	// batch being every node of degree ≤ c × the average (2-vCPU Xeon,
+	// GOMAXPROCS 2, 3 runs of 20 iterations): at one worker a pushed
+	// entry cost 3.9–4.0 pulled ones at c = 3 and 5.2–5.8 at c = 1; at
+	// two workers, where the pull runs twice as fast and the routed push
+	// gains little, 7.0–9.6. Rounded from one worker at c = 3: 4.
+	pushPullCost = 4
+	// compactMinNodes: the weighted engine never compacts a CSR smaller
+	// than this — it is already cache resident and the rebuild
+	// bookkeeping would dominate.
 	compactMinNodes = 1 << 10
-	// compactLiveDivisor: a compaction is "due" — and tilts the
-	// decrement direction toward pull (see compactTilt) — once the live
-	// set is at most 1/compactLiveDivisor of the current CSR's node
-	// count. It steers only the direction: whether a pull pass, due or
-	// cost-chosen, fuses a rebuild is compactVolDivisor's test. The
-	// weighted engine's own rule (maybeCompactWeighted) starts from
-	// this node count.
+	// compactLiveDivisor: the weighted engine compacts only once the
+	// live set is at most 1/compactLiveDivisor of the current CSR's
+	// node count (see maybeCompactWeighted).
 	compactLiveDivisor = 4
-	// compactVolDivisor (D): an unweighted pull pass fuses a rebuild
-	// only while the survivors' rows hold at most 1/D of the current
-	// CSR's adjacency entries (liveRowVol·D ≤ 2|E|); otherwise it
-	// recounts with pullRecount and keeps the CSR. D is the measured
-	// cost of a rebuilt entry over a pulled one, so the rule reads
-	// "rebuild only when it costs no more than one pull over the whole
-	// current CSR". A rebuild then leaves a CSR of at most 1/D of the
-	// previous one's entries, so total rebuild work is a geometric
-	// series within D/(D−1) full pulls of the input: O(n + m) per run.
-	// BenchmarkCoreRebuildVsPull on the 2M-edge RMAT graph (2-vCPU
-	// Xeon, GOMAXPROCS 2, 20 iterations × 3 runs): the rebuild cost
-	// 6.4–7.9 ns per entry against 1.4–1.8 for the pull at one worker,
-	// and 3.0–4.7 against 0.71–1.06 at two; the ratio ran 4.0–5.0 over
-	// both keep sets and worker counts, median 4.4. The same benchmark
-	// on a Chung–Lu 400K/2M graph (peel-mem's shape) gave 3.6–4.5.
-	// Rounded: 4.
-	compactVolDivisor = 4
 )
 
 // peelHooks are package-internal observation points for the layout
-// tests: the parity sweep uses them to assert that both decrement
-// modes, the compactor, a pull that keeps the CSR, the degree-ordered
-// relabel, and the banked pull path actually ran. Nil hooks are never called; all hooks fire
-// on the driver goroutine.
+// tests: the parity sweeps use them to assert that both decrement
+// directions and the weighted compactor actually ran. Nil hooks are
+// never called; all hooks fire on the driver goroutine.
 type peelHooks struct {
-	mode      func(pass int, pull bool)
-	compacted func(liveN, prevN int)
-	kept      func(liveN int)          // a pull pass on a compactable CSR kept it (row volume too large)
-	relabeled func(liveN int)          // a degree-ordered (hub-first) rebuild ran
-	banked    func(liveN, classes int) // a pull recount took the fixed-stride banks
+	mode      func(pass int, pull bool) // an unweighted or directed decrement's direction
+	compacted func(liveN, prevN int)    // the weighted engine rebuilt its CSR
 }
 
-// peelState is the mutable state of an undirected peel run. Vertex ids
-// live in two spaces: the "current" space of the (possibly compacted)
-// CSR, in which all per-pass state is indexed, and the original space
-// of the input graph, in which removal passes are recorded for the
-// final Set. The unweighted engines relabel hub-first at compaction
-// (composing origOf through the permutation); the weighted engine
-// relabels order-preservingly, so for it ascending current order is
-// always ascending original order — the invariant its chunk-grouped
-// float reductions need.
+// peelState is the mutable state of an undirected peel run. The
+// unweighted engines peel the input CSR to the end, so their ids are
+// the input's throughout. The weighted engine's ids live in two spaces:
+// the "current" space of the (possibly compacted) CSR, in which all
+// per-pass state is indexed, and the original space of the input
+// graph, in which removal passes are recorded for the final Set. Its
+// relabel is order-preserving, so ascending current order is always
+// ascending original order.
 type peelState struct {
 	pool  *par.Pool
 	g     *graph.Undirected // current CSR (input graph or a compaction of it)
@@ -136,26 +117,13 @@ type peelState struct {
 	degSlots []int64   // per-chunk live-degree partials of the fused scan
 	wSlots   []float64 // per-original-chunk weight partials of weightedPull
 	eSlots   []int64   // per-original-chunk edge partials of weightedPull
-	cs       [2]graph.CompactScratch
-	csTurn   int
-	// origBuf is the ping-pong storage behind origOf: a compaction
-	// composes the new map from the old one, so the two never share
-	// storage.
-	origBuf  [2][]int32
-	origTurn int
-
-	// compactTilt scales how far the survivors' rows may exceed the
-	// push cost on a due pass before the engine still pulls (see
-	// decrement), hoping the pull fuses a rebuild. A rebuild is an
-	// investment repaid by later passes, and the pass count grows as
-	// log_{1+ε} n: slow sweeps (ε < 1) amortize an expensive rebuild
-	// over many passes and use 4; aggressive sweeps peel out in a
-	// handful of passes, so only a pull within 2× of the push cost can
-	// pay for itself. The tilt reads node counts only; a tilted pull
-	// whose rows fail compactVolDivisor recounts in place. Direction
-	// choices are shape-only — the tilt never changes emitted
-	// Solutions, only wall-clock.
-	compactTilt int64
+	// cs alternates between compactions: CompactInto reads the current
+	// CSR, which aliases the other scratch.
+	cs     [2]graph.CompactScratch
+	csTurn int
+	// origBuf is the storage behind a compacted origOf, which
+	// compactWeighted composes in place.
+	origBuf []int32
 }
 
 // statePool recycles peel scratch across solves, so a warm solve
@@ -206,7 +174,6 @@ func newPeelState(g *graph.Undirected, o Opts, weighted bool) *peelState {
 	st.degSlots = resize(st.degSlots, chunks)
 	clear(st.volSlots)
 	clear(st.degSlots)
-	st.compactTilt = 2
 	if weighted {
 		st.wSlots = resize(st.wSlots, chunks)
 		st.eSlots = resize(st.eSlots, chunks)
@@ -238,14 +205,6 @@ func (st *peelState) release() {
 	st.pool.Release()
 	st.pool, st.g, st.origOf = nil, nil, nil
 	statePool.Put(st)
-}
-
-// nextOrigOf returns the origBuf half that the current origOf does not
-// use, sized to nn.
-func (st *peelState) nextOrigOf(nn int) []int32 {
-	st.origTurn ^= 1
-	st.origBuf[st.origTurn] = resize(st.origBuf[st.origTurn], nn)
-	return st.origBuf[st.origTurn]
 }
 
 // orig maps a current vertex id back to its original id.
@@ -280,7 +239,7 @@ func (st *peelState) stampBatch(batch []int32) {
 }
 
 // clearBatch retires the pass's inBatch bits once the decrement is
-// done (compaction resets the bitsets wholesale instead).
+// done.
 func (st *peelState) clearBatch(batch []int32) {
 	for _, u := range batch {
 		st.inBatch.Clear(u)
@@ -289,17 +248,15 @@ func (st *peelState) clearBatch(batch []int32) {
 
 // scanRemove is the fused per-pass sweep of the unweighted engines:
 // one batched walk over the live frontier collects the below-cut
-// vertices (ascending, chunk-merged), records their removal pass in
-// original space, filters them out of the frontier in place, and
-// accumulates the two pass sums the decrement needs — the batch's CSR
-// row volume (the push cost) and its live-degree sum (exactly the
-// edges the pass takes down, counting intra-batch edges twice). The
-// batch's bitset stamps are applied after the sweep, on the driver
-// goroutine.
+// vertices (ascending, chunk-merged), records their removal pass,
+// filters them out of the frontier in place, and accumulates the two
+// pass sums the decrement needs — the batch's CSR row volume (the push
+// cost) and its live-degree sum (exactly the edges the pass takes
+// down, counting intra-batch edges twice). The batch's bitset stamps
+// are applied after the sweep, on the driver goroutine.
 func (st *peelState) scanRemove(o Opts, cut float64, pass int) (pushVol, degSum int64, err error) {
 	st.col.Reset()
-	g, deg := st.g, st.deg
-	origOf, removedAt := st.origOf, st.removedAt
+	g, deg, removedAt := st.g, st.deg, st.removedAt
 	p32 := int32(pass)
 	icut := cutToInt(cut)
 	chunks := par.NumChunks(len(st.live))
@@ -313,11 +270,7 @@ func (st *peelState) scanRemove(o Opts, cut float64, pass int) (pushVol, degSum 
 				continue
 			}
 			st.col.Append(c, u)
-			ou := u
-			if origOf != nil {
-				ou = origOf[u]
-			}
-			removedAt[ou] = p32
+			removedAt[u] = p32
 			vol += int64(g.Degree(u))
 			ds += int64(deg[u])
 		}
@@ -399,8 +352,8 @@ func (st *peelState) scanCandidates(o Opts, cut float64) error {
 }
 
 // markRemoved stamps a selected batch (not necessarily ascending)
-// removed in both id spaces and returns its CSR row volume and
-// live-degree sum — the same pass sums the fused scans produce.
+// removed and returns its CSR row volume and live-degree sum — the
+// same pass sums the fused scans produce.
 func (st *peelState) markRemoved(batch []int32, pass int) (pushVol, degSum int64) {
 	g, deg := st.g, st.deg
 	p32 := int32(pass)
@@ -408,7 +361,7 @@ func (st *peelState) markRemoved(batch []int32, pass int) (pushVol, degSum int64
 	st.pool.ForChunks(len(batch), func(c, lo, hi int) {
 		var vol, ds int64
 		for _, u := range batch[lo:hi] {
-			st.removedAt[st.orig(u)] = p32
+			st.removedAt[u] = p32
 			vol += int64(g.Degree(u))
 			ds += int64(deg[u])
 		}
@@ -497,89 +450,43 @@ func (st *peelState) pushDecrement(batch []int32, degSum int64) int64 {
 
 // pullRecount recomputes every survivor's degree directly from the CSR
 // and returns the surviving edge count; the frontier must already be
-// filtered. Chosen over push when the removed batch's adjacency
-// outweighs the survivors' (huge removal batches), where rescanning
-// the survivors is the cheaper direction. On a degree-ordered CSR the
-// banked region runs fixed-stride counted loops (graph.RowBanks);
-// spill-lane hubs and pre-compaction graphs walk plain CSR rows. Both
-// use the branch-free alive-bit gather.
+// filtered. Each row entry costs one branch-free alive-bit gather.
 func (st *peelState) pullRecount() int64 {
 	g, deg, alive, live := st.g, st.deg, st.alive, st.live
-	banks := g.RowBanks()
 	total := st.pool.SumInt64(len(live), func(_, lo, hi int) int64 {
-		ids := live[lo:hi]
-		if banks == nil {
-			return pullRows(g, deg, alive, ids)
+		var s int64
+		for _, v := range live[lo:hi] {
+			cnt := int32(0)
+			for _, nb := range g.Neighbors(v) {
+				cnt += alive.Bit(nb)
+			}
+			deg[v] = cnt
+			s += int64(cnt)
 		}
-		spill := sort.Search(len(ids), func(i int) bool { return ids[i] >= banks.SpillEnd })
-		s := pullRows(g, deg, alive, ids[:spill])
-		return s + banks.CountLive(ids[spill:], alive, deg)
+		return s
 	})
 	return total / 2
 }
 
-// pullRows is the per-row pull recount over plain CSR rows.
-func pullRows(g *graph.Undirected, deg []int32, alive graph.Bitset, ids []int32) int64 {
-	var s int64
-	for _, v := range ids {
-		cnt := int32(0)
-		for _, nb := range g.Neighbors(v) {
-			cnt += alive.Bit(nb)
-		}
-		deg[v] = cnt
-		s += int64(cnt)
-	}
-	return s
-}
-
-// decrement applies one pass's removals to the degree state through
-// whichever direction is cheaper and returns the new surviving edge
-// count. A pull pass on a compactable CSR fuses with a rebuild —
-// compacting IS the pull, since a survivor's row length in the
-// compacted CSR is exactly its live-neighbor count — when the
-// survivors' rows are at most 1/compactVolDivisor of the CSR's
-// entries. A pull whose survivors' rows are larger recounts in place
-// and keeps the CSR: the rebuild's gather would walk nearly the whole
-// adjacency, at about compactVolDivisor times a pull's cost per entry.
-// All paths produce identical integer state; the choices are pure
-// wall-clock trades fixed by the graph shape.
+// decrement applies one pass's removals to the degree state and
+// returns the new surviving edge count. A push walks the batch's rows
+// (pushVol entries), a pull the survivors' (liveRowVol); a pushed entry
+// costs about pushPullCost pulled ones, so the pass pulls exactly when
+// that makes it the cheaper direction. Both directions produce
+// identical integer state; the choice is a wall-clock trade fixed by
+// the graph shape.
 func (st *peelState) decrement(o Opts, batch []int32, pass int, edges, pushVol, degSum int64) int64 {
-	canCompact := st.n >= compactMinNodes
-	// The direction is the per-pass cost minimum — push touches the
-	// batch's rows, pull the survivors' — except that a due compaction
-	// (live set under 1/compactLiveDivisor of the CSR) tilts the choice
-	// toward pull while the survivors' rows stay within compactTilt
-	// pushes: the same scan may then also yield a dense, degree-ordered
-	// CSR for every later pass. Survivors whose rows dwarf even that —
-	// on skewed graphs the hubs carrying most of the adjacency volume —
-	// keep pushing until the ratio improves. The tilt reads node counts
-	// only; the row-volume test below decides whether a pull rebuilds.
-	due := canCompact && len(st.live)*compactLiveDivisor <= st.n
-	pull := pushVol > st.liveRowVol || (due && st.liveRowVol < st.compactTilt*pushVol)
+	pull := st.liveRowVol < pushPullCost*pushVol
 	if o.hooks.mode != nil {
 		o.hooks.mode(pass, pull)
 	}
-	// An emptied frontier skips the rebuild: the loop is about to exit,
-	// so compacting to a zero-node CSR would be pure waste.
-	compactable := pull && canCompact && len(st.live) > 0
-	switch {
-	case compactable && st.liveRowVol*compactVolDivisor <= 2*st.g.NumEdges():
-		st.compact(o)
-		return st.g.NumEdges()
-	case pull:
-		if compactable && o.hooks.kept != nil {
-			o.hooks.kept(len(st.live))
-		}
-		if o.hooks.banked != nil && st.g.RowBanks() != nil {
-			o.hooks.banked(len(st.live), st.g.RowBanks().Classes())
-		}
-		st.clearBatch(batch)
-		return st.pullRecount()
-	default:
-		sub := st.pushDecrement(batch, degSum)
-		st.clearBatch(batch)
-		return edges - sub
+	if pull {
+		edges = st.pullRecount()
+	} else {
+		edges -= st.pushDecrement(batch, degSum)
 	}
+	st.clearBatch(batch)
+	return edges
 }
 
 // weightedPull is the weighted decrement pass: each survivor pulls the
@@ -645,12 +552,13 @@ func (st *peelState) weightedPull() {
 }
 
 // maybeCompactWeighted is the weighted peeler's end-of-pass compaction
-// policy. The weighted decrement can never fuse with a rebuild (its
-// float subtractions are pinned to original-chunk order), so a
-// compaction is a whole extra O(liveRowVol) scan over the surviving
-// rows. It pays only once those rows have actually decayed: when at
-// least half their entries point at dead neighbors (liveRowVol ≥
-// 2·2·edges), every future pass saves at least half the rebuild cost.
+// policy, the only CSR rebuild in the peel engines. The weighted
+// decrement pulls over the survivors' whole rows on every pass, so
+// their dead entries cost every later pass; a compaction is a whole
+// extra O(liveRowVol) scan over the surviving rows. It pays only once
+// those rows have actually decayed: when at least half their entries
+// point at dead neighbors (liveRowVol ≥ 2·2·edges), every future pass
+// saves at least half the rebuild cost.
 // That shape arises when survivors are hubs that just lost their
 // leaves; a dense core whose rows are still mostly alive — the usual
 // power-law collapse — skips the rebuild, because it would trade a
@@ -665,72 +573,32 @@ func (st *peelState) maybeCompactWeighted(o Opts, edges int64) {
 	st.compactWeighted(o)
 }
 
-// compact rebuilds the CSR around the live set through the hub-first
-// relabel: graph.CompactIntoDegreeOrdered ranks survivors by surviving
-// degree and returns the permutation, which origOf composes through,
-// so the recorded Solutions never see the reordering. Integer degrees
-// are read off the compacted row lengths — each row holds exactly the
-// live neighbors, which is what lets the unweighted pull pass fuse
-// into the rebuild — and later pull recounts ride the fixed-stride
-// row banks the ordered layout exposes.
-func (st *peelState) compact(o Opts) {
-	keep := st.live
-	prevN := st.n
-	ng, order := st.g.CompactIntoDegreeOrdered(st.pool, keep, &st.cs[st.csTurn])
-	st.csTurn ^= 1
-	nn := len(keep)
-	origOf := st.nextOrigOf(nn)
-	for r, u := range order[:nn] {
-		origOf[r] = st.orig(u)
-	}
-	// The compaction read nothing from deg, so the new degrees can
-	// overwrite it.
-	nd := st.deg[:nn]
-	for i := range nd {
-		nd[i] = int32(ng.Degree(int32(i)))
-	}
-	st.deg = nd
-	st.finishCompact(o, ng, origOf, prevN)
-	if o.hooks.relabeled != nil {
-		o.hooks.relabeled(nn)
-	}
-}
-
 // compactWeighted rebuilds the CSR around the live set with the
 // order-preserving relabel the weighted engine requires (see
-// weightedPull); weighted degrees are running float accumulators and
-// are copied bit-exactly. keep is ascending, so keep[i] ≥ i and the
-// degrees move down in place without overwriting one still unread.
+// weightedPull) and resets the current-space state: every kept vertex
+// is alive, no pass is in flight, and the frontier is the identity
+// over the new space. Weighted degrees are running float accumulators
+// and are copied bit-exactly. keep is ascending, so keep[i] ≥ i: the
+// degrees and origOf both move down in place without overwriting an
+// entry still unread.
 func (st *peelState) compactWeighted(o Opts) {
 	keep := st.live
-	prevN := st.n
+	prevN, nn := st.n, len(keep)
 	ng := st.g.CompactInto(keep, &st.cs[st.csTurn])
 	st.csTurn ^= 1
-	nn := len(keep)
-	origOf := st.nextOrigOf(nn)
+	// Once origOf aliases origBuf, nn ≤ len(origOf) and resize keeps
+	// the storage, so the map composes in place.
+	origOf := resize(st.origBuf, nn)
+	st.origBuf = origOf
 	for i, u := range keep {
 		origOf[i] = st.orig(u)
 		st.wdeg[i] = st.wdeg[u]
-	}
-	st.wdeg = st.wdeg[:nn]
-	st.finishCompact(o, ng, origOf, prevN)
-}
-
-// finishCompact swaps in the rebuilt CSR and resets the current-space
-// state: every kept vertex is alive, no pass is in flight, and the
-// frontier is the identity over the new space (st.live aliases the
-// keep slice the caller passed to the compactor).
-func (st *peelState) finishCompact(o Opts, ng *graph.Undirected, origOf []int32, prevN int) {
-	keep := st.live
-	nn := len(keep)
-	for i := range keep {
 		keep[i] = int32(i)
 	}
+	st.wdeg = st.wdeg[:nn]
 	st.alive.Fill(nn)
 	st.inBatch.Zero()
-	st.g = ng
-	st.n = nn
-	st.origOf = origOf
+	st.g, st.n, st.origOf = ng, nn, origOf
 	st.liveRowVol = 2 * ng.NumEdges()
 	if o.hooks.compacted != nil {
 		o.hooks.compacted(nn, prevN)

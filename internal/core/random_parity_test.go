@@ -8,12 +8,10 @@ import (
 	"densestream/internal/graph"
 )
 
-// The random-graph half of the relabel property sweep: for arbitrary
-// graphs (not just the structured parity shapes) the degree-ordered
-// layout engines must emit Solutions reflect.DeepEqual to the
-// id-ordered reference implementations at workers 1–8. Sizes straddle
-// the compaction floor so both the never-compacted and the
-// relabeled-epoch paths run.
+// The random-graph half of the layout parity sweep: for arbitrary
+// graphs (not just the structured parity shapes) the layout engines
+// must emit Solutions reflect.DeepEqual to the reference
+// implementations at workers 1–8, on graphs of 60 to 5,000 nodes.
 
 func randomUndirected(t *testing.T, rng *rand.Rand, n int) *graph.Undirected {
 	t.Helper()

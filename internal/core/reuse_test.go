@@ -14,19 +14,17 @@ import (
 // solves back to back over graphs of different sizes and kinds, so
 // every run inherits buffers sized and filled by a different
 // predecessor — larger, smaller, weighted or not, compacted or not —
-// and pins each result to the fresh-state reference engines. At
-// ε=0.1 the layered graph's unweighted peel compacts twice and its
-// densest snapshot comes after the second rebuild, so a composed
-// origOf that overwrote the map it read from would show in the Set;
-// the hooks assert that shape on every run of it.
+// and pins each result to the fresh-state reference engines. The
+// tiered weighted graph compacts twice and its densest snapshot comes
+// after the second rebuild, so an origOf that did not compose through
+// both relabels would show in the Set; the hooks assert that shape on
+// every run of it.
 
 // layeredGraph is a disjoint union of d-regular circulants under a
 // seeded id permutation: 32768 nodes of degree 4, 4096 of degree 8,
 // 512 of degree 16 and 64 of degree 32. At ε ≤ 0.5 the unweighted peel
-// strips one level per pass. Each level holds at least three times the
-// adjacency of all denser levels together, so the survivors' rows pass
-// the row-volume test at passes 1 and 2 and the CSR is rebuilt twice;
-// the densest snapshot, the degree-32 level alone, follows at pass 3.
+// strips one level per pass, and the densest snapshot, the degree-32
+// level alone, comes at pass 3.
 func layeredGraph(t *testing.T) *graph.Undirected {
 	t.Helper()
 	levels := []struct{ n, d int }{{32768, 4}, {4096, 8}, {512, 16}, {64, 32}}
@@ -46,6 +44,46 @@ func layeredGraph(t *testing.T) *graph.Undirected {
 			}
 		}
 		base += l.n
+	}
+	g, err := b.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// tieredWeightedGraph is a weighted two-tier hub graph under a seeded
+// id permutation: a core of 128 nodes (a 16-regular circulant, weight
+// 20), 24 child hubs on each core node (weight 2) and 24 unit-weight
+// leaves on each child hub, 76,928 nodes in all. At ε ≤ 1 the weighted
+// peel strips the leaves in pass 1 and the child hubs in pass 2, and
+// each pass leaves survivors whose rows are mostly dead, so the CSR is
+// compacted after both (live sets of 3,200, then 128). The densest
+// snapshot is the core alone, at pass 2.
+func tieredWeightedGraph(t *testing.T) *graph.Undirected {
+	t.Helper()
+	const core, hubs, leaves = 128, 24, 24
+	n := core * (1 + hubs*(1+leaves))
+	perm := rand.New(rand.NewSource(13)).Perm(n)
+	b := graph.NewBuilder(n)
+	add := func(u, v int, w float64) {
+		if err := b.AddWeightedEdge(int32(perm[u]), int32(perm[v]), w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := core
+	for c := 0; c < core; c++ {
+		for s := 1; s <= 8; s++ {
+			add(c, (c+s)%core, 20)
+		}
+		for h := 0; h < hubs; h++ {
+			hub := next
+			add(c, hub, 2)
+			for l := 1; l <= leaves; l++ {
+				add(hub, hub+l, 1)
+			}
+			next += 1 + leaves
+		}
 	}
 	g, err := b.Freeze()
 	if err != nil {
@@ -128,7 +166,7 @@ func densestPass(r *Result) int {
 
 func TestPeelStateReuse(t *testing.T) {
 	big, small, wbig, wsmall := reuseGraphs(t)
-	layered := layeredGraph(t)
+	layered, tiered := layeredGraph(t), tieredWeightedGraph(t)
 	// Starting small makes the second run grow every buffer; the mix
 	// then alternates sizes and kinds so each run inherits a stranger's
 	// scratch.
@@ -137,7 +175,8 @@ func TestPeelStateReuse(t *testing.T) {
 		{"atleastk", small}, {"weighted", wbig}, {"weighted", wsmall},
 		{"atleastk", big}, {"undirected", layered}, {"undirected", small},
 		{"weighted", big}, {"undirected", big}, {"atleastk", small},
-		{"atleastk", layered}, {"atleastk", big}, {"weighted", wsmall},
+		{"atleastk", layered}, {"weighted", tiered}, {"atleastk", big},
+		{"weighted", wsmall}, {"weighted", tiered},
 	}
 	refs := map[reuseRun]*Result{}
 	for i, r := range seq {
@@ -152,11 +191,12 @@ func TestPeelStateReuse(t *testing.T) {
 		for _, workers := range []int{1, 3} {
 			label := fmt.Sprintf("step %d (%s n=%d) workers=%d", i, r.kind, r.g.NumNodes(), workers)
 			var pass int
-			var rebuilt []int // passes whose decrement rebuilt the CSR
-			got, err := r.solve(Opts{Workers: workers, hooks: peelHooks{
-				mode:      func(p int, _ bool) { pass = p },
-				compacted: func(_, _ int) { rebuilt = append(rebuilt, pass) },
-			}})
+			var rebuilt []int // passes after which the CSR was rebuilt
+			got, err := r.solve(Opts{
+				Workers:  workers,
+				Progress: func(ps PassStat) bool { pass = ps.Pass + 1; return true },
+				hooks:    peelHooks{compacted: func(_, _ int) { rebuilt = append(rebuilt, pass) }},
+			})
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -164,9 +204,9 @@ func TestPeelStateReuse(t *testing.T) {
 				t.Fatalf("%s: recycled-state run diverged from the reference\ngot  %+v\nwant %+v",
 					label, summarize(got), summarize(want))
 			}
-			if r == (reuseRun{"undirected", layered}) {
-				if best := densestPass(got); len(rebuilt) < 2 || best <= rebuilt[1] {
-					t.Fatalf("%s: CSR rebuilt at passes %v, densest snapshot at pass %d; need the densest snapshot after a second rebuild",
+			if r.g == tiered {
+				if best := densestPass(got); len(rebuilt) < 2 || best < rebuilt[1] {
+					t.Fatalf("%s: CSR rebuilt after passes %v, densest snapshot at pass %d; need the densest snapshot to follow a second rebuild",
 						label, rebuilt, best)
 				}
 			}

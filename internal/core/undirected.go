@@ -45,9 +45,6 @@ func Undirected(g *graph.Undirected, eps float64, o Opts) (*Result, error) {
 	}
 	st := newPeelState(g, o, false)
 	defer st.release()
-	if eps < 1 {
-		st.compactTilt = 4 // slow sweep: many passes repay an early rebuild
-	}
 	edges := g.NumEdges()
 	nodes := n
 

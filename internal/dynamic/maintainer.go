@@ -24,9 +24,9 @@
 // accumulated insert/delete delta into it in O(n + m + Δ), bit-identical
 // to a from-scratch Builder.Freeze of the live edge set. The peel
 // itself then runs the standard internal/core engine (live-vertex
-// frontiers, push/pull decrements, periodic CSR compaction), so at
-// every epoch boundary the maintained result is bit-identical to a
-// from-scratch solve on the live edges, at every worker count.
+// frontiers, push/pull decrements), so at every epoch boundary the
+// maintained result is bit-identical to a from-scratch solve on the
+// live edges, at every worker count.
 //
 // Sliding windows ride on the same machinery: timestamped inserts are
 // recorded in fixed-width time buckets, and Advance expires whole

@@ -220,6 +220,15 @@ func buildRows(pool *par.Pool, n int, edges []Edge, side rowSide, weighted bool)
 	return out, nil
 }
 
+// CompactGrain is the row volume — adjacency entries plus one per
+// row — of one piece of Freeze's row sort; Freeze's scatter cuts at
+// most one piece per CompactGrain entries. Like par.ChunkSize it must
+// stay constant: piece boundaries depend on the graph only, never on
+// the worker count. It is an exported variable only so the tests of
+// this package can shrink it to force many-piece builds on small
+// graphs; nothing else may change it.
+var CompactGrain int64 = 1 << 16
+
 // rowCuts cuts the rows of offsets into consecutive runs whose volume —
 // entries plus one per row — reaches CompactGrain (the last run may
 // fall short): run p covers rows [cuts[p], cuts[p+1]).

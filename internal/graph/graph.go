@@ -41,7 +41,6 @@ type Undirected struct {
 	weights []float64 // nil for unweighted; parallel to adj
 	m       int64     // number of (merged) undirected edges
 	totalW  float64   // sum of edge weights (== float64(m) when unweighted)
-	banks   *RowBanks // degree-class row view; only CompactIntoDegreeOrdered sets it
 }
 
 // NumNodes returns the number of nodes N; node ids are 0..N-1.
@@ -56,10 +55,6 @@ func (g *Undirected) TotalWeight() float64 { return g.totalW }
 
 // Weighted reports whether the graph carries per-edge weights.
 func (g *Undirected) Weighted() bool { return g.weights != nil }
-
-// RowBanks returns the degree-class row view of a degree-ordered CSR,
-// or nil: only graphs built by CompactIntoDegreeOrdered carry one.
-func (g *Undirected) RowBanks() *RowBanks { return g.banks }
 
 // Degree returns the number of neighbors of node u.
 func (g *Undirected) Degree(u int32) int {

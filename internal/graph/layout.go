@@ -1,25 +1,11 @@
 package graph
 
-import "sort"
-
-// Hot-path memory layout support for the peel engines. Two pieces live
-// here:
-//
-//   - Bitset: word-packed membership over the current vertex space.
-//     The peel inner loops used to gather int32 removal stamps (4 bytes
-//     per vertex, ~1MB on a 262k-node CSR — guaranteed cache misses on
-//     random neighbor ids); a Bitset packs the same answer into n/8
-//     bytes, small enough that the pull recount's membership gathers
-//     stay L1/L2 resident.
-//
-//   - RowBanks: the fixed-stride row view of a degree-ordered CSR.
-//     CompactIntoDegreeOrdered relabels hub-first, so equal-length rows
-//     become one contiguous id range ("degree class") whose adjacency
-//     is a dense slab with a single stride — the pull recount walks it
-//     with a counted, branch-light inner loop instead of per-row offset
-//     indirection. Rows longer than bankMaxStride stay in a spill lane
-//     (the hubs are few; their per-row cost amortizes the offsets
-//     loads).
+// Hot-path memory layout support for the peel engines: Bitset,
+// word-packed membership over the current vertex space. The peel inner
+// loops used to gather int32 removal stamps (4 bytes per vertex, ~1MB
+// on a 262k-node CSR — guaranteed cache misses on random neighbor
+// ids); a Bitset packs the same answer into n/8 bytes, small enough
+// that the pull recount's membership gathers stay L1/L2 resident.
 
 // Bitset is a packed bit-per-index membership set over [0, n). Index i
 // lives at bit i&63 of word i>>6. Methods do no bounds management
@@ -70,68 +56,4 @@ func (b Bitset) Zero() {
 	for i := range b {
 		b[i] = 0
 	}
-}
-
-// bankMaxStride caps the row length of a banked degree class. Longer
-// rows — the hubs a degree-ordered relabel packs at the very front —
-// take the spill lane: there are few of them, each is a long sequential
-// scan anyway, and keeping them out of the banks bounds the stride of
-// every counted inner loop.
-const bankMaxStride = 1024
-
-// RowBanks is the degree-class view over a degree-ordered CSR built by
-// CompactIntoDegreeOrdered. Node ids in [0, SpillEnd) are spill-lane
-// hubs (row length > bankMaxStride, walked through the normal CSR
-// offsets); ids in [SpillEnd, n) are partitioned into classes of equal
-// row length, descending, each class's adjacency a contiguous
-// fixed-stride slab. A RowBanks aliases the scratch storage of the
-// graph it describes and dies with it.
-type RowBanks struct {
-	// SpillEnd is the first banked node id.
-	SpillEnd int32
-
-	adj    []int32 // the graph's adjacency array
-	degs   []int32 // class row lengths, descending
-	starts []int32 // len(degs)+1; class c covers ids [starts[c], starts[c+1])
-	base   []int32 // adj offset of class c's slab
-}
-
-// Classes returns the number of degree classes.
-func (b *RowBanks) Classes() int { return len(b.degs) }
-
-// Class returns the id range and row length of class c.
-func (b *RowBanks) Class(c int) (first, end, deg int32) {
-	return b.starts[c], b.starts[c+1], b.degs[c]
-}
-
-// CountLive recounts the alive-neighbor degree of each id in ids — all
-// of which must be ≥ SpillEnd, ascending — writing the counts into deg
-// and returning their sum. Within one class every row has the same
-// length, so the inner loop is a fixed-trip counted walk over a
-// contiguous slab with a branch-free bit gather per entry.
-func (b *RowBanks) CountLive(ids []int32, alive Bitset, deg []int32) int64 {
-	if len(ids) == 0 {
-		return 0
-	}
-	adj := b.adj
-	c := sort.Search(len(b.degs), func(c int) bool { return b.starts[c+1] > ids[0] })
-	var total int64
-	i := 0
-	for i < len(ids) {
-		first, end, d := b.starts[c], b.starts[c+1], b.degs[c]
-		base := b.base[c]
-		for i < len(ids) && ids[i] < end {
-			v := ids[i]
-			lo := base + (v-first)*d
-			cnt := int32(0)
-			for _, nb := range adj[lo : lo+d] {
-				cnt += alive.Bit(nb)
-			}
-			deg[v] = cnt
-			total += int64(cnt)
-			i++
-		}
-		c++
-	}
-	return total
 }
