@@ -46,8 +46,9 @@ race:
 # buffer; minimizing a mutant of it would take the default 60 s, so its
 # minimization is capped at 2 s to leave the run for fuzzing.
 # FuzzPeelParity holds the peel engines (Undirected and AtLeastK with
-# their push/pull choice, UndirectedWeighted with its CSR compaction)
-# to the reference engines at workers 1-3 on generated graphs above the
+# their push/pull choice, UndirectedWeighted with its CSR compaction,
+# and Directed on the same graph with its edges oriented) to the
+# reference engines at workers 1-3 on generated graphs above the
 # compaction floor. An input near ε = 0 peels one node per AtLeastK
 # pass and takes seconds, so its minimization is capped the same way.
 fuzz-smoke:
@@ -62,8 +63,10 @@ bench:
 
 # The peel-core microbenchmarks: pass throughput on the 2M-edge RMAT
 # sweep, whole runs at ε=0 and ε=4 with their push and pull pass
-# counts, and the per-entry cost of each decrement direction in
-# isolation (BenchmarkCorePushVsPull).
+# counts, the per-entry cost of each decrement direction in isolation
+# (BenchmarkCorePushVsPull), and Algorithm 3 on the directed RMAT graph
+# at one worker and at GOMAXPROCS: runs at c=1 and the δ=2 sweep over c
+# (BenchmarkCoreDirected).
 bench-core:
 	$(GO) test -bench='BenchmarkCore' -benchtime=1x -run='^$$' ./internal/core
 

@@ -59,16 +59,17 @@
 // # Parallelism model
 //
 // The peeling hot paths run on a chunked worker pool (internal/par):
-// every per-pass scan — candidate selection, degree decrements, and,
-// for shardable edge streams, the edge scan itself — is sharded over
+// every per-pass scan — candidate selection, degree recounts, and, for
+// shardable edge streams, the edge scan itself — is sharded over
 // fixed-size chunks with per-chunk batch buffers that merge in index
-// order, and degree updates run lock- and atomic-free through
-// owned-lane merges (integer decrements scatter through fixed
-// vertex-range lanes; weighted degrees use a pull-based
-// owner-computes scheme, since float accumulation is order
-// sensitive). Graph construction shares the engine: Builder.Freeze
-// counts, scatters and sorts adjacency rows concurrently, with each
-// row's entries kept in insertion order until the row is sorted.
+// order, and degree updates run lock- and atomic-free: an integer push
+// is one sequential scatter along the removed batch's rows, and a pull
+// is a chunk-parallel recount in which each survivor writes only its
+// own degree (weighted degrees always pull, since float accumulation
+// is order sensitive). Graph construction shares the engine:
+// Builder.Freeze counts, scatters and sorts adjacency rows
+// concurrently, with each row's entries kept in insertion order until
+// the row is sorted.
 // Because the decomposition depends only on the input size, never on
 // scheduling, every worker count produces bit-identical results. WithWorkers(n) sets the worker count (default:
 // runtime.GOMAXPROCS(0)); the densest CLI exposes it as -workers.
@@ -89,9 +90,8 @@
 //
 // One peeling pass is, by the paper's design, a linear scan — so the
 // in-memory engines are laid out to run it at memory bandwidth. Three
-// techniques carry the hot loop, all decided by the graph shape alone
-// so that every worker count (and the sequential run) takes identical
-// decisions and returns bit-identical results:
+// techniques carry the hot loop, and every worker count (and the
+// sequential run) returns bit-identical results:
 //
 //   - Live-vertex frontier, swept in batches. The candidate scan walks
 //     a compacted, ascending slice of the surviving vertex ids instead
@@ -101,17 +101,17 @@
 //     are filtered in place and the kept runs squashed together in
 //     block order, one primitive shared by every peeler.
 //   - Push or pull by one measured cost. A pass either pushes
-//     decrements along the removed batch's adjacency rows — routed
-//     through fixed vertex-range lanes so concurrent workers never
-//     touch the same counter (no atomics, no cache-line ping-pong) —
-//     or pulls: each survivor recounts its live neighbors with a
-//     branch-free bit gather, the direction-optimizing trade of
-//     Beamer-style BFS search. A pushed entry measured about four
-//     times the cost of a pulled one, so the unweighted engines pull
+//     decrements along the removed batch's adjacency rows, in one
+//     sequential loop, or pulls: each survivor recounts its live
+//     neighbors with a branch-free bit gather, in parallel chunks —
+//     the direction-optimizing trade of Beamer-style BFS search. On one
+//     core a pushed entry measured about four times the cost of a
+//     pulled one, and the pull runs on as many cores as the pool has
+//     workers (up to GOMAXPROCS), so the unweighted engines pull
 //     exactly when the survivors' rows hold fewer than four times the
-//     batch's entries (the directed peeler compares the two volumes
-//     directly). Both row volumes are functions of the data. The
-//     unweighted and directed peelers never rebuild their CSR: they
+//     pull's width times the batch's entries (the directed peeler
+//     compares the two volumes directly). The unweighted and directed
+//     peelers never rebuild their CSR: they
 //     finish in O(log_{1+ε} n) passes, on which a rebuild did not
 //     measurably pay for itself, and every vertex keeps its input id
 //     for the whole run.
@@ -123,9 +123,12 @@
 //     dense CSR with an order-preserving relabel, and maps the new ids
 //     back to the input's through one id map composed in place.
 //
-// Determinism survives all three because every choice is arithmetic on
-// deterministic integers, and the one float-sensitive path — the
-// weighted peeler's decrement — keeps its subtractions grouped by
+// Determinism survives all three. The push/pull direction may differ
+// by worker count, but the Result never does: both directions leave
+// every survivor's integer degree and the edge count the same. Every
+// other choice is arithmetic on deterministic integers, and the one
+// float-sensitive path — the weighted peeler's decrement, which always
+// pulls — keeps its subtractions grouped by
 // fixed chunks of the original vertex space, in ascending original
 // order, regardless of worker count or compaction epoch (the weighted
 // rebuild preserves id order for exactly this reason). The layout

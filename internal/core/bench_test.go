@@ -138,28 +138,50 @@ func BenchmarkCorePassThroughputWeighted(b *testing.B) {
 	}
 }
 
-// BenchmarkCoreDirected is Algorithm 3 at c=1 on the directed RMAT
-// graph that coreBenchGraph symmetrizes, at ε=0.05 (many passes, small
-// batches) and the paper's ε=1. Bytes/op counts 8 bytes per edge per
-// pass.
+// BenchmarkCoreDirected is Algorithm 3 on the directed RMAT graph that
+// coreBenchGraph symmetrizes, at one worker and at GOMAXPROCS: a run at
+// c=1 with ε=0.05 (many passes, small batches) and the paper's ε=1, and
+// the δ=2, ε=1 sweep over c, about 37 such runs. Bytes/op counts 8
+// bytes per edge per pass, summed over the sweep's runs.
 func BenchmarkCoreDirected(b *testing.B) {
 	g, err := coreBenchDirected()
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, eps := range []float64{0.05, 1} {
-		b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
+	run := func(name string, workers int, solve func(o Opts) (passes int, err error)) {
+		b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {
 			b.ReportAllocs()
 			var passes int
 			for i := 0; i < b.N; i++ {
-				r, err := Directed(g, 1, eps, Opts{Workers: 1})
-				if err != nil {
+				var err error
+				if passes, err = solve(Opts{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
-				passes = r.Passes
 			}
 			b.SetBytes(int64(passes) * g.NumEdges() * 8)
 			b.ReportMetric(float64(passes), "passes")
+		})
+	}
+	for _, workers := range slices.Compact([]int{1, runtime.GOMAXPROCS(0)}) {
+		for _, eps := range []float64{0.05, 1} {
+			run(fmt.Sprintf("eps=%g", eps), workers, func(o Opts) (int, error) {
+				r, err := Directed(g, 1, eps, o)
+				if err != nil {
+					return 0, err
+				}
+				return r.Passes, nil
+			})
+		}
+		run("sweep/delta=2/eps=1", workers, func(o Opts) (int, error) {
+			r, err := DirectedSweep(g, 2, 1, o)
+			if err != nil {
+				return 0, err
+			}
+			passes := 0
+			for _, p := range r.Points {
+				passes += p.Passes
+			}
+			return passes, nil
 		})
 	}
 }
@@ -206,8 +228,11 @@ func BenchmarkCoreCompact(b *testing.B) {
 // batch's rows and pullRecount over the survivors' rows. The batch is
 // every node of degree at most c × the average degree, for c ∈ {1, 3}
 // (the low-degree bulk an early pass removes), and the survivors are
-// the rest. The one-worker ratio of push to pull ns/entry at c = 3 is
-// what pushPullCost is derived from.
+// the rest. The push is one sequential loop at every worker count, so
+// at workers=GOMAXPROCS only the pull runs wider. The one-worker ratio
+// of push to pull ns/entry at c = 3 is what pushPullCost is derived
+// from, and the GOMAXPROCS ratio is what decrement's scaling of it by
+// the pull's width is cited from.
 func BenchmarkCorePushVsPull(b *testing.B) {
 	g, err := coreBenchGraph()
 	if err != nil {
@@ -238,7 +263,6 @@ func BenchmarkCorePushVsPull(b *testing.B) {
 					st.inBatch.Set(u)
 				}
 				st.live = append(st.live[:0], survivors...)
-				st.pushDecrement(batch, 0) // warm the router
 				var push, pull time.Duration
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

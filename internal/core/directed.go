@@ -24,9 +24,11 @@ type DirectedResult struct {
 // passes (Lemma 13).
 //
 // o sets the execution: both side scans walk their live-vertex
-// frontiers with per-chunk batch buffers merged in index order, and the
-// cross-degree updates run push- or pull-directed with owned-lane merges
-// (no atomics), so results are bit-identical for every worker count.
+// frontiers with per-chunk batch buffers merged in index order, and
+// each pass either pushes the cross-degree decrements in one sequential
+// loop or recounts the other side's degrees in parallel chunks, chosen
+// by row volume alone, so results are bit-identical for every worker
+// count.
 func Directed(g *graph.Directed, c, eps float64, o Opts) (*DirectedResult, error) {
 	if err := checkEps(eps); err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -10,12 +11,13 @@ import (
 	"densestream/internal/graph"
 )
 
-// FuzzPeelParity holds the layout engines (Undirected, AtLeastK, and
+// FuzzPeelParity holds the layout engines (Undirected, AtLeastK,
 // UndirectedWeighted on the same graph with withWeights' id-derived
-// weights) to the reference engines on generated graphs that are large
-// enough for the weighted engine's CSR compaction: every Result must
-// be reflect.DeepEqual to the reference at workers 1, 2 and 3. The
-// inputs choose the graph and the run:
+// weights, and Directed on the same graph oriented by orient) to the
+// reference engines on generated graphs that are large enough for the
+// weighted engine's CSR compaction: every Result must be
+// reflect.DeepEqual to the reference at workers 1, 2 and 3. The inputs
+// choose the graph and the run:
 //
 //   - shape: bit 0 picks G(n,m) over Chung–Lu and the upper six bits
 //     the Chung–Lu exponent in [1.8, 3.0]; bit 1 is unused, though the
@@ -24,7 +26,8 @@ import (
 //   - mSel: m/n in [1, 12] (before the generator's dedup);
 //   - seed: the generator seed;
 //   - epsSel: ε in [0, 4];
-//   - kSel: AtLeastK's k in [1, n];
+//   - kSel: AtLeastK's k in [1, n], and Directed's c = 2^(kSel mod 9 − 4)
+//     in [1/16, 16];
 //   - extra: up to 64 extra edges, two little-endian uint16 ids each
 //     (mod n; self-loops are skipped).
 //
@@ -38,9 +41,14 @@ func FuzzPeelParity(f *testing.F) {
 			t.Fatal(err)
 		}
 		wg := withWeights(t, g)
+		dg, err := orient(g)
+		if err != nil {
+			t.Fatal(err)
+		}
 		n := g.NumNodes()
 		eps := 4 * float64(epsSel) / 65535
 		k := 1 + int(kSel%uint32(n))
+		c := math.Ldexp(1, int(kSel%9)-4)
 
 		// Every decoded input is valid, so any error is a failure.
 		want, err := referenceUndirected(g, eps, Opts{Workers: 1})
@@ -52,6 +60,10 @@ func FuzzPeelParity(f *testing.F) {
 			t.Fatal(err)
 		}
 		wantW, err := referenceUndirectedWeighted(wg, eps, Opts{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantD, err := referenceDirected(dg, c, eps, Opts{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,6 +83,15 @@ func FuzzPeelParity(f *testing.F) {
 			check(fmt.Sprintf("AtLeastK n=%d m=%d k=%d eps=%v workers=%d", n, g.NumEdges(), k, eps, workers), got, err, wantK)
 			got, err = UndirectedWeighted(wg, eps, Opts{Workers: workers})
 			check(fmt.Sprintf("UndirectedWeighted n=%d m=%d eps=%v workers=%d", n, g.NumEdges(), eps, workers), got, err, wantW)
+			gotD, err := Directed(dg, c, eps, Opts{Workers: workers})
+			label := fmt.Sprintf("Directed n=%d m=%d c=%v eps=%v workers=%d", n, dg.NumEdges(), c, eps, workers)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if !reflect.DeepEqual(gotD, wantD) {
+				t.Fatalf("%s: diverged from the reference\ngot  {|S|=%d |T|=%d Density=%v Passes=%d}\nwant {|S|=%d |T|=%d Density=%v Passes=%d}",
+					label, len(gotD.S), len(gotD.T), gotD.Density, gotD.Passes, len(wantD.S), len(wantD.T), wantD.Density, wantD.Passes)
+			}
 		}
 	})
 }
@@ -101,6 +122,25 @@ func fuzzPeelGraph(shape uint8, nSel uint16, mSel uint8, seed int64, extra []byt
 			err = b.AddEdge(u, v)
 		}
 	}
+	if err != nil {
+		return nil, err
+	}
+	return b.Freeze()
+}
+
+// orient gives each edge {u, v}, u < v, of g one direction: u→v when
+// u+v is even and v→u otherwise, so both orientations are common and
+// every node keeps a mix of in- and out-edges.
+func orient(g *graph.Undirected) (*graph.Directed, error) {
+	b := graph.NewDirectedBuilder(g.NumNodes())
+	var err error
+	g.Edges(func(u, v int32, _ float64) bool {
+		if (u+v)%2 != 0 {
+			u, v = v, u
+		}
+		err = b.AddEdge(u, v)
+		return err == nil
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -27,18 +28,20 @@ import (
 //     array;
 //   - push or pull by one measured cost: a pass of the unweighted
 //     engines either pushes decrements along the removed batch's rows —
-//     blind scatter decrements with no aliveness gather; a dead
-//     vertex's degree slot is stale by construction and never read
-//     again — or pulls, recounting every survivor's live degree
-//     directly from the CSR. A pushed entry costs about pushPullCost
-//     pulled ones, so a pass pulls when the survivors' rows hold fewer
-//     than pushPullCost times the batch's entries: the
-//     direction-optimizing trade of Beamer-style BFS, decided by row
-//     volumes alone so every worker count takes the same path. The
-//     unweighted engines peel their input CSR to the end and never
-//     relabel a vertex: they finish in O(log_{1+ε} n) passes, and on
-//     the measured shapes, up to a 2,522-pass peel at ε=0, a rebuild
-//     did not measurably pay for itself;
+//     one sequential scatter of blind decrements with no aliveness
+//     gather; a dead vertex's degree slot is stale by construction and
+//     never read again — or pulls, recounting every survivor's live
+//     degree directly from the CSR in parallel chunks. A pushed entry
+//     costs about pushPullCost pulled ones on one core, and the pull
+//     runs on w = min(pool workers, GOMAXPROCS) cores while the push
+//     runs on one, so a pass pulls when the survivors' rows hold fewer
+//     than pushPullCost·w times the batch's entries: the
+//     direction-optimizing trade of Beamer-style BFS, priced at the
+//     width each direction runs at. The unweighted engines peel their
+//     input CSR to the end and never relabel a vertex: they finish in
+//     O(log_{1+ε} n) passes, and on the measured shapes, up to a
+//     2,522-pass peel at ε=0, a rebuild did not measurably pay for
+//     itself;
 //   - a weighted-only rebuild: the weighted decrement always pulls (a
 //     push would reorder its float subtractions), so every pass walks
 //     the survivors' whole rows, dead entries included. Once those rows
@@ -53,19 +56,23 @@ import (
 //     nor zeroes O(n + m) memory it already had. The GC may drop an
 //     idle state at any time.
 //
-// Every decision above is a function of the graph shape only — never
-// of the worker count — which preserves the engines' bit-identical
-// determinism contract (see internal/par).
+// The direction is the one decision above that reads the worker count,
+// and it never changes a Result: both directions leave every
+// survivor's degree and the edge count the same. Every other decision
+// is a function of the graph shape only, which preserves the engines'
+// bit-identical determinism contract (see internal/par).
 const (
 	// pushPullCost is the cost of a pushed adjacency entry in pulled
-	// ones: decrement pulls when liveRowVol < pushPullCost·pushVol.
+	// ones, both on one core: decrement pulls when
+	// liveRowVol < pushPullCost·w·pushVol, w being the pull's width.
 	// BenchmarkCorePushVsPull times pushDecrement over a batch and
 	// pullRecount over its survivors on the 2M-edge RMAT graph, the
 	// batch being every node of degree ≤ c × the average (2-vCPU Xeon,
 	// GOMAXPROCS 2, 3 runs of 20 iterations): at one worker a pushed
-	// entry cost 3.9–4.0 pulled ones at c = 3 and 5.2–5.8 at c = 1; at
-	// two workers, where the pull runs twice as fast and the routed push
-	// gains little, 7.0–9.6. Rounded from one worker at c = 3: 4.
+	// entry cost 3.7–3.9 pulled ones at c = 3 and 5.5–6.5 at c = 1; at
+	// two workers, where only the pull runs wider, 6.3–6.9 and
+	// 8.5–11.6, nearly twice as many, which is what the w factor
+	// charges. Rounded from one worker at c = 3: 4.
 	pushPullCost = 4
 	// compactMinNodes: the weighted engine never compacts a CSR smaller
 	// than this — it is already cache resident and the rebuild
@@ -103,6 +110,7 @@ type peelState struct {
 	origOf     []int32      // current id -> original id; nil = identity
 	live       []int32      // ascending current ids of the surviving vertices
 	liveRowVol int64        // Σ CSR row length over live (the pull cost)
+	pullWidth  int64        // w = min(pool workers, GOMAXPROCS): cores a pull runs on
 	alive      graph.Bitset // current space; bit set = not yet removed
 	inBatch    graph.Bitset // current space; bit set = removed this pass
 	removedAt  []int32      // original space; 0 = never removed
@@ -111,7 +119,6 @@ type peelState struct {
 
 	col      *par.Collector
 	batch    []int32
-	router   *par.Router
 	sweep    par.Sweeper
 	volSlots []int64   // per-chunk row-volume partials of the fused scan
 	degSlots []int64   // per-chunk live-degree partials of the fused scan
@@ -156,6 +163,7 @@ func newPeelState(g *graph.Undirected, o Opts, weighted bool) *peelState {
 	}
 	pool := o.pool()
 	st.pool, st.g, st.n, st.origN = pool, g, n, n
+	st.pullWidth = int64(min(pool.Workers(), runtime.GOMAXPROCS(0)))
 	st.origOf = nil
 	st.live = resize(st.live, n)
 	st.liveRowVol = 2 * g.NumEdges()
@@ -166,9 +174,6 @@ func newPeelState(g *graph.Undirected, o Opts, weighted bool) *peelState {
 	st.removedAt = resize(st.removedAt, n)
 	clear(st.removedAt)
 	st.col.Grow(n)
-	if st.router != nil && st.router.Lanes() != par.NumLanes(n) {
-		st.router = nil
-	}
 	chunks := par.NumChunks(n)
 	st.volSlots = resize(st.volSlots, chunks)
 	st.degSlots = resize(st.degSlots, chunks)
@@ -395,56 +400,27 @@ func (st *peelState) filterLive(pushVol int64) {
 }
 
 // pushDecrement scatters the removed batch's adjacency into the degree
-// array and returns the number of edges removed this pass. The
-// sequential decrements are blind — a dead neighbor's degree slot is
-// stale by construction and never read again — so the hot loop carries
-// no aliveness gather at all; the only lookup is the L1-resident
-// in-batch bitset that discounts each intra-batch edge once. The edge
-// count is then pure algebra: the batch's live-degree sum counts a
-// batch↔survivor edge once and an intra-batch edge twice. Past one
-// worker the decrements ride the owned-lane router (no atomics); only
-// live targets are routed, which skips the same dead slots the
-// sequential path silently corrupts — divergence confined to memory
-// no path reads.
+// array and returns the number of edges removed this pass. It is one
+// sequential loop at every worker count, which is the width decrement
+// prices it at. The decrements are blind — a dead neighbor's degree
+// slot is stale by construction and never read again — so the hot loop
+// carries no aliveness gather at all; the only lookup is the
+// L1-resident in-batch bitset that discounts each intra-batch edge
+// once. The edge count is then pure algebra: the batch's live-degree
+// sum counts a batch↔survivor edge once and an intra-batch edge twice.
 func (st *peelState) pushDecrement(batch []int32, degSum int64) int64 {
 	g, deg, inBatch := st.g, st.deg, st.inBatch
-	if st.pool.Workers() == 1 {
-		var dup int64
-		for _, u := range batch {
-			// Branch-free discount: the v>u comparison is a coin flip on
-			// intra-batch edges, so testing it with a branch mispredicts
-			// half the loop; the sign-bit mask and the L1-resident bit
-			// gather keep the pipeline full.
-			for _, v := range g.Neighbors(u) {
-				deg[v]--
-				dup += int64((uint32(u-v) >> 31) & uint32(inBatch.Bit(v)))
-			}
-		}
-		return degSum - dup
-	}
-	if st.router == nil {
-		st.router = par.NewRouter(st.origN)
-	}
-	st.router.Begin(par.NumChunks(len(batch)))
-	alive := st.alive
-	dup := st.pool.SumInt64(len(batch), func(c, lo, hi int) int64 {
-		var d int64
-		for _, u := range batch[lo:hi] {
-			for _, v := range g.Neighbors(u) {
-				if alive.Test(v) {
-					st.router.Route(c, v)
-				} else if v > u && inBatch.Test(v) {
-					d++
-				}
-			}
-		}
-		return d
-	})
-	st.router.Drain(st.pool, func(_ int, ids []int32) {
-		for _, v := range ids {
+	var dup int64
+	for _, u := range batch {
+		// Branch-free discount: the v>u comparison is a coin flip on
+		// intra-batch edges, so testing it with a branch mispredicts
+		// half the loop; the sign-bit mask and the L1-resident bit
+		// gather keep the pipeline full.
+		for _, v := range g.Neighbors(u) {
 			deg[v]--
+			dup += int64((uint32(u-v) >> 31) & uint32(inBatch.Bit(v)))
 		}
-	})
+	}
 	return degSum - dup
 }
 
@@ -470,13 +446,13 @@ func (st *peelState) pullRecount() int64 {
 
 // decrement applies one pass's removals to the degree state and
 // returns the new surviving edge count. A push walks the batch's rows
-// (pushVol entries), a pull the survivors' (liveRowVol); a pushed entry
-// costs about pushPullCost pulled ones, so the pass pulls exactly when
-// that makes it the cheaper direction. Both directions produce
-// identical integer state; the choice is a wall-clock trade fixed by
-// the graph shape.
+// (pushVol entries) on one core, a pull the survivors' (liveRowVol) on
+// pullWidth cores; a pushed entry costs about pushPullCost pulled ones,
+// so the pass pulls exactly when that makes it the sooner direction.
+// Both directions produce identical integer state, so the choice is a
+// wall-clock trade that never changes a Result.
 func (st *peelState) decrement(o Opts, batch []int32, pass int, edges, pushVol, degSum int64) int64 {
-	pull := st.liveRowVol < pushPullCost*pushVol
+	pull := st.liveRowVol < pushPullCost*st.pullWidth*pushVol
 	if o.hooks.mode != nil {
 		o.hooks.mode(pass, pull)
 	}

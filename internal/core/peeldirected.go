@@ -14,7 +14,6 @@ import (
 type directedState struct {
 	pool *par.Pool
 	g    *graph.Directed
-	n    int
 
 	aliveS, aliveT         graph.Bitset // bit set = alive on that side
 	removedAtS, removedAtT []int32      // 0 = never removed
@@ -25,7 +24,6 @@ type directedState struct {
 
 	col      *par.Collector
 	batch    []int32
-	router   *par.Router
 	sweep    par.Sweeper
 	volSlots []int64
 	degSlots []int64
@@ -34,7 +32,7 @@ type directedState struct {
 func newDirectedState(g *graph.Directed, pool *par.Pool) *directedState {
 	n := g.NumNodes()
 	st := &directedState{
-		pool: pool, g: g, n: n,
+		pool: pool, g: g,
 		aliveS:     graph.NewBitset(n),
 		aliveT:     graph.NewBitset(n),
 		removedAtS: make([]int32, n),
@@ -193,34 +191,14 @@ func (st *directedState) peelT(o Opts, pass int, edges, pushVol, degSum int64) i
 }
 
 // pushSide scatters the removed batch's cross rows into the opposite
-// side's degree array. The decrements are blind — dead targets' slots
-// are stale by construction and never read — so the loop carries no
-// membership gather; past one worker the full row contents ride the
-// owned-lane router (no atomics), corrupting exactly the same dead
-// slots the sequential path does.
+// side's degree array, in one sequential loop at every worker count.
+// The decrements are blind — dead targets' slots are stale by
+// construction and never read — so the loop carries no membership
+// gather.
 func (st *directedState) pushSide(batch []int32, degOther []int32, rows func(int32) []int32) {
-	if st.pool.Workers() == 1 {
-		for _, u := range batch {
-			for _, v := range rows(u) {
-				degOther[v]--
-			}
-		}
-		return
-	}
-	if st.router == nil {
-		st.router = par.NewRouter(st.n)
-	}
-	st.router.Begin(par.NumChunks(len(batch)))
-	st.pool.ForChunks(len(batch), func(c, lo, hi int) {
-		for _, u := range batch[lo:hi] {
-			for _, v := range rows(u) {
-				st.router.Route(c, v)
-			}
-		}
-	})
-	st.router.Drain(st.pool, func(_ int, ids []int32) {
-		for _, v := range ids {
+	for _, u := range batch {
+		for _, v := range rows(u) {
 			degOther[v]--
 		}
-	})
+	}
 }

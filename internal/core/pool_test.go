@@ -4,6 +4,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"densestream/internal/gen"
@@ -52,4 +53,67 @@ func TestSolvesReuseOneCrew(t *testing.T) {
 		t.Fatalf("%d solves at workers=%d left %d more goroutines running; each solve must reuse the parked crew",
 			solves, o.Workers, grown)
 	}
+}
+
+// TestDirectedAllocsFlatInWorkers guards the directed engine's memory
+// against the worker count: a solve at two workers may allocate at
+// most 5% more than the same solve at one. Per-worker scatter buffers
+// grown by append in every run break it by a multiple, and a sweep
+// pays them once per value of c. Each figure is the median of nine
+// solves measured alone, so one GC or pool miss cannot fail it.
+func TestDirectedAllocsFlatInWorkers(t *testing.T) {
+	cl, err := gen.ChungLuDirected(40000, 200000, 2.2, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lj, err := gen.LJLike(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		solve func(o Opts) error
+	}{
+		{"Directed c=1 eps=0.5", func(o Opts) error {
+			_, err := Directed(cl, 1, 0.5, o)
+			return err
+		}},
+		{"DirectedSweep delta=2 eps=1", func(o Opts) error {
+			_, err := DirectedSweep(lj, 2, 1, o)
+			return err
+		}},
+	} {
+		var bytes [2]uint64
+		for i, workers := range []int{1, 2} {
+			bytes[i] = medianSolveBytes(t, func() error { return tc.solve(Opts{Workers: workers}) })
+		}
+		t.Logf("%s: %d B at one worker, %d B at two", tc.name, bytes[0], bytes[1])
+		if float64(bytes[1]) > 1.05*float64(bytes[0]) {
+			t.Errorf("%s allocates %d B at two workers, %.2f× the %d B at one; the bound is 1.05×",
+				tc.name, bytes[1], float64(bytes[1])/float64(bytes[0]), bytes[0])
+		}
+	}
+}
+
+// medianSolveBytes returns the median bytes allocated by nine calls of
+// solve, after one untimed call that warms the pools.
+func medianSolveBytes(t *testing.T, solve func() error) uint64 {
+	t.Helper()
+	if err := solve(); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 9
+	per := make([]uint64, runs)
+	var before, after runtime.MemStats
+	for i := range per {
+		runtime.ReadMemStats(&before)
+		err := solve()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		per[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	slices.Sort(per)
+	return per[runs/2]
 }

@@ -26,9 +26,10 @@ type Result struct {
 //
 // o sets the execution: the candidate scan walks the live-vertex
 // frontier in fixed chunks with per-chunk batch buffers merged in index
-// order; degree updates run push- or pull-directed with owned-lane
-// merges (see peel.go), so the result is bit-identical to the
-// sequential run for every worker count.
+// order, and each pass either pushes decrements in one sequential loop
+// or recounts the survivors' degrees in parallel chunks (see peel.go).
+// The worker count may change that direction but never the result,
+// which is bit-identical to the sequential run for every worker count.
 func Undirected(g *graph.Undirected, eps float64, o Opts) (*Result, error) {
 	if err := checkEps(eps); err != nil {
 		return nil, err

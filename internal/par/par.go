@@ -333,12 +333,11 @@ func (p *Pool) SumInt64(n int, fn func(chunk, lo, hi int) int64) int64 {
 const cacheLine = 64
 
 // idBuf is one append buffer of a parallel loop, padded to a whole
-// cache line. Collector and Router keep one per chunk (per lane and
-// chunk for the Router), and workers on neighbouring chunks append at
-// the same time; unpadded, several 24-byte slice headers share one
-// line and every append bounces it between cores (false sharing).
-// Slots written once per chunk rather than once per element need no
-// padding.
+// cache line. Collector keeps one per chunk, and workers on
+// neighbouring chunks append at the same time; unpadded, several
+// 24-byte slice headers share one line and every append bounces it
+// between cores (false sharing). Slots written once per chunk rather
+// than once per element need no padding.
 type idBuf struct {
 	ids []int32
 	_   [cacheLine - unsafe.Sizeof([]int32(nil))]byte
@@ -390,13 +389,4 @@ func (c *Collector) Merge(dst []int32) []int32 {
 		dst = append(dst, b.ids...)
 	}
 	return dst
-}
-
-// Len returns the total number of collected indices.
-func (c *Collector) Len() int {
-	total := 0
-	for _, b := range c.bufs {
-		total += len(b.ids)
-	}
-	return total
 }

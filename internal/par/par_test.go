@@ -83,9 +83,6 @@ func TestCollectorMergePreservesAscendingOrder(t *testing.T) {
 			}
 		})
 		got := col.Merge(nil)
-		if col.Len() != len(got) {
-			t.Fatalf("Len %d != merged %d", col.Len(), len(got))
-		}
 		for i := 1; i < len(got); i++ {
 			if got[i-1] >= got[i] {
 				t.Fatalf("workers=%d: merge out of order at %d: %d >= %d", workers, i, got[i-1], got[i])
@@ -96,8 +93,8 @@ func TestCollectorMergePreservesAscendingOrder(t *testing.T) {
 		}
 		// Reset keeps capacity but clears contents.
 		col.Reset()
-		if col.Len() != 0 {
-			t.Fatalf("Len after Reset = %d", col.Len())
+		if left := col.Merge(nil); len(left) != 0 {
+			t.Fatalf("workers=%d: %d ids left after Reset", workers, len(left))
 		}
 	}
 }
