@@ -89,9 +89,14 @@
 // # Memory layout and the peel hot path
 //
 // One peeling pass is, by the paper's design, a linear scan — so the
-// in-memory engines are laid out to run it at memory bandwidth. Three
-// techniques carry the hot loop, and every worker count (and the
-// sequential run) returns bit-identical results:
+// in-memory engines are laid out to run it at memory bandwidth. Every
+// integer engine (Algorithms 1–3) peels one state: a side is a
+// frontier, alive bits, removal passes and degrees over one CSR row
+// set. Algorithms 1 and 2 peel one side over the graph's rows, and
+// Algorithm 3 peels S along the out-rows and T along the in-rows, so
+// one scan, one push and one pull serve all three. Three techniques
+// carry the hot loop, and every worker count (and the sequential run)
+// returns bit-identical results:
 //
 //   - Live-vertex frontier, swept in batches. The candidate scan walks
 //     a compacted, ascending slice of the surviving vertex ids instead
@@ -101,20 +106,22 @@
 //     are filtered in place and the kept runs squashed together in
 //     block order, one primitive shared by every peeler.
 //   - Push or pull by one measured cost. A pass either pushes
-//     decrements along the removed batch's adjacency rows, in one
-//     sequential loop, or pulls: each survivor recounts its live
-//     neighbors with a branch-free bit gather, in parallel chunks —
-//     the direction-optimizing trade of Beamer-style BFS search. On one
-//     core a pushed entry measured about four times the cost of a
-//     pulled one, and the pull runs on as many cores as the pool has
-//     workers (up to GOMAXPROCS), so the unweighted engines pull
-//     exactly when the survivors' rows hold fewer than four times the
-//     pull's width times the batch's entries (the directed peeler
-//     compares the two volumes directly). The unweighted and directed
-//     peelers never rebuild their CSR: they
-//     finish in O(log_{1+ε} n) passes, on which a rebuild did not
-//     measurably pay for itself, and every vertex keeps its input id
-//     for the whole run.
+//     decrements along the removed batch's rows into the other side's
+//     degrees, in one sequential loop, or pulls: each survivor recounts
+//     its live neighbors with a branch-free bit gather, in parallel
+//     chunks — the direction-optimizing trade of Beamer-style BFS
+//     search. The push needs no batch bitset to count the edges it
+//     removes: that count follows from the batch's degrees summed
+//     before and after it. On one core a pushed entry measured about
+//     three to four times the cost of a pulled one, and the pull runs
+//     on as many cores as the pool has workers (up to GOMAXPROCS), so
+//     the undirected engines pull exactly when the survivors' rows hold
+//     fewer than four times the pull's width times the batch's entries
+//     (the directed peeler compares the two volumes directly). The
+//     integer engines never rebuild their CSR: they finish in
+//     O(log_{1+ε} n) passes, on which a rebuild did not measurably pay
+//     for itself, and every vertex keeps its input id for the whole
+//     run.
 //   - A weighted-only rebuild. The weighted peeler's decrement is
 //     always a pull over the survivors' whole rows, so dead entries
 //     cost it on every later pass. Once the live set falls below a
@@ -136,12 +143,12 @@
 // pre-layout reference engines across graphs, objectives, ε values,
 // and workers 1–8.
 //
-// The undirected engines recycle their peel scratch — frontier,
+// Every in-memory peel engine, the directed one and each run of a
+// directed sweep included, recycles its peel scratch — frontiers,
 // bitsets, degree arrays, batch buffers and the weighted compaction
-// scratches — across solves through a sync.Pool, so a warm solve
-// allocates little beyond its Solution. The GC drops idle scratch, so
-// a long-running process does not keep its largest graph's buffers
-// forever.
+// scratches — through one sync.Pool, so a warm solve allocates little
+// beyond its Solution. The GC drops idle scratch, so a long-running
+// process does not keep its largest graph's buffers forever.
 //
 // # The out-of-core model
 //

@@ -255,21 +255,19 @@ func BenchmarkCorePushVsPull(b *testing.B) {
 			b.Run(fmt.Sprintf("cut=%gx-avg/workers=%d", c, workers), func(b *testing.B) {
 				st := newPeelState(g, Opts{Workers: workers}, false)
 				defer st.release()
-				st.alive.Zero()
+				s := &st.sides[0]
+				s.alive.Zero()
 				for _, u := range survivors {
-					st.alive.Set(u)
+					s.alive.Set(u)
 				}
-				for _, u := range batch {
-					st.inBatch.Set(u)
-				}
-				st.live = append(st.live[:0], survivors...)
+				s.live = append(s.live[:0], survivors...)
 				var push, pull time.Duration
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					t0 := time.Now()
-					st.pushDecrement(batch, 0)
+					st.pushDecrement(s, s, batch, 0)
 					t1 := time.Now()
-					st.pullRecount()
+					st.pullRecount(s, s)
 					push += t1.Sub(t0)
 					pull += time.Since(t1)
 				}

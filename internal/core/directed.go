@@ -23,12 +23,13 @@ type DirectedResult struct {
 // correct this is a (2+2ε)-approximation (Lemma 12) in O(log_{1+ε} n)
 // passes (Lemma 13).
 //
-// o sets the execution: both side scans walk their live-vertex
-// frontiers with per-chunk batch buffers merged in index order, and
-// each pass either pushes the cross-degree decrements in one sequential
-// loop or recounts the other side's degrees in parallel chunks, chosen
-// by row volume alone, so results are bit-identical for every worker
-// count.
+// o sets the execution. S and T are the two sides of the state the
+// undirected engines peel one of (see peel.go), taken from the same
+// pool: each pass scans the peeled side's live frontier with per-chunk
+// batch buffers merged in index order, then either pushes the
+// cross-degree decrements in one sequential loop or recounts the other
+// side's degrees in parallel chunks, chosen by row volume alone, so
+// results are bit-identical for every worker count.
 func Directed(g *graph.Directed, c, eps float64, o Opts) (*DirectedResult, error) {
 	if err := checkEps(eps); err != nil {
 		return nil, err
@@ -43,65 +44,55 @@ func Directed(g *graph.Directed, c, eps float64, o Opts) (*DirectedResult, error
 	if n == 0 {
 		return nil, graph.ErrEmptyGraph
 	}
-	pool := o.pool()
-	defer pool.Release()
-	st := newDirectedState(g, pool)
+	st := newDirectedState(g, o)
+	defer st.release()
 	edges := g.NumEdges()
-	sizeS, sizeT := n, n
+	size := [2]int{n, n} // |S|, |T|
 
 	density := func() float64 {
-		if sizeS == 0 || sizeT == 0 {
+		if size[0] == 0 || size[1] == 0 {
 			return 0
 		}
-		return float64(edges) / math.Sqrt(float64(sizeS)*float64(sizeT))
+		return float64(edges) / math.Sqrt(float64(size[0])*float64(size[1]))
 	}
 
 	bestPass := 0
 	bestDensity := density()
 	trace := []DirectedPassStat{{
-		Pass: 0, SizeS: sizeS, SizeT: sizeT, Edges: edges,
+		Pass: 0, SizeS: n, SizeT: n, Edges: edges,
 		Density: bestDensity, PeeledSide: '-',
 	}}
 
 	pass := 0
-	for sizeS > 0 && sizeT > 0 {
+	for size[0] > 0 && size[1] > 0 {
 		if err := o.Checkpoint(trace[len(trace)-1].AsPassStat()); err != nil {
 			return nil, &PartialError{Passes: pass, DirectedTrace: trace, Err: err}
 		}
 		pass++
-		var stat DirectedPassStat
-		if float64(sizeS) >= c*float64(sizeT) {
-			// Remove A(S): below-average out-degree into T.
-			cut := (1 + eps) * float64(edges) / float64(sizeS)
-			pushVol, degSum, err := st.scanRemoveS(o, pass, cut)
-			if err != nil {
-				return nil, &PartialError{Passes: pass - 1, DirectedTrace: trace, Err: err}
-			}
-			if len(st.batch) == 0 {
-				return nil, fmt.Errorf("core: directed pass %d removed no S nodes", pass)
-			}
-			edges = st.peelS(o, pass, edges, pushVol, degSum)
-			sizeS -= len(st.batch)
-			stat = DirectedPassStat{RemovedS: len(st.batch), PeeledSide: 'S'}
-		} else {
-			// Remove B(T): below-average in-degree from S.
-			cut := (1 + eps) * float64(edges) / float64(sizeT)
-			pushVol, degSum, err := st.scanRemoveT(o, pass, cut)
-			if err != nil {
-				return nil, &PartialError{Passes: pass - 1, DirectedTrace: trace, Err: err}
-			}
-			if len(st.batch) == 0 {
-				return nil, fmt.Errorf("core: directed pass %d removed no T nodes", pass)
-			}
-			edges = st.peelT(o, pass, edges, pushVol, degSum)
-			sizeT -= len(st.batch)
-			stat = DirectedPassStat{RemovedT: len(st.batch), PeeledSide: 'T'}
+		// Remove A(S), the nodes of S with below-average out-degree into
+		// T, when |S| ≥ c·|T|, and otherwise B(T), the nodes of T with
+		// below-average in-degree from S.
+		p := 0
+		if float64(size[0]) < c*float64(size[1]) {
+			p = 1
 		}
-		stat.Pass = pass
-		stat.SizeS = sizeS
-		stat.SizeT = sizeT
-		stat.Edges = edges
-		stat.Density = density()
+		peeled, other := &st.sides[p], &st.sides[1-p]
+		cut := (1 + eps) * float64(edges) / float64(size[p])
+		pushVol, degSum, err := st.scanRemove(o, peeled, cut, pass)
+		if err != nil {
+			return nil, &PartialError{Passes: pass - 1, DirectedTrace: trace, Err: err}
+		}
+		if len(st.batch) == 0 {
+			return nil, fmt.Errorf("core: directed pass %d removed no %c nodes", pass, "ST"[p])
+		}
+		edges = st.decrement(o, peeled, other, st.batch, pass, edges, pushVol, degSum)
+		size[p] -= len(st.batch)
+		var removed [2]int
+		removed[p] = len(st.batch)
+		stat := DirectedPassStat{
+			Pass: pass, SizeS: size[0], SizeT: size[1], Edges: edges, Density: density(),
+			RemovedS: removed[0], RemovedT: removed[1], PeeledSide: "ST"[p],
+		}
 		trace = append(trace, stat)
 		if stat.Density > bestDensity {
 			bestDensity = stat.Density
@@ -110,8 +101,8 @@ func Directed(g *graph.Directed, c, eps float64, o Opts) (*DirectedResult, error
 	}
 
 	return &DirectedResult{
-		S:       survivorsAfter(st.removedAtS, bestPass),
-		T:       survivorsAfter(st.removedAtT, bestPass),
+		S:       survivorsAfter(st.sides[0].removedAt, bestPass),
+		T:       survivorsAfter(st.sides[1].removedAt, bestPass),
 		Density: bestDensity,
 		Passes:  pass,
 		Trace:   trace,
@@ -138,6 +129,9 @@ type SweepResult struct {
 //
 // o sets the execution of each per-c run, while the sweep itself
 // iterates c values in order (the best-result tie-break depends on it).
+// The runs follow one another, so each takes its peel state from the
+// pool the previous run released it to: the sweep sizes its scratch
+// once, not once per c.
 func DirectedSweep(g *graph.Directed, delta, eps float64, o Opts) (*SweepResult, error) {
 	return Sweep(g.NumNodes(), delta, func(c float64) (*DirectedResult, error) {
 		return Directed(g, c, eps, o)

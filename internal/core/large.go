@@ -38,6 +38,7 @@ func AtLeastK(g *graph.Undirected, k int, eps float64, o Opts) (*Result, error) 
 	}
 	st := newPeelState(g, o, false)
 	defer st.release()
+	s := &st.sides[0]
 	edges := g.NumEdges()
 	nodes := n
 
@@ -77,7 +78,7 @@ func AtLeastK(g *graph.Undirected, k int, eps float64, o Opts) (*Result, error) 
 		if quota > len(candidates) {
 			quota = len(candidates)
 		}
-		deg := st.deg
+		deg := s.deg
 		sort.Slice(candidates, func(i, j int) bool {
 			if deg[candidates[i]] != deg[candidates[j]] {
 				return deg[candidates[i]] < deg[candidates[j]]
@@ -87,7 +88,7 @@ func AtLeastK(g *graph.Undirected, k int, eps float64, o Opts) (*Result, error) 
 		batch := candidates[:quota]
 		pushVol, degSum := st.markRemoved(batch, pass)
 		st.filterLive(pushVol)
-		edges = st.decrement(o, batch, pass, edges, pushVol, degSum)
+		edges = st.decrement(o, s, s, batch, pass, edges, pushVol, degSum)
 		nodes -= len(batch)
 		var rhoAfter float64
 		if nodes > 0 {
@@ -104,7 +105,7 @@ func AtLeastK(g *graph.Undirected, k int, eps float64, o Opts) (*Result, error) 
 	}
 
 	return &Result{
-		Set:     survivorsAfter(st.removedAt, bestPass),
+		Set:     survivorsAfter(s.removedAt, bestPass),
 		Density: bestDensity,
 		Passes:  pass,
 		Trace:   trace,

@@ -14,6 +14,13 @@ import (
 // paper's promise is that one pass is a cheap linear scan, so the
 // in-memory engines are built to run at memory bandwidth:
 //
+//   - one state, one or two sides: every engine peels a peelState. A
+//     side is a frontier, row volume, alive bits, removal passes and
+//     degrees over one CSR row set (graph.Rows). Undirected, AtLeastK
+//     and UndirectedWeighted peel sides[0] over the graph's rows;
+//     Directed (Algorithm 3) peels S = sides[0] along the out-rows and
+//     T = sides[1] along the in-rows. One scan, one push, one pull and
+//     one decrement serve all three integer engines;
 //   - a live-vertex frontier: the candidate scan walks a compacted,
 //     ascending slice of the surviving vertex ids in fixed 2048-id
 //     blocks (par.Sweeper), so a pass costs O(live), not O(n), once the
@@ -21,27 +28,29 @@ import (
 //     fused: one sweep collects the batch, stamps it removed, filters
 //     the frontier in place, and accumulates the pass sums the
 //     decrement needs;
-//   - bitset membership: aliveness and batch membership live in packed
-//     bitsets (n/8 bytes instead of 4n), so the random membership
-//     gathers of the pull recount and the weighted decrement stay
-//     L1/L2-resident instead of missing on a 4-byte-per-vertex stamp
-//     array;
-//   - push or pull by one measured cost: a pass of the unweighted
-//     engines either pushes decrements along the removed batch's rows —
-//     one sequential scatter of blind decrements with no aliveness
-//     gather; a dead vertex's degree slot is stale by construction and
-//     never read again — or pulls, recounting every survivor's live
-//     degree directly from the CSR in parallel chunks. A pushed entry
-//     costs about pushPullCost pulled ones on one core, and the pull
-//     runs on w = min(pool workers, GOMAXPROCS) cores while the push
-//     runs on one, so a pass pulls when the survivors' rows hold fewer
-//     than pushPullCost·w times the batch's entries: the
-//     direction-optimizing trade of Beamer-style BFS, priced at the
-//     width each direction runs at. The unweighted engines peel their
-//     input CSR to the end and never relabel a vertex: they finish in
-//     O(log_{1+ε} n) passes, and on the measured shapes, up to a
-//     2,522-pass peel at ε=0, a rebuild did not measurably pay for
-//     itself;
+//   - bitset membership: aliveness (and the weighted engine's batch
+//     membership) lives in packed bitsets (n/8 bytes instead of 4n), so
+//     the random membership gathers of the pull recount and the
+//     weighted decrement stay L1/L2-resident instead of missing on a
+//     4-byte-per-vertex stamp array;
+//   - push or pull by one measured cost: a pass of the integer engines
+//     either pushes decrements along the removed batch's rows into the
+//     other side's degrees — one sequential scatter of blind decrements
+//     with no membership gather, since a dead vertex's degree slot is
+//     stale by construction and never read again, and the removed edges
+//     follow from the batch's degree sums — or pulls, recounting every
+//     survivor's live degree directly from the CSR in parallel chunks.
+//     A pushed entry costs about pushPullCost pulled ones on one core,
+//     and the pull runs on w = min(pool workers, GOMAXPROCS) cores
+//     while the push runs on one, so an undirected pass pulls when the
+//     survivors' rows hold fewer than pushPullCost·w times the batch's
+//     entries: the direction-optimizing trade of Beamer-style BFS,
+//     priced at the width each direction runs at. A directed pass pulls
+//     only when the batch's rows outweigh the other side's live rows.
+//     The integer engines peel their input CSR to the end and never
+//     relabel a vertex: they finish in O(log_{1+ε} n) passes, and on
+//     the measured shapes, up to a 2,522-pass peel at ε=0, a rebuild
+//     did not measurably pay for itself;
 //   - a weighted-only rebuild: the weighted decrement always pulls (a
 //     push would reorder its float subtractions), so every pass walks
 //     the survivors' whole rows, dead entries included. Once those rows
@@ -50,9 +59,10 @@ import (
 //     back through origOf, so ascending current order stays ascending
 //     original order — the invariant its chunk-grouped float
 //     reductions need;
-//   - recycled scratch: every per-solve buffer, the compaction
-//     scratches included, lives in a peelState that statePool hands
-//     from one solve to the next, so a warm solve neither allocates
+//   - recycled scratch: every per-solve buffer, both sides and the
+//     compaction scratches included, lives in a peelState that
+//     statePool hands from one solve to the next — and from each run of
+//     a directed sweep to the next — so a warm solve neither allocates
 //     nor zeroes O(n + m) memory it already had. The GC may drop an
 //     idle state at any time.
 //
@@ -63,16 +73,20 @@ import (
 // bit-identical determinism contract (see internal/par).
 const (
 	// pushPullCost is the cost of a pushed adjacency entry in pulled
-	// ones, both on one core: decrement pulls when
-	// liveRowVol < pushPullCost·w·pushVol, w being the pull's width.
+	// ones, both on one core: an undirected pass pulls when
+	// rowVol < pushPullCost·w·pushVol, w being the pull's width.
 	// BenchmarkCorePushVsPull times pushDecrement over a batch and
 	// pullRecount over its survivors on the 2M-edge RMAT graph, the
 	// batch being every node of degree ≤ c × the average (2-vCPU Xeon,
 	// GOMAXPROCS 2, 3 runs of 20 iterations): at one worker a pushed
-	// entry cost 3.7–3.9 pulled ones at c = 3 and 5.5–6.5 at c = 1; at
-	// two workers, where only the pull runs wider, 6.3–6.9 and
-	// 8.5–11.6, nearly twice as many, which is what the w factor
-	// charges. Rounded from one worker at c = 3: 4.
+	// entry cost 2.9–3.3 pulled ones at c = 3 and 4.8–4.9 at c = 1; at
+	// two workers, where only the pull runs wider, 5.5–6.1 and 8.9–9.9,
+	// nearly twice as many, which is what the w factor charges. The
+	// constant was rounded to 4 from 3.7–3.9, read while the push still
+	// gathered an in-batch bit per entry. It stays 4: constants 3, 6
+	// and 8 ran within the spread of 4 on whole peels, and 4 keeps
+	// every pass's direction as it was. A retune is its own measured
+	// change.
 	pushPullCost = 4
 	// compactMinNodes: the weighted engine never compacts a CSR smaller
 	// than this — it is already cache resident and the rebuild
@@ -89,33 +103,45 @@ const (
 // directions and the weighted compactor actually ran. Nil hooks are
 // never called; all hooks fire on the driver goroutine.
 type peelHooks struct {
-	mode      func(pass int, pull bool) // an unweighted or directed decrement's direction
+	mode      func(pass int, pull bool) // an integer engine's decrement direction
 	compacted func(liveN, prevN int)    // the weighted engine rebuilt its CSR
 }
 
-// peelState is the mutable state of an undirected peel run. The
-// unweighted engines peel the input CSR to the end, so their ids are
-// the input's throughout. The weighted engine's ids live in two spaces:
-// the "current" space of the (possibly compacted) CSR, in which all
-// per-pass state is indexed, and the original space of the input
-// graph, in which removal passes are recorded for the final Set. Its
-// relabel is order-preserving, so ascending current order is always
-// ascending original order.
-type peelState struct {
-	pool  *par.Pool
-	g     *graph.Undirected // current CSR (input graph or a compaction of it)
-	n     int               // current CSR node count
-	origN int
+// side is one peeled vertex set over one CSR row set: the undirected
+// engines' S over the graph's rows, or one of Algorithm 3's S (over
+// the out-rows) and T (over the in-rows). deg counts, for each live
+// vertex, the row entries whose other end is alive on the opposite
+// side — the side itself when the peel is undirected.
+type side struct {
+	rows      graph.Rows   // the row set deg counts over
+	live      []int32      // ascending ids of the surviving vertices
+	rowVol    int64        // Σ row length over live (the pull cost)
+	alive     graph.Bitset // bit set = not yet removed
+	removedAt []int32      // original space; 0 = never removed
+	deg       []int32      // live degrees (integer engines)
+}
 
-	origOf     []int32      // current id -> original id; nil = identity
-	live       []int32      // ascending current ids of the surviving vertices
-	liveRowVol int64        // Σ CSR row length over live (the pull cost)
-	pullWidth  int64        // w = min(pool workers, GOMAXPROCS): cores a pull runs on
-	alive      graph.Bitset // current space; bit set = not yet removed
-	inBatch    graph.Bitset // current space; bit set = removed this pass
-	removedAt  []int32      // original space; 0 = never removed
-	deg        []int32      // live degrees (unweighted peelers)
-	wdeg       []float64    // live weighted degrees (weighted peeler)
+// peelState is the mutable state of one in-memory peel run. Undirected
+// and AtLeastK peel sides[0] over the input CSR; Directed peels S =
+// sides[0] and T = sides[1]. The integer engines never relabel, so
+// their ids are the input's throughout. The weighted engine peels
+// sides[0] in two id spaces: the "current" space of the (possibly
+// compacted) CSR, in which all per-pass state is indexed, and the
+// original space of the input graph, in which removal passes are
+// recorded for the final Set. Its relabel is order-preserving, so
+// ascending current order is always ascending original order.
+type peelState struct {
+	pool     *par.Pool
+	sides    [2]side
+	pullCost int64 // pushed-entry cost in pulled ones at the pull's width
+
+	// The weighted engine's own fields.
+	g       *graph.Undirected // current CSR (input graph or a compaction of it)
+	n       int               // current CSR node count
+	origN   int
+	origOf  []int32      // current id -> original id; nil = identity
+	inBatch graph.Bitset // current space; bit set = removed this pass
+	wdeg    []float64    // live weighted degrees
 
 	col      *par.Collector
 	batch    []int32
@@ -150,65 +176,99 @@ func resize[S ~[]E, E any](buf S, n int) S {
 	return buf[:n]
 }
 
-// newPeelState takes a state from statePool (or a fresh one) and
-// initializes it for a peel of g on a pool acquired for o.Workers.
-// Every buffer is resized to g and every field the engines read before
-// writing is reset, so no run sees its predecessor's contents. Pair it
-// with release.
-func newPeelState(g *graph.Undirected, o Opts, weighted bool) *peelState {
-	n := g.NumNodes()
+// takeState takes a state from statePool (or a fresh one) and readies
+// the scratch every engine shares for an n-node peel on a pool
+// acquired for o.Workers. Its callers reset the sides they peel, so
+// no run sees its predecessor's contents. Pair it with release.
+func takeState(n int, o Opts) *peelState {
 	st, _ := statePool.Get().(*peelState)
 	if st == nil {
 		st = &peelState{col: par.NewCollector(n)}
 	}
-	pool := o.pool()
-	st.pool, st.g, st.n, st.origN = pool, g, n, n
-	st.pullWidth = int64(min(pool.Workers(), runtime.GOMAXPROCS(0)))
-	st.origOf = nil
-	st.live = resize(st.live, n)
-	st.liveRowVol = 2 * g.NumEdges()
-	st.alive = resize(st.alive, (n+63)>>6)
-	st.alive.Fill(n)
-	st.inBatch = resize(st.inBatch, (n+63)>>6)
-	st.inBatch.Zero()
-	st.removedAt = resize(st.removedAt, n)
-	clear(st.removedAt)
+	st.pool = o.pool()
 	st.col.Grow(n)
 	chunks := par.NumChunks(n)
 	st.volSlots = resize(st.volSlots, chunks)
 	st.degSlots = resize(st.degSlots, chunks)
 	clear(st.volSlots)
 	clear(st.degSlots)
+	return st
+}
+
+// reset readies s to peel rows over n nodes: every vertex is live and
+// alive, none is removed, rowVol is the rows' total length, and, when
+// withDeg is set, each degree is its row's length.
+func (s *side) reset(pool *par.Pool, rows graph.Rows, n int, rowVol int64, withDeg bool) {
+	s.rows, s.rowVol = rows, rowVol
+	s.live = resize(s.live, n)
+	s.alive = resize(s.alive, (n+63)>>6)
+	s.alive.Fill(n)
+	s.removedAt = resize(s.removedAt, n)
+	clear(s.removedAt)
+	if withDeg {
+		s.deg = resize(s.deg, n)
+	}
+	pool.ForChunks(n, func(_, lo, hi int) {
+		for u := lo; u < hi; u++ {
+			s.live[u] = int32(u)
+		}
+		if withDeg {
+			for u := lo; u < hi; u++ {
+				s.deg[u] = int32(rows.Len(int32(u)))
+			}
+		}
+	})
+}
+
+// newPeelState takes a state for an undirected peel of g: sides[0]
+// over g's rows, and the weighted engine's fields when weighted is
+// set. An unweighted pass pulls when the survivors' rows hold fewer
+// than pushPullCost·w times the batch's entries, w being the cores a
+// pull runs on.
+func newPeelState(g *graph.Undirected, o Opts, weighted bool) *peelState {
+	n := g.NumNodes()
+	st := takeState(n, o)
+	st.pullCost = pushPullCost * int64(min(st.pool.Workers(), runtime.GOMAXPROCS(0)))
+	st.g, st.n, st.origN = g, n, n
+	st.sides[0].reset(st.pool, g.Rows(), n, 2*g.NumEdges(), !weighted)
 	if weighted {
+		st.inBatch = resize(st.inBatch, (n+63)>>6)
+		st.inBatch.Zero()
+		chunks := par.NumChunks(n)
 		st.wSlots = resize(st.wSlots, chunks)
 		st.eSlots = resize(st.eSlots, chunks)
 		clear(st.wSlots)
 		clear(st.eSlots)
 		st.wdeg = resize(st.wdeg, n)
-		pool.ForChunks(n, func(_, lo, hi int) {
+		st.pool.ForChunks(n, func(_, lo, hi int) {
 			for u := lo; u < hi; u++ {
-				st.live[u] = int32(u)
 				st.wdeg[u] = g.WeightedDegree(int32(u))
-			}
-		})
-	} else {
-		st.deg = resize(st.deg, n)
-		pool.ForChunks(n, func(_, lo, hi int) {
-			for u := lo; u < hi; u++ {
-				st.live[u] = int32(u)
-				st.deg[u] = int32(g.Degree(int32(u)))
 			}
 		})
 	}
 	return st
 }
 
+// newDirectedState takes a state for Algorithm 3 on g: S = sides[0]
+// over the out-rows and T = sides[1] over the in-rows. A pass pulls
+// only when the batch's rows outweigh the other side's live rows.
+func newDirectedState(g *graph.Directed, o Opts) *peelState {
+	n := g.NumNodes()
+	st := takeState(n, o)
+	st.pullCost = 1
+	st.sides[0].reset(st.pool, g.OutRows(), n, g.NumEdges(), true)
+	st.sides[1].reset(st.pool, g.InRows(), n, g.NumEdges(), true)
+	return st
+}
+
 // release hands the state back to statePool and its worker pool back
-// for reuse. The emitted Result must not alias the state: Set and
+// for reuse, dropping every reference to the graph so a parked state
+// pins none. The emitted Result must not alias the state: Set, S, T and
 // Trace are always fresh allocations. Nothing may touch st afterwards.
 func (st *peelState) release() {
 	st.pool.Release()
 	st.pool, st.g, st.origOf = nil, nil, nil
+	st.sides[0].rows, st.sides[1].rows = graph.Rows{}, graph.Rows{}
 	statePool.Put(st)
 }
 
@@ -232,40 +292,29 @@ func cutToInt(cut float64) int32 {
 	return int32(f)
 }
 
-// stampBatch flips the batch's bits out of alive and into inBatch.
-// Bitset words are shared between neighboring ids, so bit mutation is
-// confined to this driver-goroutine loop rather than the parallel
-// scan.
-func (st *peelState) stampBatch(batch []int32) {
-	for _, u := range batch {
-		st.alive.Clear(u)
-		st.inBatch.Set(u)
-	}
-}
-
-// clearBatch retires the pass's inBatch bits once the decrement is
-// done.
+// clearBatch retires the weighted pass's inBatch bits once its
+// decrement is done.
 func (st *peelState) clearBatch(batch []int32) {
 	for _, u := range batch {
 		st.inBatch.Clear(u)
 	}
 }
 
-// scanRemove is the fused per-pass sweep of the unweighted engines:
-// one batched walk over the live frontier collects the below-cut
-// vertices (ascending, chunk-merged), records their removal pass,
-// filters them out of the frontier in place, and accumulates the two
-// pass sums the decrement needs — the batch's CSR row volume (the push
-// cost) and its live-degree sum (exactly the edges the pass takes
-// down, counting intra-batch edges twice). The batch's bitset stamps
-// are applied after the sweep, on the driver goroutine.
-func (st *peelState) scanRemove(o Opts, cut float64, pass int) (pushVol, degSum int64, err error) {
+// scanRemove is the fused per-pass sweep of the integer engines over
+// side s: one batched walk over its live frontier collects the
+// below-cut vertices (ascending, chunk-merged), records their removal
+// pass, filters them out of the frontier in place, and accumulates the
+// two pass sums the decrement needs — the batch's row volume (the push
+// cost) and its live-degree sum. The batch's alive bits are cleared
+// after the sweep, on the driver goroutine: bitset words are shared
+// between neighboring ids.
+func (st *peelState) scanRemove(o Opts, s *side, cut float64, pass int) (pushVol, degSum int64, err error) {
 	st.col.Reset()
-	g, deg, removedAt := st.g, st.deg, st.removedAt
+	rows, deg, removedAt := s.rows, s.deg, s.removedAt
 	p32 := int32(pass)
 	icut := cutToInt(cut)
-	chunks := par.NumChunks(len(st.live))
-	live, err := st.sweep.Sweep(o.Ctx, st.pool, st.live, func(c int, block []int32) int {
+	chunks := par.NumChunks(len(s.live))
+	live, err := st.sweep.Sweep(o.Ctx, st.pool, s.live, func(c int, block []int32) int {
 		var vol, ds int64
 		w := 0
 		for _, u := range block {
@@ -276,7 +325,7 @@ func (st *peelState) scanRemove(o Opts, cut float64, pass int) (pushVol, degSum 
 			}
 			st.col.Append(c, u)
 			removedAt[u] = p32
-			vol += int64(g.Degree(u))
+			vol += int64(rows.Len(u))
 			ds += int64(deg[u])
 		}
 		st.volSlots[c] = vol
@@ -286,28 +335,31 @@ func (st *peelState) scanRemove(o Opts, cut float64, pass int) (pushVol, degSum 
 	if err != nil {
 		return 0, 0, err
 	}
-	st.live = live
+	s.live = live
 	st.batch = st.col.Merge(st.batch[:0])
-	st.stampBatch(st.batch)
+	for _, u := range st.batch {
+		s.alive.Clear(u)
+	}
 	for c := 0; c < chunks; c++ {
 		pushVol += st.volSlots[c]
 		degSum += st.degSlots[c]
 	}
-	st.liveRowVol -= pushVol
+	s.rowVol -= pushVol
 	return pushVol, degSum, nil
 }
 
 // scanRemoveWeighted is the weighted fused sweep: it collects and
 // stamps the batch and sums its row volume, but leaves the frontier
-// unfiltered — weightedPull needs st.live to still contain this
+// unfiltered — weightedPull needs the live slice to still contain this
 // pass's removals. Call filterLive(pushVol) after the pull.
 func (st *peelState) scanRemoveWeighted(o Opts, cut float64, pass int) (pushVol int64, err error) {
 	st.col.Reset()
+	s := &st.sides[0]
 	g, wdeg := st.g, st.wdeg
-	origOf, removedAt := st.origOf, st.removedAt
+	origOf, removedAt := st.origOf, s.removedAt
 	p32 := int32(pass)
-	chunks := par.NumChunks(len(st.live))
-	_, err = st.sweep.Sweep(o.Ctx, st.pool, st.live, func(c int, block []int32) int {
+	chunks := par.NumChunks(len(s.live))
+	_, err = st.sweep.Sweep(o.Ctx, st.pool, s.live, func(c int, block []int32) int {
 		var vol int64
 		for _, u := range block {
 			if wdeg[u] <= cut+1e-12 { // historical slack on the cut
@@ -327,7 +379,10 @@ func (st *peelState) scanRemoveWeighted(o Opts, cut float64, pass int) (pushVol 
 		return 0, err
 	}
 	st.batch = st.col.Merge(st.batch[:0])
-	st.stampBatch(st.batch)
+	for _, u := range st.batch {
+		s.alive.Clear(u)
+		st.inBatch.Set(u)
+	}
 	for c := 0; c < chunks; c++ {
 		pushVol += st.volSlots[c]
 	}
@@ -340,9 +395,9 @@ func (st *peelState) scanRemoveWeighted(o Opts, cut float64, pass int) (pushVol 
 // selection (markRemoved, filterLive).
 func (st *peelState) scanCandidates(o Opts, cut float64) error {
 	st.col.Reset()
-	deg := st.deg
+	deg := st.sides[0].deg
 	icut := cutToInt(cut)
-	if _, err := st.sweep.Sweep(o.Ctx, st.pool, st.live, func(c int, block []int32) int {
+	if _, err := st.sweep.Sweep(o.Ctx, st.pool, st.sides[0].live, func(c int, block []int32) int {
 		for _, u := range block {
 			if deg[u] <= icut {
 				st.col.Append(c, u)
@@ -357,23 +412,26 @@ func (st *peelState) scanCandidates(o Opts, cut float64) error {
 }
 
 // markRemoved stamps a selected batch (not necessarily ascending)
-// removed and returns its CSR row volume and live-degree sum — the
-// same pass sums the fused scans produce.
+// removed and returns its row volume and live-degree sum — the same
+// pass sums the fused scans produce.
 func (st *peelState) markRemoved(batch []int32, pass int) (pushVol, degSum int64) {
-	g, deg := st.g, st.deg
+	s := &st.sides[0]
+	rows, deg, removedAt := s.rows, s.deg, s.removedAt
 	p32 := int32(pass)
 	chunks := par.NumChunks(len(batch))
 	st.pool.ForChunks(len(batch), func(c, lo, hi int) {
 		var vol, ds int64
 		for _, u := range batch[lo:hi] {
-			st.removedAt[u] = p32
-			vol += int64(g.Degree(u))
+			removedAt[u] = p32
+			vol += int64(rows.Len(u))
 			ds += int64(deg[u])
 		}
 		st.volSlots[c] = vol
 		st.degSlots[c] = ds
 	})
-	st.stampBatch(batch)
+	for _, u := range batch {
+		s.alive.Clear(u)
+	}
 	for c := 0; c < chunks; c++ {
 		pushVol += st.volSlots[c]
 		degSum += st.degSlots[c]
@@ -381,59 +439,66 @@ func (st *peelState) markRemoved(batch []int32, pass int) (pushVol, degSum int64
 	return pushVol, degSum
 }
 
-// filterLive drops this pass's removals from the frontier and deducts
-// their row volume. The in-place ascending filter is sequential — it
-// is a single O(live) sweep over memory the candidate scan just
-// touched — and therefore trivially worker-invariant. The unweighted
-// engines fuse this into scanRemove; only the quota and weighted
-// paths, whose removal sets are fixed after the scan, still call it.
+// filterLive drops this pass's removals from sides[0]'s frontier and
+// deducts their row volume. The in-place ascending filter is
+// sequential — it is a single O(live) sweep over memory the candidate
+// scan just touched — and therefore trivially worker-invariant. The
+// integer engines fuse this into scanRemove; only the quota and
+// weighted paths, whose removal sets are fixed after the scan, still
+// call it.
 func (st *peelState) filterLive(pushVol int64) {
-	alive := st.alive
-	live := st.live[:0]
-	for _, u := range st.live {
-		if alive.Test(u) {
+	s := &st.sides[0]
+	live := s.live[:0]
+	for _, u := range s.live {
+		if s.alive.Test(u) {
 			live = append(live, u)
 		}
 	}
-	st.live = live
-	st.liveRowVol -= pushVol
+	s.live = live
+	s.rowVol -= pushVol
 }
 
-// pushDecrement scatters the removed batch's adjacency into the degree
-// array and returns the number of edges removed this pass. It is one
+// pushDecrement scatters the removed batch's rows in from into to's
+// degrees and returns the number of edges removed this pass. It is one
 // sequential loop at every worker count, which is the width decrement
-// prices it at. The decrements are blind — a dead neighbor's degree
-// slot is stale by construction and never read again — so the hot loop
-// carries no aliveness gather at all; the only lookup is the
-// L1-resident in-batch bitset that discounts each intra-batch edge
-// once. The edge count is then pure algebra: the batch's live-degree
-// sum counts a batch↔survivor edge once and an intra-batch edge twice.
-func (st *peelState) pushDecrement(batch []int32, degSum int64) int64 {
-	g, deg, inBatch := st.g, st.deg, st.inBatch
-	var dup int64
+// prices it at. The decrements are blind — a dead vertex's degree slot
+// is stale by construction and never read again — so the hot loop
+// carries no membership gather at all, and the edge count is pure
+// algebra: it is (degSum + left)/2. A directed push (from ≠ to) never
+// touches the batch's own degrees, so left = degSum and the count is
+// degSum, each removed S–T edge counted once. An undirected push also
+// decrements each batch vertex once per batch neighbor, so left, the
+// batch's degrees summed after the push, is degSum less twice the
+// intra-batch edges, which degSum counted twice.
+func (st *peelState) pushDecrement(from, to *side, batch []int32, degSum int64) int64 {
+	rows, deg := from.rows, to.deg
 	for _, u := range batch {
-		// Branch-free discount: the v>u comparison is a coin flip on
-		// intra-batch edges, so testing it with a branch mispredicts
-		// half the loop; the sign-bit mask and the L1-resident bit
-		// gather keep the pipeline full.
-		for _, v := range g.Neighbors(u) {
+		for _, v := range rows.Row(u) {
 			deg[v]--
-			dup += int64((uint32(u-v) >> 31) & uint32(inBatch.Bit(v)))
 		}
 	}
-	return degSum - dup
+	left := degSum
+	if from == to {
+		left = 0
+		for _, u := range batch {
+			left += int64(deg[u])
+		}
+	}
+	return (degSum + left) / 2
 }
 
-// pullRecount recomputes every survivor's degree directly from the CSR
-// and returns the surviving edge count; the frontier must already be
-// filtered. Each row entry costs one branch-free alive-bit gather.
-func (st *peelState) pullRecount() int64 {
-	g, deg, alive, live := st.g, st.deg, st.alive, st.live
-	total := st.pool.SumInt64(len(live), func(_, lo, hi int) int64 {
+// pullRecount recomputes each of to's survivors' live degrees over
+// to.rows against from.alive, in parallel chunks, and returns their
+// sum; to's frontier must already be filtered. Each row entry costs
+// one branch-free alive-bit gather. An undirected sum (from == to)
+// counts every surviving edge twice.
+func (st *peelState) pullRecount(from, to *side) int64 {
+	rows, deg, alive, live := to.rows, to.deg, from.alive, to.live
+	return st.pool.SumInt64(len(live), func(_, lo, hi int) int64 {
 		var s int64
 		for _, v := range live[lo:hi] {
 			cnt := int32(0)
-			for _, nb := range g.Neighbors(v) {
+			for _, nb := range rows.Row(v) {
 				cnt += alive.Bit(nb)
 			}
 			deg[v] = cnt
@@ -441,28 +506,28 @@ func (st *peelState) pullRecount() int64 {
 		}
 		return s
 	})
-	return total / 2
 }
 
-// decrement applies one pass's removals to the degree state and
-// returns the new surviving edge count. A push walks the batch's rows
-// (pushVol entries) on one core, a pull the survivors' (liveRowVol) on
-// pullWidth cores; a pushed entry costs about pushPullCost pulled ones,
-// so the pass pulls exactly when that makes it the sooner direction.
-// Both directions produce identical integer state, so the choice is a
-// wall-clock trade that never changes a Result.
-func (st *peelState) decrement(o Opts, batch []int32, pass int, edges, pushVol, degSum int64) int64 {
-	pull := st.liveRowVol < pushPullCost*st.pullWidth*pushVol
+// decrement applies one pass's removals from side from to side to's
+// degrees and returns the new surviving edge count. A push walks the
+// batch's rows (pushVol entries) on one core, a pull to's survivors'
+// rows (to.rowVol); a pushed entry costs about pullCost pulled ones at
+// the pull's width, so the pass pulls exactly when to.rowVol <
+// pullCost·pushVol. Both directions produce identical integer state,
+// so the choice is a wall-clock trade that never changes a Result.
+func (st *peelState) decrement(o Opts, from, to *side, batch []int32, pass int, edges, pushVol, degSum int64) int64 {
+	pull := to.rowVol < st.pullCost*pushVol
 	if o.hooks.mode != nil {
 		o.hooks.mode(pass, pull)
 	}
-	if pull {
-		edges = st.pullRecount()
-	} else {
-		edges -= st.pushDecrement(batch, degSum)
+	switch {
+	case !pull:
+		return edges - st.pushDecrement(from, to, batch, degSum)
+	case from == to:
+		return st.pullRecount(from, to) / 2
+	default:
+		return st.pullRecount(from, to)
 	}
-	st.clearBatch(batch)
-	return edges
 }
 
 // weightedPull is the weighted decrement pass: each survivor pulls the
@@ -479,12 +544,12 @@ func (st *peelState) decrement(o Opts, batch []int32, pass int, edges, pushVol, 
 // never moves by a ULP. A push direction is deliberately absent here:
 // pushing would reorder float subtractions into batch-adjacency order.
 //
-// Call BEFORE filterLive: st.live must still contain this pass's
+// Call BEFORE filterLive: the frontier must still contain this pass's
 // removals (alive bit off, inBatch bit on).
 func (st *peelState) weightedPull() {
-	g, wdeg, live := st.g, st.wdeg, st.live
+	g, wdeg, live := st.g, st.wdeg, st.sides[0].live
 	wslots, eslots := st.wSlots, st.eSlots
-	alive, inBatch := st.alive, st.inBatch
+	alive, inBatch := st.sides[0].alive, st.inBatch
 	chunks := par.NumChunks(st.origN)
 	st.pool.ForEach(chunks, func(c int) {
 		lo32 := int32(c * par.ChunkSize)
@@ -531,19 +596,20 @@ func (st *peelState) weightedPull() {
 // policy, the only CSR rebuild in the peel engines. The weighted
 // decrement pulls over the survivors' whole rows on every pass, so
 // their dead entries cost every later pass; a compaction is a whole
-// extra O(liveRowVol) scan over the surviving rows. It pays only once
+// extra O(rowVol) scan over the surviving rows. It pays only once
 // those rows have actually decayed: when at least half their entries
-// point at dead neighbors (liveRowVol ≥ 2·2·edges), every future pass
+// point at dead neighbors (rowVol ≥ 2·2·edges), every future pass
 // saves at least half the rebuild cost.
 // That shape arises when survivors are hubs that just lost their
 // leaves; a dense core whose rows are still mostly alive — the usual
 // power-law collapse — skips the rebuild, because it would trade a
 // full scan for marginal savings on the final pass or two.
 func (st *peelState) maybeCompactWeighted(o Opts, edges int64) {
-	if len(st.live) == 0 || st.n < compactMinNodes || len(st.live)*compactLiveDivisor > st.n {
+	s := &st.sides[0]
+	if len(s.live) == 0 || st.n < compactMinNodes || len(s.live)*compactLiveDivisor > st.n {
 		return
 	}
-	if st.liveRowVol < 4*edges {
+	if s.rowVol < 4*edges {
 		return
 	}
 	st.compactWeighted(o)
@@ -558,7 +624,8 @@ func (st *peelState) maybeCompactWeighted(o Opts, edges int64) {
 // degrees and origOf both move down in place without overwriting an
 // entry still unread.
 func (st *peelState) compactWeighted(o Opts) {
-	keep := st.live
+	s := &st.sides[0]
+	keep := s.live
 	prevN, nn := st.n, len(keep)
 	ng := st.g.CompactInto(keep, &st.cs[st.csTurn])
 	st.csTurn ^= 1
@@ -572,10 +639,10 @@ func (st *peelState) compactWeighted(o Opts) {
 		keep[i] = int32(i)
 	}
 	st.wdeg = st.wdeg[:nn]
-	st.alive.Fill(nn)
+	s.alive.Fill(nn)
 	st.inBatch.Zero()
 	st.g, st.n, st.origOf = ng, nn, origOf
-	st.liveRowVol = 2 * ng.NumEdges()
+	s.rows, s.rowVol = ng.Rows(), 2*ng.NumEdges()
 	if o.hooks.compacted != nil {
 		o.hooks.compacted(nn, prevN)
 	}

@@ -56,11 +56,16 @@ func TestSolvesReuseOneCrew(t *testing.T) {
 }
 
 // TestDirectedAllocsFlatInWorkers guards the directed engine's memory
-// against the worker count: a solve at two workers may allocate at
-// most 5% more than the same solve at one. Per-worker scatter buffers
-// grown by append in every run break it by a multiple, and a sweep
-// pays them once per value of c. Each figure is the median of nine
-// solves measured alone, so one GC or pool miss cannot fail it.
+// against the worker count and against per-run scratch. A solve at two
+// workers may allocate at most 5% more than the same solve at one:
+// per-worker scatter buffers grown by append in every run break it by a
+// multiple, and a sweep pays them once per value of c. And a warm solve
+// must take its peel state from the pool: at either worker count,
+// Directed may allocate at most 512 KiB and DirectedSweep, whose
+// 2⌈log₂ n⌉+1 runs follow one another, at most 8.5 MB — a quarter of
+// what building the state afresh for each run cost (2.05 MB and
+// 34.0 MB). Each figure is the median of nine solves measured alone,
+// so one GC or pool miss cannot fail it.
 func TestDirectedAllocsFlatInWorkers(t *testing.T) {
 	cl, err := gen.ChungLuDirected(40000, 200000, 2.2, 9)
 	if err != nil {
@@ -71,14 +76,15 @@ func TestDirectedAllocsFlatInWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name  string
-		solve func(o Opts) error
+		name     string
+		maxBytes uint64
+		solve    func(o Opts) error
 	}{
-		{"Directed c=1 eps=0.5", func(o Opts) error {
+		{"Directed c=1 eps=0.5", 512 << 10, func(o Opts) error {
 			_, err := Directed(cl, 1, 0.5, o)
 			return err
 		}},
-		{"DirectedSweep delta=2 eps=1", func(o Opts) error {
+		{"DirectedSweep delta=2 eps=1", 8_500_000, func(o Opts) error {
 			_, err := DirectedSweep(lj, 2, 1, o)
 			return err
 		}},
@@ -91,6 +97,10 @@ func TestDirectedAllocsFlatInWorkers(t *testing.T) {
 		if float64(bytes[1]) > 1.05*float64(bytes[0]) {
 			t.Errorf("%s allocates %d B at two workers, %.2f× the %d B at one; the bound is 1.05×",
 				tc.name, bytes[1], float64(bytes[1])/float64(bytes[0]), bytes[0])
+		}
+		if most := max(bytes[0], bytes[1]); most > tc.maxBytes {
+			t.Errorf("%s allocates %d B per warm solve; the bound is %d B, so each run must reuse a pooled peel state",
+				tc.name, most, tc.maxBytes)
 		}
 	}
 }

@@ -13,12 +13,14 @@ import (
 // Peel scratch is recycled across solves (statePool). This test runs
 // solves back to back over graphs of different sizes and kinds, so
 // every run inherits buffers sized and filled by a different
-// predecessor — larger, smaller, weighted or not, compacted or not —
-// and pins each result to the fresh-state reference engines. The
-// tiered weighted graph compacts twice and its densest snapshot comes
-// after the second rebuild, so an origOf that did not compose through
-// both relabels would show in the Set; the hooks assert that shape on
-// every run of it.
+// predecessor — larger, smaller, weighted or not, compacted or not,
+// peeled on one side or on two — and pins each result to the
+// fresh-state reference engines. The tiered weighted graph compacts
+// twice and its densest snapshot comes after the second rebuild, so an
+// origOf that did not compose through both relabels would show in the
+// Set; the hooks assert that shape on every run of it. Directed runs
+// follow each tiered run, and one-side peels follow them, so a state
+// moves from one side to two and back.
 
 // layeredGraph is a disjoint union of d-regular circulants under a
 // seeded id permutation: 32768 nodes of degree 4, 4096 of degree 8,
@@ -106,6 +108,20 @@ func reuseGraphs(t *testing.T) (big, small, wbig, wsmall *graph.Undirected) {
 	return big, small, withWeights(t, big), withWeights(t, small)
 }
 
+// reuseDirectedGraphs returns the directed analogues of reuseGraphs'
+// large and small graphs.
+func reuseDirectedGraphs(t *testing.T) (big, small *graph.Directed) {
+	t.Helper()
+	var err error
+	if big, err = gen.ChungLuDirected(20000, 100000, 2.2, 3); err != nil {
+		t.Fatal(err)
+	}
+	if small, err = gen.ChungLuDirected(1500, 6000, 2.2, 5); err != nil {
+		t.Fatal(err)
+	}
+	return big, small
+}
+
 func withWeights(t *testing.T, base *graph.Undirected) *graph.Undirected {
 	t.Helper()
 	b := graph.NewBuilder(base.NumNodes())
@@ -124,33 +140,54 @@ func withWeights(t *testing.T, base *graph.Undirected) *graph.Undirected {
 	return g
 }
 
-// reuseRun is one solve of the sequence: an objective on a graph.
+// reuseRun is one solve of the sequence: an objective on an undirected
+// graph g, or on a directed graph dg at ratio guess c.
 type reuseRun struct {
-	kind string // "undirected", "atleastk" or "weighted"
+	kind string // "undirected", "atleastk", "weighted", "directed" or "sweep"
 	g    *graph.Undirected
+	dg   *graph.Directed
+	c    float64
 }
 
-func (r reuseRun) solve(o Opts) (*Result, error) {
+func (r reuseRun) solve(o Opts) (any, error) {
 	switch r.kind {
 	case "undirected":
 		return Undirected(r.g, 0.1, o)
 	case "atleastk":
 		return AtLeastK(r.g, r.g.NumNodes()/8, 0.5, o)
+	case "directed":
+		return Directed(r.dg, r.c, 0.3, o)
+	case "sweep":
+		return DirectedSweep(r.dg, 2, 1, o)
 	default:
 		return UndirectedWeighted(r.g, 0.3, o)
 	}
 }
 
-func (r reuseRun) reference() (*Result, error) {
+func (r reuseRun) reference() (any, error) {
 	o := Opts{Workers: 1}
 	switch r.kind {
 	case "undirected":
 		return referenceUndirected(r.g, 0.1, o)
 	case "atleastk":
 		return referenceAtLeastK(r.g, r.g.NumNodes()/8, 0.5, o)
+	case "directed":
+		return referenceDirected(r.dg, r.c, 0.3, o)
+	case "sweep":
+		return Sweep(r.dg.NumNodes(), 2, func(c float64) (*DirectedResult, error) {
+			return referenceDirected(r.dg, c, 1, o)
+		})
 	default:
 		return referenceUndirectedWeighted(r.g, 0.3, o)
 	}
+}
+
+// label names the run's objective and graph size.
+func (r reuseRun) label() string {
+	if r.dg != nil {
+		return fmt.Sprintf("%s c=%g n=%d", r.kind, r.c, r.dg.NumNodes())
+	}
+	return fmt.Sprintf("%s n=%d", r.kind, r.g.NumNodes())
 }
 
 // densestPass returns the pass of r's densest snapshot: the first trace
@@ -166,19 +203,25 @@ func densestPass(r *Result) int {
 
 func TestPeelStateReuse(t *testing.T) {
 	big, small, wbig, wsmall := reuseGraphs(t)
+	dbig, dsmall := reuseDirectedGraphs(t)
 	layered, tiered := layeredGraph(t), tieredWeightedGraph(t)
 	// Starting small makes the second run grow every buffer; the mix
 	// then alternates sizes and kinds so each run inherits a stranger's
 	// scratch.
 	seq := []reuseRun{
-		{"undirected", small}, {"undirected", big}, {"undirected", layered},
-		{"atleastk", small}, {"weighted", wbig}, {"weighted", wsmall},
-		{"atleastk", big}, {"undirected", layered}, {"undirected", small},
-		{"weighted", big}, {"undirected", big}, {"atleastk", small},
-		{"atleastk", layered}, {"weighted", tiered}, {"atleastk", big},
-		{"weighted", wsmall}, {"weighted", tiered},
+		{kind: "undirected", g: small}, {kind: "undirected", g: big}, {kind: "undirected", g: layered},
+		{kind: "atleastk", g: small}, {kind: "weighted", g: wbig}, {kind: "weighted", g: wsmall},
+		{kind: "atleastk", g: big}, {kind: "undirected", g: layered}, {kind: "undirected", g: small},
+		{kind: "weighted", g: big}, {kind: "undirected", g: big}, {kind: "atleastk", g: small},
+		{kind: "atleastk", g: layered}, {kind: "weighted", g: tiered},
+		{kind: "directed", dg: dbig, c: 0.25}, {kind: "directed", dg: dsmall, c: 1},
+		{kind: "directed", dg: dbig, c: 4}, {kind: "sweep", dg: dsmall},
+		{kind: "atleastk", g: big}, {kind: "weighted", g: wsmall}, {kind: "weighted", g: tiered},
+		{kind: "directed", dg: dsmall, c: 0.25}, {kind: "directed", dg: dbig, c: 1},
+		{kind: "directed", dg: dsmall, c: 4}, {kind: "undirected", g: small},
+		{kind: "atleastk", g: layered},
 	}
-	refs := map[reuseRun]*Result{}
+	refs := map[reuseRun]any{}
 	for i, r := range seq {
 		want, ok := refs[r]
 		if !ok {
@@ -189,7 +232,7 @@ func TestPeelStateReuse(t *testing.T) {
 			refs[r] = want
 		}
 		for _, workers := range []int{1, 3} {
-			label := fmt.Sprintf("step %d (%s n=%d) workers=%d", i, r.kind, r.g.NumNodes(), workers)
+			label := fmt.Sprintf("step %d (%s) workers=%d", i, r.label(), workers)
 			var pass int
 			var rebuilt []int // passes after which the CSR was rebuilt
 			got, err := r.solve(Opts{
@@ -201,11 +244,14 @@ func TestPeelStateReuse(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: recycled-state run diverged from the reference\ngot  %+v\nwant %+v",
-					label, summarize(got), summarize(want))
+				if g, ok := got.(*Result); ok {
+					t.Fatalf("%s: recycled-state run diverged from the reference\ngot  %+v\nwant %+v",
+						label, summarize(g), summarize(want.(*Result)))
+				}
+				t.Fatalf("%s: recycled-state run diverged from the reference", label)
 			}
 			if r.g == tiered {
-				if best := densestPass(got); len(rebuilt) < 2 || best < rebuilt[1] {
+				if best := densestPass(got.(*Result)); len(rebuilt) < 2 || best < rebuilt[1] {
 					t.Fatalf("%s: CSR rebuilt after passes %v, densest snapshot at pass %d; need the densest snapshot to follow a second rebuild",
 						label, rebuilt, best)
 				}

@@ -46,6 +46,7 @@ func Undirected(g *graph.Undirected, eps float64, o Opts) (*Result, error) {
 	}
 	st := newPeelState(g, o, false)
 	defer st.release()
+	s := &st.sides[0]
 	edges := g.NumEdges()
 	nodes := n
 
@@ -62,7 +63,7 @@ func Undirected(g *graph.Undirected, eps float64, o Opts) (*Result, error) {
 		pass++
 		rho := float64(edges) / float64(nodes)
 		cut := threshold * rho
-		pushVol, degSum, err := st.scanRemove(o, cut, pass)
+		pushVol, degSum, err := st.scanRemove(o, s, cut, pass)
 		if err != nil {
 			return nil, &PartialError{Passes: pass - 1, Trace: trace, Err: err}
 		}
@@ -72,7 +73,7 @@ func Undirected(g *graph.Undirected, eps float64, o Opts) (*Result, error) {
 			// deg ≤ 2ρ ≤ cut. Guard against float surprises regardless.
 			return nil, fmt.Errorf("core: pass %d removed no nodes (ρ=%v)", pass, rho)
 		}
-		edges = st.decrement(o, batch, pass, edges, pushVol, degSum)
+		edges = st.decrement(o, s, s, batch, pass, edges, pushVol, degSum)
 		nodes -= len(batch)
 		var rhoAfter float64
 		if nodes > 0 {
@@ -86,7 +87,7 @@ func Undirected(g *graph.Undirected, eps float64, o Opts) (*Result, error) {
 	}
 
 	return &Result{
-		Set:     survivorsAfter(st.removedAt, bestPass),
+		Set:     survivorsAfter(s.removedAt, bestPass),
 		Density: bestDensity,
 		Passes:  pass,
 		Trace:   trace,
@@ -164,7 +165,7 @@ func UndirectedWeighted(g *graph.Undirected, eps float64, o Opts) (*Result, erro
 	}
 
 	return &Result{
-		Set:     survivorsAfter(st.removedAt, bestPass),
+		Set:     survivorsAfter(st.sides[0].removedAt, bestPass),
 		Density: bestDensity,
 		Passes:  pass,
 		Trace:   trace,

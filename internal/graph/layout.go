@@ -6,6 +6,7 @@ package graph
 // on a 262k-node CSR — guaranteed cache misses on random neighbor
 // ids); a Bitset packs the same answer into n/8 bytes, small enough
 // that the pull recount's membership gathers stay L1/L2 resident.
+// Rows, below, is the one row view the engines walk.
 
 // Bitset is a packed bit-per-index membership set over [0, n). Index i
 // lives at bit i&63 of word i>>6. Methods do no bounds management
@@ -57,3 +58,28 @@ func (b Bitset) Zero() {
 		b[i] = 0
 	}
 }
+
+// Rows is a read-only view of one CSR row set: an undirected graph's
+// adjacency or one direction of a directed graph's. It aliases the
+// graph's offsets and adjacency, so the peel engines walk any of the
+// three row sets with one loop and no indirect call.
+type Rows struct {
+	offsets []int32
+	adj     []int32
+}
+
+// Row returns u's row. The slice aliases the graph and must not be
+// modified.
+func (r Rows) Row(u int32) []int32 { return r.adj[r.offsets[u]:r.offsets[u+1]] }
+
+// Len returns the length of u's row.
+func (r Rows) Len(u int32) int { return int(r.offsets[u+1] - r.offsets[u]) }
+
+// Rows returns the view of g's adjacency rows.
+func (g *Undirected) Rows() Rows { return Rows{g.offsets, g.adj} }
+
+// OutRows returns the view of g's out-adjacency rows.
+func (g *Directed) OutRows() Rows { return Rows{g.outOffsets, g.outAdj} }
+
+// InRows returns the view of g's in-adjacency rows.
+func (g *Directed) InRows() Rows { return Rows{g.inOffsets, g.inAdj} }

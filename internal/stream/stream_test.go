@@ -15,6 +15,36 @@ import (
 	"densestream/internal/graph"
 )
 
+// ErrInjected is the failure produced by FaultStream, for tests that
+// exercise mid-pass stream failures.
+var ErrInjected = errors.New("stream: injected failure")
+
+// FaultStream wraps an EdgeStream and fails after FailAfter successful
+// Next calls (counted across passes). FailAfter < 0 disables the fault.
+type FaultStream struct {
+	Inner     EdgeStream
+	FailAfter int
+	served    int
+}
+
+// NumNodes implements EdgeStream.
+func (f *FaultStream) NumNodes() int { return f.Inner.NumNodes() }
+
+// Reset implements EdgeStream.
+func (f *FaultStream) Reset() error { return f.Inner.Reset() }
+
+// Next implements EdgeStream.
+func (f *FaultStream) Next() (Edge, error) {
+	if f.FailAfter >= 0 && f.served >= f.FailAfter {
+		return Edge{}, ErrInjected
+	}
+	e, err := f.Inner.Next()
+	if err == nil {
+		f.served++
+	}
+	return e, err
+}
+
 func TestSliceStreamBasics(t *testing.T) {
 	s, err := NewSliceStream(3, []Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	if err != nil {
