@@ -25,10 +25,12 @@ test:
 	$(GO) test ./...
 
 # The race job exercises the parallel peeling engine (internal/par,
-# the sharded core scans, and the striped stream counters), then the
-# root-package smokes CI runs: worker-count determinism plus the
-# cross-runtime trace identity (the sharded scan at workers=3), and
-# the out-of-core file scans and spilling MapReduce.
+# the sharded core scans, the striped stream counters and the stream
+# scan's residual capture, whose shards claim arena chunks from one
+# cursor), then the root-package smokes CI runs: worker-count
+# determinism plus the cross-runtime trace identity (the sharded scan
+# at workers=3), and the out-of-core file scans (residual capture
+# included, at several workers) and spilling MapReduce.
 race:
 	$(GO) test -race ./internal/...
 	$(GO) test -race -run 'TestParallel|TestTraceIdentity' .

@@ -170,10 +170,17 @@
 //     count). A pass over a binary file reads it a decoded block at a
 //     time and skips every block an earlier pass of the same solve
 //     found without a live edge: live sets only shrink, so such a
-//     block stays dead, and the skip cannot change the answer. The
-//     scan paths are allocation-flat in the worker count: read
-//     buffers pool across solves, worker crews park between passes,
-//     and a pass in steady state allocates nothing.
+//     block stays dead, and the skip cannot change the answer. For the
+//     same reason, once one pass's live edges fit one counter lane (n
+//     edges, n/2 weighted; BackendStreamSketched holds none), the scan
+//     holds them in memory, in stream order, and the passes after it
+//     read no input: they scan that residual, so passes over the input
+//     number at most the algorithm's Passes, and a file truncated after
+//     the held pass no longer fails the solve. The scan paths are
+//     allocation-flat in the worker count: the scanner's counter and
+//     residual, and read buffers, pool across solves, worker crews
+//     park between passes, and a pass in steady state allocates
+//     nothing.
 //   - BackendPeel and BackendMapReduce load the file through the same
 //     sharded scan (ReadUndirectedFile/ReadDirectedFile): workers
 //     tokenize byte ranges of a text file, or decode block ranges of a
@@ -193,8 +200,8 @@
 // Solution.Stats reports the I/O a solve performed: BytesScanned
 // (disk reads by the file-backed streams, discovery scan included;
 // the bytes of the text lines and binary blocks actually read, so a
-// skipped block counts nothing) and BytesSpilled (MapReduce spill
-// writes under the budget).
+// skipped block, and a pass served from memory, counts nothing) and
+// BytesSpilled (MapReduce spill writes under the budget).
 //
 // # Binary columnar edge storage
 //

@@ -84,7 +84,10 @@ type ScanOracle interface {
 	// in pass p was live in every earlier pass. So an edge that is not
 	// live in one pass is not live in any later pass of the run, and an
 	// oracle may skip any part of the edges it saw without a live edge
-	// (the stream scanner skips such blocks). Start begins a new run.
+	// (the stream scanner skips such blocks), or keep only the edges
+	// live in some pass and measure every later pass over those (the
+	// stream scanner holds such a residual in memory and reads no input
+	// after it). Start begins a new run.
 	Measure(pass int, aliveU, aliveV []bool, side byte) (edges int64, weight float64, err error)
 	// Degree returns node u's degree from the last Measure.
 	Degree(u int32) float64

@@ -29,14 +29,16 @@ type stripedCounter struct {
 }
 
 // init sizes the counter for n nodes and the given number of lanes (at
-// least 1); the fold body is built once here, so a pass allocates
-// nothing.
+// least 1), reusing the capacity of an earlier run's counter; the fold
+// body is built once, so a pass allocates nothing.
 func (c *stripedCounter) init(n, lanes int) {
 	lanes = max(lanes, 1)
 	c.n, c.blocks = n, par.NumChunks(n)
-	c.counts = make([]float64, lanes*n)
-	c.dirty = make([]bool, lanes*c.blocks)
-	if lanes == 1 {
+	c.counts = resize(c.counts, lanes*n)
+	c.dirty = resize(c.dirty, lanes*c.blocks)
+	clear(c.counts)
+	clear(c.dirty)
+	if lanes == 1 || c.foldChunk != nil {
 		return
 	}
 	c.foldChunk = func(b, lo, hi int) {
@@ -83,3 +85,13 @@ func (c *stripedCounter) fold(pool *par.Pool, used int) {
 
 // degree returns node u's folded count.
 func (c *stripedCounter) degree(u int32) float64 { return c.counts[u] }
+
+// resize returns buf with length n, reusing its storage when the
+// capacity suffices. Reused contents are stale; callers overwrite or
+// clear them.
+func resize[S ~[]E, E any](buf S, n int) S {
+	if cap(buf) < n {
+		return make(S, n)
+	}
+	return buf[:n]
+}

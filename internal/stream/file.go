@@ -28,6 +28,12 @@ import (
 // and re-positioned by Reset each pass; Close releases every handle and
 // is idempotent. WeightedFileStream is
 // the same stream with the weight column.
+//
+// The streaming scan reads the file only until one pass's live edges
+// fit its residual budget (n edges, n/2 weighted); it then holds them
+// in memory and reads the file no more in that run. A file truncated or
+// rewritten after that pass therefore no longer affects the run, while
+// one truncated before it fails the next pass's reads.
 type FileStream struct {
 	path     string
 	n        int
@@ -185,7 +191,9 @@ func (fs *FileStream) BlockShards(k int) []edgeio.BlockReader {
 // BytesScanned reports the cumulative bytes this stream has read from
 // disk — for text files the discovery scan plus every pass of every
 // shard; for binary files every block read and decoded. A block the
-// scan skips as dead is not read, so it is not counted.
+// scan skips as dead is not read, so it is not counted, and neither is
+// a pass the scan serves from its held residual: such a pass reads no
+// input bytes.
 func (fs *FileStream) BytesScanned() int64 { return fs.bytesFn() }
 
 // Close releases every handle held by the stream and its shards. It is

@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"io"
+	"math"
 	"reflect"
 	"testing"
 
@@ -98,6 +99,48 @@ func TestStreamScanLanesBoundsMemory(t *testing.T) {
 	}
 	if got := weightedScanLanes(1000); got != maxScanLanes {
 		t.Fatalf("weighted lanes = %d, want %d whatever the workers", got, maxScanLanes)
+	}
+	// The residual budget is one exact counter lane, 8 bytes per node:
+	// n edges, or n/2 weighted edges of 16 bytes, and none for a sketched
+	// scan. A scanner's budget is the same at every worker and lane
+	// count, so the held pass is too.
+	const n = 1000
+	for _, weighted := range []bool{false, true} {
+		want := n
+		var es rescannable = &SliceStream{n: n}
+		if weighted {
+			want = n / 2
+			es = &WeightedSliceStream{SliceStream{n: n}}
+		}
+		for _, workers := range []int{1, 2, 3, 4, 8, 64} {
+			pool := par.Acquire(workers)
+			lanes := streamScanLanes(n, pool.Workers())
+			if weighted {
+				lanes = weightedScanLanes(n)
+			}
+			s := takeScanner(es, nil, lanes, nil, pool)
+			if _, err := s.Start(); err != nil {
+				t.Fatal(err)
+			}
+			if s.budget != want || residualBudget(n, weighted, false) != want {
+				t.Fatalf("weighted=%v workers=%d: budget %d (residualBudget %d), want %d",
+					weighted, workers, s.budget, residualBudget(n, weighted, false), want)
+			}
+			s.release()
+			pool.Release()
+		}
+		if got := residualBudget(n, weighted, true); got != 0 {
+			t.Fatalf("weighted=%v sketched: budget %d, want 0", weighted, got)
+		}
+		// A huge node count stays under the cap rather than allocating a
+		// lane's worth of residual.
+		bytesPerEdge := 8
+		if weighted {
+			bytesPerEdge = 16
+		}
+		if got := residualBudget(math.MaxInt32, weighted, false); got <= 0 || got*bytesPerEdge > 8*maxResidualWords {
+			t.Fatalf("weighted=%v n=2^31-1: budget %d edges, %d B; the cap is %d B", weighted, got, got*bytesPerEdge, 8*maxResidualWords)
+		}
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"densestream/internal/core"
 	"densestream/internal/edgeio"
@@ -32,6 +34,35 @@ func streamScanLanes(n, workers int) int {
 		lanes = min(lanes, maxStripedWords/n)
 	}
 	return max(lanes, 1)
+}
+
+// maxResidualWords caps the memory of a held residual (64-bit words,
+// 128 MiB), so a huge input's scan holds at most that much of its edges
+// rather than a whole counter lane of them.
+const maxResidualWords = 1 << 24
+
+// heldChunk is the arena chunk, in edges, that a shard claims at a time
+// while it captures its live edges; a held pass polls the context once
+// per chunk.
+const heldChunk = 4096
+
+// residualBudget returns how many live edges a scan over n nodes may
+// hold in memory: one exact counter lane's worth, 8 bytes per node, so
+// n edges, or ⌊n/2⌋ weighted edges, which carry an 8-byte weight as
+// well, capped at maxResidualWords. A sketched scan holds none: its
+// point is counter memory sublinear in n. The budget never depends on
+// the worker or lane count, so the pass whose residual is held, and
+// with it every byte read from the input, is the same at every worker
+// count.
+func residualBudget(n int, weighted, sketched bool) int {
+	if sketched {
+		return 0
+	}
+	words := min(n, maxResidualWords)
+	if weighted {
+		return words / 2
+	}
+	return words
 }
 
 // weightedScanLanes returns the weighted scan's lane count for n
@@ -104,7 +135,8 @@ func Directed(es EdgeStream, c, eps float64, o core.Opts) (*core.DirectedResult,
 	pool := par.Acquire(o.Workers)
 	defer pool.Release()
 	n := es.NumNodes()
-	s := newScanner(es, nil, streamScanLanes(n, pool.Workers()), o.Ctx, pool)
+	s := takeScanner(es, nil, streamScanLanes(n, pool.Workers()), o.Ctx, pool)
+	defer s.release()
 	return core.ScanPeelDirected(core.ScanSpec{Nodes: n, Eps: eps, C: c, Initial: core.PassStat{Nodes: 2 * n}}, s, o)
 }
 
@@ -128,7 +160,8 @@ func UndirectedWeighted(es WeightedEdgeStream, eps float64, o core.Opts) (*core.
 	pool := par.Acquire(o.Workers)
 	defer pool.Release()
 	n := es.NumNodes()
-	s := newScanner(es, nil, weightedScanLanes(n), o.Ctx, pool)
+	s := takeScanner(es, nil, weightedScanLanes(n), o.Ctx, pool)
+	defer s.release()
 	return core.ScanPeel(core.ScanSpec{Nodes: n, Eps: eps, Rule: core.WeightedRule, Initial: core.PassStat{Nodes: n}}, s, o)
 }
 
@@ -143,7 +176,9 @@ func peel(es EdgeStream, sketch StripedDegreeCounter, spec core.ScanSpec, o core
 		lanes = sketch.Lanes()
 	}
 	spec.Nodes, spec.Initial = n, core.PassStat{Nodes: n}
-	return core.ScanPeel(spec, newScanner(es, sketch, lanes, o.Ctx, pool), o)
+	s := takeScanner(es, sketch, lanes, o.Ctx, pool)
+	defer s.release()
+	return core.ScanPeel(spec, s, o)
 }
 
 // scanner is the degree oracle every streaming objective hands to the
@@ -160,10 +195,22 @@ func peel(es EdgeStream, sketch StripedDegreeCounter, spec core.ScanSpec, o core
 // shard cut, and a skipped block skips only additions that would never
 // happen.
 //
-// All scan state is built in the first pass, so a later pass allocates
-// nothing beyond what the stream's BlockShards call does (SliceStream
-// and the file streams memoize their shard sets, and shards keep their
-// decode buffers across passes).
+// The same shrinking lets a run hold its live residual in memory. Until
+// one pass's live edges fit residualBudget, each shard of a pass that
+// reads the input also copies its live edges, in stream order, into
+// arena chunks it claims from one shared cursor. Once a pass fits, the
+// rest of the run reads no input: each shard walks its own chunks
+// through the same per-edge scan into its own lane, compacting the
+// edges still live to the front. A lane thus adds the same edges in the
+// same order as a pass over the input would, so weighted sums come out
+// bit-identical, and whether a pass fits depends on its live-edge count
+// alone, not on the shard cut. Every held edge passed the range,
+// self-loop and weight checks in the pass that captured it.
+//
+// The scanner's state (counter, dead flags, slots and arena) is pooled
+// across runs, so a warm run allocates nothing beyond what the stream's
+// BlockShards call does (SliceStream and the file streams memoize their
+// shard sets, and shards keep their decode buffers across passes).
 type scanner struct {
 	pool     *par.Pool
 	ctx      context.Context
@@ -183,6 +230,18 @@ type scanner struct {
 	addU, addV     bool
 	slots          []shardSlot
 	task           func(i int)
+
+	// The residual: held once a pass's live edges fit budget, from then
+	// on the run's only edges. arenaW carries the weights on a weighted
+	// stream. A capturing pass claims chunks through next and counts its
+	// live edges in total, so every shard stops capturing once the pass
+	// cannot fit.
+	budget int
+	held   bool
+	arena  []Edge
+	arenaW []float64
+	next   atomic.Int64
+	total  atomic.Int64
 }
 
 // rescannable is what the scanner needs of every stream it reads, an
@@ -192,18 +251,33 @@ type rescannable interface {
 	Reset() error
 }
 
-// shardSlot is one shard's scan result.
+// shardSlot is one shard's scan result and its share of the residual:
+// the arena chunks that hold its edges, in stream order, and how many
+// edges they hold.
 type shardSlot struct {
 	edges  int64
 	weight float64
 	err    error
+	chunks []int32
+	held   int
 }
 
-// newScanner returns the scanner of es, an EdgeStream or a
-// WeightedEdgeStream, over the given number of lanes. A stream that
-// does not implement Sharded is read as one nextBlocks shard.
-func newScanner(es rescannable, sketch StripedDegreeCounter, lanes int, ctx context.Context, pool *par.Pool) *scanner {
-	s := &scanner{pool: pool, ctx: ctx, n: es.NumNodes(), lanes: lanes, sketch: sketch}
+// scannerPool recycles scanner state across runs. Being a sync.Pool,
+// it lets the GC drop idle state: a long-lived process does not keep
+// its largest input's counter and arena forever.
+var scannerPool sync.Pool
+
+// takeScanner takes a scanner from scannerPool (or a fresh one) and
+// readies it for es, an EdgeStream or a WeightedEdgeStream, over the
+// given number of lanes. A stream that does not implement Sharded is
+// read as one nextBlocks shard. Pair it with release.
+func takeScanner(es rescannable, sketch StripedDegreeCounter, lanes int, ctx context.Context, pool *par.Pool) *scanner {
+	s, _ := scannerPool.Get().(*scanner)
+	if s == nil {
+		s = &scanner{}
+		s.task = func(i int) { s.scan(i) }
+	}
+	s.pool, s.ctx, s.n, s.lanes, s.sketch = pool, ctx, es.NumNodes(), lanes, sketch
 	if ss, ok := es.(Sharded); ok {
 		s.shards = ss.BlockShards
 	} else {
@@ -211,33 +285,45 @@ func newScanner(es rescannable, sketch StripedDegreeCounter, lanes int, ctx cont
 		s.shards = func(int) []edgeio.BlockReader { return one }
 		s.lanes = 1
 	}
-	s.task = func(i int) { s.slots[i] = s.scanEdges(i) }
-	if _, s.weighted = es.(WeightedEdgeStream); s.weighted {
-		s.task = func(i int) { s.slots[i] = s.scanWeighted(i) }
-	}
+	_, s.weighted = es.(WeightedEdgeStream)
 	return s
+}
+
+// release hands the scanner back to scannerPool, dropping every
+// reference to the run's stream, worker pool, live sets and context.
+// Nothing may touch s afterwards.
+func (s *scanner) release() {
+	s.pool, s.ctx, s.sketch, s.shards, s.views = nil, nil, nil, nil, nil
+	s.aliveU, s.aliveV = nil, nil
+	scannerPool.Put(s)
 }
 
 // Start implements core.ScanOracle; the counter is sized only once the
 // policy has validated the run, and a new run starts with no dead
-// block.
+// block and no residual.
 func (s *scanner) Start() (*core.ScanSnapshot, error) {
 	if s.sketch == nil {
 		s.counter.init(s.n, s.lanes)
 	}
 	clear(s.dead)
+	s.held = false
+	s.budget = residualBudget(s.n, s.weighted, s.sketch != nil)
 	return nil, nil
 }
 
-// Measure implements core.ScanOracle with one sharded scan.
+// Measure implements core.ScanOracle with one sharded scan, of the
+// input or, once the residual is held, of the residual.
 func (s *scanner) Measure(pass int, aliveU, aliveV []bool, side byte) (int64, float64, error) {
 	s.aliveU, s.aliveV = aliveU, aliveV
 	s.addU, s.addV = side != 'T', side != 'S'
-	k := s.viewShards()
-	if cap(s.slots) < k {
-		s.slots = make([]shardSlot, k)
+	if !s.held {
+		k := s.viewShards()
+		s.slots = resize(s.slots, k)
+		s.sizeArena(k)
+		s.next.Store(0)
+		s.total.Store(0)
 	}
-	s.slots = s.slots[:k]
+	k := len(s.slots)
 	if s.sketch != nil {
 		s.sketch.Reset()
 	}
@@ -262,6 +348,9 @@ func (s *scanner) Measure(pass int, aliveU, aliveV []bool, side byte) (int64, fl
 	if !s.weighted {
 		weight = float64(edges)
 	}
+	if s.budget > 0 && edges <= int64(s.budget) {
+		s.held = true
+	}
 	return edges, weight, nil
 }
 
@@ -279,6 +368,21 @@ func (s *scanner) viewShards() int {
 		s.dead = make([]bool, blocks)
 	}
 	return len(s.views)
+}
+
+// sizeArena sizes the arena for a pass over the input cut into k
+// shards: the budget plus one chunk per shard, since each shard leaves
+// at most its last chunk part empty. So the arena runs out only in a
+// pass whose live edges exceed the budget.
+func (s *scanner) sizeArena(k int) {
+	edges := 0
+	if s.budget > 0 {
+		edges = ((s.budget+heldChunk-1)/heldChunk + k) * heldChunk
+	}
+	s.arena = resize(s.arena, edges)
+	if s.weighted {
+		s.arenaW = resize(s.arenaW, edges)
+	}
 }
 
 // canceled polls the run's context.
@@ -306,11 +410,90 @@ func (s *scanner) Degree(u int32) float64 {
 // so a stream has nothing to apply.
 func (s *scanner) Commit(*core.ScanSnapshot) error { return nil }
 
+// holder writes one shard's live edges of a pass into the arena in
+// stream order, heldChunk edges per chunk. A pass over the input claims
+// fresh chunks from the shared cursor; a held pass rewrites the shard's
+// own chunks in order, which compacts the edges it keeps to the front.
+// It is off when the pass cannot fit (or the scan holds nothing).
+type holder struct {
+	s    *scanner
+	sl   *shardSlot
+	on   bool
+	used int       // chunks written so far
+	cur  []Edge    // the chunk being written, filled to its length
+	curW []float64 // its weights, on a weighted stream
+}
+
+// holder returns the holder of shard slot sl for the current pass; a
+// pass over the input starts the shard's residual afresh.
+func (s *scanner) holder(sl *shardSlot) holder {
+	if !s.held {
+		sl.chunks = sl.chunks[:0]
+	}
+	return holder{s: s, sl: sl, on: s.held || s.budget > 0}
+}
+
+// add appends e to the shard's residual.
+func (h *holder) add(e Edge) {
+	if h.on && (len(h.cur) < cap(h.cur) || h.grow()) {
+		h.cur = append(h.cur, e)
+	}
+}
+
+// addWeighted appends e and its weight w to the shard's residual.
+func (h *holder) addWeighted(e Edge, w float64) {
+	if h.on && (len(h.cur) < cap(h.cur) || h.grow()) {
+		h.cur = append(h.cur, e)
+		h.curW = append(h.curW, w)
+	}
+}
+
+// grow moves the holder to its next chunk: the shard's own next chunk
+// if it has one, else a fresh chunk from the cursor. A spent arena
+// turns the holder off, and only a pass with more live edges than the
+// budget can spend it.
+func (h *holder) grow() bool {
+	s, sl := h.s, h.sl
+	var c int
+	if h.used < len(sl.chunks) {
+		c = int(sl.chunks[h.used])
+	} else if c = int(s.next.Add(1)) - 1; c < len(s.arena)/heldChunk {
+		sl.chunks = append(sl.chunks, int32(c))
+	} else {
+		h.on = false
+		return false
+	}
+	h.used++
+	lo := c * heldChunk
+	h.cur = s.arena[lo:lo:(lo + heldChunk)]
+	if s.weighted {
+		h.curW = s.arenaW[lo:lo:(lo + heldChunk)]
+	}
+	return true
+}
+
+// finish records what the holder wrote as the shard's residual.
+func (h *holder) finish() {
+	if !h.on {
+		return
+	}
+	h.sl.chunks = h.sl.chunks[:h.used]
+	h.sl.held = 0
+	if h.used > 0 {
+		h.sl.held = (h.used-1)*heldChunk + len(h.cur)
+	}
+}
+
 // eachBlock walks shard i's blocks in order for one pass, skipping the
 // dead ones and polling the context before each block it reads, and
 // returns the sum of visit's live-edge counts. A numbered block visit
-// finds without a live edge is dead for the rest of the run.
-func (s *scanner) eachBlock(i int, visit func(blk []Edge, weights []float64) (int64, error)) (int64, error) {
+// finds without a live edge is dead for the rest of the run. Every
+// shard's capture stops once the pass's live edges pass the budget.
+// Once the residual is held, the shard's blocks are its arena chunks.
+func (s *scanner) eachBlock(i int, h *holder, visit func(blk []Edge, weights []float64) (int64, error)) (int64, error) {
+	if s.held {
+		return s.eachHeld(i, visit)
+	}
 	sh := s.views[i]
 	if err := sh.Reset(); err != nil {
 		return 0, err
@@ -342,15 +525,55 @@ func (s *scanner) eachBlock(i int, visit func(blk []Edge, weights []float64) (in
 		if live == 0 && dead != nil {
 			dead[b-lo] = true
 		}
+		if h.on && s.total.Add(live) > int64(s.budget) {
+			h.on = false
+		}
 		edges += live
 	}
 	return edges, nil
 }
 
+// eachHeld walks shard i's held chunks in order, polling the context
+// before each, and returns the sum of visit's live-edge counts.
+func (s *scanner) eachHeld(i int, visit func(blk []Edge, weights []float64) (int64, error)) (int64, error) {
+	sl := &s.slots[i]
+	var edges int64
+	for j, c := range sl.chunks {
+		if err := s.canceled(); err != nil {
+			return 0, err
+		}
+		lo := int(c) * heldChunk
+		hi := lo + min(heldChunk, sl.held-j*heldChunk)
+		var weights []float64
+		if s.weighted {
+			weights = s.arenaW[lo:hi]
+		}
+		live, err := visit(s.arena[lo:hi], weights)
+		if err != nil {
+			return 0, err
+		}
+		edges += live
+	}
+	return edges, nil
+}
+
+// scan scans shard i into lane i and records the result in its slot.
+func (s *scanner) scan(i int) {
+	sl := &s.slots[i]
+	h := s.holder(sl)
+	if s.weighted {
+		sl.edges, sl.weight, sl.err = s.scanWeighted(i, &h)
+	} else {
+		sl.edges, sl.err = s.scanEdges(i, &h)
+		sl.weight = 0
+	}
+	h.finish()
+}
+
 // scanEdges scans unweighted shard i into lane i. The live and
-// self-loop tests and the count run inline: this loop is the whole
-// cost of a pass over decoded edges.
-func (s *scanner) scanEdges(i int) shardSlot {
+// self-loop tests, the count and the capture run inline: this loop is
+// the whole cost of a pass over decoded edges.
+func (s *scanner) scanEdges(i int, h *holder) (int64, error) {
 	var lane []float64
 	var dirty []bool
 	if s.sketch == nil {
@@ -358,7 +581,7 @@ func (s *scanner) scanEdges(i int) shardSlot {
 		lane, dirty = s.counter.lane(i)
 	}
 	aliveU, aliveV, addU, addV, n := s.aliveU, s.aliveV, s.addU, s.addV, uint(s.n)
-	edges, err := s.eachBlock(i, func(blk []Edge, _ []float64) (int64, error) {
+	return s.eachBlock(i, h, func(blk []Edge, _ []float64) (int64, error) {
 		var live int64
 		for _, e := range blk {
 			if uint(e.U) >= n || uint(e.V) >= n {
@@ -368,6 +591,7 @@ func (s *scanner) scanEdges(i int) shardSlot {
 				continue
 			}
 			live++
+			h.add(e)
 			if lane == nil {
 				s.sketch.AddLane(i, e.U)
 				s.sketch.AddLane(i, e.V)
@@ -384,7 +608,6 @@ func (s *scanner) scanEdges(i int) shardSlot {
 		}
 		return live, nil
 	})
-	return shardSlot{edges: edges, err: err}
 }
 
 // scanWeighted scans weighted shard i into lane i, summing the live
@@ -392,12 +615,12 @@ func (s *scanner) scanEdges(i int) shardSlot {
 // column weighs 1 per edge. Every weight read, live or not, must be
 // finite and > 0, except a self loop's: self loops are skipped
 // unchecked, as the graph loader skips them.
-func (s *scanner) scanWeighted(i int) shardSlot {
+func (s *scanner) scanWeighted(i int, h *holder) (int64, float64, error) {
 	s.counter.reset(i)
 	lane, dirty := s.counter.lane(i)
 	alive, n := s.aliveU, uint(s.n)
 	var weight float64
-	edges, err := s.eachBlock(i, func(blk []Edge, ws []float64) (int64, error) {
+	edges, err := s.eachBlock(i, h, func(blk []Edge, ws []float64) (int64, error) {
 		var live int64
 		sum := weight
 		for j, e := range blk {
@@ -417,6 +640,7 @@ func (s *scanner) scanWeighted(i int) shardSlot {
 				continue
 			}
 			live++
+			h.addWeighted(e, w)
 			sum += w
 			lane[e.U] += w
 			lane[e.V] += w
@@ -426,5 +650,5 @@ func (s *scanner) scanWeighted(i int) shardSlot {
 		weight = sum
 		return live, nil
 	})
-	return shardSlot{edges: edges, weight: weight, err: err}
+	return edges, weight, err
 }

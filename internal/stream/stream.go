@@ -12,7 +12,11 @@
 // a time, and a binary file's blocks that an earlier pass found without
 // a live edge are not read again. A stream that does not implement
 // Sharded is scanned as a single shard through its own Reset and Next.
-// Pass counts are exactly the paper's pass complexity.
+// Once one pass's live edges fit one counter lane of memory, the scan
+// holds them and the rest of the run reads no input, so the paper's
+// pass complexity bounds the passes over the input from above: the
+// algorithm's passes are exactly the paper's, and the input passes are
+// at most that many.
 package stream
 
 import (

@@ -429,6 +429,121 @@ func TestOutOfCoreBinaryTornInput(t *testing.T) {
 	}
 }
 
+// heldPass returns the first pass of sol's trace whose live edges fit
+// an unweighted stream scan's residual budget of n edges: the scan
+// holds that pass's live edges in memory and reads no input after it.
+// It fails the test unless a later pass exists.
+func heldPass(t *testing.T, sol *ds.Solution, n int) int {
+	t.Helper()
+	for i, st := range sol.Trace {
+		if st.Edges <= int64(n) {
+			if i+1 >= sol.Passes {
+				t.Fatalf("residual held after the last pass %d; want a pass served from memory", sol.Passes)
+			}
+			return i + 1
+		}
+	}
+	t.Fatalf("no pass of %d fits the residual budget of %d edges", sol.Passes, n)
+	return 0
+}
+
+// TestOutOfCoreHeldResidualTornInput: once a pass's live edges fit the
+// residual budget, the rest of a stream solve runs from memory. A BSG1
+// file truncated after that pass no longer fails the solve: it returns
+// the untruncated Solution, and BytesScanned stops growing at the held
+// pass, both by Path and through an opened FileStream, at one worker
+// and at several. (TestOutOfCoreBinaryTornInput truncates before the
+// residual is held, and that solve still fails.)
+func TestOutOfCoreHeldResidualTornInput(t *testing.T) {
+	g := outOfCoreGraphs(t)[0]
+	p := ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendStream, Eps: 0.1, Path: writeBinaryEdgeFile(t, g)}
+	want := solveOK(t, p)
+	held := heldPass(t, want, g.NumNodes())
+	for _, workers := range []int{1, 2, 4} {
+		for _, route := range []string{"path", "stream"} {
+			file := writeBinaryEdgeFile(t, g)
+			pt := p
+			pt.Path = file
+			var fs *ds.FileStream
+			if route == "stream" {
+				var err error
+				if fs, err = ds.OpenFileStream(file); err != nil {
+					t.Fatal(err)
+				}
+				pt.Edges, pt.Path = fs, ""
+			}
+			calls := 0
+			var scanned []int64
+			truncate := ds.WithProgress(func(ds.PassStat) bool {
+				calls++
+				if fs != nil {
+					scanned = append(scanned, fs.BytesScanned())
+				}
+				// Call held+1 comes after the held pass, before the first
+				// pass from memory.
+				if calls == held+1 {
+					if err := os.Truncate(file, 4096); err != nil {
+						t.Error(err)
+					}
+				}
+				return true
+			})
+			got, err := ds.Solve(context.Background(), pt, truncate, ds.WithWorkers(workers))
+			if fs != nil {
+				fs.Close()
+			}
+			if err != nil {
+				t.Fatalf("%s workers=%d: Solve with the file truncated after held pass %d: %v", route, workers, held, err)
+			}
+			if !reflect.DeepEqual(stripStats(got), stripStats(want)) {
+				t.Fatalf("%s workers=%d: Solution differs from the untruncated solve", route, workers)
+			}
+			if got.Stats.BytesScanned != want.Stats.BytesScanned {
+				t.Fatalf("%s workers=%d: BytesScanned %d, want %d as without the truncation", route, workers, got.Stats.BytesScanned, want.Stats.BytesScanned)
+			}
+			for i := held; i < len(scanned); i++ {
+				if scanned[i] != got.Stats.BytesScanned {
+					t.Fatalf("stream workers=%d: BytesScanned %d at progress call %d, %d at the end; want no input read after held pass %d",
+						workers, scanned[i], i+1, got.Stats.BytesScanned, held)
+				}
+			}
+		}
+	}
+}
+
+// TestOutOfCoreHeldResidualCancel: a context cancelled before a pass
+// served from memory stops the solve inside that pass, with a
+// PartialError that carries every completed pass, at one worker and at
+// several.
+func TestOutOfCoreHeldResidualCancel(t *testing.T) {
+	g := outOfCoreGraphs(t)[0]
+	p := ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendStream, Eps: 0.1, Path: writeBinaryEdgeFile(t, g)}
+	want := solveOK(t, p)
+	held := heldPass(t, want, g.NumNodes())
+	for _, workers := range []int{1, 2, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		calls := 0
+		// Checkpoint polls the context before the hook, so the cancel
+		// at call held+1 is first seen inside pass held+1.
+		stop := ds.WithProgress(func(ds.PassStat) bool {
+			if calls++; calls == held+1 {
+				cancel()
+			}
+			return true
+		})
+		sol, err := ds.Solve(ctx, p, stop, ds.WithWorkers(workers))
+		cancel()
+		var pe *ds.PartialError
+		if sol != nil || !errors.As(err, &pe) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: Solve = %v, %v; want a PartialError wrapping context.Canceled", workers, sol, err)
+		}
+		if pe.Passes != held || !reflect.DeepEqual(pe.Trace, want.Trace[:held]) {
+			t.Fatalf("workers=%d: PartialError after %d passes with trace %v; want the %d completed passes %v",
+				workers, pe.Passes, pe.Trace, held, want.Trace[:held])
+		}
+	}
+}
+
 // TestOutOfCoreBinaryBadWeights: the weighted stream scan refuses a
 // BSG1 weight that is not finite and > 0, as the in-memory loader and
 // NewWeightedSliceStream do, with an error that wraps

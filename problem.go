@@ -206,8 +206,12 @@ type Problem struct {
 	WeightedEdges WeightedEdgeStream `json:"-"`
 	// Path is an edge-list file input. Stream backends re-read it every
 	// pass (true external-memory streaming; requires dense integer
-	// ids), while in-memory backends load it once with the sharded
-	// ReadUndirectedFile/ReadDirectedFile (arbitrary labels).
+	// ids) until one pass's live edges fit one counter lane (n edges,
+	// n/2 weighted; never on BackendStreamSketched), then hold those in
+	// memory and read the file no more, so a file truncated after that
+	// pass no longer fails the solve. In-memory backends load it once
+	// with the sharded ReadUndirectedFile/ReadDirectedFile (arbitrary
+	// labels).
 	//
 	// The two routes number nodes differently, so backends need not
 	// agree on a Path. A stream backend's nodes are the file's ids

@@ -85,11 +85,15 @@ type Solution struct {
 type SolveStats struct {
 	// BytesScanned counts bytes read from an on-disk edge-list input by
 	// the streaming backends: the node-count discovery scan plus every
-	// pass of every shard. It counts the text lines (comments and
-	// resync skips included) and the binary blocks actually read; a
-	// binary block a pass skips, because an earlier pass found no live
-	// edge in it, counts nothing. The skips depend on the blocks alone,
-	// so the count is the same at every worker count.
+	// pass of every shard that reads the input. It counts the text lines
+	// (comments and resync skips included) and the binary blocks
+	// actually read; a binary block a pass skips, because an earlier
+	// pass found no live edge in it, counts nothing. Once a pass's live
+	// edges fit one counter lane (n edges, n/2 on a weighted scan; never
+	// on BackendStreamSketched), the solve holds them in memory, and
+	// the passes after it read no input bytes, so passes over the input
+	// number at most Passes. The skips and the held pass depend on the
+	// input alone, so the count is the same at every worker count.
 	BytesScanned int64 `json:"bytesScanned"`
 	// BytesSpilled counts bytes the MapReduce backend wrote to spill
 	// files under the MRConfig.SpillBytes budget.

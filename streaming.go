@@ -22,7 +22,11 @@ func StreamGraph(g *UndirectedGraph) EdgeStream { return stream.FromUndirected(g
 func StreamDirectedGraph(g *DirectedGraph) EdgeStream { return stream.FromDirected(g) }
 
 // FileStream streams edges from an edge-list file on disk, re-reading it
-// on every pass — true external-memory streaming.
+// on every pass — true external-memory streaming — until one pass's
+// live edges fit one counter lane (n edges, n/2 weighted; never on
+// BackendStreamSketched). The solve then holds those edges in memory
+// and reads the file no more, so a file truncated after that pass no
+// longer fails it, and BytesScanned stops growing.
 type FileStream = stream.FileStream
 
 // OpenFileStream opens an edge-list file ("u v" per line, dense integer
