@@ -27,10 +27,12 @@ test:
 # The race job exercises the parallel peeling engine (internal/par,
 # the sharded core scans, the striped stream counters and the stream
 # scan's residual capture, whose shards claim arena chunks from one
-# cursor), then the root-package smokes CI runs: worker-count
+# cursor) and MapReduce's speculative backups, which race the delayed
+# original, then the root-package smokes CI runs: worker-count
 # determinism plus the cross-runtime trace identity (the sharded scan
 # at workers=3), and the out-of-core file scans (residual capture
-# included, at several workers) and spilling MapReduce.
+# included, at several workers) and spilling MapReduce. CI's race job
+# runs the same three steps.
 race:
 	$(GO) test -race ./internal/...
 	$(GO) test -race -run 'TestParallel|TestTraceIdentity' .
@@ -47,12 +49,14 @@ race:
 # FuzzFileShard's corpus holds a line longer than the 64 KiB read
 # buffer; minimizing a mutant of it would take the default 60 s, so its
 # minimization is capped at 2 s to leave the run for fuzzing.
-# FuzzPeelParity holds the peel engines (Undirected and AtLeastK with
-# their push/pull choice, UndirectedWeighted with its CSR compaction,
-# and Directed on the same graph with its edges oriented) to the
-# reference engines at workers 1-3 on generated graphs above the
+# FuzzPeelParity holds the peel engines (Undirected and AtLeastK, which
+# share one pass loop and one sweep, with their push/pull choice and
+# AtLeastK's (degree, id) quota cut, UndirectedWeighted with its CSR
+# compaction, and Directed on the same graph with its edges oriented)
+# to the reference engines at workers 1-3 on generated graphs above the
 # compaction floor. An input near ε = 0 peels one node per AtLeastK
-# pass and takes seconds, so its minimization is capped the same way.
+# pass, and the reference sorts its candidates on every pass, so it
+# takes seconds; its minimization is capped the same way.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadUndirectedFile$$' -fuzztime 20s ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzFreeze$$' -fuzztime 20s ./internal/graph
@@ -65,10 +69,13 @@ bench:
 
 # The peel-core microbenchmarks: pass throughput on the 2M-edge RMAT
 # sweep, whole runs at ε=0 and ε=4 with their push and pull pass
-# counts, the per-entry cost of each decrement direction in isolation
+# counts, Algorithm 2 with k=1000 at ε=0.05 and ε=0.5, whose passes
+# each cut a quota by linear-time selection (BenchmarkCoreAtLeastK),
+# the per-entry cost of each decrement direction in isolation
 # (BenchmarkCorePushVsPull), and Algorithm 3 on the directed RMAT graph
-# at one worker and at GOMAXPROCS: runs at c=1 and the δ=2 sweep over c
-# (BenchmarkCoreDirected).
+# (BenchmarkCoreDirected). BenchmarkCoreAtLeastK and
+# BenchmarkCoreDirected run at one worker and at GOMAXPROCS; the
+# directed runs are at c=1 and the δ=2 sweep over c.
 bench-core:
 	$(GO) test -bench='BenchmarkCore' -benchtime=1x -run='^$$' ./internal/core
 

@@ -35,12 +35,14 @@ func TestPeelSolveAllocBudget(t *testing.T) {
 	}
 }
 
-// TestStreamAllocsFlatInWorkers guards the stream scanner's pooled
-// state: a warm BackendStream solve of a BSG1 file takes its striped
-// counter, dead-block flags, slots and residual arena from the pool at
-// every worker count, so it allocates at most 8 bytes per node whatever
-// the workers. Building that state afresh costs a counter lane of 8
-// bytes per node per worker, and more in a residual.
+// TestStreamAllocsFlatInWorkers guards the stream scan's pooled state:
+// a warm BackendStream solve of a BSG1 file takes its striped counter,
+// dead-block flags, slots and residual arena, and the scan-peel run's
+// removal schedule and alive flags, from their pools at every worker
+// count, so it allocates at most 1 byte per node whatever the workers.
+// Building that state afresh costs a counter lane of 8 bytes per node
+// per worker, more in a residual, and 5 bytes per node for the
+// schedule and the flags.
 func TestStreamAllocsFlatInWorkers(t *testing.T) {
 	g, err := gen.ChungLu(40000, 200000, 2.2, 13)
 	if err != nil {
@@ -51,7 +53,7 @@ func TestStreamAllocsFlatInWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := ds.Problem{Objective: ds.ObjectiveUndirected, Backend: ds.BackendStream, Eps: 0.5, Path: path}
-	const perNode = 8
+	const perNode = 1
 	for _, workers := range []int{1, 2, 4, 8} {
 		perSolve := medianSolveBytes(t, func() error {
 			_, err := ds.Solve(context.Background(), p, ds.WithWorkers(workers))
@@ -60,7 +62,7 @@ func TestStreamAllocsFlatInWorkers(t *testing.T) {
 		perN := float64(perSolve) / float64(g.NumNodes())
 		t.Logf("workers=%d: warm solve allocates %d B (%.2f B/node)", workers, perSolve, perN)
 		if perN > perNode {
-			t.Errorf("workers=%d: warm solve allocates %d B, %.2f B/node; the bound is %d B/node, so the scanner state must come from the pool",
+			t.Errorf("workers=%d: warm solve allocates %d B, %.2f B/node; the bound is %d B/node, so the scan state must come from the pools",
 				workers, perSolve, perN, perNode)
 		}
 	}

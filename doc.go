@@ -84,7 +84,9 @@
 // job plus the filter jobs that delete the removed nodes' edges. Their
 // sets and traces therefore agree, and each trace is BackendPeel's seen
 // from the start of every pass. BackendPeel keeps degrees current by
-// decrements instead of measuring them, so it runs its own loops.
+// decrements instead of measuring them, so it runs its own loops, one
+// for Algorithms 1 and 2. Every runtime cuts Algorithm 2's quota as the
+// quota-th lowest candidate's (degree, id) key, selected in linear time.
 //
 // # Memory layout and the peel hot path
 //
@@ -92,11 +94,11 @@
 // in-memory engines are laid out to run it at memory bandwidth. Every
 // integer engine (Algorithms 1–3) peels one state: a side is a
 // frontier, alive bits, removal passes and degrees over one CSR row
-// set. Algorithms 1 and 2 peel one side over the graph's rows, and
-// Algorithm 3 peels S along the out-rows and T along the in-rows, so
-// one scan, one push and one pull serve all three. Three techniques
-// carry the hot loop, and every worker count (and the sequential run)
-// returns bit-identical results:
+// set. Algorithms 1 and 2 peel one side over the graph's rows in one
+// loop, and Algorithm 3 peels S along the out-rows and T along the
+// in-rows, so one scan, one push and one pull serve all three. Three
+// techniques carry the hot loop, and every worker count (and the
+// sequential run) returns bit-identical results:
 //
 //   - Live-vertex frontier, swept in batches. The candidate scan walks
 //     a compacted, ascending slice of the surviving vertex ids instead

@@ -25,7 +25,7 @@ func (c *countdownCtx) Err() error {
 	return nil
 }
 
-func TestDensestCtxCancelsMidPeel(t *testing.T) {
+func TestDensestCancelsMidPeel(t *testing.T) {
 	// > peelCheckMask nodes, so the loop polls more than once.
 	g, err := gen.ChungLu(3*(peelCheckMask+1), 6*int64(peelCheckMask+1), 2.1, 5)
 	if err != nil {
@@ -53,7 +53,7 @@ func TestDensestCtxCancelsMidPeel(t *testing.T) {
 	}
 }
 
-func TestDensestWeightedCtxCancelsMidPeel(t *testing.T) {
+func TestDensestWeightedCancelsMidPeel(t *testing.T) {
 	n := 2 * (peelCheckMask + 1)
 	b := graph.NewBuilder(n)
 	for i := 0; i < n-1; i++ {

@@ -14,8 +14,9 @@ import (
 
 // Microbenchmarks of the peel hot path (the `make bench-core` suite):
 // pass throughput on the 2M-edge RMAT sweep the layout work targets,
-// the push vs pull decrement directions in isolation, and the directed
-// peel on the same RMAT graph before symmetrization.
+// Algorithm 2's quota passes on the same graph, the push vs pull
+// decrement directions in isolation, and the directed peel on the same
+// RMAT graph before symmetrization.
 
 // rmatUndirected symmetrizes a directed RMAT graph: highly skewed
 // degrees, the adversarial layout case for the peel loops.
@@ -118,6 +119,33 @@ func BenchmarkCorePushPull(b *testing.B) {
 			b.ReportMetric(float64(push), "push-passes")
 			b.ReportMetric(float64(pull), "pull-passes")
 		})
+	}
+}
+
+// BenchmarkCoreAtLeastK is Algorithm 2 with k=1000 on the same graph,
+// at one worker and at GOMAXPROCS: ε=0.05 takes many passes that each
+// remove a small quota of a large candidate set, the case a per-pass
+// sort of the candidates made slow, and ε=0.5 is peel-mem's ε.
+func BenchmarkCoreAtLeastK(b *testing.B) {
+	g, err := coreBenchGraph()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range slices.Compact([]int{1, runtime.GOMAXPROCS(0)}) {
+		for _, eps := range []float64{0.05, 0.5} {
+			b.Run(fmt.Sprintf("k=1000/eps=%g/workers=%d", eps, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				var passes int
+				for i := 0; i < b.N; i++ {
+					r, err := AtLeastK(g, 1000, eps, Opts{Workers: workers})
+					if err != nil {
+						b.Fatal(err)
+					}
+					passes = r.Passes
+				}
+				b.ReportMetric(float64(passes), "passes")
+			})
+		}
 	}
 }
 

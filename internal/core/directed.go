@@ -77,7 +77,7 @@ func Directed(g *graph.Directed, c, eps float64, o Opts) (*DirectedResult, error
 			p = 1
 		}
 		peeled, other := &st.sides[p], &st.sides[1-p]
-		cut := (1 + eps) * float64(edges) / float64(size[p])
+		cut := cutAt((1 + eps) * float64(edges) / float64(size[p]))
 		pushVol, degSum, err := st.scanRemove(o, peeled, cut, pass)
 		if err != nil {
 			return nil, &PartialError{Passes: pass - 1, DirectedTrace: trace, Err: err}

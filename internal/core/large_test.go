@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -140,5 +142,77 @@ func TestAtLeastKPlantedLargeSubgraph(t *testing.T) {
 	}
 	if len(r.Set) < 40 {
 		t.Fatalf("|set| = %d < k", len(r.Set))
+	}
+}
+
+// TestLowestKeyMatchesSort holds the quota cut's selection to a full
+// sort by (degree, id): for each quota, lowestKey must return the key
+// of the quota-th pair, over int32 and float64 degrees with heavy
+// ties, negative values, infinities and NaN (which cmp.Compare orders
+// lowest), and quotas from 1 to the full length.
+func TestLowestKeyMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ints := []struct {
+		name string
+		deg  func(int) int32
+	}{
+		{"one-degree", func(int) int32 { return 6 }},
+		{"heavy-ties", func(int) int32 { return int32(rng.Intn(4)) }},
+		{"negative", func(int) int32 { return int32(rng.Intn(101) - 50) }},
+		{"ascending", func(i int) int32 { return int32(i) }},
+		{"descending", func(i int) int32 { return int32(-i) }},
+		{"wide-spread", func(int) int32 { return rng.Int31() - math.MaxInt32/2 }},
+	}
+	floats := []struct {
+		name string
+		deg  func(int) float64
+	}{
+		{"one-degree", func(int) float64 { return 2.5 }},
+		{"heavy-ties", func(int) float64 { return float64(rng.Intn(7) - 3) }},
+		{"negative", func(int) float64 { return -rng.Float64() }},
+		{"specials", func(int) float64 {
+			return []float64{math.NaN(), math.Inf(-1), math.Inf(1), 0, -1, 1}[rng.Intn(6)]
+		}},
+	}
+	for _, n := range []int{1, 2, 7, 1000} {
+		for _, c := range ints {
+			checkLowestKey(t, rng, c.name, n, c.deg)
+		}
+		for _, c := range floats {
+			checkLowestKey(t, rng, c.name, n, c.deg)
+		}
+	}
+}
+
+func checkLowestKey[D int32 | float64](t *testing.T, rng *rand.Rand, name string, n int, deg func(int) D) {
+	t.Helper()
+	type pair struct {
+		d  D
+		id int32
+	}
+	ids, degs := make([]int32, n), make([]D, n)
+	sorted := make([]pair, n)
+	id := int32(0)
+	for i := range ids {
+		id += 1 + int32(rng.Intn(3)) // ascending, with gaps
+		ids[i], degs[i] = id, deg(i)
+		sorted[i] = pair{degs[i], id}
+	}
+	slices.SortFunc(sorted, func(a, b pair) int {
+		if c := cmp.Compare(a.d, b.d); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	var sel []D
+	for _, quota := range []int{1, 2, n / 2, n - 1, n, 1 + rng.Intn(n)} {
+		if quota < 1 || quota > n {
+			continue
+		}
+		d, id := lowestKey(ids, degs, &sel, quota)
+		want := sorted[quota-1]
+		if cmp.Compare(d, want.d) != 0 || id != want.id {
+			t.Fatalf("%T %s n=%d quota=%d: key (%v, %d), sort says (%v, %d)", d, name, n, quota, d, id, want.d, want.id)
+		}
 	}
 }

@@ -27,7 +27,7 @@ func sameResult(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-func TestUndirectedOptsWorkerCountInvariance(t *testing.T) {
+func TestUndirectedWorkerCountInvariance(t *testing.T) {
 	for _, seed := range []int64{1, 7, 23} {
 		g, err := gen.ChungLu(3000, 15000, 2.1, seed)
 		if err != nil {
@@ -49,7 +49,7 @@ func TestUndirectedOptsWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-func TestUndirectedWeightedOptsWorkerCountInvariance(t *testing.T) {
+func TestUndirectedWeightedWorkerCountInvariance(t *testing.T) {
 	g0, err := gen.ChungLu(2500, 10000, 2.2, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestUndirectedWeightedOptsWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-func TestAtLeastKOptsWorkerCountInvariance(t *testing.T) {
+func TestAtLeastKWorkerCountInvariance(t *testing.T) {
 	g, err := gen.ChungLu(3000, 12000, 2.1, 11)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestAtLeastKOptsWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-func TestDirectedOptsWorkerCountInvariance(t *testing.T) {
+func TestDirectedWorkerCountInvariance(t *testing.T) {
 	g, err := gen.ChungLuDirected(3000, 15000, 2.2, 13)
 	if err != nil {
 		t.Fatal(err)
@@ -121,10 +121,9 @@ func TestDirectedOptsWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// The refactor must not change what the sequential engine computes: the
-// default entry points still agree with a straight re-derivation of the
-// per-pass rule on a small instance.
-func TestUndirectedOptsMatchesLegacySemantics(t *testing.T) {
+// The sequential run reports the density its set actually has, on a
+// small instance.
+func TestUndirectedSequentialDensityMatchesSet(t *testing.T) {
 	g, err := gen.Gnm(200, 800, 3)
 	if err != nil {
 		t.Fatal(err)

@@ -192,7 +192,15 @@ func starHeavyWeighted(t *testing.T) *graph.Undirected {
 
 func TestLayoutParityAtLeastK(t *testing.T) {
 	var pc parityCounters
-	for name, g := range parityGraphs(t) {
+	graphs := parityGraphs(t)
+	// Every node of a circulant has one degree, so the first pass's
+	// quota splits a single tie bucket by id.
+	circ, err := gen.Circulant(2048, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs["circulant"] = circ
+	for name, g := range graphs {
 		// ε=0 means a one-node quota per pass — thousands of O(n)
 		// reference passes — so the tiny-batch end uses a small
 		// positive ε instead; AtLeastK batches are quota-capped and

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"math/rand/v2"
 	"runtime"
 	"sort"
 	"sync"
@@ -25,9 +27,10 @@ import (
 //     ascending slice of the surviving vertex ids in fixed 2048-id
 //     blocks (par.Sweeper), so a pass costs O(live), not O(n), once the
 //     graph has started to shrink. For the integer engines the scan is
-//     fused: one sweep collects the batch, stamps it removed, filters
-//     the frontier in place, and accumulates the pass sums the
-//     decrement needs;
+//     fused: one sweep collects the batch — the live vertices at or
+//     below a (degree, id) cut, which Algorithm 2 sets at its quota
+//     (quotaCut) — stamps it removed, filters the frontier in place,
+//     and accumulates the pass sums the decrement needs;
 //   - bitset membership: aliveness (and the weighted engine's batch
 //     membership) lives in packed bitsets (n/8 bytes instead of 4n), so
 //     the random membership gathers of the pull recount and the
@@ -145,6 +148,8 @@ type peelState struct {
 
 	col      *par.Collector
 	batch    []int32
+	candDeg  []int32 // quotaCut's candidate degrees
+	sel      []int32 // lowestKey's copy of them
 	sweep    par.Sweeper
 	volSlots []int64   // per-chunk row-volume partials of the fused scan
 	degSlots []int64   // per-chunk live-degree partials of the fused scan
@@ -280,16 +285,20 @@ func (st *peelState) orig(u int32) int32 {
 	return st.origOf[u]
 }
 
-// cutToInt floors the removal threshold to the integer domain the
+// cutKey is a removal cut in (degree, id) order: a vertex is at or
+// below it when its degree is below deg, or is deg and its id ≤ id.
+type cutKey struct{ deg, id int32 }
+
+// cutAt floors the removal threshold to the integer domain the
 // unweighted scans compare in: deg ≤ cut ⟺ deg ≤ ⌊cut⌋ for integer
 // degrees, and the floor turns a float compare per vertex into an
-// int32 one.
-func cutToInt(cut float64) int32 {
+// int32 one. Every id is at or below the key's.
+func cutAt(cut float64) cutKey {
 	f := math.Floor(cut)
 	if f >= math.MaxInt32 {
-		return math.MaxInt32
+		return cutKey{math.MaxInt32, math.MaxInt32}
 	}
-	return int32(f)
+	return cutKey{int32(f), math.MaxInt32}
 }
 
 // clearBatch retires the weighted pass's inBatch bits once its
@@ -301,24 +310,24 @@ func (st *peelState) clearBatch(batch []int32) {
 }
 
 // scanRemove is the fused per-pass sweep of the integer engines over
-// side s: one batched walk over its live frontier collects the
-// below-cut vertices (ascending, chunk-merged), records their removal
+// side s: one batched walk over its live frontier collects the vertices
+// at or below cut (ascending, chunk-merged), records their removal
 // pass, filters them out of the frontier in place, and accumulates the
 // two pass sums the decrement needs — the batch's row volume (the push
 // cost) and its live-degree sum. The batch's alive bits are cleared
 // after the sweep, on the driver goroutine: bitset words are shared
 // between neighboring ids.
-func (st *peelState) scanRemove(o Opts, s *side, cut float64, pass int) (pushVol, degSum int64, err error) {
+func (st *peelState) scanRemove(o Opts, s *side, cut cutKey, pass int) (pushVol, degSum int64, err error) {
 	st.col.Reset()
 	rows, deg, removedAt := s.rows, s.deg, s.removedAt
 	p32 := int32(pass)
-	icut := cutToInt(cut)
+	kd, kid := cut.deg, cut.id
 	chunks := par.NumChunks(len(s.live))
 	live, err := st.sweep.Sweep(o.Ctx, st.pool, s.live, func(c int, block []int32) int {
 		var vol, ds int64
 		w := 0
 		for _, u := range block {
-			if deg[u] > icut {
+			if d := deg[u]; d > kd || d == kd && u > kid {
 				block[w] = u
 				w++
 				continue
@@ -389,63 +398,88 @@ func (st *peelState) scanRemoveWeighted(o Opts, cut float64, pass int) (pushVol 
 	return pushVol, nil
 }
 
-// scanCandidates collects the live vertices with degree at most cut
-// into st.batch without removing anything: AtLeastK keeps only a
-// quota of the candidates, so stamping and filtering wait for the
-// selection (markRemoved, filterLive).
-func (st *peelState) scanCandidates(o Opts, cut float64) error {
+// quotaCut narrows an Algorithm 2 pass's cut to its quota: the key of
+// the quota-th lowest live vertex at or below cut, or cut itself when
+// the quota covers them all. The candidates are collected in ascending
+// order at every worker count.
+func (st *peelState) quotaCut(o Opts, cut cutKey, quota int) (cutKey, error) {
 	st.col.Reset()
-	deg := st.sides[0].deg
-	icut := cutToInt(cut)
+	deg, kd := st.sides[0].deg, cut.deg
 	if _, err := st.sweep.Sweep(o.Ctx, st.pool, st.sides[0].live, func(c int, block []int32) int {
 		for _, u := range block {
-			if deg[u] <= icut {
+			if deg[u] <= kd {
 				st.col.Append(c, u)
 			}
 		}
 		return len(block)
 	}); err != nil {
-		return err
+		return cut, err
 	}
 	st.batch = st.col.Merge(st.batch[:0])
-	return nil
+	if quota >= len(st.batch) {
+		return cut, nil
+	}
+	st.candDeg = resize(st.candDeg, len(st.batch))
+	for i, u := range st.batch {
+		st.candDeg[i] = deg[u]
+	}
+	d, id := lowestKey(st.batch, st.candDeg, &st.sel, quota)
+	return cutKey{d, id}, nil
 }
 
-// markRemoved stamps a selected batch (not necessarily ascending)
-// removed and returns its row volume and live-degree sum — the same
-// pass sums the fused scans produce.
-func (st *peelState) markRemoved(batch []int32, pass int) (pushVol, degSum int64) {
-	s := &st.sides[0]
-	rows, deg, removedAt := s.rows, s.deg, s.removedAt
-	p32 := int32(pass)
-	chunks := par.NumChunks(len(batch))
-	st.pool.ForChunks(len(batch), func(c, lo, hi int) {
-		var vol, ds int64
-		for _, u := range batch[lo:hi] {
-			removedAt[u] = p32
-			vol += int64(rows.Len(u))
-			ds += int64(deg[u])
+// lowestKey returns the (degree, id) key of the quota-th lowest of the
+// ascending ids with degrees degs (1 ≤ quota ≤ len(ids)), degrees in
+// cmp.Compare order. A quickselect around random pivots on a copy of
+// degs in *sel finds the key's degree in expected linear time, its
+// three-way partition settling a run of ties, however long, at once;
+// one walk of the ids then finds the tie where the quota runs out, so
+// ties go in id order with no sort. Every runtime's Algorithm 2 picks
+// its quota through it.
+func lowestKey[D int32 | float64](ids []int32, degs []D, sel *[]D, quota int) (D, int32) {
+	x := append((*sel)[:0], degs...)
+	*sel = x
+	i, below := quota-1, 0 // the key's degree is x's i-th lowest; below counts those under x
+	for {
+		p := x[rand.IntN(len(x))]
+		lt, j, gt := 0, 0, len(x) // x[:lt] < p, x[lt:j] == p, x[gt:] > p
+		for j < gt {
+			switch c := cmp.Compare(x[j], p); {
+			case c < 0:
+				x[lt], x[j] = x[j], x[lt]
+				lt++
+				j++
+			case c > 0:
+				gt--
+				x[j], x[gt] = x[gt], x[j]
+			default:
+				j++
+			}
 		}
-		st.volSlots[c] = vol
-		st.degSlots[c] = ds
-	})
-	for _, u := range batch {
-		s.alive.Clear(u)
+		if i < lt {
+			x = x[:lt]
+			continue
+		}
+		if i >= gt {
+			x, i, below = x[gt:], i-gt, below+gt
+			continue
+		}
+		for k, d := range degs { // below+lt degrees lie under p: count p's ties in id order
+			if cmp.Compare(d, p) == 0 {
+				if lt++; below+lt == quota {
+					return p, ids[k]
+				}
+			}
+		}
+		panic("core: lowestKey: degs changed under the selection")
 	}
-	for c := 0; c < chunks; c++ {
-		pushVol += st.volSlots[c]
-		degSum += st.degSlots[c]
-	}
-	return pushVol, degSum
 }
 
 // filterLive drops this pass's removals from sides[0]'s frontier and
 // deducts their row volume. The in-place ascending filter is
 // sequential — it is a single O(live) sweep over memory the candidate
-// scan just touched — and therefore trivially worker-invariant. The
-// integer engines fuse this into scanRemove; only the quota and
-// weighted paths, whose removal sets are fixed after the scan, still
-// call it.
+// scan just touched — and therefore trivially worker-invariant. Only
+// the weighted engine calls it: its pull needs the frontier to hold the
+// pass's removals, which the integer engines' fused sweep filters out.
 func (st *peelState) filterLive(pushVol int64) {
 	s := &st.sides[0]
 	live := s.live[:0]

@@ -4,7 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"slices"
+	"sync"
 
 	"densestream/internal/graph"
 )
@@ -38,7 +38,8 @@ const (
 	// the ⌊ε/(1+ε)·|S|⌋ (at least one) with the lowest degrees go, ties
 	// broken by node id, and the run stops once fewer than K nodes
 	// remain. With no node at or below the cut, the quota comes from
-	// all live nodes, as in CutRule's fallback.
+	// all live nodes, as in CutRule's fallback. The quota is cut as
+	// the in-memory AtLeastK cuts it, in linear time (lowestKey).
 	QuotaRule
 )
 
@@ -96,18 +97,21 @@ type ScanOracle interface {
 	Commit(snap *ScanSnapshot) error
 }
 
-// scanRun holds what both scan-peel loops share.
+// scanRun holds what both scan-peel loops share. scanPool recycles it
+// with its O(n) buffers, which no Result aliases; a resumed snapshot
+// keeps the schedules its oracle restored.
 type scanRun struct {
 	or   ScanOracle
 	o    Opts
 	snap *ScanSnapshot
-	cand []scanCand
+
+	removedAt, removedAtT []int32 // a fresh snapshot's schedules
+	alive, aliveT         []bool
+	ids                   []int32 // removeLowest's candidates
+	degs, sel             []float64
 }
 
-type scanCand struct {
-	u   int32
-	deg float64
-}
+var scanPool sync.Pool
 
 // startScan validates the common inputs and sets up or restores the
 // run's state.
@@ -132,15 +136,32 @@ func startScan(spec ScanSpec, or ScanOracle, o Opts, directed bool) (*scanRun, e
 	if err != nil {
 		return nil, err
 	}
-	if snap == nil {
-		snap = &ScanSnapshot{BestDensity: -1, RemovedAt: make([]int32, n)}
-		if directed {
-			snap.RemovedAtT = make([]int32, n)
-		}
-	} else if len(snap.RemovedAt) != n || directed && len(snap.RemovedAtT) != n {
+	if snap != nil && (len(snap.RemovedAt) != n || directed && len(snap.RemovedAtT) != n) {
 		return nil, fmt.Errorf("core: resumed removal schedule has %d/%d nodes, want %d", len(snap.RemovedAt), len(snap.RemovedAtT), n)
 	}
-	return &scanRun{or: or, o: o, snap: snap}, nil
+	r, _ := scanPool.Get().(*scanRun)
+	if r == nil {
+		r = new(scanRun)
+	}
+	r.or, r.o = or, o
+	if snap == nil {
+		r.removedAt = resize(r.removedAt, n)
+		clear(r.removedAt)
+		snap = &ScanSnapshot{BestDensity: -1, RemovedAt: r.removedAt}
+		if directed {
+			r.removedAtT = resize(r.removedAtT, n)
+			clear(r.removedAtT)
+			snap.RemovedAtT = r.removedAtT
+		}
+	}
+	r.snap = snap
+	return r, nil
+}
+
+// release parks r in scanPool, pinning no oracle, context or snapshot.
+func (r *scanRun) release() {
+	r.or, r.o, r.snap = nil, Opts{}, nil
+	scanPool.Put(r)
 }
 
 // measure runs the oracle, turning a context error into a PartialError
@@ -180,44 +201,45 @@ func (r *scanRun) removeBelow(alive []bool, removedAt []int32, cut float64, pass
 // nodes if none is — ties broken by node id, and returns how many it
 // removed.
 func (r *scanRun) removeLowest(alive []bool, removedAt []int32, cut, frac float64, nodes, pass int) int {
-	cand := r.cand[:0]
+	ids, degs := r.ids[:0], r.degs[:0]
 	for u, live := range alive {
 		if live {
 			if d := r.or.Degree(int32(u)); d <= cut {
-				cand = append(cand, scanCand{u: int32(u), deg: d})
+				ids, degs = append(ids, int32(u)), append(degs, d)
 			}
 		}
 	}
-	if len(cand) == 0 {
+	if len(ids) == 0 {
 		for u, live := range alive {
 			if live {
-				cand = append(cand, scanCand{u: int32(u), deg: r.or.Degree(int32(u))})
+				ids, degs = append(ids, int32(u)), append(degs, r.or.Degree(int32(u)))
 			}
 		}
 	}
-	r.cand = cand
-	quota := min(max(int(frac*float64(nodes)), 1), len(cand))
-	slices.SortFunc(cand, func(a, b scanCand) int {
-		if c := cmp.Compare(a.deg, b.deg); c != 0 {
-			return c
+	r.ids, r.degs = ids, degs
+	quota := min(max(int(frac*float64(nodes)), 1), len(ids))
+	kd, kid := math.Inf(1), int32(math.MaxInt32)
+	if quota < len(ids) {
+		kd, kid = lowestKey(ids, degs, &r.sel, quota)
+	}
+	for i, u := range ids {
+		if c := cmp.Compare(degs[i], kd); c < 0 || c == 0 && u <= kid {
+			alive[u] = false
+			removedAt[u] = int32(pass)
 		}
-		return cmp.Compare(a.u, b.u)
-	})
-	for _, c := range cand[:quota] {
-		alive[c.u] = false
-		removedAt[c.u] = int32(pass)
 	}
 	return quota
 }
 
-// liveFlags returns the alive flags of a removal schedule and their
-// count.
-func liveFlags(removedAt []int32) ([]bool, int) {
-	alive := make([]bool, len(removedAt))
+// liveFlags returns the alive flags of a removal schedule, kept in
+// *buf's storage, and their count.
+func liveFlags(buf *[]bool, removedAt []int32) ([]bool, int) {
+	alive := resize(*buf, len(removedAt))
+	*buf = alive
 	live := 0
 	for u, p := range removedAt {
+		alive[u] = p == 0
 		if p == 0 {
-			alive[u] = true
 			live++
 		}
 	}
@@ -234,8 +256,9 @@ func ScanPeel(spec ScanSpec, or ScanOracle, o Opts) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer r.release()
 	snap := r.snap
-	alive, nodes := liveFlags(snap.RemovedAt)
+	alive, nodes := liveFlags(&r.alive, snap.RemovedAt)
 	floor := 1
 	if spec.Rule == QuotaRule {
 		floor = spec.K
@@ -299,9 +322,10 @@ func ScanPeelDirected(spec ScanSpec, or ScanOracle, o Opts) (*DirectedResult, er
 	if err != nil {
 		return nil, err
 	}
+	defer r.release()
 	snap := r.snap
-	aliveS, sizeS := liveFlags(snap.RemovedAt)
-	aliveT, sizeT := liveFlags(snap.RemovedAtT)
+	aliveS, sizeS := liveFlags(&r.alive, snap.RemovedAt)
+	aliveT, sizeT := liveFlags(&r.aliveT, snap.RemovedAtT)
 	prev := spec.Initial
 	if len(snap.DirectedTrace) > 0 {
 		prev = snap.DirectedTrace[len(snap.DirectedTrace)-1].AsPassStat()

@@ -12,7 +12,9 @@
 // edges — internal/stream and internal/mapreduce — share their per-pass
 // logic through ScanPeel and ScanPeelDirected and supply only a degree
 // oracle; the in-memory engines keep degrees current by decrements and
-// run their own loops. Tests assert exact agreement between them.
+// run their own loops, one for Algorithms 1 and 2. Every runtime cuts
+// Algorithm 2's quota as one (degree, id) key selected in linear time.
+// Tests assert exact agreement between them.
 package core
 
 // PassStat records the state of the remaining graph after one pass of a

@@ -37,32 +37,45 @@ func Undirected(g *graph.Undirected, eps float64, o Opts) (*Result, error) {
 	if err := o.Begin(); err != nil {
 		return nil, err
 	}
-	n := g.NumNodes()
-	if n == 0 {
+	if g.NumNodes() == 0 {
 		return nil, graph.ErrEmptyGraph
 	}
 	if g.Weighted() {
 		return nil, fmt.Errorf("core: Undirected needs an unweighted graph; use UndirectedWeighted")
 	}
+	return peel(g, 0, eps, o)
+}
+
+// peel is the pass loop of Algorithm 1 (k = 0) and Algorithm 2 (k ≥ 1)
+// on an unweighted graph of at least max(k, 1) nodes: each pass removes
+// the live vertices at or below its cut, which Algorithm 2 narrows to
+// its quota, until fewer than max(k, 1) nodes remain.
+func peel(g *graph.Undirected, k int, eps float64, o Opts) (*Result, error) {
 	st := newPeelState(g, o, false)
 	defer st.release()
 	s := &st.sides[0]
-	edges := g.NumEdges()
-	nodes := n
+	edges, nodes, floor := g.NumEdges(), g.NumNodes(), max(k, 1)
 
 	bestPass := 0
 	bestDensity := g.Density()
 	trace := []PassStat{{Pass: 0, Nodes: nodes, Edges: edges, Density: bestDensity}}
 
 	threshold := 2 * (1 + eps)
+	frac := eps / (1 + eps)
 	pass := 0
-	for nodes > 0 {
+	for nodes >= floor {
 		if err := o.Checkpoint(trace[len(trace)-1]); err != nil {
 			return nil, &PartialError{Passes: pass, Trace: trace, Err: err}
 		}
 		pass++
 		rho := float64(edges) / float64(nodes)
-		cut := threshold * rho
+		cut := cutAt(threshold * rho)
+		if k > 0 {
+			var err error
+			if cut, err = st.quotaCut(o, cut, max(int(frac*float64(nodes)), 1)); err != nil {
+				return nil, &PartialError{Passes: pass - 1, Trace: trace, Err: err}
+			}
+		}
 		pushVol, degSum, err := st.scanRemove(o, s, cut, pass)
 		if err != nil {
 			return nil, &PartialError{Passes: pass - 1, Trace: trace, Err: err}
@@ -80,7 +93,7 @@ func Undirected(g *graph.Undirected, eps float64, o Opts) (*Result, error) {
 			rhoAfter = float64(edges) / float64(nodes)
 		}
 		trace = append(trace, PassStat{Pass: pass, Nodes: nodes, Edges: edges, Density: rhoAfter, Removed: len(batch)})
-		if nodes > 0 && rhoAfter > bestDensity {
+		if nodes >= floor && rhoAfter > bestDensity {
 			bestDensity = rhoAfter
 			bestPass = pass
 		}

@@ -25,7 +25,7 @@ func (c *countdownCtx) Err() error {
 	return nil
 }
 
-func TestExactDensestCtxCancelsMidFlow(t *testing.T) {
+func TestExactDensestCancelsMidFlow(t *testing.T) {
 	g, err := gen.ChungLu(800, 5000, 2.1, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestExactDensestCtxCancelsMidFlow(t *testing.T) {
 	}
 }
 
-func TestMaxFlowCtxPreCanceled(t *testing.T) {
+func TestMaxFlowPreCanceled(t *testing.T) {
 	nw := NewNetwork(3, 2)
 	if err := nw.AddArc(0, 1, 5); err != nil {
 		t.Fatal(err)

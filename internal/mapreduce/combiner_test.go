@@ -8,7 +8,7 @@ import (
 	"densestream/internal/graph"
 )
 
-func TestRunCombinedValidation(t *testing.T) {
+func TestRunValidationWithCombiner(t *testing.T) {
 	id := func(k int32, v int32, emit func(int32, int32)) { emit(k, v) }
 	comb := func(k int32, vs []int32) int32 { return int32(len(vs)) }
 	red := func(k int32, vs []int32, emit func(int32, int32)) { emit(k, 0) }

@@ -235,18 +235,19 @@ func (s *Server) failFromContext(j *job, err error, partial *ds.PartialError) {
 	}
 }
 
+const maxJobs = 1024
+
 // jobTable retains jobs for the async API, evicting the oldest finished
-// jobs past the retention cap.
+// jobs past the retention cap, maxJobs.
 type jobTable struct {
 	mu    sync.Mutex
 	seq   int64
-	cap   int
 	jobs  map[string]*job
 	order []string // insertion order, for eviction
 }
 
-func newJobTable(capacity int) *jobTable {
-	return &jobTable{cap: capacity, jobs: make(map[string]*job)}
+func newJobTable() *jobTable {
+	return &jobTable{jobs: make(map[string]*job)}
 }
 
 // add registers a new job under a fresh id.
@@ -259,9 +260,9 @@ func (t *jobTable) add(j *job) string {
 	t.order = append(t.order, j.id)
 	// Evict finished jobs beyond the cap, oldest first; running and
 	// queued jobs are never evicted.
-	if len(t.jobs) > t.cap {
+	if len(t.jobs) > maxJobs {
 		kept := t.order[:0]
-		excess := len(t.jobs) - t.cap
+		excess := len(t.jobs) - maxJobs
 		for _, id := range t.order {
 			old := t.jobs[id]
 			if excess > 0 && old != nil && old.terminal() {

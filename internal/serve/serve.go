@@ -44,8 +44,6 @@ type Config struct {
 	// DefaultTimeout bounds every request that does not carry its own
 	// timeoutMillis; 0 means no default deadline.
 	DefaultTimeout time.Duration
-	// MaxJobs is the async-job retention cap. Default 1024.
-	MaxJobs int
 	// MapReduce configures the simulated cluster every MapReduce-backend
 	// solve runs on — shape, spill budget, failure plan, checkpointing.
 	// The zero value is the backend's default cluster. Fault-tolerance
@@ -65,9 +63,6 @@ func (c *Config) normalize() {
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 256
-	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 1024
 	}
 }
 
@@ -96,7 +91,7 @@ func New(cfg Config) *Server {
 		registry: NewRegistry(),
 		cache:    newResultCache(cfg.CacheEntries),
 		metrics:  newMetrics(),
-		jobs:     newJobTable(cfg.MaxJobs),
+		jobs:     newJobTable(),
 		queue:    make(chan *job, cfg.QueueDepth),
 	}
 	s.base, s.stop = context.WithCancel(context.Background())

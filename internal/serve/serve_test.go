@@ -533,7 +533,7 @@ func newIdleServer(t *testing.T, queueDepth int) *Server {
 		registry: NewRegistry(),
 		cache:    newResultCache(cfg.CacheEntries),
 		metrics:  newMetrics(),
-		jobs:     newJobTable(cfg.MaxJobs),
+		jobs:     newJobTable(),
 		queue:    make(chan *job, cfg.QueueDepth),
 	}
 	s.base, s.stop = context.WithCancel(context.Background())

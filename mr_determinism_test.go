@@ -75,7 +75,7 @@ func TestMapReduceShapeDeterminismUndirected(t *testing.T) {
 
 // A zero MapReduce config means the default cluster, not a validation
 // error.
-func TestWithOptionsZeroMRConfigFallsBack(t *testing.T) {
+func TestWithMapReduceConfigZeroFallsBack(t *testing.T) {
 	g, err := gen.ChungLu(500, 2000, 2.1, 5)
 	if err != nil {
 		t.Fatal(err)

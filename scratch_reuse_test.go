@@ -3,6 +3,7 @@ package densestream_test
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sync"
@@ -12,9 +13,10 @@ import (
 	"densestream/internal/gen"
 )
 
-// The in-memory peel recycles its per-solve scratch across solves.
-// This test pins that from the public API: concurrent solves over
-// graphs of different sizes and objectives must each match a
+// The in-memory peel, and the scan-peel policy behind the stream
+// backend, recycle their per-solve scratch across solves. This test
+// pins that from the public API: concurrent solves over graphs of
+// different sizes, objectives and backends must each match a
 // fresh-state solve. alloc_budget_test.go checks that a warm solve
 // allocates little beyond its Solution.
 
@@ -40,6 +42,14 @@ func TestParallelPeelScratchReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Stream solves open their own file, so goroutines share no stream.
+	bigPath, smallPath := filepath.Join(t.TempDir(), "big.bsg"), filepath.Join(t.TempDir(), "small.bsg")
+	if err := ds.WriteUndirectedBinary(bigPath, big); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.WriteUndirectedBinary(smallPath, small); err != nil {
+		t.Fatal(err)
+	}
 	problems := []ds.Problem{
 		{Objective: ds.ObjectiveUndirected, Backend: ds.BackendPeel, Eps: 0.1, Graph: big},
 		{Objective: ds.ObjectiveAtLeastK, Backend: ds.BackendPeel, Eps: 0.5, K: 150, Graph: small},
@@ -47,6 +57,8 @@ func TestParallelPeelScratchReuse(t *testing.T) {
 		{Objective: ds.ObjectiveUndirected, Backend: ds.BackendPeel, Eps: 0.3, Graph: small},
 		{Objective: ds.ObjectiveAtLeastK, Backend: ds.BackendPeel, Eps: 0.5, K: 2000, Graph: big},
 		{Objective: ds.ObjectiveWeighted, Backend: ds.BackendPeel, Eps: 0.3, Graph: small},
+		{Objective: ds.ObjectiveAtLeastK, Backend: ds.BackendStream, Eps: 0.5, K: 150, Path: smallPath},
+		{Objective: ds.ObjectiveUndirected, Backend: ds.BackendStream, Eps: 0.3, Path: bigPath},
 	}
 	want := make([]*ds.Solution, len(problems))
 	for i, p := range problems {
